@@ -34,7 +34,7 @@ from .horseshoe import (
     branch_of,
     conjugacy_check,
     horseshoe_map,
-    level_rectangles,
+    rectangle_lattice,
     verify_hyperbolic_conditions,
 )
 from .metric import (
@@ -101,6 +101,10 @@ class RunConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.recurrence_depth < 1 or self.metric_depth < 1:
             raise ConfigError("depths must be >= 1")
+        if self.conjugacy_depth < 2:
+            raise ConfigError("conjugacy_depth must be >= 2")
+        if self.conjugacy_samples < 0:
+            raise ConfigError("conjugacy_samples must be >= 0")
         bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
@@ -314,30 +318,46 @@ def cmd_certify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _word_with_dot(word, start: int) -> str:
-    chars = [str(s) for s in word]
-    dot_at = -start + 1  # number of symbols at positions <= 0
-    return "".join(chars[:dot_at]) + "." + "".join(chars[dot_at:])
+def _digits(digits) -> str:
+    return "".join(str(s) for s in digits)
 
 
-def _svg_for_rectangles(rects) -> str:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
-    ]
+def _bounds_text(interval) -> str:
+    return f",{_float_str(interval.lo)},{_float_str(interval.hi)}"
+
+
+def _write_rectangles_csv(path: Path, pasts, futures) -> None:
+    """One row per rectangle, past outermost.  Each word half and bound pair
+    is formatted once per factor; rows go out one past at a time."""
+    x_cols = [(_digits(p.digits) + ".", _bounds_text(p)) for p in pasts]
+    y_cols = [(_digits(f.digits), _bounds_text(f)) for f in futures]
+    with open(path, "w") as fh:
+        fh.write("word,x_lo,x_hi,y_lo,y_hi\n")
+        for past, x_text in x_cols:
+            fh.write("".join(f"{past}{future}{x_text}{y_text}\n" for future, y_text in y_cols))
+
+
+def _write_svg(path: Path, pasts, futures) -> None:
+    """The unit square in a 1000x1000 viewBox, y flipped to mathematical
+    orientation, each rectangle colored by its first future symbol."""
     colors = {1: "#3465a4", 2: "#cc0000"}
-    for rect in rects:
-        x = float(rect.x_lo) * 1000
-        y = (1 - float(rect.y_hi)) * 1000  # flip to mathematical orientation
-        w = (float(rect.x_hi) - float(rect.x_lo)) * 1000
-        h = (float(rect.y_hi) - float(rect.y_lo)) * 1000
-        color = colors[rect.word[-rect.start + 1]]
-        lines.append(
-            f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" '
-            f'fill="{color}" fill-opacity="0.8"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    x_parts = []
+    for p in pasts:
+        x = float(p.lo) * 1000
+        w = (float(p.hi) - float(p.lo)) * 1000
+        x_parts.append((f'<rect x="{x:.6f}"', f' width="{w:.6f}"'))
+    y_parts = []
+    for f in futures:
+        y = (1 - float(f.hi)) * 1000
+        h = (float(f.hi) - float(f.lo)) * 1000
+        fill = colors[f.digits[0]]
+        y_parts.append((f' y="{y:.6f}"', f' height="{h:.6f}" fill="{fill}" fill-opacity="0.8"/>'))
+    with open(path, "w") as fh:
+        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+        fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n')
+        for x_text, w_text in x_parts:
+            fh.write("".join(f"{x_text}{y_text}{w_text}{h_text}\n" for y_text, h_text in y_parts))
+        fh.write("</svg>\n")
 
 
 def cmd_horseshoe(config: RunConfig) -> int:
@@ -345,25 +365,11 @@ def cmd_horseshoe(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     hp = HorseshoeParams(config.lam, config.mu)
     try:
-        rects = level_rectangles(hp, config.k, config.n)
+        pasts, futures = rectangle_lattice(hp, config.k, config.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    rows = ["word,x_lo,x_hi,y_lo,y_hi"]
-    for rect in rects:
-        rows.append(
-            ",".join(
-                [
-                    _word_with_dot(rect.word, rect.start),
-                    _float_str(rect.x_lo),
-                    _float_str(rect.x_hi),
-                    _float_str(rect.y_lo),
-                    _float_str(rect.y_hi),
-                ]
-            )
-        )
-    (out / "rectangles.csv").write_text("\n".join(rows) + "\n")
+    _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 
     depth_cap = min(config.k + config.n, 8)
     report = verify_hyperbolic_conditions(hp, max(1, depth_cap))
@@ -413,9 +419,9 @@ def cmd_horseshoe(config: RunConfig) -> int:
     )
 
     if "svg" in config.formats:
-        (out / "horseshoe.svg").write_text(_svg_for_rectangles(rects))
+        _write_svg(out / "horseshoe.svg", pasts, futures)
 
-    print(f"rectangles: {len(rects)}")
+    print(f"rectangles: {len(pasts) * len(futures)}")
     print(f"hyperbolic conditions: {'ok' if report.passed else 'FAIL'}")
     print(f"conjugacy samples: {'ok' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
@@ -457,6 +463,8 @@ def parse_descriptor(text: str):
 
 
 def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     start = parse_descriptor(descriptor)
@@ -524,12 +532,28 @@ _REPORT_VERIFIERS = {
 }
 
 
+def _payload_shape_error(payload) -> str | None:
+    """Why a decoded file cannot be a certificate or report, if it cannot."""
+    if not isinstance(payload, dict):
+        return f"expected a JSON object, got {type(payload).__name__}"
+    if not isinstance(payload.get("kind"), (str, type(None))):
+        return "'kind' is not a string"
+    if not isinstance(payload.get("data", {}), dict):
+        return "'data' is not a JSON object"
+    return None
+
+
 def verify_file(path: Path, quiet: bool = False) -> int:
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         if not quiet:
             print(f"error: cannot load {path}: {exc}", file=sys.stderr)
+        return 2
+    shape = _payload_shape_error(payload)
+    if shape:
+        if not quiet:
+            print(f"error: cannot verify {path}: {shape}", file=sys.stderr)
         return 2
     kind = payload.get("kind")
     data = payload.get("data", {})

@@ -26,6 +26,11 @@ mu**-depth per axis).  Finite windows of symbols correspond to rectangles
 of width lambda**(k+1) and height mu**-n, which shrink geometrically (the
 diameter condition) and keep Euclidean gaps of at least 1 - 2/mu between
 rectangles whose first future symbol differs (the separation condition).
+A rectangle's x-interval depends only on its past digits and its
+y-interval only on its future digits, so the level-(k, n) grid of
+2**(k+1+n) rectangles is the product of 2**(k+1) past x-intervals and 2**n
+future y-intervals (`rectangle_lattice`); the CLI streams its CSV and SVG
+rows from the two factors, and even the 2**20 cap takes seconds.
 
 All arithmetic runs in whatever number type the parameters carry; with
 `fractions.Fraction` (the default lambda = 1/3, mu = 3) every interval,
@@ -38,6 +43,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
+
 from .metric import DiameterReport, diameter_table
 from .sequences import BiSequence, FiniteWord, as_word
 
@@ -247,42 +254,77 @@ class SymbolicRectangle:
         return math.sqrt(float(self.gap_sq_to(other)))
 
 
+class Interval(NamedTuple):
+    """One factor of a level rectangle: the digits of one side of the dot
+    and the interval they cut out on that side's axis."""
+
+    digits: tuple[int, ...]
+    lo: object
+    hi: object
+
+
+def _x_interval(past, hp: HorseshoeParams) -> tuple[object, object]:
+    """x-interval of the past digits at positions -k..0 (in word order)."""
+    one = _one(hp)
+    x_lo = 0 * one
+    powlam = one
+    for digit in reversed(past):  # positions 0, -1, .., -k
+        x_lo += (digit - 1) * powlam
+        powlam = powlam * hp.lam
+    x_lo *= 1 - hp.lam
+    return x_lo, x_lo + hp.lam ** len(past)
+
+
+def _y_interval(future, hp: HorseshoeParams) -> tuple[object, object]:
+    """y-interval of the future digits at positions 1..n."""
+    one = _one(hp)
+    n = len(future)
+    y_lo = 0 * one
+    powmu = one
+    for digit in future:
+        powmu = powmu / hp.mu
+        y_lo += (digit - 1) * powmu
+    y_lo *= hp.mu - 1
+    return y_lo, y_lo + (one / hp.mu ** n if hp.exact else float(hp.mu) ** (-n))
+
+
 def rectangle_for_word(word, start: int, hp: HorseshoeParams) -> SymbolicRectangle:
     """Rectangle of the window [start, end]; needs start <= 0 < end."""
     w = as_word(word)
     end = start + len(w) - 1
     if not (start <= 0 < end):
         raise ValueError("rectangle windows must straddle the dot")
-    one = _one(hp)
-    k = -start
-    n = end
-    x_lo = 0 * one
-    powlam = one
-    for i in range(k + 1):
-        x_lo += (w[-start - i] - 1) * powlam  # digit at position -i
-        powlam = powlam * hp.lam
-    x_lo *= 1 - hp.lam
-    x_hi = x_lo + hp.lam ** (k + 1)
-    y_lo = 0 * one
-    powmu = one
-    for j in range(1, n + 1):
-        powmu = powmu / hp.mu
-        y_lo += (w[-start + j] - 1) * powmu
-    y_lo *= hp.mu - 1
-    y_hi = y_lo + (one / hp.mu ** n if hp.exact else float(hp.mu) ** (-n))
+    x_lo, x_hi = _x_interval(w[: 1 - start], hp)
+    y_lo, y_hi = _y_interval(w[1 - start :], hp)
     return SymbolicRectangle(w, start, x_lo, x_hi, y_lo, y_hi)
+
+
+def rectangle_lattice(
+    hp: HorseshoeParams, k: int, n: int
+) -> tuple[list[Interval], list[Interval]]:
+    """The two factors of the level-(k, n) grid, each in word order.
+
+    The rectangle of window [-k, n] carrying past digits p and future
+    digits f is (x-interval of p) x (y-interval of f), so the 2**(k+1+n)
+    rectangles are the product of the 2**(k+1) `pasts` and the 2**n
+    `futures`, past outermost.
+    """
+    if k < 0 or n < 1:
+        raise ValueError("need k >= 0 and n >= 1")
+    if 2 ** (k + 1 + n) > RECTANGLE_CAP:
+        raise ValueError(f"rectangle cap exceeded: 2**{k + 1 + n} > 2**20")
+    pasts = [Interval(p, *_x_interval(p, hp)) for p in product((1, 2), repeat=k + 1)]
+    futures = [Interval(f, *_y_interval(f, hp)) for f in product((1, 2), repeat=n)]
+    return pasts, futures
 
 
 def level_rectangles(hp: HorseshoeParams, k: int, n: int) -> list[SymbolicRectangle]:
     """All 2**(k+1+n) rectangles of window [-k, n], in word order."""
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    count = 2 ** (k + 1 + n)
-    if count > RECTANGLE_CAP:
-        raise ValueError(f"rectangle cap exceeded: 2**{k + 1 + n} > 2**20")
+    pasts, futures = rectangle_lattice(hp, k, n)
     return [
-        rectangle_for_word(word, -k, hp)
-        for word in product((1, 2), repeat=k + 1 + n)
+        SymbolicRectangle(FiniteWord(p.digits + f.digits), -k, p.lo, p.hi, f.lo, f.hi)
+        for p in pasts
+        for f in futures
     ]
 
 

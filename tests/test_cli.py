@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: exit codes, files, verify mode."""
 
 import json
+from itertools import product
 
 import pytest
 
 from shiftchaos.cli import load_config, main, parse_descriptor
 from shiftchaos.cli import ConfigError
+from shiftchaos.horseshoe import HorseshoeParams, rectangle_for_word
 
 
 def run(*argv):
@@ -45,6 +47,25 @@ def test_verify_missing_file_is_usage_error(tmp_path):
     assert run("--verify", str(tmp_path / "nope.json")) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        "3",
+        '"li_yorke"',
+        "null",
+        '{"schema": 1, "kind": "li_yorke", "data": [1]}',
+        '{"schema": 1, "kind": "conjugacy", "data": "rows"}',
+        '{"schema": 1, "kind": ["li_yorke"], "data": {}}',
+    ],
+)
+def test_verify_non_object_payload_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    assert run("--verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_recomputes_horseshoe_reports(tmp_path):
     out = tmp_path / "hs"
     assert run("horseshoe", "--out", str(out), "--k", "2", "--n", "2", "--seed", "3") == 0
@@ -65,6 +86,25 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert config.seed == 9  # flag wins
     assert config.horizon == 64
     assert config.r == 0.5
+
+
+@pytest.mark.parametrize(
+    "line", ["conjugacy_depth = 1", "conjugacy_depth = -4", "conjugacy_samples = -3"]
+)
+def test_horseshoe_rejects_bad_conjugacy_settings(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_orbit_rejects_negative_steps(tmp_path, capsys):
+    out = tmp_path / "orb"
+    assert run("orbit", "--out", str(out), "--start", "periodic:1,2", "--steps", "-5") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -104,6 +144,47 @@ def test_horseshoe_rectangle_count_and_svg(tmp_path):
 
 def test_horseshoe_cap_exceeded(tmp_path):
     assert run("horseshoe", "--out", str(tmp_path / "x"), "--k", "15", "--n", "15") == 2
+
+
+def _expected_rectangle_files(hp, k, n):
+    """rectangles.csv and horseshoe.svg text rebuilt one rectangle at a time,
+    with the row and <rect> formatting of the first release."""
+    rows = ["word,x_lo,x_hi,y_lo,y_hi"]
+    svg = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
+    ]
+    colors = {1: "#3465a4", 2: "#cc0000"}
+    for word in product((1, 2), repeat=k + 1 + n):
+        rect = rectangle_for_word(word, -k, hp)
+        chars = [str(s) for s in word]
+        text = "".join(chars[: k + 1]) + "." + "".join(chars[k + 1 :])
+        bounds = (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi)
+        rows.append(",".join([text] + [repr(float(v)) for v in bounds]))
+        x = float(rect.x_lo) * 1000
+        y = (1 - float(rect.y_hi)) * 1000
+        w = (float(rect.x_hi) - float(rect.x_lo)) * 1000
+        h = (float(rect.y_hi) - float(rect.y_lo)) * 1000
+        svg.append(
+            f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" '
+            f'fill="{colors[word[k + 1]]}" fill-opacity="0.8"/>'
+        )
+    svg.append("</svg>")
+    return "\n".join(rows) + "\n", "\n".join(svg) + "\n"
+
+
+@pytest.mark.parametrize(
+    "params,hp",
+    [((), HorseshoeParams()), (("--lam", "0.3", "--mu", "3.5"), HorseshoeParams(0.3, 3.5))],
+    ids=["exact", "float"],
+)
+def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp):
+    out = tmp_path / "hs"
+    argv = ["horseshoe", "--out", str(out), "--k", "3", "--n", "4", "--format", "json,csv,svg"]
+    assert run(*argv, *params) == 0
+    csv_text, svg_text = _expected_rectangle_files(hp, 3, 4)
+    assert (out / "rectangles.csv").read_bytes() == csv_text.encode()
+    assert (out / "horseshoe.svg").read_bytes() == svg_text.encode()
 
 
 def test_orbit_periodic_returns_to_start(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,7 +22,7 @@ from shiftchaos import (
     point_from_itinerary,
     verify_hyperbolic_conditions,
 )
-from shiftchaos.horseshoe import branch_of, rectangle_for_word
+from shiftchaos.horseshoe import branch_of, rectangle_for_word, rectangle_lattice
 
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
@@ -191,6 +192,43 @@ def test_rectangles_pairwise_disjoint_with_positive_gaps():
 def test_level_rectangles_cap():
     with pytest.raises(ValueError):
         level_rectangles(HP, 15, 15)
+
+
+def _same(a, b) -> bool:
+    """Equal values of one type; floats must agree bit for bit."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+@pytest.mark.parametrize(
+    "hp", [HP, HPF, HorseshoeParams(0.3, 3.5)], ids=["exact", "float", "0.3-3.5"]
+)
+@pytest.mark.parametrize("k,n", [(0, 1), (2, 3), (4, 4)])
+def test_level_rectangles_agree_with_rectangle_for_word(hp, k, n):
+    rects = level_rectangles(hp, k, n)
+    words = list(product((1, 2), repeat=k + 1 + n))
+    assert len(rects) == len(words)
+    for word, rect in zip(words, rects):
+        want = rectangle_for_word(word, -k, hp)
+        assert tuple(rect.word) == word == tuple(want.word)
+        assert rect.start == want.start == -k
+        for field in ("x_lo", "x_hi", "y_lo", "y_hi"):
+            assert _same(getattr(rect, field), getattr(want, field)), (word, field)
+
+
+@pytest.mark.parametrize("k,n", [(-1, 2), (0, 0), (15, 15), (10, 10)])
+def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
+    with pytest.raises(ValueError) as lattice_err:
+        rectangle_lattice(HP, k, n)
+    with pytest.raises(ValueError) as level_err:
+        level_rectangles(HP, k, n)
+    assert str(lattice_err.value) == str(level_err.value)
+
+
+def test_rectangle_lattice_factor_sizes_at_the_cap():
+    pasts, futures = rectangle_lattice(HP, 9, 10)
+    assert (len(pasts), len(futures)) == (2 ** 10, 2 ** 10)
 
 
 def test_hyperbolic_conditions_report():
