@@ -586,7 +586,7 @@ def verify_certificate(payload: dict) -> VerificationResult:
     """Recompute every numeric claim of a certificate from its witnesses."""
     kind = payload.get("kind")
     data = payload.get("data", payload)
-    verifier = _VERIFIERS.get(kind)
+    verifier = _VERIFIERS.get(kind) if isinstance(kind, str) else None
     if verifier is None:
         return VerificationResult(str(kind), False, (f"unknown certificate kind {kind!r}",))
     failures: list[str] = []

@@ -432,28 +432,33 @@ def cmd_horseshoe(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def parse_descriptor(text: str):
+def parse_descriptor(text: str, m: int = 2):
     """Parse an orbit start: a representable sequence or a plane point.
 
     periodic:1,2[@phase]   window:1,2,2@-1[:pad]   universal[:seed]
     point:0.25,0.5
+
+    Sequences live over the alphabet {1..m}: symbols and pads above m are
+    rejected, and a universal start enumerates words over m symbols.
     """
     kind, _, rest = text.partition(":")
     try:
+        alphabet = Alphabet(m)
         if kind == "periodic":
             block, _, phase = rest.partition("@")
-            syms = tuple(int(s) for s in block.split(","))
-            return PeriodicSeq(FiniteWord(syms), int(phase) if phase else 0)
+            word = FiniteWord(tuple(int(s) for s in block.split(",")))
+            word.validate(alphabet)
+            return PeriodicSeq(word, int(phase) if phase else 0)
         if kind == "window":
-            body, _, pad = rest.partition(":")
+            body, _, pad_text = rest.partition(":")
             syms_text, _, start = body.partition("@")
             syms = tuple(int(s) for s in syms_text.split(",")) if syms_text else ()
-            return WindowPaddedSeq(
-                FiniteWord(syms), int(start) if start else 1, int(pad) if pad else 1
-            )
+            pad = int(pad_text) if pad_text else 1
+            FiniteWord(syms + (pad,)).validate(alphabet)
+            return WindowPaddedSeq(FiniteWord(syms), int(start) if start else 1, pad)
         if kind == "universal":
             seed = int(rest) if rest else 0
-            return UniversalSeq(2, seed)
+            return UniversalSeq(m, seed)
         if kind == "point":
             x_text, _, y_text = rest.partition(",")
             return PlanePoint(_parse_number(x_text), _parse_number(y_text))
@@ -465,9 +470,9 @@ def parse_descriptor(text: str):
 def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
     if steps < 0:
         raise ConfigError("steps must be >= 0")
+    start = parse_descriptor(descriptor, config.m)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    start = parse_descriptor(descriptor)
     path = out / "orbit.csv"
     if isinstance(start, PlanePoint):
         hp = HorseshoeParams(config.lam, config.mu)

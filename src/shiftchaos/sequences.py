@@ -26,6 +26,12 @@ the dot) and :class:`FlippedSeq` (pointwise symbol increment mod m), are
 used to assemble witnesses such as "the member of an unstable set whose
 future is the universal enumeration".  Both are closed under shifting.
 
+``window(lo, hi)`` is the bulk path, and the metric and the certificates
+read sequences through it.  Periodic and window-padded sequences answer with
+tuple slices; the universal sequence locates its start section once and then
+walks the enumeration entry by entry, carrying on a digit list.  Its
+``symbol_at`` is a one-position window.
+
 All values are immutable; every operation is a pure function.
 """
 
@@ -134,7 +140,12 @@ class PeriodicSeq(BiSequence):
         return PeriodicSeq(self.block, self.phase - steps)
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(self.block[(j - self.phase) % self.period] for j in range(lo, hi + 1))
+        count = hi - lo + 1
+        if count <= 0:
+            return ()
+        cut = (lo - self.phase) % self.period
+        rotated = self.block.symbols[cut:] + self.block.symbols[:cut]
+        return (rotated * -(-count // self.period))[:count]
 
     def right_tail(self) -> tuple[int, int]:
         return (1, self.period)
@@ -169,13 +180,13 @@ class WindowPaddedSeq(BiSequence):
         return WindowPaddedSeq(self.window_word, self.start - steps, self.pad)
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        out = []
-        for j in range(lo, hi + 1):
-            if self.start <= j <= self.end:
-                out.append(self.window_word[j - self.start])
-            else:
-                out.append(self.pad)
-        return tuple(out)
+        if hi < lo:
+            return ()
+        a, b = max(lo, self.start), min(hi, self.end)
+        if a > b:
+            return (self.pad,) * (hi - lo + 1)
+        inner = self.window_word.symbols[a - self.start : b - self.start + 1]
+        return (self.pad,) * (a - lo) + inner + (self.pad,) * (hi - b)
 
     def right_tail(self) -> tuple[int, int]:
         return (self.end + 1, 1)
@@ -257,11 +268,38 @@ def _section_locate(m: int, pos: int) -> tuple[int, int]:
         length += 1
 
 
-def _enum_symbol(m: int, seed: int, pos: int) -> int:
-    length, start = _section_locate(m, pos)
-    word_index, digit = divmod(pos - start, length)
-    num = (word_index + _rotation(m, seed, length)) % (m ** length)
-    return (num // m ** (length - 1 - digit)) % m + 1
+def _enum_window(m: int, seed: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Enumeration symbols at positions lo..hi (0 <= lo), walked section by
+    section: the first entry's digits come from its number, and each next
+    entry of the section is the previous one plus 1 mod m**length, carried
+    on the digit list."""
+    if hi < lo:
+        return ()
+    length, start = _section_locate(m, lo)
+    index, skip = divmod(lo - start, length)
+    need = skip + hi - lo + 1
+    out: list[int] = []
+    while True:
+        size = m ** length
+        num = (index + _rotation(m, seed, length)) % size
+        digits = []
+        for _ in range(length):
+            num, d = divmod(num, m)
+            digits.append(d + 1)
+        digits.reverse()
+        entries = min(size - index, -(-(need - len(out)) // length))
+        for _ in range(entries):
+            out.extend(digits)
+            k = length - 1
+            while k >= 0 and digits[k] == m:
+                digits[k] = 1
+                k -= 1
+            if k >= 0:
+                digits[k] += 1
+        if len(out) >= need:
+            return tuple(out[skip:need])
+        length += 1
+        index = 0
 
 
 def enumeration_position(m: int, seed: int, word) -> int:
@@ -318,17 +356,18 @@ class UniversalSeq(BiSequence):
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("universal sequence needs m >= 2")
+        Alphabet(self.m)
 
     def symbol_at(self, j: int) -> int:
-        je = j + self.offset
-        if je < 0:
-            return 1
-        return _enum_symbol(self.m, self.seed, je)
+        return self.window(j, j)[0]
 
     def shift(self, steps: int) -> "UniversalSeq":
         return UniversalSeq(self.m, self.seed, self.offset + steps)
+
+    def window(self, lo: int, hi: int) -> tuple[int, ...]:
+        a, b = lo + self.offset, hi + self.offset
+        ones = max(0, min(b, -1) - a + 1)  # the padded negative side
+        return (1,) * ones + _enum_window(self.m, self.seed, max(a, 0), b)
 
     def left_tail(self) -> tuple[int, int]:
         return (-1 - self.offset, 1)
@@ -382,6 +421,9 @@ class FlippedSeq(BiSequence):
 
     base: BiSequence
     m: int
+
+    def __post_init__(self) -> None:
+        Alphabet(self.m)
 
     def symbol_at(self, j: int) -> int:
         return self.base.symbol_at(j) % self.m + 1

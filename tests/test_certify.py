@@ -1,5 +1,6 @@
 """Witness construction and self-verification of the chaos certificates."""
 
+import json
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from shiftchaos import (
     universal_member,
     unstable_set_convergence,
     verify_certificate,
+    sequence_from_payload,
     whole_space,
 )
 from shiftchaos.certify import random_two_sided_target, random_unstable_set
@@ -303,6 +305,27 @@ def test_tampered_distance_fails_verification():
 
 def test_unknown_kind_fails_verification():
     assert not verify_certificate({"kind": "nonsense", "data": {}}).ok
+
+
+@pytest.mark.parametrize("kind", [["li_yorke"], {"li_yorke": 1}, 5, None])
+def test_non_string_kind_fails_verification(kind):
+    result = verify_certificate({"kind": kind, "data": {}})
+    assert not result.ok
+    assert result.failures[0].startswith("unknown certificate kind")
+
+
+@pytest.mark.parametrize("m", [0, 1, -2, 2.0, "2", None])
+def test_flipped_payload_with_bad_alphabet_is_malformed(m):
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    payload = json.loads(json.dumps(as_payload(cert)))
+    flipped = payload["data"]["partner"]["future"]
+    assert flipped["kind"] == "flipped"
+    flipped["m"] = m
+    with pytest.raises(ValueError):
+        sequence_from_payload(flipped)
+    result = verify_certificate(payload)
+    assert not result.ok
+    assert result.failures[0].startswith("malformed certificate")
 
 
 @pytest.mark.parametrize("m", [2, 3])

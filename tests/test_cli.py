@@ -8,6 +8,7 @@ import pytest
 from shiftchaos.cli import load_config, main, parse_descriptor
 from shiftchaos.cli import ConfigError
 from shiftchaos.horseshoe import HorseshoeParams, rectangle_for_word
+from shiftchaos.sequences import enumeration_prefix
 
 
 def run(*argv):
@@ -239,12 +240,75 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     assert checked >= 2  # the early dips land inside the orbit horizon
 
 
+def orbit_oracle(m, seed, steps, r=0.5, depth=60):
+    """d(shift^n u, u) for n = 0..steps by direct summation over the
+    materialized enumeration (the past of u is all 1s, so positions below
+    -n never differ); the dropped tail beyond `depth` weighs < 2r**depth."""
+    prefix = enumeration_prefix(m, seed, steps + depth + 1)
+
+    def u(i):
+        return 1 if i < 0 else prefix[i]
+
+    values = []
+    for n in range(steps + 1):
+        total = 0.0
+        for j in range(-n, depth + 1):
+            if u(j + n) != u(j):
+                total += r ** j if j >= 1 else r ** (1 - j)
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize(
+    "seed, m, steps", [(0, 2, 300), (2 ** 63, 2, 300), (5, 3, 120), (1, 4, 60)]
+)
+def test_orbit_universal_matches_direct_sum(tmp_path, seed, m, steps):
+    out = tmp_path / "orb"
+    argv = ["orbit", "--out", str(out), "--start", f"universal:{seed}", "--m", str(m)]
+    assert run(*argv, "--steps", str(steps)) == 0
+    rows = (out / "orbit.csv").read_text().splitlines()[1:]
+    expected = orbit_oracle(m, seed, steps)
+    assert len(rows) == steps + 1
+    for n, row in enumerate(rows):
+        index, value = row.split(",")
+        assert int(index) == n
+        assert abs(float(value) - expected[n]) <= 2e-12
+
+
+@pytest.mark.parametrize(
+    "start, m",
+    [
+        ("periodic:7,9", 2),
+        ("periodic:1,3", 2),
+        ("periodic:1,4", 3),
+        ("window:1,3@0", 2),
+        ("window:1,2@0:3", 2),
+    ],
+)
+def test_orbit_rejects_symbols_above_m(tmp_path, capsys, start, m):
+    out = tmp_path / "orb"
+    argv = ["orbit", "--out", str(out), "--start", start, "--m", str(m)]
+    assert run(*argv, "--steps", "3") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_orbit_accepts_symbols_up_to_m(tmp_path):
+    out = tmp_path / "orb"
+    argv = ["orbit", "--out", str(out), "--start", "periodic:1,3", "--m", "3"]
+    assert run(*argv, "--steps", "2") == 0
+    assert (out / "orbit.csv").read_text().splitlines()[-1] == "2,0.0"
+
+
 def test_parse_descriptor_variants():
     from shiftchaos import PeriodicSeq, PlanePoint, UniversalSeq, WindowPaddedSeq
 
     assert isinstance(parse_descriptor("periodic:1,2@1"), PeriodicSeq)
     assert isinstance(parse_descriptor("window:2,1@0:2"), WindowPaddedSeq)
-    assert isinstance(parse_descriptor("universal:3"), UniversalSeq)
+    assert parse_descriptor("universal:3") == UniversalSeq(2, 3)
+    assert parse_descriptor("universal", m=4) == UniversalSeq(4, 0)
+    with pytest.raises(ConfigError):
+        parse_descriptor("periodic:1,2", m=1)
     assert isinstance(parse_descriptor("point:1/4,0.5"), PlanePoint)
     with pytest.raises(ConfigError):
         parse_descriptor("point:2,0")

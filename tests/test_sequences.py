@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
+    BiSequence,
     EventuallyPeriodicSeq,
     FiniteWord,
     FlippedSeq,
@@ -272,3 +273,99 @@ def test_payload_round_trip(rng):
         assert restored == s
     composite = SplicedSeq(periodic_point((1, 2)), FlippedSeq(UniversalSeq(2), 2), 3)
     assert sequence_from_payload(sequence_to_payload(composite)) == composite
+
+
+# ---------------------------------------------------------------------------
+# Bulk windows against oracles that do not share their code: slices of the
+# materialized enumeration prefix, the entry positions of
+# `enumeration_position`, and the per-position loop of `BiSequence.window`.
+# ---------------------------------------------------------------------------
+
+PREFIX_LEN = 6000
+
+
+def prefix_window(m, seed, offset, lo, hi):
+    prefix = enumeration_prefix(m, seed, PREFIX_LEN)
+    return tuple(1 if j + offset < 0 else prefix[j + offset] for j in range(lo, hi + 1))
+
+
+def section_start(m, length):
+    return sum(l * m ** l for l in range(1, length))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.sampled_from((0, 2 ** 63)),
+    st.integers(min_value=-300, max_value=3000),
+    st.integers(min_value=-400, max_value=2000),
+    st.integers(min_value=-3, max_value=600),
+)
+def test_universal_window_matches_enumeration_prefix(m, seed, offset, lo, width):
+    hi = lo + width - 1
+    u = UniversalSeq(m, seed, offset)
+    assert u.window(lo, hi) == prefix_window(m, seed, offset, lo, hi)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_universal_window_edges(m, seed):
+    u = UniversalSeq(m, seed)
+    assert u.window(5, 4) == ()
+    assert u.window(3, -3) == ()
+    assert u.window(-9, -1) == (1,) * 9
+    assert u.shift(-50).window(10, 40) == (1,) * 31
+    assert u.window(-1, -1) == (1,)
+    # every section boundary inside the prefix, crossed by one window
+    for length in range(2, 8):
+        boundary = section_start(m, length)
+        if boundary + 40 > PREFIX_LEN:
+            break
+        for lo in (boundary - 2 * length, boundary - 1, boundary):
+            assert u.window(lo, lo + 40) == prefix_window(m, seed, 0, lo, lo + 40)
+            assert (u.symbol_at(lo),) == prefix_window(m, seed, 0, lo, lo)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_universal_window_at_large_offsets(m, seed):
+    length = 1
+    while section_start(m, length + 1) <= 10 ** 9:
+        length += 1
+    u = UniversalSeq(m, seed)
+    rng = random.Random(m * 7 + seed % 5)
+    for _ in range(20):
+        word = tuple(rng.randint(1, m) for _ in range(length))
+        pos = enumeration_position(m, seed, word)
+        assert 10 ** 8 < pos < 10 ** 10
+        before, after = rng.randint(0, 3 * length), rng.randint(0, 3 * length)
+        got = u.window(pos - before, pos + length - 1 + after)
+        assert len(got) == before + length + after
+        assert got[before : before + length] == word
+        assert u.shift(pos - 1).window(1, length) == word
+    # the last entry of one deep section and the first entry of the next
+    boundary = section_start(m, length + 1)
+    last = u.window(boundary - length, boundary - 1)
+    first = u.window(boundary, boundary + length)
+    assert enumeration_position(m, seed, last) == boundary - length
+    assert enumeration_position(m, seed, first) == boundary
+    assert u.window(boundary - length, boundary + length) == last + first
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=8),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=-3, max_value=60),
+)
+def test_padded_and_periodic_windows_match_per_position_loop(m, symbols, anchor, pad, lo, width):
+    word = FiniteWord(tuple(min(s, m) for s in symbols))
+    hi = lo + width - 1
+    seqs = [WindowPaddedSeq(word, anchor, min(pad, m))]
+    if len(word):
+        seqs.append(PeriodicSeq(word, anchor))
+    for s in seqs:
+        assert s.window(lo, hi) == BiSequence.window(s, lo, hi)
