@@ -285,6 +285,16 @@ def poisson_recurrence_witness(
     )
 
 
+def _li_yorke_min_bound(r: float, horizon: int) -> float:
+    """Proximity bound of the scrambled pair at finite horizon: with
+    [2**(J+1) - 1, 3*2**J - 2] the deepest agreement block inside the
+    horizon, r**(2**(J-1) - 2) (1 when no block fits)."""
+    big_j = 0
+    while 3 * (1 << (big_j + 1)) - 2 <= horizon:
+        big_j += 1
+    return r ** max((1 << (big_j - 1)) - 2, 0) if big_j >= 1 else 1.0
+
+
 def li_yorke_pair(
     u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float = 1e-12
 ) -> Certificate:
@@ -309,11 +319,7 @@ def li_yorke_pair(
     t = member_with_future(
         u_set, WindowPaddedSeq(FiniteWord(tuple(pattern[:need])), 1, 1)
     )
-    # deepest agreement block [2**(J+1) - 1, 3*2**J - 2] inside the horizon
-    big_j = 0
-    while 3 * (1 << (big_j + 1)) - 2 <= horizon:
-        big_j += 1
-    min_bound = p.r ** max((1 << (big_j - 1)) - 2, 0) if big_j >= 1 else 1.0
+    min_bound = _li_yorke_min_bound(p.r, horizon)
     eps0 = weight(1, p.r)
     min_value = min_error = math.inf
     max_value = max_error = -math.inf
@@ -505,7 +511,10 @@ def _verify_sensitivity(d: dict, failures: list[str]) -> None:
         failures.append("stored divergence distance does not recompute")
     if not d_close.value + d_close.error < d["eps"]:
         failures.append("partner is not eps-close")
-    if not d_far.value - d_far.error >= d["eps0"]:
+    eps0 = weight(1, p.r)
+    if not _close(eps0, d["eps0"]):
+        failures.append("stored eps0 is not the separation constant w(1)")
+    if not d_far.value - d_far.error >= eps0:
         failures.append("divergence below eps0")
 
 
@@ -536,17 +545,30 @@ def _verify_li_yorke(d: dict, failures: list[str]) -> None:
     if s == t:
         failures.append("degenerate pair: the two sequences are identical")
         return
+    past = sequence_from_payload(d["unstable_past"])
+    lo = -_AGREEMENT_DEPTH
+    if not s.window(lo, 0) == t.window(lo, 0) == past.window(lo, 0):
+        failures.append(f"the pair does not share the unstable past (checked positions {lo}..0)")
+    horizon = d["horizon"]
+    if not isinstance(horizon, int) or horizon < 10:
+        raise ValueError(f"horizon must be an integer >= 10, got {horizon!r}")
+    min_bound = _li_yorke_min_bound(p.r, horizon)
+    eps0 = weight(1, p.r)
+    if not _close(min_bound, d["min_bound"]):
+        failures.append("stored proximity bound does not recompute")
+    if not _close(eps0, d["eps0"]):
+        failures.append("stored eps0 is not the separation constant w(1)")
     d_min = distance(s.shift(d["min_time"]), t.shift(d["min_time"]), p, d["tolerance"])
     d_max = distance(s.shift(d["max_time"]), t.shift(d["max_time"]), p, d["tolerance"])
     if not _close(d_min.value, d["min_value"]):
         failures.append("stored proximal distance does not recompute")
     if not _close(d_max.value, d["max_value"]):
         failures.append("stored distal distance does not recompute")
-    if not d_min.value + d_min.error < d["min_bound"]:
+    if not d_min.value + d_min.error < min_bound:
         failures.append("proximal distance misses its bound")
-    if not d_max.value - d_max.error >= d["eps0"]:
+    if not d_max.value - d_max.error >= eps0:
         failures.append("distal distance below eps0")
-    if not (1 <= d["min_time"] <= d["horizon"] and 1 <= d["max_time"] <= d["horizon"]):
+    if not (1 <= d["min_time"] <= horizon and 1 <= d["max_time"] <= horizon):
         failures.append("witness times outside the horizon")
 
 
@@ -555,19 +577,21 @@ def _verify_convergence(d: dict, failures: list[str], forward: bool) -> None:
     s = sequence_from_payload(d["s"])
     t = sequence_from_payload(d["t"])
     sign = 1 if forward else -1
-    prev = math.inf
-    for row in d["rows"]:
+    n_max, rows = d["n_max"], d["rows"]
+    if n_max < 1 or len(rows) != n_max + 1 or any(row["n"] != n for n, row in enumerate(rows)):
+        failures.append("rows do not run over n = 0..n_max")
+        return
+    for row in rows:
         n = row["n"]
         dist = distance(s.shift(sign * n), t.shift(sign * n), p, d["tolerance"])
+        bound = weight_below(-n, p.r) if forward else weight_above(n + 1, p.r)
         if not _close(dist.value, row["value"]):
             failures.append(f"distance at n={n} does not recompute")
-        if not dist.value <= row["bound"] + dist.error:
+        if not _close(bound, row["bound"]):
+            failures.append(f"bound at n={n} is not the tail weight")
+        if not dist.value <= bound + dist.error:
             failures.append(f"distance at n={n} exceeds its bound")
-        if row["bound"] > prev:
-            failures.append("bounds are not monotone")
-        prev = row["bound"]
-    final = d["rows"][-1]
-    if not final["value"] < p.r ** (d["n_max"] - 1):
+    if not dist.value < p.r ** (n_max - 1):
         failures.append("terminal distance misses its bound")
 
 

@@ -550,6 +550,15 @@ def _payload_shape_error(payload) -> str | None:
 
 def verify_file(path: Path, quiet: bool = False) -> int:
     try:
+        return _verify_file(path, quiet)
+    except RecursionError:
+        if not quiet:
+            print(f"error: cannot verify {path}: nested too deeply", file=sys.stderr)
+        return 2
+
+
+def _verify_file(path: Path, quiet: bool) -> int:
+    try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         if not quiet:

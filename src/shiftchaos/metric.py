@@ -21,12 +21,24 @@ is finite (= 2 at r = 1/2).  Under this metric:
 Distances are exact (error 0) whenever both sequences have periodic tails
 on each side; otherwise the sum is truncated with a certified two-sided
 error bound below the requested tolerance.
+
+Each side is summed by one pass in C: the weights come from a cached table
+of r**j per weight base, periodic-block weights are divided by
+1 - r**period, and `reduce(add, compress(weights, mismatches), 0.0)` adds
+the weights at mismatched positions one by one from 0.0.  The future side
+runs in increasing j; the past side runs over the explicit positions in
+increasing j, then over the periodic block from its start downwards.  This
+fixes every rounding step, so values are the same on every Python version
+(the builtin `sum` compensates float sums from Python 3.12 on).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import chain, compress, repeat
+from operator import add, ne, truediv
 from typing import Callable, NamedTuple
 
 from .cylinders import CylinderSet, all_words, future_cylinder
@@ -95,6 +107,26 @@ def _truncation_depth(r: float, half_tol: float) -> int:
     return k
 
 
+@lru_cache(maxsize=8, typed=True)
+def _power_table(r: float) -> list[float]:
+    """The list [r**0, r**1, ...] for one weight base, grown by `_powers`."""
+    return [r ** 0]
+
+
+def _powers(r: float, top: int) -> list[float]:
+    """The power table of r, holding at least the entries r**0..r**top."""
+    table = _power_table(r)
+    if len(table) <= top:
+        table.extend(r ** j for j in range(len(table), top + 1))
+    return table
+
+
+def _mismatch_sum(terms, sw, tw) -> float:
+    """Add the terms at the positions where sw and tw differ, left to right
+    from 0.0.  (Not `sum`, which compensates float sums on Python 3.12+.)"""
+    return reduce(add, compress(terms, map(ne, sw, tw)), 0.0)
+
+
 def _right_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
     ts, tt = s.right_tail(), t.right_tail()
     if ts is not None and tt is not None:
@@ -102,24 +134,14 @@ def _right_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[floa
         period = math.lcm(ts[1], tt[1])
         if start - 1 + period <= _EXACT_SPAN_CAP:
             hi = start + period - 1
-            sw, tw = s.window(1, hi), t.window(1, hi)
-            total = 0.0
-            for j in range(1, start):
-                if sw[j - 1] != tw[j - 1]:
-                    total += r ** j
+            table = _powers(r, hi)
             geo = 1.0 - r ** period
-            for c in range(period):
-                j = start + c
-                if sw[j - 1] != tw[j - 1]:
-                    total += (r ** j) / geo
-            return total, 0.0
+            # positions 1..start-1, then the periodic block start..hi
+            terms = chain(table[1:start], map(truediv, table[start : hi + 1], repeat(geo)))
+            return _mismatch_sum(terms, s.window(1, hi), t.window(1, hi)), 0.0
     k = _truncation_depth(r, tol / 2)
-    sw, tw = s.window(1, k), t.window(1, k)
-    total = 0.0
-    for j in range(1, k + 1):
-        if sw[j - 1] != tw[j - 1]:
-            total += r ** j
-    return total, r ** (k + 1) / (1 - r)
+    table = _powers(r, k)
+    return _mismatch_sum(table[1 : k + 1], s.window(1, k), t.window(1, k)), r ** (k + 1) / (1 - r)
 
 
 def _left_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
@@ -129,25 +151,18 @@ def _left_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float
         period = math.lcm(ts[1], tt[1])
         if -start + period <= _EXACT_SPAN_CAP:
             lo = start - period + 1
-            sw, tw = s.window(lo, 0), t.window(lo, 0)
-            total = 0.0
-            for j in range(start + 1, 1):
-                if sw[j - lo] != tw[j - lo]:
-                    total += r ** (1 - j)
+            table = _powers(r, 1 - lo)
             geo = 1.0 - r ** period
-            for c in range(period):
-                j = start - c
-                if sw[j - lo] != tw[j - lo]:
-                    total += (r ** (1 - j)) / geo
-            return total, 0.0
+            # positions start+1..0 left to right, then the periodic block
+            # from start down to lo; position j weighs table[1 - j]
+            terms = chain(table[-start:0:-1], map(truediv, table[1 - start : 2 - lo], repeat(geo)))
+            sw, tw = s.window(lo, 0), t.window(lo, 0)
+            return _mismatch_sum(terms, sw[period:] + sw[period - 1 :: -1],
+                                 tw[period:] + tw[period - 1 :: -1]), 0.0
     k = _truncation_depth(r, tol / 2)
     lo = 1 - k  # positions lo..0 explicit; dropped tail is j <= -k
-    sw, tw = s.window(lo, 0), t.window(lo, 0)
-    total = 0.0
-    for j in range(lo, 1):
-        if sw[j - lo] != tw[j - lo]:
-            total += r ** (1 - j)
-    return total, r ** (k + 1) / (1 - r)
+    table = _powers(r, k)
+    return _mismatch_sum(table[k:0:-1], s.window(lo, 0), t.window(lo, 0)), r ** (k + 1) / (1 - r)
 
 
 def distance(

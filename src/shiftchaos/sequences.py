@@ -30,14 +30,21 @@ future is the universal enumeration".  Both are closed under shifting.
 read sequences through it.  Periodic and window-padded sequences answer with
 tuple slices; the universal sequence locates its start section once and then
 walks the enumeration entry by entry, carrying on a digit list.  Its
-``symbol_at`` is a one-position window.
+``symbol_at`` is a one-position window.  A universal sequence and all its
+shifted copies share one memoized head of the enumeration.  Windows that end
+inside the head are slices.  A window that starts at most one symbol past
+the head's end (a shifted copy's past reaches enumeration position 0, the
+unshifted future starts at 1), or ends inside twice the head's length,
+first extends the head to its own end or to twice the length, whichever is
+more.  Other windows, such as those near 10**10, walk.
 
-All values are immutable; every operation is a pure function.
+All values are immutable (the shared head is a memo that changes no value);
+every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -349,11 +356,16 @@ def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
 class UniversalSeq(BiSequence):
     """The enumeration of all finite words at nonnegative positions, 1-padded
     on the negative side.  `offset` tracks shifting; `seed` rotates each
-    length class of the enumeration (0 keeps plain length-lex order)."""
+    length class of the enumeration (0 keeps plain length-lex order).
+
+    `head` boxes one memoized head of the enumeration, as a tuple in a
+    one-element list.  Shifted copies share the box, so a family of copies
+    (an orbit) reads one head, which grows as windows reach past it."""
 
     m: int
     seed: int = 0
     offset: int = 0
+    head: list = field(default_factory=lambda: [()], compare=False, repr=False)
 
     def __post_init__(self) -> None:
         Alphabet(self.m)
@@ -362,12 +374,26 @@ class UniversalSeq(BiSequence):
         return self.window(j, j)[0]
 
     def shift(self, steps: int) -> "UniversalSeq":
-        return UniversalSeq(self.m, self.seed, self.offset + steps)
+        return UniversalSeq(self.m, self.seed, self.offset + steps, self.head)
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
         a, b = lo + self.offset, hi + self.offset
         ones = max(0, min(b, -1) - a + 1)  # the padded negative side
-        return (1,) * ones + _enum_window(self.m, self.seed, max(a, 0), b)
+        return (1,) * ones + self._enum(max(a, 0), b)
+
+    def _enum(self, lo: int, hi: int) -> tuple[int, ...]:
+        """Enumeration symbols lo..hi, sliced from the head after extending
+        it if they end past it (see the module docstring), or walked."""
+        if hi < lo:
+            return ()
+        head = self.head[0]
+        size = len(head)
+        if hi >= size:
+            if lo > size + 1 and hi >= 2 * size:
+                return _enum_window(self.m, self.seed, lo, hi)
+            head = head + _enum_window(self.m, self.seed, size, max(hi, 2 * size - 1))
+            self.head[0] = head
+        return head[lo : hi + 1]
 
     def left_tail(self) -> tuple[int, int]:
         return (-1 - self.offset, 1)
@@ -511,7 +537,16 @@ def sequence_to_payload(s: BiSequence) -> dict:
     raise TypeError(f"unknown sequence type {type(s).__name__}")
 
 
+_PAYLOAD_DEPTH_CAP = 64  # nesting levels a payload may use
+
+
 def sequence_from_payload(d: dict) -> BiSequence:
+    return _from_payload(d, 1)
+
+
+def _from_payload(d: dict, depth: int) -> BiSequence:
+    if depth > _PAYLOAD_DEPTH_CAP:
+        raise ValueError(f"sequence payload nests deeper than {_PAYLOAD_DEPTH_CAP} levels")
     kind = d["kind"]
     if kind == "periodic":
         return PeriodicSeq(FiniteWord(tuple(d["block"])), d["phase"])
@@ -528,10 +563,10 @@ def sequence_from_payload(d: dict) -> BiSequence:
         return UniversalSeq(d["m"], d["seed"], d["offset"])
     if kind == "spliced":
         return SplicedSeq(
-            sequence_from_payload(d["past"]),
-            sequence_from_payload(d["future"]),
+            _from_payload(d["past"], depth + 1),
+            _from_payload(d["future"], depth + 1),
             d["offset"],
         )
     if kind == "flipped":
-        return FlippedSeq(sequence_from_payload(d["base"]), d["m"])
+        return FlippedSeq(_from_payload(d["base"], depth + 1), d["m"])
     raise ValueError(f"unknown sequence payload kind {kind!r}")

@@ -28,7 +28,7 @@ from shiftchaos import (
     sequence_from_payload,
     whole_space,
 )
-from shiftchaos.certify import random_two_sided_target, random_unstable_set
+from shiftchaos.certify import _li_yorke_min_bound, random_two_sided_target, random_unstable_set
 from shiftchaos.sequences import enumeration_prefix
 
 from conftest import brute_distance, scan_for_block
@@ -346,3 +346,116 @@ def test_devaney_triple_on_random_unstable_sets(m):
             cert = sensitivity_witness(member, eps, alphabet, P)
             assert cert.data["far_value"] - cert.data["far_error"] >= 0.5
             assert verify_certificate(as_payload(cert)).ok
+
+
+# -- derived constants are recomputed, never read from the file -------------
+
+
+def _li_yorke_payload():
+    return json.loads(json.dumps(as_payload(li_yorke_pair(ones_past(), 100, P))))
+
+
+def _convergence_payload(forward):
+    u_set = ones_past()
+    if forward:
+        s = WindowPaddedSeq(FiniteWord((1,)), 0, 1)
+        t = WindowPaddedSeq(FiniteWord((2,)), 0, 1)
+        cert = stable_set_convergence(s, t, 20, P)
+    else:
+        s = member_with_future(u_set, WindowPaddedSeq(FiniteWord((1, 2)), 1, 1))
+        t = member_with_future(u_set, WindowPaddedSeq(FiniteWord((2, 1)), 1, 1))
+        cert = unstable_set_convergence(s, t, 20, P)
+    return json.loads(json.dumps(as_payload(cert)))
+
+
+def _failures_after(payload, mutate):
+    assert verify_certificate(payload).ok
+    mutate(payload["data"])
+    result = verify_certificate(payload)
+    assert not result.ok
+    return result.failures
+
+
+def test_sensitivity_stored_eps0_is_recomputed():
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    payload = json.loads(json.dumps(as_payload(cert)))
+    failures = _failures_after(payload, lambda d: d.update(eps0=0.0))
+    assert any("eps0" in f for f in failures)
+
+
+@pytest.mark.parametrize("field, value", [("min_bound", 100.0), ("eps0", 0.0)])
+def test_li_yorke_stored_constants_are_recomputed(field, value):
+    failures = _failures_after(_li_yorke_payload(), lambda d: d.update({field: value}))
+    assert len(failures) == 1
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), 100.0, 9, "100"])
+def test_li_yorke_horizon_must_be_an_integer(horizon):
+    payload = _li_yorke_payload()
+    payload["data"]["horizon"] = horizon
+    result = verify_certificate(payload)
+    assert result.failures == (f"malformed certificate: horizon must be an integer >= 10, got {horizon!r}",)
+
+
+def test_li_yorke_pair_must_share_the_unstable_past():
+    other_past = {"kind": "periodic", "block": [2], "phase": 0}
+
+    def mutate(d):
+        d["t"]["past"] = other_past
+
+    failures = _failures_after(_li_yorke_payload(), mutate)
+    assert any("unstable past" in f for f in failures)
+    # a pair that shares a past other than the stored one fails as well
+    failures = _failures_after(_li_yorke_payload(), lambda d: d.update(unstable_past=other_past))
+    assert any("unstable past" in f for f in failures)
+
+
+def test_li_yorke_min_bound_helper_matches_the_pair():
+    for horizon in (10, 22, 46, 100, 1000):
+        cert = li_yorke_pair(ones_past(), horizon, MetricParams(0.3))
+        assert cert.data["min_bound"] == _li_yorke_min_bound(0.3, horizon)
+    # agreement block J = [2**(J+1) - 1, 3*2**J - 2]: J = 4 is [31, 46]
+    assert _li_yorke_min_bound(0.5, 46) == 0.5 ** 6
+    assert _li_yorke_min_bound(0.5, 45) == 0.5 ** 2
+    assert _li_yorke_min_bound(0.5, 9) == 1.0
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_convergence_stored_bounds_are_recomputed(forward):
+    def mutate(d):
+        for row in d["rows"]:
+            row["bound"] = 10.0
+
+    failures = _failures_after(_convergence_payload(forward), mutate)
+    assert len(failures) == 21
+    assert all("is not the tail weight" in f for f in failures)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["rows"].pop(3),
+        lambda d: d["rows"].clear(),
+        lambda d: d.update(n_max=0, rows=d["rows"][:1]),
+        lambda d: d["rows"][5].update(n=50),
+    ],
+    ids=["gap", "empty", "n_max_0", "renumbered"],
+)
+def test_convergence_rows_must_cover_every_step(forward, mutate):
+    failures = _failures_after(_convergence_payload(forward), mutate)
+    assert failures == ("rows do not run over n = 0..n_max",)
+
+
+def test_deeply_nested_payload_is_malformed():
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    payload = json.loads(json.dumps(as_payload(cert)))
+    seq = payload["data"]["sequence"]
+    for _ in range(5000):
+        seq = {"kind": "flipped", "base": seq, "m": 2}
+    payload["data"]["sequence"] = seq
+    with pytest.raises(ValueError):
+        sequence_from_payload(seq)
+    result = verify_certificate(payload)
+    assert not result.ok
+    assert result.failures[0].startswith("malformed certificate")

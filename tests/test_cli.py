@@ -67,6 +67,28 @@ def test_verify_non_object_payload_is_usage_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert run("--verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_deeply_nested_sequence_payload_fails(tmp_path, capsys):
+    out = tmp_path / "certs"
+    assert run("certify", "--out", str(out), "--seed", "7") == 0
+    path = out / "sensitivity_s0_e0.json"
+    payload = json.loads(path.read_text())
+    seq = payload["data"]["sequence"]
+    for _ in range(500):
+        seq = {"kind": "flipped", "base": seq, "m": 2}
+    payload["data"]["sequence"] = seq
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert "malformed certificate" in capsys.readouterr().out
+
+
 def test_verify_recomputes_horseshoe_reports(tmp_path):
     out = tmp_path / "hs"
     assert run("horseshoe", "--out", str(out), "--k", "2", "--n", "2", "--seed", "3") == 0

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
+    EventuallyPeriodicSeq,
     FiniteWord,
+    FlippedSeq,
     MetricParams,
     PeriodicSeq,
     SplicedSeq,
@@ -27,7 +29,15 @@ from shiftchaos import (
     two_sided_cylinder,
     whole_space,
 )
-from shiftchaos.metric import separation_holds_everywhere, weight, weight_above, weight_below
+from shiftchaos.metric import (
+    _EXACT_SPAN_CAP,
+    _powers,
+    _truncation_depth,
+    separation_holds_everywhere,
+    weight,
+    weight_above,
+    weight_below,
+)
 
 from conftest import brute_distance, random_sequence
 
@@ -252,3 +262,136 @@ def test_huge_shifts_fall_back_to_certified_truncation():
     d = distance(u.shift(10_000_000), u, P, tol=1e-9)
     assert d.error <= 1e-9
     assert 0.0 <= d.value <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# The summation kernel against the per-position loops it replaced: the same
+# terms added in the same order give the same floats, so the comparison is
+# `==`, not a tolerance.
+# ---------------------------------------------------------------------------
+
+
+def loop_right_sum(s, t, r, tol):
+    ts, tt = s.right_tail(), t.right_tail()
+    if ts is not None and tt is not None:
+        start = max(ts[0], tt[0], 1)
+        period = math.lcm(ts[1], tt[1])
+        if start - 1 + period <= _EXACT_SPAN_CAP:
+            hi = start + period - 1
+            sw, tw = s.window(1, hi), t.window(1, hi)
+            total = 0.0
+            for j in range(1, start):
+                if sw[j - 1] != tw[j - 1]:
+                    total += r ** j
+            geo = 1.0 - r ** period
+            for c in range(period):
+                j = start + c
+                if sw[j - 1] != tw[j - 1]:
+                    total += (r ** j) / geo
+            return total, True
+    k = _truncation_depth(r, tol / 2)
+    sw, tw = s.window(1, k), t.window(1, k)
+    total = 0.0
+    for j in range(1, k + 1):
+        if sw[j - 1] != tw[j - 1]:
+            total += r ** j
+    return total, False
+
+
+def loop_left_sum(s, t, r, tol):
+    ts, tt = s.left_tail(), t.left_tail()
+    if ts is not None and tt is not None:
+        start = min(ts[0], tt[0], 0)
+        period = math.lcm(ts[1], tt[1])
+        if -start + period <= _EXACT_SPAN_CAP:
+            lo = start - period + 1
+            sw, tw = s.window(lo, 0), t.window(lo, 0)
+            total = 0.0
+            for j in range(start + 1, 1):
+                if sw[j - lo] != tw[j - lo]:
+                    total += r ** (1 - j)
+            geo = 1.0 - r ** period
+            for c in range(period):
+                j = start - c
+                if sw[j - lo] != tw[j - lo]:
+                    total += (r ** (1 - j)) / geo
+            return total, True
+    k = _truncation_depth(r, tol / 2)
+    lo = 1 - k
+    sw, tw = s.window(lo, 0), t.window(lo, 0)
+    total = 0.0
+    for j in range(lo, 1):
+        if sw[j - lo] != tw[j - lo]:
+            total += r ** (1 - j)
+    return total, False
+
+
+def loop_distance(s, t, r, tol=1e-12):
+    """The value and, per side, whether the exact path was taken."""
+    if s == t:
+        return 0.0, None
+    vr, exact_r = loop_right_sum(s, t, r, tol)
+    vl, exact_l = loop_left_sum(s, t, r, tol)
+    return vr + vl, (exact_r, exact_l)
+
+
+KERNEL_RS = (0.5, 0.3, 1 / 3)
+
+
+def kernel_sequences():
+    u = UniversalSeq(2, 5)
+    periodic = PeriodicSeq(FiniteWord((1, 2, 2)), 1)
+    padded = WindowPaddedSeq(FiniteWord((2, 1, 2)), -3, 1)
+    return [
+        periodic,
+        PeriodicSeq(FiniteWord((2, 1, 1, 2, 1, 2, 2)), -3),
+        PeriodicSeq(FiniteWord((1,) * 149 + (2,)), 4),  # lcm with 151 passes the span cap
+        PeriodicSeq(FiniteWord((2,) * 150 + (1,)), -7),
+        padded,
+        WindowPaddedSeq(FiniteWord((1, 1, 2, 2, 1)), 4, 2),
+        EventuallyPeriodicSeq(FiniteWord((1, 2)), FiniteWord((2, 2, 1)), -2, FiniteWord((2, 1, 1))),
+        EventuallyPeriodicSeq(FiniteWord((2,)), FiniteWord((1, 2) * 40), -60, FiniteWord((1, 2, 2, 2))),
+        u,
+        u.shift(-40),
+        u.shift(300),
+        UniversalSeq(2, 0, 30000),  # left span past the cap: truncated past
+        SplicedSeq(PeriodicSeq(FiniteWord((2, 1))), padded, 0),
+        SplicedSeq(periodic, u, 0).shift(17),
+        SplicedSeq(u.shift(25000), periodic, 0),
+        FlippedSeq(padded, 2),
+        FlippedSeq(u.shift(3), 2),
+        FlippedSeq(SplicedSeq(periodic, u.shift(9), 0), 2),
+    ]
+
+
+@pytest.mark.parametrize("r", KERNEL_RS)
+def test_kernel_matches_per_position_loops_on_every_kind(r):
+    p = MetricParams(r)
+    seqs = kernel_sequences()
+    paths = set()
+    for s in seqs:
+        for t in seqs:
+            for a, b in ((s, t), (s.shift(5), t), (s, t.shift(-11))):
+                expected, path = loop_distance(a, b, r)
+                assert distance(a, b, p).value == expected
+                paths.add(path)
+    # every combination of exact and truncated sides was exercised
+    assert {(True, True), (True, False), (False, True), (False, False)} <= paths
+
+
+@pytest.mark.parametrize("r", KERNEL_RS)
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_kernel_matches_per_position_loops_along_an_orbit(r, seed):
+    p = MetricParams(r)
+    u = UniversalSeq(2, seed)
+    step = 1 if r == 0.5 else 7
+    for n in range(0, 1501, step):
+        assert distance(u.shift(n), u, p).value == loop_distance(u.shift(n), u, r)[0]
+
+
+@pytest.mark.parametrize("r", KERNEL_RS + (0.9, 1e-3))
+def test_power_table_entries_are_plain_powers(r):
+    table = _powers(r, 2500)
+    assert len(table) >= 2501
+    assert all(x == r ** j for j, x in enumerate(table))
+    assert _powers(r, 10) is table  # one table per weight base, grown in place

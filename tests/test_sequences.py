@@ -369,3 +369,49 @@ def test_padded_and_periodic_windows_match_per_position_loop(m, symbols, anchor,
         seqs.append(PeriodicSeq(word, anchor))
     for s in seqs:
         assert s.window(lo, hi) == BiSequence.window(s, lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# The memoized enumeration head shared by a family of shifted copies.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_shifted_family_shares_one_head(m, seed):
+    u = UniversalSeq(m, seed)
+    prefix = enumeration_prefix(m, seed, 80002)
+
+    def expected(lo, hi):  # enumeration positions, 1-padded below 0
+        return tuple(1 if j < 0 else prefix[j] for j in range(lo, hi + 1))
+
+    family = [u.shift(n) for n in (0, 1, 7, 60, 700, 4000)]
+    assert all(s.head is u.head for s in family)
+    # (first, last enumeration position read, head length after the read):
+    # a window ending inside the head is a slice; one that starts at most one
+    # symbol past the head's end, or ends inside twice its length, extends
+    # the head to its own end or to twice the length, whichever is more;
+    # any other window walks
+    steps = [
+        (1, 40, 41), (-5, 99, 100), (50, 150, 200), (100, 199, 200),
+        (201, 300, 400), (700, 800, 400), (500, 799, 800), (0, 3000, 3001),
+        (3003, 6500, 3001), (3002, 7000, 7001), (20000, 30000, 7001), (6100, 12003, 14002),
+        (1, 12003, 14002), (-1, 40000, 40001), (45000, 80001, 80002),
+    ]
+    for i, (lo, hi, size) in enumerate(steps):
+        s = family[i % len(family)]
+        assert s.window(lo - s.offset, hi - s.offset) == expected(lo, hi)
+        assert len(u.head[0]) == size
+    assert u.head[0] == tuple(prefix)
+
+
+def test_head_is_not_part_of_identity():
+    u = UniversalSeq(3, 2 ** 63, 4)
+    u.window(0, 3000)  # grows the head
+    back = u.shift(5).shift(-5)
+    fresh = UniversalSeq(3, 2 ** 63, 4)
+    assert back == u == fresh
+    assert hash(back) == hash(u) == hash(fresh)
+    assert sequence_from_payload(sequence_to_payload(u)) == u
+    assert sequence_to_payload(u) == {"kind": "universal", "m": 3, "seed": 2 ** 63, "offset": 4}
+    assert repr(u) == "UniversalSeq(m=3, seed=9223372036854775808, offset=4)"
