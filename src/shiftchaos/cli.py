@@ -3,8 +3,9 @@
 Subcommands
 -----------
 certify    run the chaos certification suite, one JSON certificate per check
-horseshoe  export level rectangles (CSV), hyperbolic and conjugacy reports
-           (JSON), and an optional SVG rendering of the unit square
+horseshoe  export hyperbolic and conjugacy reports (JSON), and as --format
+           selects, level rectangles (CSV, default) and an SVG rendering
+           of the unit square
 orbit      tabulate a symbolic or planar orbit as CSV
 
 A top-level ``--verify FILE`` mode re-verifies any emitted certificate by
@@ -41,7 +42,8 @@ from .metric import (
     MetricParams,
     check_diameter_condition,
     check_separation,
-    distance,
+    check_tolerance,
+    orbit_distances,
     separation_holds_everywhere,
     set_distance,
 )
@@ -73,7 +75,7 @@ class RunConfig:
     horizon: int = 100
     tol: float = 1e-12
     out: Path = Path("out")
-    formats: tuple[str, ...] = ("json",)
+    formats: tuple[str, ...] = ("json", "csv")
     seed: int = 0
     sets: int = 3
     targets: int = 3
@@ -91,6 +93,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        try:
+            check_tolerance(self.r, self.tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.k < 0 or self.n < 1:
             raise ConfigError("need k >= 0 and n >= 1")
         if 2 ** (self.k + 1 + self.n) > 1 << 20:
@@ -225,14 +231,25 @@ def _separation_payload(config: RunConfig, degree: int) -> dict:
     }
 
 
+def _compare_flags(data: dict, recomputed: dict, failures: list[str]) -> None:
+    """Each stored boolean must be the recomputed one (not merely truthy)."""
+    for key, value in recomputed.items():
+        if data[key] is not value:
+            failures.append(f"stored {key} does not recompute")
+
+
 def _verify_diameter(data: dict, failures: list[str]) -> None:
     report = check_diameter_condition(
         Alphabet(data["m"]), MetricParams(data["r"]), data["max_depth"]
     )
+    if len(data["rows"]) != len(report.rows):
+        failures.append(f"expected {len(report.rows)} diameter rows, found {len(data['rows'])}")
     for stored, row in zip(data["rows"], report.rows):
-        if stored["diameter"] != row.diameter or stored["predicted"] != row.predicted:
+        if stored != {"k": row.k, "n": row.n, "diameter": row.diameter, "predicted": row.predicted}:
             failures.append(f"diameter row k={row.k} does not recompute")
-    if not (report.strictly_decreasing and report.matches_prediction):
+    _compare_flags(data, {"strictly_decreasing": report.strictly_decreasing,
+                          "matches_prediction": report.matches_prediction}, failures)
+    if not report.passed:
         failures.append("diameter condition no longer holds")
 
 
@@ -369,7 +386,8 @@ def cmd_horseshoe(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
+    if "csv" in config.formats:
+        _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 
     depth_cap = min(config.k + config.n, 8)
     report = verify_hyperbolic_conditions(hp, max(1, depth_cap))
@@ -492,12 +510,11 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
         path.write_text("\n".join(rows) + "\n")
         print(f"wrote {path}")
         return status
-    p = MetricParams(config.r)
-    rows = ["n,distance"]
-    for n in range(steps + 1):
-        d = distance(start.shift(n), start, p, config.tol)
-        rows.append(f"{n},{_float_str(d.value)}")
-    path.write_text("\n".join(rows) + "\n")
+    rows = orbit_distances(start, MetricParams(config.r), steps, config.tol)
+    with open(path, "w") as fh:  # line by line: no second copy of the table
+        fh.write("n,distance\n")
+        for n, d in enumerate(rows):
+            fh.write(f"{n},{_float_str(d.value)}\n")
     print(f"wrote {path}")
     return 0
 
@@ -509,24 +526,35 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
 def _verify_hyperbolic(data: dict, failures: list[str]) -> None:
     hp = HorseshoeParams(_parse_number(data["lambda"]), _parse_number(data["mu"]))
     depth = max(row["k"] for row in data["rows"])
+    if [row["k"] for row in data["rows"]] != list(range(1, depth + 1)):
+        failures.append("diagonal rows do not run over k = 1..max k")
+        return
     report = verify_hyperbolic_conditions(hp, depth)
     for stored, row in zip(data["rows"], report.diameter.rows):
-        if stored["diagonal"] != row.diameter or stored["predicted"] != row.predicted:
+        if stored != {"k": row.k, "n": row.n, "diagonal": row.diameter, "predicted": row.predicted}:
             failures.append(f"diagonal row k={row.k} does not recompute")
-    if report.eps0 != data["eps0"] or report.brute_min_gap != data["brute_min_gap"]:
+    if (report.eps0 != data["eps0"] or report.eps0_horizontal != data["eps0_horizontal"]
+            or report.brute_min_gap != data["brute_min_gap"]):
         failures.append("separation constants do not recompute")
+    _compare_flags(data, {"strictly_decreasing": report.diameter.strictly_decreasing,
+                          "grid_exact": report.grid_exact, "passed": report.passed}, failures)
     if not report.passed:
         failures.append("hyperbolic conditions no longer hold")
 
 
 def _verify_conjugacy(data: dict, failures: list[str]) -> None:
     hp = HorseshoeParams(_parse_number(data["lambda"]), _parse_number(data["mu"]))
+    all_passed = True
     for row in data["rows"]:
         rep = conjugacy_check(periodic_point(tuple(row["word"])), hp, data["depth"])
         if rep.defect != row["defect"] or rep.bound != row["bound"]:
             failures.append(f"conjugacy row {row['word']} does not recompute")
+        if row["passed"] is not rep.passed:
+            failures.append(f"conjugacy row {row['word']} stores the wrong verdict")
         if not rep.passed:
             failures.append(f"conjugacy defect for {row['word']} exceeds its bound")
+        all_passed = all_passed and rep.passed
+    _compare_flags(data, {"passed": all_passed}, failures)
 
 
 _REPORT_VERIFIERS = {

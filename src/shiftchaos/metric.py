@@ -30,6 +30,20 @@ runs in increasing j; the past side runs over the explicit positions in
 increasing j, then over the periodic block from its start downwards.  This
 fixes every rounding step, so values are the same on every Python version
 (the builtin `sum` compensates float sums from Python 3.12 on).
+
+`orbit_distances` tabulates d(shift^n s, s) for n = 0..steps in one pass
+and returns the rows `distance` gives, bit for bit.  When s has a constant
+past (left tail of period 1: s(j) = c for j <= b, b <= 0), row n's exact
+left sum starts with the deep positions b - n + 1..b, where s(j) = c and the
+shifted sequence reads s(j + n).  Their sum obeys the Horner step
+D(n) = r * D(n - 1) + [s(b + n) != c] * r**(1 - b), which repeats the
+left-to-right additions exactly when r is a power of two, as long as every
+deep weight of the row is a nonzero float: r**(n - b) >= 2**-1074.  The
+shallow positions b + 1..0 and the future side are added per row as in
+`distance`.  The rows call `distance` for other r, for pasts of longer
+period, and from the first row whose deepest weight underflows to 0.0 (row
+1075 + b at r = 1/2).  That row comes long before the exact span cap, past
+which `distance` truncates the past.
 """
 
 from __future__ import annotations
@@ -49,6 +63,10 @@ from .sequences import Alphabet, BiSequence
 # truncated path takes over.
 _EXACT_SPAN_CAP = 20_000
 
+# The truncated sums never compare more positions than this per side: a
+# weight base so close to 1 that the tolerance needs more is refused.
+_MAX_TRUNCATION_DEPTH = 1 << 20
+
 
 @dataclass(frozen=True)
 class MetricParams:
@@ -61,7 +79,7 @@ class MetricParams:
             raise ValueError(f"weight base must lie in (0, 1), got {self.r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceBound:
     """A distance value with a certified truncation error (0 when exact)."""
 
@@ -99,12 +117,34 @@ def space_diameter(p: MetricParams) -> float:
 
 
 def _truncation_depth(r: float, half_tol: float) -> int:
-    k = 1
-    tail = r * r / (1 - r)
-    while tail > half_tol:
-        k += 1
-        tail *= r
+    """The smallest k >= 1 whose dropped tail r**(k+1)/(1-r), the error the
+    truncated sums report, is at most half_tol.  A logarithm gives k up to
+    rounding, and one step each way fixes it.  ValueError when k exceeds
+    `_MAX_TRUNCATION_DEPTH` (or half_tol is not a positive float)."""
+
+    geo = 1 - r
+    if r ** 2 / geo <= half_tol:
+        return 1
+    if not half_tol > 0:
+        raise ValueError(f"tolerance too small: half of it is {half_tol!r}")
+    k = max(1, math.ceil((math.log(half_tol) + math.log(geo)) / math.log(r)) - 1)
+    if k <= _MAX_TRUNCATION_DEPTH + 1:
+        while k > 1 and r ** k / geo <= half_tol:
+            k -= 1
+        while r ** (k + 1) / geo > half_tol:
+            k += 1
+    if k > _MAX_TRUNCATION_DEPTH:
+        raise ValueError(
+            f"truncation depth {k} at r={r!r}, tol={2 * half_tol!r} exceeds "
+            f"{_MAX_TRUNCATION_DEPTH}"
+        )
     return k
+
+
+def check_tolerance(r: float, tol: float) -> None:
+    """Raise ValueError when `distance` at weight base r and tolerance tol
+    would need a truncation depth above `_MAX_TRUNCATION_DEPTH`."""
+    _truncation_depth(r, tol / 2)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -181,6 +221,50 @@ def distance(
     vr, er = _right_sum(s, t, p.r, tol)
     vl, el = _left_sum(s, t, p.r, tol)
     return DistanceBound(vr + vl, er + el)
+
+
+def orbit_distances(
+    s: BiSequence, p: MetricParams, steps: int, tol: float = 1e-12
+) -> list[DistanceBound]:
+    """The rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit for bit.
+
+    When the past of s is constant and r is a power of two, the deep part of
+    each row's exact left sum follows from the previous row's by one Horner
+    step, until its deepest weight underflows (see the module docstring)."""
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    r = p.r
+    tail = s.left_tail()
+    b = 0 if tail is None else min(tail[0], 0)
+    mantissa, exponent = math.frexp(r)
+    # r = 2**-q, and r**k is a nonzero float exactly while q*k <= 1074; row
+    # n's deepest weight is r**(n - b), and shift(n) moves the start of the
+    # past to tail[0] - n, past the span cap from row _EXACT_SPAN_CAP + b on
+    last = min(steps, 1074 // (1 - exponent) + b, _EXACT_SPAN_CAP - 1 + b)
+    if tail is None or tail[1] != 1 or mantissa != 0.5 or last < 0:
+        return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
+    c = s.symbol_at(tail[0])
+    # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
+    # deep positions j = b - n + 1..b read sources b + 1..b + n against c
+    sources = s.window(b + 1, last)
+    table = _powers(r, 1 - b)
+    shallow, past, top = table[-b:0:-1], sources[:-b], table[1 - b]
+    deep = 0.0
+    rows = []
+    for n in range(last + 1):
+        if n:
+            # row n's deep weights are r times row n - 1's, plus r**(1 - b)
+            deep = deep * r + top if sources[n - 1] != c else deep * r
+        sn = s.shift(n)
+        if sn == s:
+            rows.append(DistanceBound(0.0, 0.0))
+            continue
+        vr, er = _right_sum(sn, s, r, tol)
+        # the exact left path: the deep positions, then b + 1..0, from `deep`
+        vl = reduce(add, compress(shallow, map(ne, sources[n : n - b], past)), deep)
+        rows.append(DistanceBound(vr + vl, er))
+    rows.extend(distance(s.shift(n), s, p, tol) for n in range(last + 1, steps + 1))
+    return rows
 
 
 def cylinder_diameter(c: CylinderSet, p: MetricParams) -> float:

@@ -102,6 +102,76 @@ def test_verify_recomputes_horseshoe_reports(tmp_path):
     assert run("--verify", str(out / "rectangles.csv")) == 2  # not a JSON report
 
 
+def _tamper(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload["data"])
+    path.write_text(json.dumps(payload))
+
+
+def _set(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("rows", []),
+        lambda data: data["rows"].pop(),
+        _set("strictly_decreasing", False),
+        _set("matches_prediction", False),
+        lambda data: data["rows"][0].__setitem__("n", 2),
+    ],
+    ids=["no-rows", "short-rows", "decreasing", "prediction", "row-n"],
+)
+def test_verify_diameter_compares_rows_and_flags(tmp_path, edit):
+    out = tmp_path / "certs"
+    assert run("certify", "--out", str(out), "--seed", "1") == 0
+    path = out / "diameter_condition.json"
+    assert run("--verify", str(path)) == 0
+    _tamper(path, edit)
+    assert run("--verify", str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("hyperbolic_report.json", _set("grid_exact", False)),
+        ("hyperbolic_report.json", _set("passed", False)),
+        ("hyperbolic_report.json", _set("strictly_decreasing", False)),
+        ("hyperbolic_report.json", _set("eps0_horizontal", 0.5)),
+        ("hyperbolic_report.json", lambda data: data["rows"][-1].__setitem__("k", 6)),
+        ("conjugacy_report.json", _set("passed", False)),
+        ("conjugacy_report.json", lambda data: data["rows"][0].__setitem__("passed", False)),
+    ],
+    ids=["grid-exact", "passed", "decreasing", "eps0-horizontal", "row-gap",
+         "conjugacy-passed", "conjugacy-row-passed"],
+)
+def test_verify_horseshoe_reports_compare_flags_and_rows(tmp_path, name, edit):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--k", "2", "--n", "2", "--seed", "3") == 0
+    path = out / name
+    assert run("--verify", str(path)) == 0
+    _tamper(path, edit)
+    assert run("--verify", str(path)) == 1
+
+
+def test_verify_refuses_a_weight_base_past_the_depth_cap(tmp_path, capsys):
+    out = tmp_path / "certs"
+    assert run("certify", "--out", str(out), "--seed", "1") == 0
+    path = out / "sensitivity_s0_e0.json"
+    _tamper(path, _set("r", 1 - 1e-6))  # depth 42,139,657 at tolerance 1e-12
+    assert run("--verify", str(path)) == 1
+    assert "malformed certificate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [("--r", "0.999999"), ("--tol", "5e-324")])
+def test_config_rejects_a_tolerance_no_truncation_depth_reaches(tmp_path, capsys, flags):
+    out = tmp_path / "orb"
+    assert run("orbit", "--out", str(out), "--start", "universal", *flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 2\nr = 1/2\nlambda = 1/3\nseed = 4\n# comment\nhorizon = 64\n")
@@ -163,6 +233,31 @@ def test_horseshoe_rectangle_count_and_svg(tmp_path):
     assert svg.startswith("<?xml")
     report = json.loads((out / "hyperbolic_report.json").read_text())
     assert report["data"]["passed"]
+
+
+REPORTS = {"hyperbolic_report.json", "conjugacy_report.json"}
+
+
+@pytest.mark.parametrize(
+    "formats, expected",
+    [
+        (None, REPORTS | {"rectangles.csv"}),
+        ("json", REPORTS),
+        ("csv", REPORTS | {"rectangles.csv"}),
+        ("svg", REPORTS | {"horseshoe.svg"}),
+        ("json,csv", REPORTS | {"rectangles.csv"}),
+        ("json,svg", REPORTS | {"horseshoe.svg"}),
+        ("csv,svg", REPORTS | {"rectangles.csv", "horseshoe.svg"}),
+        ("json,csv,svg", REPORTS | {"rectangles.csv", "horseshoe.svg"}),
+    ],
+)
+def test_horseshoe_format_selects_the_files(tmp_path, formats, expected):
+    out = tmp_path / "hs"
+    argv = ["horseshoe", "--out", str(out), "--k", "2", "--n", "2"]
+    if formats is not None:
+        argv += ["--format", formats]
+    assert run(*argv) == 0
+    assert {path.name for path in out.iterdir()} == expected
 
 
 def test_horseshoe_cap_exceeded(tmp_path):

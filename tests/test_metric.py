@@ -2,9 +2,10 @@
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftchaos import (
@@ -31,8 +32,10 @@ from shiftchaos import (
 )
 from shiftchaos.metric import (
     _EXACT_SPAN_CAP,
+    _MAX_TRUNCATION_DEPTH,
     _powers,
     _truncation_depth,
+    orbit_distances,
     separation_holds_everywhere,
     weight,
     weight_above,
@@ -395,3 +398,169 @@ def test_power_table_entries_are_plain_powers(r):
     assert len(table) >= 2501
     assert all(x == r ** j for j, x in enumerate(table))
     assert _powers(r, 10) is table  # one table per weight base, grown in place
+
+
+# ---------------------------------------------------------------------------
+# The truncation depth against the per-unit loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def loop_truncation_depth(r, half_tol):
+    k = 1
+    tail = r * r / (1 - r)
+    while tail > half_tol:
+        k += 1
+        tail *= r
+    return k
+
+
+def is_truncation_depth(r, half_tol, k):
+    """k is the smallest depth whose reported error r**(k+1)/(1-r) fits."""
+    return r ** (k + 1) / (1 - r) <= half_tol and (k == 1 or r ** k / (1 - r) > half_tol)
+
+
+def agrees_with_the_loop(r, half_tol, k):
+    """The closed form equals the loop, except at a rounding tie: there the
+    loop's running product and r**(k+1)/(1-r) fall on either side of
+    half_tol, and the two depths differ by one, the loop's being the one
+    that does not meet the error the sums report."""
+    old = loop_truncation_depth(r, half_tol)
+    return k == old or (abs(k - old) == 1 and not is_truncation_depth(r, half_tol, old))
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3, 1 / 3, 0.9, 0.99])
+@pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-6])
+def test_truncation_depth_matches_the_loop(r, tol):
+    k = _truncation_depth(r, tol / 2)
+    assert k == loop_truncation_depth(r, tol / 2)
+    assert is_truncation_depth(r, tol / 2, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.001, 0.999), exponent=st.floats(-15.0, -1.0))
+def test_truncation_depth_agrees_with_the_loop_over_a_log_range(r, exponent):
+    half_tol = 10.0 ** exponent
+    k = _truncation_depth(r, half_tol)
+    assert is_truncation_depth(r, half_tol, k)
+    assert agrees_with_the_loop(r, half_tol, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.01, 0.999), depth=st.integers(1, 3000), ulps=st.integers(-3, 3))
+def test_truncation_depth_at_rounding_ties(r, depth, ulps):
+    # half_tol within a few units of the last place of a reported error,
+    # where the loop's running product may round to the other side (below
+    # the normal floats the product loses bits and may stray further)
+    half_tol = r ** (depth + 1) / (1 - r)
+    for _ in range(abs(ulps)):
+        half_tol = math.nextafter(half_tol, math.inf if ulps > 0 else 0.0)
+    assume(half_tol >= sys.float_info.min)
+    k = _truncation_depth(r, half_tol)
+    assert is_truncation_depth(r, half_tol, k)
+    assert agrees_with_the_loop(r, half_tol, k)
+
+
+def test_truncation_depth_is_one_for_loose_tolerances():
+    assert _truncation_depth(0.5, 10.0) == 1
+    assert _truncation_depth(0.5, math.inf) == 1
+
+
+@pytest.mark.parametrize(
+    "r, half_tol", [(1 - 1e-6, 5e-13), (1 - 1e-15, 5e-13), (0.5, 0.0), (0.5, math.nan)]
+)
+def test_truncation_depth_refuses_past_its_cap(r, half_tol):
+    with pytest.raises(ValueError):
+        _truncation_depth(r, half_tol)
+
+
+def test_truncation_depth_reaches_its_cap():
+    r = 1 - 1e-5
+    at_cap = r ** (_MAX_TRUNCATION_DEPTH + 1) / (1 - r)
+    assert _truncation_depth(r, at_cap) == _MAX_TRUNCATION_DEPTH
+    with pytest.raises(ValueError):
+        _truncation_depth(r, math.nextafter(at_cap, 0.0))  # one more would fit
+
+
+# ---------------------------------------------------------------------------
+# The orbit sweep against `distance`, row by row, value and error with `==`.
+# ---------------------------------------------------------------------------
+
+
+SWEEP_RS = (0.5, 0.25, 0.3, 1 / 3, 0.9)
+
+
+def sweep_starts():
+    padded = WindowPaddedSeq(FiniteWord((2, 1, 2)), -3, 1)
+    return [
+        UniversalSeq(2, 0),
+        UniversalSeq(2, 2 ** 63),
+        UniversalSeq(3, 0),
+        UniversalSeq(3, 2 ** 63),
+        UniversalSeq(2, 5).shift(-40),
+        padded,
+        WindowPaddedSeq(FiniteWord((2, 2)), 4, 1),  # window right of 0
+        WindowPaddedSeq(FiniteWord(()), 1, 2),  # empty window
+        periodic_point((1,)),
+        PeriodicSeq(FiniteWord((1, 2, 2)), 1),  # period 3: per-row fallback
+        SplicedSeq(PeriodicSeq(FiniteWord((2,))), UniversalSeq(2, 3), 0),
+        SplicedSeq(PeriodicSeq(FiniteWord((2,))), padded, 0).shift(2),
+        FlippedSeq(padded, 2),
+        FlippedSeq(UniversalSeq(2, 1).shift(3), 2),
+    ]
+
+
+def per_row(s, p, steps, tol=1e-12):
+    return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
+
+
+@pytest.mark.parametrize("r", SWEEP_RS)
+def test_orbit_sweep_matches_distance_on_every_start(r):
+    p = MetricParams(r)
+    for s in sweep_starts():
+        assert orbit_distances(s, p, 300) == per_row(s, p, 300), s
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25])
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_orbit_sweep_matches_distance_into_the_subnormal_weights(r, seed):
+    # past row 1074 (r = 1/2) or 537 (r = 1/4) the deepest weights are 0.0
+    p = MetricParams(r)
+    u = UniversalSeq(2, seed)
+    assert orbit_distances(u, p, 1500) == per_row(u, p, 1500)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        # windows whose rows past the underflow would differ from a plain
+        # Horner step, by one unit of 2**-1074: the sweep hands them over
+        WindowPaddedSeq(FiniteWord((2, 2, 2)), 1058, 1),
+        FlippedSeq(WindowPaddedSeq(FiniteWord((2, 2, 1, 2)), 1044, 1), 2),
+        SplicedSeq(periodic_point((1,)), WindowPaddedSeq(FiniteWord((1, 2, 2, 2, 1)), 1041, 1), 0),
+        SplicedSeq(periodic_point((2,)), WindowPaddedSeq(FiniteWord((1, 2, 1, 1)), 1059, 2), 0),
+    ],
+)
+def test_orbit_sweep_matches_distance_on_subnormal_windows(s):
+    p = MetricParams(0.5)
+    rows = orbit_distances(s, p, 2140)
+    assert rows[2100:] == [distance(s.shift(n), s, p) for n in range(2100, 2141)]
+
+
+@pytest.mark.parametrize("r, first", [(0.5, 1074), (0.25, 537), (0.125, 358)])
+def test_orbit_sweep_hands_over_where_the_deepest_weight_underflows(r, first):
+    # a universal past starts at b = -1; row n's deepest weight is r**(n + 1)
+    p = MetricParams(r)
+    u = UniversalSeq(2, 7)
+    assert r ** (first + 1) == 0.0 and r ** first > 0.0
+    assert orbit_distances(u, p, first + 5)[first - 5 :] == [
+        distance(u.shift(n), u, p) for n in range(first - 5, first + 6)
+    ]
+
+
+def test_orbit_sweep_checks_its_arguments():
+    u = UniversalSeq(2, 0)
+    with pytest.raises(ValueError):
+        orbit_distances(u, P, 10, tol=0.0)
+    assert orbit_distances(u, P, 0) == [distance(u, u, P)]
+    deep = WindowPaddedSeq(FiniteWord((2,)), -10 ** 9, 1)  # past beyond the span cap
+    assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)
