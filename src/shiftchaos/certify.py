@@ -23,6 +23,11 @@ Witness constructions:
 * scrambled pairs: futures interleaving dyadic agreement/disagreement
   blocks come arbitrarily close and separate beyond eps0, infinitely often
   at finite horizon.
+
+The CLI's four reports (diameter condition, separation, hyperbolic
+conditions, conjugacy) are pure functions of a few stored inputs: one
+builder per kind writes the payload, and the verifier rebuilds it whole
+from those inputs and compares it key by key.
 """
 
 from __future__ import annotations
@@ -30,11 +35,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cylinders import CylinderSet, two_sided_cylinder
+from .horseshoe import HorseshoeParams, conjugacy_check, verify_hyperbolic_conditions
 from .metric import (
     MetricParams,
+    check_diameter_condition,
+    check_separation,
     distance,
+    separation_holds_everywhere,
+    set_distance,
     space_diameter,
     weight,
     weight_above,
@@ -51,12 +62,14 @@ from .sequences import (
     WindowPaddedSeq,
     enumeration_position,
     enumeration_prefix,
+    periodic_point,
     sequence_from_payload,
     sequence_to_payload,
 )
 
 _SCAN_CAP = 1 << 21
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
+_WINDOW_CAP = 1 << 20  # longest window a verifier reads up to a stored position
 
 
 @dataclass(frozen=True)
@@ -101,9 +114,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """`shaped` is False when the payload is no certificate at all: not an
+    object, a `kind` that is neither a string nor missing, or no `data`
+    object."""
+
     kind: str
     ok: bool
     failures: tuple[str, ...]
+    shaped: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +468,110 @@ def random_two_sided_target(
 
 
 # ---------------------------------------------------------------------------
+# Reports: payloads built from a few inputs, by the writer and the verifier
+# ---------------------------------------------------------------------------
+
+# Size caps: the largest report they allow verifies in about 1 s.  Diameter
+# rows cost O(depth) each; conjugacy rows take exact powers of lambda and mu.
+MAX_METRIC_DEPTH = 2048
+MAX_CONJUGACY_DEPTH = 512
+MAX_CONJUGACY_SAMPLES = 50
+# The exhaustive separation oracle compares up to words**2 pairs.
+_EXHAUSTIVE_WORDS = 4096
+
+
+def parse_number(text: str):
+    """Accept ints, floats, and exact fractions like 1/3."""
+    text = text.strip()
+    if "/" in text:
+        return Fraction(text)
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _bounded(name: str, value, lo: int, hi: int) -> int:
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def diameter_payload(m: int, r: float, max_depth: int) -> dict:
+    _bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH)
+    report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
+    return {
+        "m": m,
+        "r": r,
+        "max_depth": max_depth,
+        "rows": [
+            {"k": row.k, "n": row.n, "diameter": row.diameter, "predicted": row.predicted}
+            for row in report.rows
+        ],
+        "strictly_decreasing": report.strictly_decreasing,
+        "matches_prediction": report.matches_prediction,
+    }
+
+
+def separation_payload(m: int, r: float, degree: int) -> dict:
+    _bounded("degree", degree, 1, MAX_METRIC_DEPTH)
+    a, p = Alphabet(m), MetricParams(r)
+    result = check_separation(a, p, degree)
+    exhaustive = (degree <= 3 and m ** degree <= _EXHAUSTIVE_WORDS
+                  and separation_holds_everywhere(a, p, degree, result.eps0))
+    return {
+        "m": m,
+        "r": r,
+        "degree": degree,
+        "eps0": result.eps0,
+        "witness_words": [list(result.witness[0].fixed), list(result.witness[1].fixed)],
+        "witness_distance": set_distance(result.witness[0], result.witness[1], p),
+        "exhaustive_at_low_degree": exhaustive,
+    }
+
+
+def hyperbolic_payload(hp: HorseshoeParams, max_depth: int) -> dict:
+    report = verify_hyperbolic_conditions(hp, _bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH))
+    return {
+        "lambda": str(hp.lam),
+        "mu": str(hp.mu),
+        "max_depth": max_depth,
+        "rows": [
+            {"k": r.k, "n": r.n, "diagonal": r.diameter, "predicted": r.predicted}
+            for r in report.diameter.rows
+        ],
+        "strictly_decreasing": report.diameter.strictly_decreasing,
+        "grid_exact": report.grid_exact,
+        "eps0": report.eps0,
+        "eps0_horizontal": report.eps0_horizontal,
+        "witness_words": [list(w) for w in report.witness_words],
+        "brute_min_gap": report.brute_min_gap,
+        "passed": report.passed,
+    }
+
+
+def conjugacy_payload(hp: HorseshoeParams, depth: int, seed: int, samples: int) -> dict:
+    """Conjugacy defects at `samples` periodic points drawn from `seed`."""
+    _bounded("depth", depth, 2, MAX_CONJUGACY_DEPTH)
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(_bounded("samples", samples, 0, MAX_CONJUGACY_SAMPLES)):
+        length = rng.randint(1, 12)
+        word = tuple(rng.randint(1, 2) for _ in range(length))
+        rep = conjugacy_check(periodic_point(word), hp, depth)
+        rows.append({"word": list(word), "defect": rep.defect, "bound": rep.bound, "passed": rep.passed})
+    return {
+        "lambda": str(hp.lam),
+        "mu": str(hp.mu),
+        "depth": depth,
+        "seed": seed,
+        "samples": samples,
+        "rows": rows,
+        "passed": all(row["passed"] for row in rows),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Verification: re-derive every claim from stored witnesses
 # ---------------------------------------------------------------------------
 
@@ -481,8 +603,9 @@ def _verify_periodic_density(d: dict, failures: list[str]) -> None:
         failures.append("witness is not periodic")
         return
     k = d["k"]
-    if witness.period != 2 * k + 1:
+    if witness.period != 2 * k + 1:  # also bounds k by the stored block
         failures.append("witness period does not match its window")
+        return
     if witness.window(-k, k) != s.window(-k, k):
         failures.append("witness window does not replicate the sequence")
     dist = distance(s, witness, p, d["tolerance"])
@@ -496,7 +619,7 @@ def _verify_sensitivity(d: dict, failures: list[str]) -> None:
     p = MetricParams(d["r"])
     s = sequence_from_payload(d["sequence"])
     partner = sequence_from_payload(d["partner"])
-    k = d["k"]
+    k = _bounded("k", d["k"], 0, _WINDOW_CAP)
     lo = -_AGREEMENT_DEPTH
     if s.window(lo, k) != partner.window(lo, k):
         failures.append("partner does not agree with the sequence through position k")
@@ -595,6 +718,43 @@ def _verify_convergence(d: dict, failures: list[str], forward: bool) -> None:
         failures.append("terminal distance misses its bound")
 
 
+_MISSING = object()
+
+
+def _same(fresh, stored) -> bool:
+    """JSON equality that tells true from 1 and 1.0 from 1.  Recursion
+    follows `fresh`, so a deeply nested stored value costs one step."""
+    if type(fresh) is not type(stored):
+        return False
+    if type(fresh) is list:
+        return len(fresh) == len(stored) and all(map(_same, fresh, stored))
+    if type(fresh) is dict:
+        return fresh.keys() == stored.keys() and all(_same(v, stored[k]) for k, v in fresh.items())
+    return fresh == stored
+
+
+def _rebuilt(build, *verdicts):
+    """Verifier of a report kind: rebuild the payload from the inputs stored
+    in it, name every key whose stored value differs, and require each of
+    `verdicts` to be true in the rebuilt payload."""
+
+    def verify(d: dict, failures: list[str]) -> None:
+        fresh = build(d)
+        failures.extend(
+            f"stored {key} does not recompute" for key in sorted(fresh.keys() | d.keys())
+            if not _same(fresh.get(key, _MISSING), d.get(key, _MISSING))
+        )
+        failures.extend(f"recomputed {key} is false" for key in verdicts if not fresh[key])
+
+    return verify
+
+
+def _horseshoe_params(d: dict) -> HorseshoeParams:
+    if not (isinstance(d["lambda"], str) and isinstance(d["mu"], str)):
+        raise TypeError("lambda and mu must be stored as strings")
+    return HorseshoeParams(parse_number(d["lambda"]), parse_number(d["mu"]))
+
+
 _VERIFIERS = {
     "transitivity": _verify_transitivity,
     "periodic_density": _verify_periodic_density,
@@ -603,19 +763,45 @@ _VERIFIERS = {
     "li_yorke": _verify_li_yorke,
     "stable_convergence": lambda d, f: _verify_convergence(d, f, True),
     "unstable_convergence": lambda d, f: _verify_convergence(d, f, False),
+    "diameter_condition": _rebuilt(
+        lambda d: diameter_payload(d["m"], d["r"], d["max_depth"]),
+        "strictly_decreasing", "matches_prediction",
+    ),
+    "separation": _rebuilt(lambda d: separation_payload(d["m"], d["r"], d["degree"])),
+    "hyperbolic_conditions": _rebuilt(
+        lambda d: hyperbolic_payload(_horseshoe_params(d), d["max_depth"]), "passed"
+    ),
+    "conjugacy": _rebuilt(
+        lambda d: conjugacy_payload(_horseshoe_params(d), d["depth"], d["seed"], d["samples"]),
+        "passed",
+    ),
 }
 
 
+def _shape_error(payload) -> str | None:
+    """Why a decoded payload cannot be a certificate, if it cannot."""
+    if not isinstance(payload, dict):
+        return f"expected a JSON object, got {type(payload).__name__}"
+    if not isinstance(payload.get("kind"), (str, type(None))):
+        return f"unknown certificate kind {payload['kind']!r}: not a string"
+    if not isinstance(payload.get("data"), dict):
+        return "'data' is missing or not a JSON object"
+    return None
+
+
 def verify_certificate(payload: dict) -> VerificationResult:
-    """Recompute every numeric claim of a certificate from its witnesses."""
-    kind = payload.get("kind")
-    data = payload.get("data", payload)
-    verifier = _VERIFIERS.get(kind) if isinstance(kind, str) else None
+    """Recompute every claim of a certificate or report from its stored
+    witnesses and inputs."""
+    shape = _shape_error(payload)
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if shape:
+        return VerificationResult(str(kind), False, (shape,), shaped=False)
+    verifier = _VERIFIERS.get(kind)
     if verifier is None:
         return VerificationResult(str(kind), False, (f"unknown certificate kind {kind!r}",))
     failures: list[str] = []
     try:
-        verifier(data, failures)
-    except (KeyError, ValueError, TypeError) as exc:
+        verifier(payload["data"], failures)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         failures.append(f"malformed certificate: {exc}")
     return VerificationResult(kind, not failures, tuple(failures))

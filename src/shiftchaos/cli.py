@@ -8,8 +8,8 @@ horseshoe  export hyperbolic and conjugacy reports (JSON), and as --format
            of the unit square
 orbit      tabulate a symbolic or planar orbit as CSV
 
-A top-level ``--verify FILE`` mode re-verifies any emitted certificate by
-recomputing every stored distance from the stored witnesses.
+A top-level ``--verify FILE`` mode re-verifies any emitted certificate or
+report with `certify.verify_certificate`.
 
 Configuration is a flat ``key = value`` text file (``--config``); explicit
 flags win over file values.  Identical config plus seed reproduces output
@@ -27,26 +27,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import certify as cert
-from .cylinders import future_cylinder
 from .horseshoe import (
     EscapeError,
     HorseshoeParams,
     PlanePoint,
     branch_of,
-    conjugacy_check,
     horseshoe_map,
     rectangle_lattice,
-    verify_hyperbolic_conditions,
 )
-from .metric import (
-    MetricParams,
-    check_diameter_condition,
-    check_separation,
-    check_tolerance,
-    orbit_distances,
-    separation_holds_everywhere,
-    set_distance,
-)
+from .metric import MetricParams, check_tolerance, orbit_distances
 from .sequences import (
     Alphabet,
     FiniteWord,
@@ -54,7 +43,6 @@ from .sequences import (
     SplicedSeq,
     UniversalSeq,
     WindowPaddedSeq,
-    periodic_point,
 )
 
 SCHEMA_VERSION = 1
@@ -105,33 +93,25 @@ class RunConfig:
             raise ConfigError("horizon must be >= 10")
         if not (0 <= self.seed < 1 << 64):
             raise ConfigError("seed must fit in 64 bits")
-        if self.recurrence_depth < 1 or self.metric_depth < 1:
-            raise ConfigError("depths must be >= 1")
-        if self.conjugacy_depth < 2:
-            raise ConfigError("conjugacy_depth must be >= 2")
-        if self.conjugacy_samples < 0:
-            raise ConfigError("conjugacy_samples must be >= 0")
+        if self.recurrence_depth < 1:
+            raise ConfigError("recurrence_depth must be >= 1")
+        for name, lo, hi in (
+            ("metric_depth", 1, cert.MAX_METRIC_DEPTH),
+            ("conjugacy_depth", 2, cert.MAX_CONJUGACY_DEPTH),
+            ("conjugacy_samples", 0, cert.MAX_CONJUGACY_SAMPLES),
+        ):
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must lie in [{lo}, {hi}]")
         bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
 
 
-def _parse_number(text: str):
-    """Accept ints, floats, and exact fractions like 1/3."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 _CONFIG_KEYS = {
     "m": int,
     "r": lambda s: float(Fraction(s)) if "/" in s else float(s),
-    "lambda": _parse_number,
-    "mu": _parse_number,
+    "lambda": cert.parse_number,
+    "mu": cert.parse_number,
     "k": int,
     "n": int,
     "horizon": int,
@@ -201,75 +181,6 @@ def _float_str(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _diameter_payload(config: RunConfig) -> dict:
-    report = check_diameter_condition(Alphabet(config.m), MetricParams(config.r), config.metric_depth)
-    return {
-        "m": config.m,
-        "r": config.r,
-        "max_depth": config.metric_depth,
-        "rows": [
-            {"k": row.k, "n": row.n, "diameter": row.diameter, "predicted": row.predicted}
-            for row in report.rows
-        ],
-        "strictly_decreasing": report.strictly_decreasing,
-        "matches_prediction": report.matches_prediction,
-    }
-
-
-def _separation_payload(config: RunConfig, degree: int) -> dict:
-    a, p = Alphabet(config.m), MetricParams(config.r)
-    result = check_separation(a, p, degree)
-    exhaustive = degree <= 3 and separation_holds_everywhere(a, p, degree, result.eps0)
-    return {
-        "m": config.m,
-        "r": config.r,
-        "degree": degree,
-        "eps0": result.eps0,
-        "witness_words": [list(result.witness[0].fixed), list(result.witness[1].fixed)],
-        "witness_distance": set_distance(result.witness[0], result.witness[1], p),
-        "exhaustive_at_low_degree": exhaustive,
-    }
-
-
-def _compare_flags(data: dict, recomputed: dict, failures: list[str]) -> None:
-    """Each stored boolean must be the recomputed one (not merely truthy)."""
-    for key, value in recomputed.items():
-        if data[key] is not value:
-            failures.append(f"stored {key} does not recompute")
-
-
-def _verify_diameter(data: dict, failures: list[str]) -> None:
-    report = check_diameter_condition(
-        Alphabet(data["m"]), MetricParams(data["r"]), data["max_depth"]
-    )
-    if len(data["rows"]) != len(report.rows):
-        failures.append(f"expected {len(report.rows)} diameter rows, found {len(data['rows'])}")
-    for stored, row in zip(data["rows"], report.rows):
-        if stored != {"k": row.k, "n": row.n, "diameter": row.diameter, "predicted": row.predicted}:
-            failures.append(f"diameter row k={row.k} does not recompute")
-    _compare_flags(data, {"strictly_decreasing": report.strictly_decreasing,
-                          "matches_prediction": report.matches_prediction}, failures)
-    if not report.passed:
-        failures.append("diameter condition no longer holds")
-
-
-def _verify_separation(data: dict, failures: list[str]) -> None:
-    a, p = Alphabet(data["m"]), MetricParams(data["r"])
-    result = check_separation(a, p, data["degree"])
-    if result.eps0 != data["eps0"]:
-        failures.append("eps0 does not recompute")
-    d = set_distance(
-        future_cylinder(tuple(data["witness_words"][0])),
-        future_cylinder(tuple(data["witness_words"][1])),
-        p,
-    )
-    if d != data["witness_distance"] or not d >= data["eps0"]:
-        failures.append("witness distance does not recompute or misses eps0")
-    if data["degree"] <= 3 and data["exhaustive_at_low_degree"]:
-        if not separation_holds_everywhere(a, p, data["degree"], data["eps0"]):
-            failures.append("exhaustive separation check fails")
-
-
 def cmd_certify(config: RunConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
@@ -278,11 +189,11 @@ def cmd_certify(config: RunConfig) -> int:
     rng = random.Random(config.seed)
     files: list[tuple[str, str, dict]] = []  # (filename, kind, data)
 
-    files.append(("diameter_condition.json", "diameter_condition", _diameter_payload(config)))
+    files.append(("diameter_condition.json", "diameter_condition",
+                  cert.diameter_payload(config.m, config.r, config.metric_depth)))
     for degree in (1, 2, 3):
-        files.append(
-            (f"separation_n{degree}.json", "separation", _separation_payload(config, degree))
-        )
+        files.append((f"separation_n{degree}.json", "separation",
+                      cert.separation_payload(config.m, config.r, degree)))
 
     deltas = (0.1, 1e-2, 1e-3)
     epsilons = (0.25, 1e-2)
@@ -389,60 +300,21 @@ def cmd_horseshoe(config: RunConfig) -> int:
     if "csv" in config.formats:
         _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 
-    depth_cap = min(config.k + config.n, 8)
-    report = verify_hyperbolic_conditions(hp, max(1, depth_cap))
-    _write_json(
-        out / "hyperbolic_report.json",
-        "hyperbolic_conditions",
-        {
-            "lambda": str(hp.lam),
-            "mu": str(hp.mu),
-            "rows": [
-                {"k": r.k, "n": r.n, "diagonal": r.diameter, "predicted": r.predicted}
-                for r in report.diameter.rows
-            ],
-            "strictly_decreasing": report.diameter.strictly_decreasing,
-            "grid_exact": report.grid_exact,
-            "eps0": report.eps0,
-            "eps0_horizontal": report.eps0_horizontal,
-            "witness_words": [list(w) for w in report.witness_words],
-            "brute_min_gap": report.brute_min_gap,
-            "passed": report.passed,
-        },
+    hyperbolic = cert.hyperbolic_payload(hp, max(1, min(config.k + config.n, 8)))
+    _write_json(out / "hyperbolic_report.json", "hyperbolic_conditions", hyperbolic)
+    conjugacy = cert.conjugacy_payload(
+        hp, config.conjugacy_depth, config.seed, config.conjugacy_samples
     )
-
-    rng = random.Random(config.seed)
-    conj_rows = []
-    all_passed = report.passed
-    for _ in range(config.conjugacy_samples):
-        length = rng.randint(1, 12)
-        word = tuple(rng.randint(1, 2) for _ in range(length))
-        seq = periodic_point(word)
-        rep = conjugacy_check(seq, hp, config.conjugacy_depth)
-        conj_rows.append(
-            {"word": list(word), "defect": rep.defect, "bound": rep.bound, "passed": rep.passed}
-        )
-        all_passed = all_passed and rep.passed
-    _write_json(
-        out / "conjugacy_report.json",
-        "conjugacy",
-        {
-            "lambda": str(hp.lam),
-            "mu": str(hp.mu),
-            "depth": config.conjugacy_depth,
-            "seed": config.seed,
-            "rows": conj_rows,
-            "passed": all(row["passed"] for row in conj_rows),
-        },
-    )
+    _write_json(out / "conjugacy_report.json", "conjugacy", conjugacy)
 
     if "svg" in config.formats:
         _write_svg(out / "horseshoe.svg", pasts, futures)
 
     print(f"rectangles: {len(pasts) * len(futures)}")
-    print(f"hyperbolic conditions: {'ok' if report.passed else 'FAIL'}")
-    print(f"conjugacy samples: {'ok' if all_passed else 'FAIL'}")
-    return 0 if all_passed else 1
+    passed = hyperbolic["passed"] and conjugacy["passed"]
+    print(f"hyperbolic conditions: {'ok' if hyperbolic['passed'] else 'FAIL'}")
+    print(f"conjugacy samples: {'ok' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +351,7 @@ def parse_descriptor(text: str, m: int = 2):
             return UniversalSeq(m, seed)
         if kind == "point":
             x_text, _, y_text = rest.partition(",")
-            return PlanePoint(_parse_number(x_text), _parse_number(y_text))
+            return PlanePoint(cert.parse_number(x_text), cert.parse_number(y_text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad orbit descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"bad orbit descriptor {text!r}: unknown kind {kind!r}")
@@ -523,59 +395,6 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
 # verify mode
 # ---------------------------------------------------------------------------
 
-def _verify_hyperbolic(data: dict, failures: list[str]) -> None:
-    hp = HorseshoeParams(_parse_number(data["lambda"]), _parse_number(data["mu"]))
-    depth = max(row["k"] for row in data["rows"])
-    if [row["k"] for row in data["rows"]] != list(range(1, depth + 1)):
-        failures.append("diagonal rows do not run over k = 1..max k")
-        return
-    report = verify_hyperbolic_conditions(hp, depth)
-    for stored, row in zip(data["rows"], report.diameter.rows):
-        if stored != {"k": row.k, "n": row.n, "diagonal": row.diameter, "predicted": row.predicted}:
-            failures.append(f"diagonal row k={row.k} does not recompute")
-    if (report.eps0 != data["eps0"] or report.eps0_horizontal != data["eps0_horizontal"]
-            or report.brute_min_gap != data["brute_min_gap"]):
-        failures.append("separation constants do not recompute")
-    _compare_flags(data, {"strictly_decreasing": report.diameter.strictly_decreasing,
-                          "grid_exact": report.grid_exact, "passed": report.passed}, failures)
-    if not report.passed:
-        failures.append("hyperbolic conditions no longer hold")
-
-
-def _verify_conjugacy(data: dict, failures: list[str]) -> None:
-    hp = HorseshoeParams(_parse_number(data["lambda"]), _parse_number(data["mu"]))
-    all_passed = True
-    for row in data["rows"]:
-        rep = conjugacy_check(periodic_point(tuple(row["word"])), hp, data["depth"])
-        if rep.defect != row["defect"] or rep.bound != row["bound"]:
-            failures.append(f"conjugacy row {row['word']} does not recompute")
-        if row["passed"] is not rep.passed:
-            failures.append(f"conjugacy row {row['word']} stores the wrong verdict")
-        if not rep.passed:
-            failures.append(f"conjugacy defect for {row['word']} exceeds its bound")
-        all_passed = all_passed and rep.passed
-    _compare_flags(data, {"passed": all_passed}, failures)
-
-
-_REPORT_VERIFIERS = {
-    "diameter_condition": _verify_diameter,
-    "separation": _verify_separation,
-    "hyperbolic_conditions": _verify_hyperbolic,
-    "conjugacy": _verify_conjugacy,
-}
-
-
-def _payload_shape_error(payload) -> str | None:
-    """Why a decoded file cannot be a certificate or report, if it cannot."""
-    if not isinstance(payload, dict):
-        return f"expected a JSON object, got {type(payload).__name__}"
-    if not isinstance(payload.get("kind"), (str, type(None))):
-        return "'kind' is not a string"
-    if not isinstance(payload.get("data", {}), dict):
-        return "'data' is not a JSON object"
-    return None
-
-
 def verify_file(path: Path, quiet: bool = False) -> int:
     try:
         return _verify_file(path, quiet)
@@ -588,32 +407,20 @@ def verify_file(path: Path, quiet: bool = False) -> int:
 def _verify_file(path: Path, quiet: bool) -> int:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         if not quiet:
             print(f"error: cannot load {path}: {exc}", file=sys.stderr)
         return 2
-    shape = _payload_shape_error(payload)
-    if shape:
+    result = cert.verify_certificate(payload)
+    if not result.shaped:
         if not quiet:
-            print(f"error: cannot verify {path}: {shape}", file=sys.stderr)
+            print(f"error: cannot verify {path}: {result.failures[0]}", file=sys.stderr)
         return 2
-    kind = payload.get("kind")
-    data = payload.get("data", {})
-    if kind in _REPORT_VERIFIERS:
-        failures: list[str] = []
-        try:
-            _REPORT_VERIFIERS[kind](data, failures)
-        except (KeyError, ValueError, TypeError) as exc:
-            failures.append(f"malformed report: {exc}")
-        ok = not failures
-    else:
-        result = cert.verify_certificate(payload)
-        ok, failures = result.ok, list(result.failures)
     if not quiet:
-        print(f"{path}: {'ok' if ok else 'FAIL'}")
-        for f in failures:
+        print(f"{path}: {'ok' if result.ok else 'FAIL'}")
+        for f in result.failures:
             print(f"  - {f}")
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +455,7 @@ def _overrides(args: argparse.Namespace) -> dict:
     for key in ("lam", "mu"):
         val = getattr(args, key, None)
         if val is not None:
-            out[key] = _parse_number(val)
+            out[key] = cert.parse_number(val)
     return out
 
 

@@ -60,7 +60,7 @@ class EscapeError(ValueError):
 
 @dataclass(frozen=True)
 class HorseshoeParams:
-    """Contraction lambda in (0, 1/2) and expansion mu > 2.
+    """Contraction lambda in (0, 1/2) and finite expansion mu > 2.
 
     Values may be floats or exact rationals; defaults are exact.
     """
@@ -71,8 +71,8 @@ class HorseshoeParams:
     def __post_init__(self) -> None:
         if not (0 < self.lam) or not (self.lam < Fraction(1, 2)):
             raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam}")
-        if not (self.mu > 2):
-            raise ValueError(f"mu must exceed 2, got {self.mu}")
+        if not (2 < self.mu < math.inf):
+            raise ValueError(f"mu must be a finite number above 2, got {self.mu}")
 
     @property
     def exact(self) -> bool:
@@ -148,19 +148,8 @@ def point_from_itinerary(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    one = _one(hp)
-    y = 0 * one
-    powmu = one
-    for j in range(1, depth + 1):
-        powmu = powmu / hp.mu
-        y += (s.symbol_at(j) - 1) * powmu
-    y *= hp.mu - 1
-    x = 0 * one
-    powlam = one
-    for i in range(depth):
-        x += (s.symbol_at(-i) - 1) * powlam
-        powlam = powlam * hp.lam
-    x *= 1 - hp.lam
+    x = _x_lo(s.window(1 - depth, 0), hp)
+    y = _y_lo(s.window(1, depth), hp)
     if not hp.exact:
         # the exact sums lie in [0, 1); only float rounding can overshoot
         x, y = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
@@ -263,29 +252,40 @@ class Interval(NamedTuple):
     hi: object
 
 
-def _x_interval(past, hp: HorseshoeParams) -> tuple[object, object]:
-    """x-interval of the past digits at positions -k..0 (in word order)."""
+def _x_lo(past, hp: HorseshoeParams):
+    """Left end of the x-interval of the past digits at positions -k..0 (in
+    word order): the x coordinate they code with zeros beyond."""
     one = _one(hp)
     x_lo = 0 * one
     powlam = one
     for digit in reversed(past):  # positions 0, -1, .., -k
         x_lo += (digit - 1) * powlam
         powlam = powlam * hp.lam
-    x_lo *= 1 - hp.lam
-    return x_lo, x_lo + hp.lam ** len(past)
+    return x_lo * (1 - hp.lam)
 
 
-def _y_interval(future, hp: HorseshoeParams) -> tuple[object, object]:
-    """y-interval of the future digits at positions 1..n."""
+def _y_lo(future, hp: HorseshoeParams):
+    """Lower end of the y-interval of the future digits at positions 1..n."""
     one = _one(hp)
-    n = len(future)
     y_lo = 0 * one
     powmu = one
     for digit in future:
         powmu = powmu / hp.mu
         y_lo += (digit - 1) * powmu
-    y_lo *= hp.mu - 1
-    return y_lo, y_lo + (one / hp.mu ** n if hp.exact else float(hp.mu) ** (-n))
+    return y_lo * (hp.mu - 1)
+
+
+def _x_interval(past, hp: HorseshoeParams) -> tuple[object, object]:
+    """x-interval of the past digits at positions -k..0 (in word order)."""
+    x_lo = _x_lo(past, hp)
+    return x_lo, x_lo + hp.lam ** len(past)
+
+
+def _y_interval(future, hp: HorseshoeParams) -> tuple[object, object]:
+    """y-interval of the future digits at positions 1..n."""
+    y_lo = _y_lo(future, hp)
+    n = len(future)
+    return y_lo, y_lo + (_one(hp) / hp.mu ** n if hp.exact else float(hp.mu) ** (-n))
 
 
 def rectangle_for_word(word, start: int, hp: HorseshoeParams) -> SymbolicRectangle:

@@ -381,18 +381,6 @@ def check_separation(alphabet: Alphabet, p: MetricParams, n: int) -> SeparationR
     return SeparationResult(eps0, witness, n)
 
 
-def separation_exhaustive_min(alphabet: Alphabet, p: MetricParams, n: int) -> float:
-    """Oracle: min over all depth-n words of the best achievable distance,
-    restricted to the flip-first witness family."""
-    best = None
-    for w in all_words(alphabet, n):
-        d = set_distance(
-            future_cylinder(w), future_cylinder(flip_first(w, alphabet.m)), p
-        )
-        best = d if best is None else min(best, d)
-    return best
-
-
 def separation_holds_everywhere(
     alphabet: Alphabet, p: MetricParams, n: int, eps0: float
 ) -> bool:

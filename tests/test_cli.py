@@ -4,8 +4,16 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from shiftchaos.cli import load_config, main, parse_descriptor
+from shiftchaos.certify import (
+    MAX_CONJUGACY_DEPTH,
+    MAX_CONJUGACY_SAMPLES,
+    MAX_METRIC_DEPTH,
+    verify_certificate,
+)
+from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError
 from shiftchaos.horseshoe import HorseshoeParams, rectangle_for_word
 from shiftchaos.sequences import enumeration_prefix
@@ -112,6 +120,14 @@ def _set(key, value):
     return lambda data: data.__setitem__(key, value)
 
 
+@pytest.fixture(scope="module")
+def fresh_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fresh")
+    assert run("certify", "--out", str(out / "c"), "--seed", "3") == 0
+    assert run("horseshoe", "--out", str(out / "h"), "--k", "2", "--n", "2", "--seed", "3") == 0
+    return out
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -162,6 +178,106 @@ def test_verify_refuses_a_weight_base_past_the_depth_cap(tmp_path, capsys):
     _tamper(path, _set("r", 1 - 1e-6))  # depth 42,139,657 at tolerance 1e-12
     assert run("--verify", str(path)) == 1
     assert "malformed certificate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("rows", []),
+        lambda data: data["rows"].pop(),
+        lambda data: data["rows"].reverse(),  # each row alone still recomputes
+    ],
+    ids=["no-rows", "short-rows", "reordered"],
+)
+def test_verify_conjugacy_rebuilds_every_sample(tmp_path, edit):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--k", "2", "--n", "2", "--seed", "3") == 0
+    path = out / "conjugacy_report.json"
+    _tamper(path, edit)
+    assert run("--verify", str(path)) == 1
+
+
+@pytest.mark.parametrize("keep", [1, 3])
+def test_verify_hyperbolic_report_cut_at_its_end_fails(tmp_path, capsys, keep):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--k", "2", "--n", "2") == 0
+    path = out / "hyperbolic_report.json"
+    _tamper(path, lambda data: data.__setitem__("rows", data["rows"][:keep]))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["  - stored rows does not recompute"]
+
+
+@pytest.mark.parametrize(
+    "name", ["transitivity_s0_t0.json", "li_yorke.json", "diameter_condition.json"]
+)
+def test_verify_payload_without_data_is_usage_error(fresh_outputs, tmp_path, capsys, name):
+    payload = json.loads((fresh_outputs / "c" / name).read_text())
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema": 1, "kind": payload["kind"], **payload.pop("data")}))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    result = verify_certificate(json.loads(path.read_text()))
+    assert not result.ok and not result.shaped
+
+
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        ("c/diameter_condition.json", "max_depth", MAX_METRIC_DEPTH + 1, "malformed certificate"),
+        ("c/separation_n1.json", "degree", MAX_METRIC_DEPTH + 1, "malformed certificate"),
+        ("h/conjugacy_report.json", "depth", MAX_CONJUGACY_DEPTH + 1, "malformed certificate"),
+        ("h/conjugacy_report.json", "samples", MAX_CONJUGACY_SAMPLES + 1, "malformed certificate"),
+        ("c/sensitivity_s0_e0.json", "k", 1 << 40, "malformed certificate"),
+        ("c/periodic_density_s0_d0.json", "k", 1 << 40, "witness period does not match"),
+        # 10**27 words are too many for the exhaustive separation oracle
+        ("c/separation_n3.json", "m", 10 ** 9, "stored exhaustive_at_low_degree does not"),
+    ],
+)
+def test_verify_bounds_the_work_of_stored_sizes(
+    fresh_outputs, tmp_path, capsys, name, key, value, message
+):
+    path = tmp_path / "tampered.json"
+    path.write_text((fresh_outputs / name).read_text())
+    _tamper(path, _set(key, value))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert message in capsys.readouterr().out
+
+
+def test_verify_undecodable_bytes_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run("--verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"metric_depth = {MAX_METRIC_DEPTH + 1}",
+        f"conjugacy_depth = {MAX_CONJUGACY_DEPTH + 1}",
+        f"conjugacy_samples = {MAX_CONJUGACY_SAMPLES + 1}",
+        "mu = inf",
+    ],
+)
+def test_config_rejects_sizes_past_their_caps_and_infinite_mu(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    for command in ("certify", "horseshoe"):
+        out = tmp_path / command
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["inf", "1e400", "nan"])
+def test_horseshoe_rejects_non_finite_mu(tmp_path, capsys, mu):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--mu", mu) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [("--r", "0.999999"), ("--tol", "5e-324")])
@@ -433,3 +549,61 @@ def test_parse_descriptor_variants():
 
 def test_no_subcommand_is_usage_error():
     assert run() == 2
+
+
+# -- one mutated leaf ---------------------------------------------------------
+
+REPORT_FILES = (
+    "c/diameter_condition.json",
+    "c/separation_n2.json",
+    "h/hyperbolic_report.json",
+    "h/conjugacy_report.json",
+)
+CERTIFICATE_FILES = (
+    "c/transitivity_s0_t0.json",
+    "c/periodic_density_s0_d0.json",
+    "c/sensitivity_s0_e0.json",
+    "c/poisson_recurrence.json",
+    "c/li_yorke.json",
+    "c/stable_convergence.json",
+    "c/unstable_convergence.json",
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-3, 30), st.floats(), st.text(max_size=6)
+)
+
+
+def _leaves(node, path=()):
+    """Paths to the scalars and empty containers of a decoded JSON value."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_survives_one_mutated_leaf(fresh_outputs, data):
+    name = data.draw(st.sampled_from(REPORT_FILES + CERTIFICATE_FILES), label="file")
+    payload = json.loads((fresh_outputs / name).read_text())
+    leaf = data.draw(st.sampled_from(list(_leaves(payload["data"]))), label="leaf")
+    *parents, key = leaf
+    node = payload["data"]
+    for step in parents:
+        node = node[step]
+    value = data.draw(JSON_LEAVES, label="value")
+    assume(type(value) is not type(node[key]) or value != node[key])
+    node[key] = value
+    path = fresh_outputs / "mutated.json"
+    path.write_text(json.dumps(payload))
+    code = verify_file(path, quiet=True)
+    if name not in REPORT_FILES:
+        assert code in (0, 1, 2)
+    elif leaf == ("m",):
+        # the diameter and separation tables are the same for every alphabet
+        # size, so another valid m recomputes to the mutated report
+        assert code in (0, 1)
+    else:
+        assert code == 1
