@@ -6,16 +6,18 @@ from .sequences import (
     EventuallyPeriodicSeq,
     FiniteWord,
     FlippedSeq,
-    PeriodicSeq,
     SplicedSeq,
     UniversalSeq,
-    WindowPaddedSeq,
     as_word,
+    flip,
     locate_block,
     make_universal_sequence,
+    periodic,
     periodic_point,
     sequence_from_payload,
     sequence_to_payload,
+    splice,
+    window_padded,
 )
 from .cylinders import (
     CylinderSet,

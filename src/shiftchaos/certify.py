@@ -54,19 +54,20 @@ from .metric import (
 from .sequences import (
     Alphabet,
     BiSequence,
-    FiniteWord,
-    FlippedSeq,
-    PeriodicSeq,
-    SplicedSeq,
+    EventuallyPeriodicSeq,
     UniversalSeq,
-    WindowPaddedSeq,
     enumeration_position,
     enumeration_prefix,
+    flip,
+    periodic,
     periodic_point,
     sequence_from_payload,
     sequence_to_payload,
+    splice,
+    window_padded,
 )
 
+SCHEMA_VERSION = 1  # of the certificate files the CLI writes and verifies
 _SCAN_CAP = 1 << 21
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
 _WINDOW_CAP = 1 << 20  # longest window a verifier reads up to a stored position
@@ -76,29 +77,24 @@ _WINDOW_CAP = 1 << 20  # longest window a verifier reads up to a stored position
 class UnstableSetId:
     """The unstable set of a point: all sequences sharing its entire past.
 
-    The past carrier must be a periodic or window-padded sequence; only its
-    symbols at positions <= 0 matter.
+    The past carrier must be an eventually periodic sequence over the
+    alphabet; only its symbols at positions <= 0 matter.
     """
 
     alphabet: Alphabet
     past: BiSequence
 
     def __post_init__(self) -> None:
-        if isinstance(self.past, PeriodicSeq):
-            symbols = self.past.block.symbols
-        elif isinstance(self.past, WindowPaddedSeq):
-            symbols = self.past.window_word.symbols + (self.past.pad,)
-        else:
-            raise TypeError("unstable-set past must be periodic or window-padded")
-        if any(s > self.alphabet.m for s in symbols):
-            raise ValueError("past carrier uses symbols outside the alphabet")
+        if not isinstance(self.past, EventuallyPeriodicSeq):
+            raise TypeError("unstable-set past must be eventually periodic")
+        self.past.validate(self.alphabet)
 
 
-def member_with_future(u_set: UnstableSetId, future: BiSequence) -> SplicedSeq:
-    return SplicedSeq(u_set.past, future, 0)
+def member_with_future(u_set: UnstableSetId, future: BiSequence) -> BiSequence:
+    return splice(u_set.past, future)
 
 
-def universal_member(u_set: UnstableSetId, seed: int = 0) -> SplicedSeq:
+def universal_member(u_set: UnstableSetId, seed: int = 0) -> BiSequence:
     """The member of the unstable set whose future is the universal
     enumeration; its orbit is dense."""
     return member_with_future(u_set, UniversalSeq(u_set.alphabet.m, seed))
@@ -115,8 +111,8 @@ class Certificate:
 @dataclass(frozen=True)
 class VerificationResult:
     """`shaped` is False when the payload is no certificate at all: not an
-    object, a `kind` that is neither a string nor missing, or no `data`
-    object."""
+    object, a `schema` other than the integer `SCHEMA_VERSION`, a `kind`
+    that is neither a string nor missing, or no `data` object."""
 
     kind: str
     ok: bool
@@ -169,7 +165,7 @@ def periodic_density_witness(
     while weight_below(-k - 1, p.r) + weight_above(k + 1, p.r) >= delta:
         k += 1
     block = s.window(-k, k)
-    witness = PeriodicSeq(FiniteWord(block), phase=-k)
+    witness = periodic(block, -k)
     d = distance(s, witness, p, tol)
     if not d.value + d.error < delta:
         raise AssertionError("periodic witness missed its delta bound")
@@ -199,7 +195,7 @@ def sensitivity_witness(
     k = 0
     while weight_above(k + 1, p.r) >= eps:
         k += 1
-    partner = SplicedSeq(s.shift(k), FlippedSeq(s.shift(k), alphabet.m), 0).shift(-k)
+    partner = splice(s.shift(k), flip(s.shift(k), alphabet.m), -k)
     eps0 = weight(1, p.r)
     d_close = distance(s, partner, p, tol)
     d_far = distance(s.shift(k), partner.shift(k), p, tol)
@@ -333,10 +329,8 @@ def li_yorke_pair(
         pattern.extend(b"\x01" * (1 << j))
         pattern.extend(b"\x02" * (1 << j))
         j += 1
-    s = member_with_future(u_set, WindowPaddedSeq(FiniteWord(()), 1, 1))
-    t = member_with_future(
-        u_set, WindowPaddedSeq(FiniteWord(tuple(pattern[:need])), 1, 1)
-    )
+    s = member_with_future(u_set, window_padded(()))
+    t = member_with_future(u_set, window_padded(pattern[:need]))
     min_bound = _li_yorke_min_bound(p.r, horizon)
     eps0 = weight(1, p.r)
     min_value = min_error = math.inf
@@ -374,40 +368,12 @@ def li_yorke_pair(
     )
 
 
-def _require_agreement(s: BiSequence, t: BiSequence, lo: int, hi: int, side: str) -> None:
-    if s.window(lo, hi) != t.window(lo, hi):
-        raise ValueError(f"sequences do not share a {side} (checked positions {lo}..{hi})")
-
-
 def stable_set_convergence(
     s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float = 1e-12
 ) -> Certificate:
     """Orbits of two points sharing a future converge under forward shifts:
     after n shifts every mismatch has weight at most r**(n+1)/(1-r)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _require_agreement(s, t, 1, n_max + _AGREEMENT_DEPTH, "stable set")
-    rows = []
-    for n in range(n_max + 1):
-        d = distance(s.shift(n), t.shift(n), p, tol)
-        bound = weight_below(-n, p.r)
-        if not d.value <= bound + d.error:
-            raise AssertionError("stable-set distance exceeded its tail bound")
-        rows.append({"n": n, "value": d.value, "error": d.error, "bound": bound})
-    final = rows[-1]
-    if not final["value"] < p.r ** (n_max - 1):
-        raise AssertionError("stable-set distance failed its terminal bound")
-    return Certificate(
-        "stable_convergence",
-        {
-            "r": p.r,
-            "s": sequence_to_payload(s),
-            "t": sequence_to_payload(t),
-            "n_max": n_max,
-            "rows": rows,
-            "tolerance": tol,
-        },
-    )
+    return _convergence(s, t, n_max, p, tol, forward=True)
 
 
 def unstable_set_convergence(
@@ -415,21 +381,32 @@ def unstable_set_convergence(
 ) -> Certificate:
     """Mirror of stable_set_convergence under backward shifts for two points
     sharing a past."""
+    return _convergence(s, t, n_max, p, tol, forward=False)
+
+
+def _convergence(
+    s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float, forward: bool
+) -> Certificate:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _require_agreement(s, t, -n_max - _AGREEMENT_DEPTH, 0, "past")
+    if forward:
+        name, sign, lo, hi, side = "stable", 1, 1, n_max + _AGREEMENT_DEPTH, "stable set"
+    else:
+        name, sign, lo, hi, side = "unstable", -1, -n_max - _AGREEMENT_DEPTH, 0, "past"
+    if s.window(lo, hi) != t.window(lo, hi):
+        raise ValueError(f"sequences do not share a {side} (checked positions {lo}..{hi})")
     rows = []
     for n in range(n_max + 1):
-        d = distance(s.shift(-n), t.shift(-n), p, tol)
-        bound = weight_above(n + 1, p.r)
+        d = distance(s.shift(sign * n), t.shift(sign * n), p, tol)
+        bound = weight_below(-n, p.r) if forward else weight_above(n + 1, p.r)
         if not d.value <= bound + d.error:
-            raise AssertionError("unstable-set distance exceeded its tail bound")
+            raise AssertionError(f"{name}-set distance exceeded its tail bound")
         rows.append({"n": n, "value": d.value, "error": d.error, "bound": bound})
     final = rows[-1]
     if not final["value"] < p.r ** (n_max - 1):
-        raise AssertionError("unstable-set distance failed its terminal bound")
+        raise AssertionError(f"{name}-set distance failed its terminal bound")
     return Certificate(
-        "unstable_convergence",
+        f"{name}_convergence",
         {
             "r": p.r,
             "s": sequence_to_payload(s),
@@ -449,12 +426,12 @@ def unstable_set_convergence(
 def random_unstable_set(rng: random.Random, alphabet: Alphabet) -> UnstableSetId:
     if rng.random() < 0.5:
         block = tuple(rng.randint(1, alphabet.m) for _ in range(rng.randint(1, 4)))
-        past: BiSequence = PeriodicSeq(FiniteWord(block), phase=rng.randint(-2, 2))
+        past = periodic(block, rng.randint(-2, 2))
     else:
         length = rng.randint(0, 4)
         word = tuple(rng.randint(1, alphabet.m) for _ in range(length))
         start = -length + 1 - rng.randint(0, 2) if length else 0
-        past = WindowPaddedSeq(FiniteWord(word), start, rng.randint(1, alphabet.m))
+        past = window_padded(word, start, rng.randint(1, alphabet.m))
     return UnstableSetId(alphabet, past)
 
 
@@ -582,6 +559,11 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= _VALUE_SLACK
 
 
+def _recomputes(dist, value: float, error: float) -> bool:
+    """A stored distance value and its error bound match the recomputation."""
+    return _close(dist.value, value) and _close(dist.error, error)
+
+
 def _verify_transitivity(d: dict, failures: list[str]) -> None:
     alphabet = Alphabet(d["m"])
     u_set = UnstableSetId(alphabet, sequence_from_payload(d["unstable_past"]))
@@ -599,20 +581,19 @@ def _verify_periodic_density(d: dict, failures: list[str]) -> None:
     p = MetricParams(d["r"])
     s = sequence_from_payload(d["sequence"])
     witness = sequence_from_payload(d["witness"])
-    if not isinstance(witness, PeriodicSeq):
-        failures.append("witness is not periodic")
-        return
     k = d["k"]
-    if witness.period != 2 * k + 1:  # also bounds k by the stored block
+    if getattr(witness, "period", None) != 2 * k + 1:  # also bounds k by the stored block
         failures.append("witness period does not match its window")
         return
     if witness.window(-k, k) != s.window(-k, k):
         failures.append("witness window does not replicate the sequence")
     dist = distance(s, witness, p, d["tolerance"])
-    if not _close(dist.value, d["distance_value"]):
+    if not _recomputes(dist, d["distance_value"], d["distance_error"]):
         failures.append("stored distance does not recompute")
     if not dist.value + dist.error < d["delta"]:
         failures.append("distance does not beat delta")
+    if d["degenerate"] is not (d["delta"] > space_diameter(p)):
+        failures.append("stored degenerate flag does not recompute")
 
 
 def _verify_sensitivity(d: dict, failures: list[str]) -> None:
@@ -623,17 +604,19 @@ def _verify_sensitivity(d: dict, failures: list[str]) -> None:
     lo = -_AGREEMENT_DEPTH
     if s.window(lo, k) != partner.window(lo, k):
         failures.append("partner does not agree with the sequence through position k")
-    hi = k + _AGREEMENT_DEPTH
-    if any(a == b for a, b in zip(s.window(k + 1, hi), partner.window(k + 1, hi))):
-        failures.append("partner fails to differ beyond position k")
+    hi, m = k + _AGREEMENT_DEPTH, Alphabet(d["m"]).m
+    if partner.window(k + 1, hi) != tuple(a % m + 1 for a in s.window(k + 1, hi)):
+        failures.append("partner is not the flip mod m beyond position k")
     d_close = distance(s, partner, p, d["tolerance"])
     d_far = distance(s.shift(k), partner.shift(k), p, d["tolerance"])
-    if not _close(d_close.value, d["close_value"]):
+    if not _recomputes(d_close, d["close_value"], d["close_error"]):
         failures.append("stored close distance does not recompute")
-    if not _close(d_far.value, d["far_value"]):
+    if not _recomputes(d_far, d["far_value"], d["far_error"]):
         failures.append("stored divergence distance does not recompute")
     if not d_close.value + d_close.error < d["eps"]:
         failures.append("partner is not eps-close")
+    if d["degenerate"] is not (d["eps"] >= space_diameter(p)):
+        failures.append("stored degenerate flag does not recompute")
     eps0 = weight(1, p.r)
     if not _close(eps0, d["eps0"]):
         failures.append("stored eps0 is not the separation constant w(1)")
@@ -646,14 +629,19 @@ def _verify_poisson(d: dict, failures: list[str]) -> None:
     alphabet = Alphabet(d["m"])
     u_set = UnstableSetId(alphabet, sequence_from_payload(d["unstable_past"]))
     u = universal_member(u_set, d["universal_seed"])
-    times, thresholds = d["times"], d["thresholds"]
+    depths = _bounded("depths", d["depths"], 1, _WINDOW_CAP)
+    columns = [d[key] for key in ("times", "thresholds", "distance_values", "distance_errors")]
+    if any(len(column) != depths for column in columns):
+        failures.append("stored lists do not hold one entry per depth")
+        return
+    times, thresholds = columns[:2]
     if sorted(set(times)) != times:
         failures.append("return times are not strictly increasing")
     if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
         failures.append("thresholds are not strictly decreasing")
-    for j, (n, thr, val) in enumerate(zip(times, thresholds, d["distance_values"]), 1):
+    for j, (n, thr, val, err) in enumerate(zip(*columns), 1):
         dist = distance(u.shift(n), u, p, d["tolerance"])
-        if not _close(dist.value, val):
+        if not _recomputes(dist, val, err):
             failures.append(f"distance at depth {j} does not recompute")
         if not dist.value + dist.error < thr:
             failures.append(f"distance at depth {j} misses its threshold")
@@ -668,7 +656,7 @@ def _verify_li_yorke(d: dict, failures: list[str]) -> None:
     if s == t:
         failures.append("degenerate pair: the two sequences are identical")
         return
-    past = sequence_from_payload(d["unstable_past"])
+    past = UnstableSetId(Alphabet(d["m"]), sequence_from_payload(d["unstable_past"])).past
     lo = -_AGREEMENT_DEPTH
     if not s.window(lo, 0) == t.window(lo, 0) == past.window(lo, 0):
         failures.append(f"the pair does not share the unstable past (checked positions {lo}..0)")
@@ -683,9 +671,9 @@ def _verify_li_yorke(d: dict, failures: list[str]) -> None:
         failures.append("stored eps0 is not the separation constant w(1)")
     d_min = distance(s.shift(d["min_time"]), t.shift(d["min_time"]), p, d["tolerance"])
     d_max = distance(s.shift(d["max_time"]), t.shift(d["max_time"]), p, d["tolerance"])
-    if not _close(d_min.value, d["min_value"]):
+    if not _recomputes(d_min, d["min_value"], d["min_error"]):
         failures.append("stored proximal distance does not recompute")
-    if not _close(d_max.value, d["max_value"]):
+    if not _recomputes(d_max, d["max_value"], d["max_error"]):
         failures.append("stored distal distance does not recompute")
     if not d_min.value + d_min.error < min_bound:
         failures.append("proximal distance misses its bound")
@@ -708,7 +696,7 @@ def _verify_convergence(d: dict, failures: list[str], forward: bool) -> None:
         n = row["n"]
         dist = distance(s.shift(sign * n), t.shift(sign * n), p, d["tolerance"])
         bound = weight_below(-n, p.r) if forward else weight_above(n + 1, p.r)
-        if not _close(dist.value, row["value"]):
+        if not _recomputes(dist, row["value"], row["error"]):
             failures.append(f"distance at n={n} does not recompute")
         if not _close(bound, row["bound"]):
             failures.append(f"bound at n={n} is not the tail weight")
@@ -782,6 +770,9 @@ def _shape_error(payload) -> str | None:
     """Why a decoded payload cannot be a certificate, if it cannot."""
     if not isinstance(payload, dict):
         return f"expected a JSON object, got {type(payload).__name__}"
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # not true, 1.0 or "1"
+        return f"schema {schema!r} is not {SCHEMA_VERSION}"
     if not isinstance(payload.get("kind"), (str, type(None))):
         return f"unknown certificate kind {payload['kind']!r}: not a string"
     if not isinstance(payload.get("data"), dict):
@@ -791,7 +782,7 @@ def _shape_error(payload) -> str | None:
 
 def verify_certificate(payload: dict) -> VerificationResult:
     """Recompute every claim of a certificate or report from its stored
-    witnesses and inputs."""
+    witnesses and inputs, after checking its shape and `schema`."""
     shape = _shape_error(payload)
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if shape:

@@ -38,14 +38,11 @@ from .horseshoe import (
 from .metric import MetricParams, check_tolerance, orbit_distances
 from .sequences import (
     Alphabet,
-    FiniteWord,
-    PeriodicSeq,
-    SplicedSeq,
     UniversalSeq,
-    WindowPaddedSeq,
+    periodic,
+    splice,
+    window_padded,
 )
-
-SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
@@ -168,7 +165,7 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
 
 
 def _write_json(path: Path, kind: str, data: dict) -> None:
-    payload = {"schema": SCHEMA_VERSION, "kind": kind, "data": data}
+    payload = {"schema": cert.SCHEMA_VERSION, "kind": kind, "data": data}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -215,13 +212,13 @@ def cmd_certify(config: RunConfig) -> int:
             files.append(("poisson_recurrence.json", c.kind, c.data))
             c = cert.li_yorke_pair(u_set, config.horizon, p, config.tol)
             files.append(("li_yorke.json", c.kind, c.data))
-            shared_future = WindowPaddedSeq(FiniteWord((2, 1, 2)), 1, 1)
+            shared_future = window_padded((2, 1, 2))
             s_conv = cert.member_with_future(u_set, shared_future)
-            t_conv = SplicedSeq(PeriodicSeq(FiniteWord((2,)), 0), shared_future, 0)
+            t_conv = splice(periodic((2,)), shared_future)
             c = cert.stable_set_convergence(s_conv, t_conv, 20, p, config.tol)
             files.append(("stable_convergence.json", c.kind, c.data))
-            u1 = cert.member_with_future(u_set, WindowPaddedSeq(FiniteWord((1, 2)), 1, 1))
-            u2 = cert.member_with_future(u_set, WindowPaddedSeq(FiniteWord((2, 1)), 1, 1))
+            u1 = cert.member_with_future(u_set, window_padded((1, 2)))
+            u2 = cert.member_with_future(u_set, window_padded((2, 1)))
             c = cert.unstable_set_convergence(u1, u2, 20, p, config.tol)
             files.append(("unstable_convergence.json", c.kind, c.data))
 
@@ -336,16 +333,17 @@ def parse_descriptor(text: str, m: int = 2):
         alphabet = Alphabet(m)
         if kind == "periodic":
             block, _, phase = rest.partition("@")
-            word = FiniteWord(tuple(int(s) for s in block.split(",")))
-            word.validate(alphabet)
-            return PeriodicSeq(word, int(phase) if phase else 0)
+            seq = periodic(tuple(int(s) for s in block.split(",")), int(phase) if phase else 0)
+            seq.validate(alphabet)
+            return seq
         if kind == "window":
             body, _, pad_text = rest.partition(":")
             syms_text, _, start = body.partition("@")
             syms = tuple(int(s) for s in syms_text.split(",")) if syms_text else ()
             pad = int(pad_text) if pad_text else 1
-            FiniteWord(syms + (pad,)).validate(alphabet)
-            return WindowPaddedSeq(FiniteWord(syms), int(start) if start else 1, pad)
+            seq = window_padded(syms, int(start) if start else 1, pad)
+            seq.validate(alphabet)
+            return seq
         if kind == "universal":
             seed = int(rest) if rest else 0
             return UniversalSeq(m, seed)

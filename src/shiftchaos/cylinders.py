@@ -25,8 +25,8 @@ from .sequences import (
     Alphabet,
     BiSequence,
     FiniteWord,
-    WindowPaddedSeq,
     as_word,
+    window_padded,
 )
 
 
@@ -124,7 +124,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
     if c.is_future:
         for wlen in range(1, depth - n + 1):
             for w in all_words(alphabet, wlen):
-                member = WindowPaddedSeq(FiniteWord(c.fixed.symbols + w), 1, 1)
+                member = window_padded(c.fixed.symbols + w)
                 if not c.contains(member):
                     return False
                 if member.shift(n).window(1, wlen) != w:
@@ -133,9 +133,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
     if c.is_past:
         for wlen in range(1, depth - n + 1):
             for w in all_words(alphabet, wlen):
-                member = WindowPaddedSeq(
-                    FiniteWord(w + c.fixed.symbols), 1 - n - wlen, 1
-                )
+                member = window_padded(w + c.fixed.symbols, 1 - n - wlen)
                 if not c.contains(member):
                     return False
                 if member.shift(-n).window(1 - wlen, 0) != w:

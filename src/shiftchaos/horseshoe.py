@@ -58,11 +58,15 @@ class EscapeError(ValueError):
         super().__init__(f"iterate {step} escaped through the {axis} gap")
 
 
+MAX_EXACT_BITS = 16  # bounds the exact powers a conjugacy check takes at its caps
+
+
 @dataclass(frozen=True)
 class HorseshoeParams:
     """Contraction lambda in (0, 1/2) and finite expansion mu > 2.
 
-    Values may be floats or exact rationals; defaults are exact.
+    Values may be floats or exact rationals of at most `MAX_EXACT_BITS`
+    bits above and below the line; defaults are exact.
     """
 
     lam: object = Fraction(1, 3)
@@ -73,6 +77,9 @@ class HorseshoeParams:
             raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam}")
         if not (2 < self.mu < math.inf):
             raise ValueError(f"mu must be a finite number above 2, got {self.mu}")
+        for name, value in (("lambda", self.lam), ("mu", self.mu)):
+            if isinstance(value, (int, Fraction)) and max(value.numerator, value.denominator) >> MAX_EXACT_BITS:
+                raise ValueError(f"exact {name} {value} has a term of more than {MAX_EXACT_BITS} bits")
 
     @property
     def exact(self) -> bool:

@@ -211,8 +211,8 @@ def distance(
     """Evaluate the weighted mismatch metric with a certified error bound.
 
     The error is 0 whenever both sides of both sequences are eventually
-    periodic (every pair of periodic / window-padded / spliced sequences);
-    universal futures fall back to truncation at depth chosen from `tol`.
+    periodic; universal futures fall back to truncation at depth chosen
+    from `tol`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -10,26 +10,29 @@ so positions >= 1 form the future and positions <= 0 the past.  Shifting by
 sequence reads position ``j + t`` of the original.
 
 Arbitrary bi-infinite sequences are not computable objects, so this module
-restricts to finitely describable generators.  Four public kinds cover every
+restricts to finitely describable generators.  Two public kinds cover every
 construction needed by the chaos certificates:
 
-* :class:`PeriodicSeq` - one block repeated over all of Z;
-* :class:`EventuallyPeriodicSeq` - a finite center with periodic tails;
-* :class:`WindowPaddedSeq` - a finite window, constant elsewhere;
+* :class:`EventuallyPeriodicSeq` - a finite center with periodic tails, in
+  canonical form; ``periodic``, ``window_padded`` and ``periodic_point``
+  build its common shapes;
 * :class:`UniversalSeq` - every finite word, concatenated in
   length-lexicographic order on the nonnegative side, padded with 1 on the
   negative side.  Occurrence positions have closed forms, which keeps block
   location exact at any depth.
 
-Two derived combinators, :class:`SplicedSeq` (glue a past and a future at
-the dot) and :class:`FlippedSeq` (pointwise symbol increment mod m), are
-used to assemble witnesses such as "the member of an unstable set whose
-future is the universal enumeration".  Both are closed under shifting.
+``splice`` (glue a past and a future at the dot) and ``flip`` (pointwise
+symbol increment mod m) assemble witnesses such as "the member of an
+unstable set whose future is the universal enumeration".  Eventually
+periodic inputs give one flat :class:`EventuallyPeriodicSeq`, others a
+:class:`SplicedSeq` or :class:`FlippedSeq` tree; so does a splice whose
+flat center would be longer than ``_FLAT_SPLICE_CAP`` symbols.  All are
+closed under shifting.
 
 ``window(lo, hi)`` is the bulk path, and the metric and the certificates
-read sequences through it.  Periodic and window-padded sequences answer with
+read sequences through it.  Eventually periodic sequences answer with
 tuple slices; the universal sequence locates its start section once and then
-walks the enumeration entry by entry, carrying on a digit list.  Its
+walks the enumeration entry by entry, carrying on a digit list.  Every
 ``symbol_at`` is a one-position window.  A universal sequence and all its
 shifted copies share one memoized head of the enumeration.  Windows that end
 inside the head are slices.  A window that starts at most one symbol past
@@ -44,6 +47,8 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -70,8 +75,8 @@ class FiniteWord:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        syms = tuple(int(s) for s in self.symbols)
-        if any(s < 1 for s in syms):
+        syms = tuple(map(int, self.symbols))
+        if min(syms, default=1) < 1:
             raise ValueError(f"symbols are 1-based, got {syms}")
         object.__setattr__(self, "symbols", syms)
 
@@ -85,8 +90,8 @@ class FiniteWord:
         return self.symbols[i]
 
     def validate(self, alphabet: Alphabet) -> None:
-        bad = [s for s in self.symbols if s > alphabet.m]
-        if bad:
+        if max(self.symbols, default=1) > alphabet.m:
+            bad = [s for s in self.symbols if s > alphabet.m]
             raise ValueError(f"symbols {bad} exceed alphabet bound m={alphabet.m}")
 
 
@@ -94,21 +99,24 @@ def as_word(w) -> FiniteWord:
     """Coerce a FiniteWord or any iterable of symbols to a FiniteWord."""
     if isinstance(w, FiniteWord):
         return w
-    return FiniteWord(tuple(w))
+    return FiniteWord(w)
+
+
+_EMPTY = FiniteWord(())
 
 
 class BiSequence:
     """Base class for bi-infinite sequences.  Subclasses are immutable."""
 
     def symbol_at(self, j: int) -> int:
-        raise NotImplementedError
+        return self.window(j, j)[0]
 
     def shift(self, steps: int) -> "BiSequence":
         raise NotImplementedError
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
         """Symbols at positions lo..hi inclusive (empty tuple if lo > hi)."""
-        return tuple(self.symbol_at(j) for j in range(lo, hi + 1))
+        raise NotImplementedError
 
     # Tail descriptors drive the exact closed forms in the metric module.
     # right_tail() -> (start, period) with s(j + period) == s(j) for all
@@ -123,83 +131,10 @@ class BiSequence:
         return None
 
 
-@dataclass(frozen=True)
-class PeriodicSeq(BiSequence):
-    """Bi-infinite repetition of a block; block[0] sits at position `phase`."""
-
-    block: FiniteWord
-    phase: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "block", as_word(self.block))
-        if len(self.block) == 0:
-            raise ValueError("periodic sequence needs a nonempty block")
-        object.__setattr__(self, "phase", self.phase % len(self.block))
-
-    @property
-    def period(self) -> int:
-        return len(self.block)
-
-    def symbol_at(self, j: int) -> int:
-        return self.block[(j - self.phase) % self.period]
-
-    def shift(self, steps: int) -> "PeriodicSeq":
-        return PeriodicSeq(self.block, self.phase - steps)
-
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        count = hi - lo + 1
-        if count <= 0:
-            return ()
-        cut = (lo - self.phase) % self.period
-        rotated = self.block.symbols[cut:] + self.block.symbols[:cut]
-        return (rotated * -(-count // self.period))[:count]
-
-    def right_tail(self) -> tuple[int, int]:
-        return (1, self.period)
-
-    def left_tail(self) -> tuple[int, int]:
-        return (0, self.period)
-
-
-@dataclass(frozen=True)
-class WindowPaddedSeq(BiSequence):
-    """A fixed finite window starting at `start`; constant `pad` elsewhere."""
-
-    window_word: FiniteWord
-    start: int = 1
-    pad: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "window_word", as_word(self.window_word))
-        if self.pad < 1:
-            raise ValueError("pad symbol is 1-based")
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.window_word) - 1
-
-    def symbol_at(self, j: int) -> int:
-        if self.start <= j <= self.end:
-            return self.window_word[j - self.start]
-        return self.pad
-
-    def shift(self, steps: int) -> "WindowPaddedSeq":
-        return WindowPaddedSeq(self.window_word, self.start - steps, self.pad)
-
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        if hi < lo:
-            return ()
-        a, b = max(lo, self.start), min(hi, self.end)
-        if a > b:
-            return (self.pad,) * (hi - lo + 1)
-        inner = self.window_word.symbols[a - self.start : b - self.start + 1]
-        return (self.pad,) * (a - lo) + inner + (self.pad,) * (hi - b)
-
-    def right_tail(self) -> tuple[int, int]:
-        return (self.end + 1, 1)
-
-    def left_tail(self) -> tuple[int, int]:
-        return (self.start - 1, 1)
+def _cycle(block: tuple[int, ...], cut: int, count: int) -> tuple[int, ...]:
+    """`count` symbols of `block` repeated, starting at block[cut % len]."""
+    cut %= len(block)
+    return ((block[cut:] + block[:cut]) * -(-count // len(block)))[:count]
 
 
 @dataclass(frozen=True)
@@ -210,6 +145,16 @@ class EventuallyPeriodicSeq(BiSequence):
     `right_block` repeats to +infinity immediately after it and `left_block`
     repeats to -infinity immediately before it (its last symbol adjacent to
     the center).
+
+    The stored form is canonical, so two descriptions of one sequence with
+    blocks of the same lengths compare equal.  Center symbols that continue
+    a tail block are moved into it (left first, then right), so the center
+    is as short as the two blocks allow.  An empty center moves right while
+    the right block continues the left one.  If it would move forever (as
+    between equal blocks) the sequence is periodic: it is stored at
+    center_start = 1 with the blocks rotated so that block[0] sits at
+    position 1.  Blocks are never reduced to a shorter period, since the
+    metric sums over their lengths.
     """
 
     left_block: FiniteWord
@@ -218,27 +163,66 @@ class EventuallyPeriodicSeq(BiSequence):
     right_block: FiniteWord
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left_block", as_word(self.left_block))
-        object.__setattr__(self, "center", as_word(self.center))
-        object.__setattr__(self, "right_block", as_word(self.right_block))
-        if len(self.left_block) == 0 or len(self.right_block) == 0:
+        left, center = as_word(self.left_block), as_word(self.center) if self.center else _EMPTY
+        right = left if self.right_block == self.left_block else as_word(self.right_block)
+        start = operator.index(self.center_start)
+        ls, syms, rs = left.symbols, center.symbols, right.symbols
+        if not (ls and rs):
             raise ValueError("tail blocks must be nonempty")
+        p, q, k = len(ls), len(rs), len(syms)
+        # The left block runs on over the center and then the right block.
+        # Once it agrees with the right block on p + q - gcd(p, q) symbols it
+        # runs on forever (Fine and Wilf): the sequence is periodic.
+        end = k + p + q - math.gcd(p, q)
+        lo = end if not syms and ls == rs else 0
+        while lo < end and (syms[lo] if lo < k else rs[(lo - k) % q]) == ls[lo % p]:
+            lo += 1
+        hi = max(lo, k)
+        while hi > lo and syms[hi - 1] == rs[(hi - k - 1) % q]:
+            hi -= 1
+        if lo == end:  # the empty center of a periodic sequence sits at 1
+            lo = hi = 1 - start
+        if lo or hi != k:  # the blocks rotate by the symbols they took in
+            left, rs = FiniteWord(_cycle(ls, lo, p)), _cycle(rs, hi - k, q)
+            right = left if rs == left.symbols else FiniteWord(rs)
+            center, start = FiniteWord(syms[lo:hi]), start + lo
+        object.__setattr__(self, "left_block", left)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center_start", start)
+        object.__setattr__(self, "right_block", right)
 
     @property
     def center_end(self) -> int:
-        return self.center_start + len(self.center) - 1
+        return self.center_start + len(self.center.symbols) - 1
 
-    def symbol_at(self, j: int) -> int:
-        if self.center_start <= j <= self.center_end:
-            return self.center[j - self.center_start]
-        if j > self.center_end:
-            return self.right_block[(j - self.center_end - 1) % len(self.right_block)]
-        return self.left_block[(j - self.center_start) % len(self.left_block)]
+    @property
+    def period(self) -> int | None:
+        """The block length of a periodic sequence; None otherwise."""
+        if self.center.symbols or self.left_block != self.right_block:
+            return None
+        return len(self.right_block.symbols)
+
+    def validate(self, alphabet: Alphabet) -> None:
+        for w in (self.left_block, self.center, self.right_block):
+            w.validate(alphabet)
 
     def shift(self, steps: int) -> "EventuallyPeriodicSeq":
+        # the stored words are canonical already: only a periodic block rotates
         return EventuallyPeriodicSeq(
             self.left_block, self.center, self.center_start - steps, self.right_block
         )
+
+    def window(self, lo: int, hi: int) -> tuple[int, ...]:
+        c0, c1 = self.center_start, self.center_end
+        if lo > c1:  # all in the right tail
+            return _cycle(self.right_block.symbols, lo - c1 - 1, hi - lo + 1)
+        if hi < c0:  # all in the left tail
+            return _cycle(self.left_block.symbols, lo - c0, hi - lo + 1)
+        out = _cycle(self.left_block.symbols, lo - c0, c0 - lo) if lo < c0 else ()
+        out += self.center.symbols[max(lo - c0, 0) : hi - c0 + 1]
+        if hi > c1:
+            out += _cycle(self.right_block.symbols, 0, hi - c1)
+        return out
 
     def right_tail(self) -> tuple[int, int]:
         return (self.center_end + 1, len(self.right_block))
@@ -370,9 +354,6 @@ class UniversalSeq(BiSequence):
     def __post_init__(self) -> None:
         Alphabet(self.m)
 
-    def symbol_at(self, j: int) -> int:
-        return self.window(j, j)[0]
-
     def shift(self, steps: int) -> "UniversalSeq":
         return UniversalSeq(self.m, self.seed, self.offset + steps, self.head)
 
@@ -411,10 +392,6 @@ class SplicedSeq(BiSequence):
     future: BiSequence
     offset: int = 0
 
-    def symbol_at(self, j: int) -> int:
-        je = j + self.offset
-        return self.past.symbol_at(je) if je <= 0 else self.future.symbol_at(je)
-
     def shift(self, steps: int) -> "SplicedSeq":
         return SplicedSeq(self.past, self.future, self.offset + steps)
 
@@ -451,9 +428,6 @@ class FlippedSeq(BiSequence):
     def __post_init__(self) -> None:
         Alphabet(self.m)
 
-    def symbol_at(self, j: int) -> int:
-        return self.base.symbol_at(j) % self.m + 1
-
     def shift(self, steps: int) -> "FlippedSeq":
         return FlippedSeq(self.base.shift(steps), self.m)
 
@@ -472,13 +446,52 @@ class FlippedSeq(BiSequence):
 # ---------------------------------------------------------------------------
 
 
-def periodic_point(block) -> PeriodicSeq:
+def periodic(block, phase: int = 0) -> EventuallyPeriodicSeq:
+    """Bi-infinite repetition of `block`, with block[0] at position `phase`."""
+    w = as_word(block)
+    return EventuallyPeriodicSeq(w, (), phase, w)
+
+
+def window_padded(word, start: int = 1, pad: int = 1) -> EventuallyPeriodicSeq:
+    """The finite `word` at positions from `start` on, and `pad` elsewhere."""
+    return EventuallyPeriodicSeq((pad,), word, start, (pad,))
+
+
+def periodic_point(block) -> EventuallyPeriodicSeq:
     """The sequence made of endless repetitions of `block`, aligned so
     positions 1..len(block) carry the block."""
-    w = as_word(block)
-    if len(w) == 0:
-        raise ValueError("periodic point needs a nonempty block")
-    return PeriodicSeq(w, phase=1)
+    return periodic(block, 1)
+
+
+_FLAT_SPLICE_CAP = 1 << 16  # longest center a splice materializes
+
+
+def splice(past: BiSequence, future: BiSequence, offset: int = 0) -> BiSequence:
+    """Past of one sequence glued to the future of another at the dot (see
+    `SplicedSeq`), flat when both are eventually periodic and the flat center
+    spans at most `_FLAT_SPLICE_CAP` positions."""
+    flat = isinstance(past, EventuallyPeriodicSeq) and isinstance(future, EventuallyPeriodicSeq)
+    if flat:
+        lo, hi = min(past.center_start, 1), max(future.center_end, 0)
+    if not flat or hi - lo + 1 > _FLAT_SPLICE_CAP:
+        return SplicedSeq(past, future, offset)
+    return EventuallyPeriodicSeq(
+        past.window(lo - len(past.left_block), lo - 1),
+        past.window(lo, 0) + future.window(1, hi),
+        lo - offset,
+        future.window(hi + 1, hi + len(future.right_block)),
+    )
+
+
+def flip(base: BiSequence, m: int) -> BiSequence:
+    """Pointwise symbol increment mod m (see `FlippedSeq`), flat when `base`
+    is eventually periodic."""
+    if not isinstance(base, EventuallyPeriodicSeq):
+        return FlippedSeq(base, m)
+    Alphabet(m)  # the check FlippedSeq makes
+    words = (base.left_block, base.center, base.right_block)
+    left, center, right = (tuple(s % m + 1 for s in w) for w in words)
+    return EventuallyPeriodicSeq(left, center, base.center_start, right)
 
 
 def make_universal_sequence(alphabet: Alphabet, seed: int = 0) -> UniversalSeq:
@@ -506,15 +519,6 @@ def locate_block(u: UniversalSeq, word) -> int:
 
 
 def sequence_to_payload(s: BiSequence) -> dict:
-    if isinstance(s, PeriodicSeq):
-        return {"kind": "periodic", "block": list(s.block), "phase": s.phase}
-    if isinstance(s, WindowPaddedSeq):
-        return {
-            "kind": "window_padded",
-            "window": list(s.window_word),
-            "start": s.start,
-            "pad": s.pad,
-        }
     if isinstance(s, EventuallyPeriodicSeq):
         return {
             "kind": "eventually_periodic",
@@ -541,6 +545,8 @@ _PAYLOAD_DEPTH_CAP = 64  # nesting levels a payload may use
 
 
 def sequence_from_payload(d: dict) -> BiSequence:
+    """Read a payload of any kind, the `periodic` and `window_padded` kinds
+    of older files included; splices and flips come out flat when they can."""
     return _from_payload(d, 1)
 
 
@@ -548,25 +554,20 @@ def _from_payload(d: dict, depth: int) -> BiSequence:
     if depth > _PAYLOAD_DEPTH_CAP:
         raise ValueError(f"sequence payload nests deeper than {_PAYLOAD_DEPTH_CAP} levels")
     kind = d["kind"]
-    if kind == "periodic":
-        return PeriodicSeq(FiniteWord(tuple(d["block"])), d["phase"])
-    if kind == "window_padded":
-        return WindowPaddedSeq(FiniteWord(tuple(d["window"])), d["start"], d["pad"])
     if kind == "eventually_periodic":
-        return EventuallyPeriodicSeq(
-            FiniteWord(tuple(d["left_block"])),
-            FiniteWord(tuple(d["center"])),
-            d["center_start"],
-            FiniteWord(tuple(d["right_block"])),
-        )
+        return EventuallyPeriodicSeq(d["left_block"], d["center"], d["center_start"], d["right_block"])
+    if kind == "periodic":
+        return periodic(d["block"], d["phase"])
+    if kind == "window_padded":
+        return window_padded(d["window"], d["start"], d["pad"])
     if kind == "universal":
         return UniversalSeq(d["m"], d["seed"], d["offset"])
     if kind == "spliced":
-        return SplicedSeq(
+        return splice(
             _from_payload(d["past"], depth + 1),
             _from_payload(d["future"], depth + 1),
             d["offset"],
         )
     if kind == "flipped":
-        return FlippedSeq(_from_payload(d["base"], depth + 1), d["m"])
+        return flip(_from_payload(d["base"], depth + 1), d["m"])
     raise ValueError(f"unknown sequence payload kind {kind!r}")

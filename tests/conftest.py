@@ -13,9 +13,9 @@ from shiftchaos import (
     Alphabet,
     EventuallyPeriodicSeq,
     FiniteWord,
-    PeriodicSeq,
     UniversalSeq,
-    WindowPaddedSeq,
+    periodic,
+    window_padded,
 )
 
 
@@ -51,10 +51,10 @@ def random_sequence(rng, m):
     """A random representable sequence with a small description."""
     kind = rng.randrange(4)
     if kind == 0:
-        return PeriodicSeq(FiniteWord(random_block(rng, m)), rng.randint(-3, 3))
+        return periodic(random_block(rng, m), rng.randint(-3, 3))
     if kind == 1:
         word = tuple(rng.randint(1, m) for _ in range(rng.randint(0, 5)))
-        return WindowPaddedSeq(FiniteWord(word), rng.randint(-4, 4), rng.randint(1, m))
+        return window_padded(word, rng.randint(-4, 4), rng.randint(1, m))
     if kind == 2:
         return EventuallyPeriodicSeq(
             FiniteWord(random_block(rng, m)),

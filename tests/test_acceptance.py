@@ -12,13 +12,10 @@ from fractions import Fraction
 
 from shiftchaos import (
     Alphabet,
-    FiniteWord,
     HorseshoeParams,
     MetricParams,
-    PeriodicSeq,
     SplicedSeq,
     UnstableSetId,
-    WindowPaddedSeq,
     check_separation,
     conjugacy_check,
     cylinder_diameter,
@@ -27,6 +24,7 @@ from shiftchaos import (
     itinerary,
     li_yorke_pair,
     past_cylinder,
+    periodic,
     periodic_density_witness,
     periodic_point,
     point_from_itinerary,
@@ -41,6 +39,7 @@ from shiftchaos import (
     unstable_set_convergence,
     verify_certificate,
     verify_hyperbolic_conditions,
+    window_padded,
 )
 from shiftchaos.certify import random_two_sided_target, random_unstable_set
 from shiftchaos.cli import main as cli_main
@@ -85,14 +84,14 @@ def test_diameter_condition_closed_form_and_sampled_sup():
         for i in range(1000):
             if i == 0:
                 # adversarial pair: mismatch at every free position
-                s = WindowPaddedSeq(FiniteWord(word), -d, 1)
-                t = WindowPaddedSeq(FiniteWord(word), -d, 2)
+                s = window_padded(word, -d, 1)
+                t = window_padded(word, -d, 2)
             else:
                 tails = [
                     tuple(rng.randint(1, 2) for _ in range(24)) for _ in range(2)
                 ]
-                s = WindowPaddedSeq(FiniteWord(word + tails[0]), -d, rng.randint(1, 2))
-                t = WindowPaddedSeq(FiniteWord(word + tails[1]), -d, rng.randint(1, 2))
+                s = window_padded(word + tails[0], -d, rng.randint(1, 2))
+                t = window_padded(word + tails[1], -d, rng.randint(1, 2))
             value = distance(s, t, P).value
             assert value <= diam + 1e-15
             sup = max(sup, value)
@@ -153,7 +152,7 @@ def test_devaney_suite_on_seeded_unstable_sets(tmp_path):
 
 @criterion(5, "poisson recurrence")
 def test_poisson_recurrence_ten_depths():
-    u_set = UnstableSetId(A2, PeriodicSeq(FiniteWord((1,)), 0))
+    u_set = UnstableSetId(A2, periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 10, P)
     times = cert.data["times"]
     thresholds = cert.data["thresholds"]
@@ -166,30 +165,30 @@ def test_poisson_recurrence_ten_depths():
         cert.data["distance_values"], cert.data["distance_errors"], thresholds
     ):
         assert value + err < thr
-    assert verify_certificate({"kind": cert.kind, "data": cert.data}).ok
+    assert verify_certificate({"schema": 1, "kind": cert.kind, "data": cert.data}).ok
 
 
 @criterion(6, "li-yorke scrambled pair")
 def test_li_yorke_dyadic_pair_at_horizon_1000():
-    u_set = UnstableSetId(A2, PeriodicSeq(FiniteWord((1,)), 0))
+    u_set = UnstableSetId(A2, periodic((1,), 0))
     cert = li_yorke_pair(u_set, 1000, P)
     assert cert.data["min_value"] < 2.0 ** -8
     assert cert.data["max_value"] >= 0.5
-    assert verify_certificate({"kind": cert.kind, "data": cert.data}).ok
+    assert verify_certificate({"schema": 1, "kind": cert.kind, "data": cert.data}).ok
 
 
 @criterion(7, "stable/unstable convergence")
 def test_convergence_closed_forms():
-    s = WindowPaddedSeq(FiniteWord((1,)), 0, 1)
-    t = WindowPaddedSeq(FiniteWord((2,)), 0, 1)
+    s = window_padded((1,), 0, 1)
+    t = window_padded((2,), 0, 1)
     cert = stable_set_convergence(s, t, 20, P)
     for row in cert.data["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)  # closed form, error 0
         assert row["error"] == 0.0
     assert cert.data["rows"][11]["value"] < 1e-3
     # mirrored pair differing only at position 1
-    s2 = WindowPaddedSeq(FiniteWord((1,)), 1, 1)
-    t2 = WindowPaddedSeq(FiniteWord((2,)), 1, 1)
+    s2 = window_padded((1,), 1, 1)
+    t2 = window_padded((2,), 1, 1)
     cert2 = unstable_set_convergence(s2, t2, 20, P)
     for row in cert2.data["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)

@@ -7,26 +7,25 @@ import pytest
 
 from shiftchaos import (
     Alphabet,
-    FiniteWord,
     MetricParams,
-    PeriodicSeq,
     SplicedSeq,
     UnstableSetId,
-    WindowPaddedSeq,
     li_yorke_pair,
     member_with_future,
+    periodic,
     periodic_density_witness,
     periodic_point,
     poisson_recurrence_witness,
     sensitivity_witness,
+    sequence_from_payload,
     stable_set_convergence,
     transitivity_witness,
     two_sided_cylinder,
     universal_member,
     unstable_set_convergence,
     verify_certificate,
-    sequence_from_payload,
     whole_space,
+    window_padded,
 )
 from shiftchaos.certify import _li_yorke_min_bound, random_two_sided_target, random_unstable_set
 from shiftchaos.sequences import enumeration_prefix
@@ -38,11 +37,11 @@ P = MetricParams(0.5)
 
 
 def ones_past():
-    return UnstableSetId(A2, PeriodicSeq(FiniteWord((1,)), 0))
+    return UnstableSetId(A2, periodic((1,), 0))
 
 
 def as_payload(cert):
-    return {"kind": cert.kind, "data": cert.data}
+    return {"schema": 1, "kind": cert.kind, "data": cert.data}
 
 
 def test_unstable_set_rejects_universal_past():
@@ -53,7 +52,7 @@ def test_unstable_set_rejects_universal_past():
 
 
 def test_members_share_the_past():
-    u_set = UnstableSetId(A2, PeriodicSeq(FiniteWord((1, 2)), 0))
+    u_set = UnstableSetId(A2, periodic((1, 2), 0))
     member = universal_member(u_set)
     assert member.window(-6, 0) == u_set.past.window(-6, 0)
 
@@ -82,7 +81,7 @@ def test_transitivity_concrete_target_scan_oracle():
 
 
 def test_transitivity_all_sixteen_targets():
-    u_set = UnstableSetId(A2, WindowPaddedSeq(FiniteWord((2, 1)), -1, 1))
+    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 1))
     for num in range(16):
         word = tuple((num >> i) % 2 + 1 for i in range(4))
         target = two_sided_cylinder(word, -1)  # window [-1, 2]
@@ -114,9 +113,8 @@ def test_density_depth_for_small_delta():
     cert = periodic_density_witness(member, 1e-3, P)
     assert cert.data["k"] == 11  # 2**-11 + 2**-12 < 1e-3, and 10 is too shallow
     assert cert.data["distance_value"] + cert.data["distance_error"] < 1e-3
-    witness = PeriodicSeq(
-        FiniteWord(tuple(cert.data["witness"]["block"])), cert.data["witness"]["phase"]
-    )
+    witness = sequence_from_payload(cert.data["witness"])
+    assert witness.period == 23
     assert brute_distance(member, witness, 0.5) < 1e-3
     assert verify_certificate(as_payload(cert)).ok
 
@@ -210,7 +208,7 @@ def test_poisson_times_increase_thresholds_decrease():
 
 
 def test_poisson_with_periodic_past():
-    u_set = UnstableSetId(A2, PeriodicSeq(FiniteWord((1, 2)), 0))
+    u_set = UnstableSetId(A2, periodic((1, 2), 0))
     cert = poisson_recurrence_witness(u_set, 6, P)
     assert verify_certificate(as_payload(cert)).ok
 
@@ -244,7 +242,7 @@ def test_li_yorke_rejects_short_horizon():
 
 def test_li_yorke_degenerate_pair_fails_verification():
     cert = li_yorke_pair(ones_past(), 100, P)
-    tampered = {"kind": cert.kind, "data": dict(cert.data)}
+    tampered = {"schema": 1, "kind": cert.kind, "data": dict(cert.data)}
     tampered["data"]["t"] = tampered["data"]["s"]
     result = verify_certificate(tampered)
     assert not result.ok
@@ -262,8 +260,8 @@ def test_stable_convergence_equal_points():
 
 
 def test_stable_convergence_single_mismatch_closed_form():
-    s = WindowPaddedSeq(FiniteWord((1,)), 0, 1)
-    t = WindowPaddedSeq(FiniteWord((2,)), 0, 1)
+    s = window_padded((1,), 0, 1)
+    t = window_padded((2,), 0, 1)
     cert = stable_set_convergence(s, t, 20, P)
     for row in cert.data["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)
@@ -279,8 +277,8 @@ def test_stable_convergence_rejects_disjoint_futures():
 
 def test_unstable_convergence_mirrors():
     u_set = ones_past()
-    s = member_with_future(u_set, WindowPaddedSeq(FiniteWord((1, 2)), 1, 1))
-    t = member_with_future(u_set, WindowPaddedSeq(FiniteWord((2, 1)), 1, 1))
+    s = member_with_future(u_set, window_padded((1, 2), 1, 1))
+    t = member_with_future(u_set, window_padded((2, 1), 1, 1))
     cert = unstable_set_convergence(s, t, 20, P)
     rows = cert.data["rows"]
     assert rows[-1]["value"] < 1e-5
@@ -298,18 +296,32 @@ def test_unstable_convergence_rejects_disjoint_pasts():
 
 def test_tampered_distance_fails_verification():
     cert = periodic_density_witness(universal_member(ones_past()), 0.1, P)
-    tampered = {"kind": cert.kind, "data": dict(cert.data)}
+    tampered = {"schema": 1, "kind": cert.kind, "data": dict(cert.data)}
     tampered["data"]["distance_value"] = 0.0
     assert not verify_certificate(tampered).ok
 
 
+@pytest.mark.parametrize("schema", [None, "1", True, 99, 1.0], ids=["missing", "string", "true", "99", "float"])
+def test_verify_certificate_requires_schema_one(schema):
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    payload = as_payload(cert)
+    assert verify_certificate(payload).ok
+    if schema is None:
+        del payload["schema"]
+    else:
+        payload["schema"] = schema
+    result = verify_certificate(payload)
+    assert not result.ok and not result.shaped
+    assert result.failures == (f"schema {schema!r} is not 1",)
+
+
 def test_unknown_kind_fails_verification():
-    assert not verify_certificate({"kind": "nonsense", "data": {}}).ok
+    assert not verify_certificate({"schema": 1, "kind": "nonsense", "data": {}}).ok
 
 
 @pytest.mark.parametrize("kind", [["li_yorke"], {"li_yorke": 1}, 5, None])
 def test_non_string_kind_fails_verification(kind):
-    result = verify_certificate({"kind": kind, "data": {}})
+    result = verify_certificate({"schema": 1, "kind": kind, "data": {}})
     assert not result.ok
     assert result.failures[0].startswith("unknown certificate kind")
 
@@ -358,12 +370,12 @@ def _li_yorke_payload():
 def _convergence_payload(forward):
     u_set = ones_past()
     if forward:
-        s = WindowPaddedSeq(FiniteWord((1,)), 0, 1)
-        t = WindowPaddedSeq(FiniteWord((2,)), 0, 1)
+        s = window_padded((1,), 0, 1)
+        t = window_padded((2,), 0, 1)
         cert = stable_set_convergence(s, t, 20, P)
     else:
-        s = member_with_future(u_set, WindowPaddedSeq(FiniteWord((1, 2)), 1, 1))
-        t = member_with_future(u_set, WindowPaddedSeq(FiniteWord((2, 1)), 1, 1))
+        s = member_with_future(u_set, window_padded((1, 2), 1, 1))
+        t = member_with_future(u_set, window_padded((2, 1), 1, 1))
         cert = unstable_set_convergence(s, t, 20, P)
     return json.loads(json.dumps(as_payload(cert)))
 
@@ -401,7 +413,7 @@ def test_li_yorke_pair_must_share_the_unstable_past():
     other_past = {"kind": "periodic", "block": [2], "phase": 0}
 
     def mutate(d):
-        d["t"]["past"] = other_past
+        d["t"] = {"kind": "spliced", "past": other_past, "future": d["t"], "offset": 0}
 
     failures = _failures_after(_li_yorke_payload(), mutate)
     assert any("unstable past" in f for f in failures)

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: exit codes, files, verify mode."""
 
 import json
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -233,6 +235,8 @@ def test_verify_payload_without_data_is_usage_error(fresh_outputs, tmp_path, cap
         ("c/periodic_density_s0_d0.json", "k", 1 << 40, "witness period does not match"),
         # 10**27 words are too many for the exhaustive separation oracle
         ("c/separation_n3.json", "m", 10 ** 9, "stored exhaustive_at_low_degree does not"),
+        # exact powers of a 17-bit lambda at the depth cap take seconds
+        ("h/conjugacy_report.json", "lambda", "1/131071", "malformed certificate"),
     ],
 )
 def test_verify_bounds_the_work_of_stored_sizes(
@@ -244,6 +248,89 @@ def test_verify_bounds_the_work_of_stored_sizes(
     capsys.readouterr()
     assert run("--verify", str(path)) == 1
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("schema", [None, "1", True, 99, 1.0], ids=["missing", "string", "true", "99", "float"])
+def test_verify_requires_schema_one(fresh_outputs, tmp_path, capsys, schema):
+    payload = json.loads((fresh_outputs / "c" / "li_yorke.json").read_text())
+    if schema is None:
+        del payload["schema"]
+    else:
+        payload["schema"] = schema
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _cut(key, keep):
+    return lambda data: data.__setitem__(key, data[key][:keep])
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("periodic_density_s0_d0.json", _set("distance_error", -3.6e16)),
+        ("periodic_density_s0_d0.json", _set("degenerate", True)),
+        ("sensitivity_s0_e0.json", _set("close_error", 0.5)),
+        ("sensitivity_s0_e0.json", _set("far_error", "0")),
+        ("sensitivity_s0_e0.json", _set("degenerate", None)),
+        ("sensitivity_s0_e0.json", _set("m", 1)),
+        ("sensitivity_s0_e0.json", _set("m", 3)),  # the partner flips mod 2
+        ("poisson_recurrence.json", lambda data: data["distance_errors"].__setitem__(0, 1.0)),
+        ("poisson_recurrence.json", lambda data: data.__setitem__("depths", data["depths"] - 1)),
+        ("poisson_recurrence.json", _cut("times", 2)),
+        ("poisson_recurrence.json", _cut("thresholds", 1)),
+        ("poisson_recurrence.json", _cut("distance_values", 3)),
+        ("poisson_recurrence.json", _cut("distance_errors", 0)),
+        ("li_yorke.json", _set("min_error", 0.25)),
+        ("li_yorke.json", _set("max_error", None)),
+        ("li_yorke.json", _set("m", 1)),
+        ("stable_convergence.json", lambda data: data["rows"][3].__setitem__("error", 0.5)),
+    ],
+    ids=[
+        "density-distance_error", "density-degenerate", "sensitivity-close_error",
+        "sensitivity-far_error", "sensitivity-degenerate", "sensitivity-m-1", "sensitivity-m-3",
+        "poisson-distance_errors", "poisson-depths", "poisson-times", "poisson-thresholds",
+        "poisson-distance_values", "poisson-no-errors", "li_yorke-min_error",
+        "li_yorke-max_error", "li_yorke-m", "convergence-row-error",
+    ],
+)
+def test_verify_checks_every_stored_certificate_field(fresh_outputs, tmp_path, name, edit):
+    path = tmp_path / name
+    path.write_text((fresh_outputs / "c" / name).read_text())
+    assert run("--verify", str(path)) == 0
+    _tamper(path, edit)
+    assert run("--verify", str(path)) == 1
+
+
+LEGACY = Path(__file__).parent / "data" / "legacy"
+
+
+def test_legacy_payload_kinds_still_verify():
+    """Files written with the older payload kinds (periodic, window_padded,
+    and spliced or flipped trees of them) still verify."""
+    kinds = set()
+    for path in sorted(LEGACY.glob("*.json")):
+        assert run("--verify", str(path)) == 0
+        kinds.update(re.findall(r'"kind": "(\w+)"', path.read_text()))
+    assert {"periodic", "window_padded", "spliced", "flipped"} <= kinds
+
+
+@pytest.mark.parametrize(
+    "side, part, start",
+    [("s", "past", -10 ** 12), ("t", "past", -10 ** 12), ("t", "future", 10 ** 12)],
+)
+def test_verify_bounds_the_span_of_a_stored_splice(tmp_path, capsys, side, part, start):
+    """A spliced payload whose flat center would span 10**12 positions is
+    read as a lazy splice, so verifying it reads bounded windows."""
+    path = tmp_path / "li_yorke.json"
+    path.write_text((LEGACY / "li_yorke.json").read_text())
+    _tamper(path, lambda data: data[side][part].__setitem__("start", start))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_undecodable_bytes_is_usage_error(tmp_path, capsys):
@@ -260,6 +347,8 @@ def test_verify_undecodable_bytes_is_usage_error(tmp_path, capsys):
         f"conjugacy_depth = {MAX_CONJUGACY_DEPTH + 1}",
         f"conjugacy_samples = {MAX_CONJUGACY_SAMPLES + 1}",
         "mu = inf",
+        "lambda = 1/131071",
+        "mu = 65537/3",
     ],
 )
 def test_config_rejects_sizes_past_their_caps_and_infinite_mu(tmp_path, capsys, line):
@@ -451,10 +540,9 @@ def test_orbit_bad_descriptor(tmp_path):
 def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     from shiftchaos import (
         Alphabet,
-        FiniteWord,
         MetricParams,
-        PeriodicSeq,
         UnstableSetId,
+        periodic,
         poisson_recurrence_witness,
     )
 
@@ -463,7 +551,7 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     rows = (orb_out / "orbit.csv").read_text().splitlines()[1:]
     distances = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     # the `universal` orbit start has an all-1 past: certify the same set
-    u_set = UnstableSetId(Alphabet(2), PeriodicSeq(FiniteWord((1,)), 0))
+    u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 4, MetricParams(0.5))
     checked = 0
     for n, thr in zip(cert.data["times"], cert.data["thresholds"]):
@@ -534,10 +622,10 @@ def test_orbit_accepts_symbols_up_to_m(tmp_path):
 
 
 def test_parse_descriptor_variants():
-    from shiftchaos import PeriodicSeq, PlanePoint, UniversalSeq, WindowPaddedSeq
+    from shiftchaos import PlanePoint, UniversalSeq, periodic, window_padded
 
-    assert isinstance(parse_descriptor("periodic:1,2@1"), PeriodicSeq)
-    assert isinstance(parse_descriptor("window:2,1@0:2"), WindowPaddedSeq)
+    assert parse_descriptor("periodic:1,2@1") == periodic((1, 2), 1)
+    assert parse_descriptor("window:2,1@0:2") == window_padded((2, 1), 0, 2)
     assert parse_descriptor("universal:3") == UniversalSeq(2, 3)
     assert parse_descriptor("universal", m=4) == UniversalSeq(4, 0)
     with pytest.raises(ConfigError):

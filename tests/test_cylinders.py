@@ -5,7 +5,6 @@ import pytest
 from shiftchaos import (
     Alphabet,
     FiniteWord,
-    WindowPaddedSeq,
     future_cylinder,
     nesting_check,
     past_cylinder,
@@ -13,6 +12,7 @@ from shiftchaos import (
     similarity_identity_check,
     two_sided_cylinder,
     whole_space,
+    window_padded,
 )
 from shiftchaos.cylinders import CylinderSet
 
@@ -35,7 +35,7 @@ def test_two_sided_requires_straddling_window():
 
 def test_membership():
     c = future_cylinder((1, 2))
-    assert c.contains(WindowPaddedSeq(FiniteWord((1, 2)), 1, 1))
+    assert c.contains(window_padded((1, 2), 1, 1))
     assert c.contains(periodic_point((1, 2)))
     assert not c.contains(periodic_point((2, 1)))
     assert whole_space().contains(periodic_point((2,)))
@@ -92,4 +92,4 @@ def test_similarity_all_short_cylinders_both_directions():
 def test_general_windows_are_representable():
     c = CylinderSet(FiniteWord((1, 2)), 3)
     assert not (c.is_future or c.is_past or c.is_two_sided or c.is_whole)
-    assert c.contains(WindowPaddedSeq(FiniteWord((1, 2)), 3, 1))
+    assert c.contains(window_padded((1, 2), 3, 1))

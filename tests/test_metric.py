@@ -14,21 +14,21 @@ from shiftchaos import (
     FiniteWord,
     FlippedSeq,
     MetricParams,
-    PeriodicSeq,
     SplicedSeq,
     UniversalSeq,
-    WindowPaddedSeq,
     check_diameter_condition,
     check_separation,
     cylinder_diameter,
     distance,
     future_cylinder,
     past_cylinder,
+    periodic,
     periodic_point,
     set_distance,
     space_diameter,
     two_sided_cylinder,
     whole_space,
+    window_padded,
 )
 from shiftchaos.metric import (
     _EXACT_SPAN_CAP,
@@ -64,14 +64,14 @@ def test_weights():
 
 
 def test_distance_to_self_is_exact_zero():
-    for s in (periodic_point((1, 2)), UniversalSeq(2), WindowPaddedSeq(FiniteWord((2,)), 0, 1)):
+    for s in (periodic_point((1, 2)), UniversalSeq(2), window_padded((2,), 0, 1)):
         d = distance(s, s, P)
         assert d.value == 0.0 and d.error == 0.0
 
 
 def test_distance_single_future_mismatch():
-    s = WindowPaddedSeq(FiniteWord(()), 1, 1)
-    t = WindowPaddedSeq(FiniteWord((2,)), 1, 1)
+    s = window_padded((), 1, 1)
+    t = window_padded((2,), 1, 1)
     d = distance(s, t, P)
     assert d.value == 0.5 and d.error == 0.0
     assert brute_distance(s, t, 0.5) == 0.5
@@ -142,7 +142,7 @@ def test_cylinder_diameter_window_closed_form_and_sampled_sup():
     for _ in range(200):
         tails = [tuple(rng.randint(1, 2) for _ in range(20)) for _ in range(2)]
         members = [
-            WindowPaddedSeq(FiniteWord((1, 1, 1) + tail), -1, rng.randint(1, 2))
+            window_padded((1, 1, 1) + tail, -1, rng.randint(1, 2))
             for tail in tails
         ]
         d = distance(members[0], members[1], P)
@@ -151,8 +151,8 @@ def test_cylinder_diameter_window_closed_form_and_sampled_sup():
     assert sup < diam  # random pairs approach the sup from below
     # adversarial pair: identical window, mismatch at every free position
     adv = distance(
-        WindowPaddedSeq(FiniteWord((1, 1, 1)), -1, 1),
-        WindowPaddedSeq(FiniteWord((1, 1, 1)), -1, 2),
+        window_padded((1, 1, 1), -1, 1),
+        window_padded((1, 1, 1), -1, 2),
         P,
     )
     assert adv.value == diam
@@ -195,8 +195,8 @@ def test_set_distance_first_symbol_flip_with_sampling_oracle():
     for _ in range(10_000):
         tail1 = tuple(rng.randint(1, 2) for _ in range(12))
         tail2 = tuple(rng.randint(1, 2) for _ in range(12))
-        s = WindowPaddedSeq(FiniteWord((1,) + tail1), 1, 1)
-        t = WindowPaddedSeq(FiniteWord((2,) + tail2), 1, 1)
+        s = window_padded((1,) + tail1, 1, 1)
+        t = window_padded((2,) + tail2, 1, 1)
         d = distance(s, t, P)
         assert d.value >= 0.5 - 1e-15
         best = min(best, d.value)
@@ -244,8 +244,8 @@ def test_separation_eps0_consistent_across_degrees():
 
 
 def test_stable_pair_converges_under_forward_shifts():
-    s = WindowPaddedSeq(FiniteWord((1,)), 0, 1)
-    t = WindowPaddedSeq(FiniteWord((2,)), 0, 1)  # differ only at position 0
+    s = window_padded((1,), 0, 1)
+    t = window_padded((2,), 0, 1)  # differ only at position 0
     for n in range(0, 15):
         d = distance(s.shift(n), t.shift(n), P)
         assert d.value == 0.5 ** (n + 1) and d.error == 0.0
@@ -253,8 +253,8 @@ def test_stable_pair_converges_under_forward_shifts():
 
 
 def test_unstable_pair_converges_under_backward_shifts():
-    s = WindowPaddedSeq(FiniteWord((1,)), 1, 1)
-    t = WindowPaddedSeq(FiniteWord((2,)), 1, 1)  # differ only at position 1
+    s = window_padded((1,), 1, 1)
+    t = window_padded((2,), 1, 1)  # differ only at position 1
     for n in range(0, 15):
         d = distance(s.shift(-n), t.shift(-n), P)
         assert d.value == 0.5 ** (n + 1) and d.error == 0.0
@@ -343,27 +343,27 @@ KERNEL_RS = (0.5, 0.3, 1 / 3)
 
 def kernel_sequences():
     u = UniversalSeq(2, 5)
-    periodic = PeriodicSeq(FiniteWord((1, 2, 2)), 1)
-    padded = WindowPaddedSeq(FiniteWord((2, 1, 2)), -3, 1)
+    period3 = periodic((1, 2, 2), 1)
+    padded = window_padded((2, 1, 2), -3, 1)
     return [
-        periodic,
-        PeriodicSeq(FiniteWord((2, 1, 1, 2, 1, 2, 2)), -3),
-        PeriodicSeq(FiniteWord((1,) * 149 + (2,)), 4),  # lcm with 151 passes the span cap
-        PeriodicSeq(FiniteWord((2,) * 150 + (1,)), -7),
+        period3,
+        periodic((2, 1, 1, 2, 1, 2, 2), -3),
+        periodic((1,) * 149 + (2,), 4),  # lcm with 151 passes the span cap
+        periodic((2,) * 150 + (1,), -7),
         padded,
-        WindowPaddedSeq(FiniteWord((1, 1, 2, 2, 1)), 4, 2),
+        window_padded((1, 1, 2, 2, 1), 4, 2),
         EventuallyPeriodicSeq(FiniteWord((1, 2)), FiniteWord((2, 2, 1)), -2, FiniteWord((2, 1, 1))),
         EventuallyPeriodicSeq(FiniteWord((2,)), FiniteWord((1, 2) * 40), -60, FiniteWord((1, 2, 2, 2))),
         u,
         u.shift(-40),
         u.shift(300),
         UniversalSeq(2, 0, 30000),  # left span past the cap: truncated past
-        SplicedSeq(PeriodicSeq(FiniteWord((2, 1))), padded, 0),
-        SplicedSeq(periodic, u, 0).shift(17),
-        SplicedSeq(u.shift(25000), periodic, 0),
+        SplicedSeq(periodic((2, 1)), padded, 0),
+        SplicedSeq(period3, u, 0).shift(17),
+        SplicedSeq(u.shift(25000), period3, 0),
         FlippedSeq(padded, 2),
         FlippedSeq(u.shift(3), 2),
-        FlippedSeq(SplicedSeq(periodic, u.shift(9), 0), 2),
+        FlippedSeq(SplicedSeq(period3, u.shift(9), 0), 2),
     ]
 
 
@@ -490,7 +490,7 @@ SWEEP_RS = (0.5, 0.25, 0.3, 1 / 3, 0.9)
 
 
 def sweep_starts():
-    padded = WindowPaddedSeq(FiniteWord((2, 1, 2)), -3, 1)
+    padded = window_padded((2, 1, 2), -3, 1)
     return [
         UniversalSeq(2, 0),
         UniversalSeq(2, 2 ** 63),
@@ -498,12 +498,12 @@ def sweep_starts():
         UniversalSeq(3, 2 ** 63),
         UniversalSeq(2, 5).shift(-40),
         padded,
-        WindowPaddedSeq(FiniteWord((2, 2)), 4, 1),  # window right of 0
-        WindowPaddedSeq(FiniteWord(()), 1, 2),  # empty window
+        window_padded((2, 2), 4, 1),  # window right of 0
+        window_padded((), 1, 2),  # empty window
         periodic_point((1,)),
-        PeriodicSeq(FiniteWord((1, 2, 2)), 1),  # period 3: per-row fallback
-        SplicedSeq(PeriodicSeq(FiniteWord((2,))), UniversalSeq(2, 3), 0),
-        SplicedSeq(PeriodicSeq(FiniteWord((2,))), padded, 0).shift(2),
+        periodic((1, 2, 2), 1),  # period 3: per-row fallback
+        SplicedSeq(periodic((2,)), UniversalSeq(2, 3), 0),
+        SplicedSeq(periodic((2,)), padded, 0).shift(2),
         FlippedSeq(padded, 2),
         FlippedSeq(UniversalSeq(2, 1).shift(3), 2),
     ]
@@ -534,10 +534,10 @@ def test_orbit_sweep_matches_distance_into_the_subnormal_weights(r, seed):
     [
         # windows whose rows past the underflow would differ from a plain
         # Horner step, by one unit of 2**-1074: the sweep hands them over
-        WindowPaddedSeq(FiniteWord((2, 2, 2)), 1058, 1),
-        FlippedSeq(WindowPaddedSeq(FiniteWord((2, 2, 1, 2)), 1044, 1), 2),
-        SplicedSeq(periodic_point((1,)), WindowPaddedSeq(FiniteWord((1, 2, 2, 2, 1)), 1041, 1), 0),
-        SplicedSeq(periodic_point((2,)), WindowPaddedSeq(FiniteWord((1, 2, 1, 1)), 1059, 2), 0),
+        window_padded((2, 2, 2), 1058, 1),
+        FlippedSeq(window_padded((2, 2, 1, 2), 1044, 1), 2),
+        SplicedSeq(periodic_point((1,)), window_padded((1, 2, 2, 2, 1), 1041, 1), 0),
+        SplicedSeq(periodic_point((2,)), window_padded((1, 2, 1, 1), 1059, 2), 0),
     ],
 )
 def test_orbit_sweep_matches_distance_on_subnormal_windows(s):
@@ -562,5 +562,5 @@ def test_orbit_sweep_checks_its_arguments():
     with pytest.raises(ValueError):
         orbit_distances(u, P, 10, tol=0.0)
     assert orbit_distances(u, P, 0) == [distance(u, u, P)]
-    deep = WindowPaddedSeq(FiniteWord((2,)), -10 ** 9, 1)  # past beyond the span cap
+    deep = window_padded((2,), -10 ** 9, 1)  # past beyond the span cap
     assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)

@@ -8,21 +8,25 @@ from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
-    BiSequence,
+    DistanceBound,
     EventuallyPeriodicSeq,
     FiniteWord,
     FlippedSeq,
-    PeriodicSeq,
+    MetricParams,
     SplicedSeq,
     UniversalSeq,
-    WindowPaddedSeq,
+    distance,
+    flip,
     locate_block,
     make_universal_sequence,
+    periodic,
     periodic_point,
     sequence_from_payload,
     sequence_to_payload,
+    splice,
+    window_padded,
 )
-from shiftchaos.sequences import enumeration_position, enumeration_prefix
+from shiftchaos.sequences import _FLAT_SPLICE_CAP, enumeration_position, enumeration_prefix
 
 from conftest import random_sequence, scan_for_block
 
@@ -38,7 +42,7 @@ def test_finite_word_rejects_zero_symbols():
 
 
 def test_periodic_symbol_at():
-    s = PeriodicSeq(FiniteWord((1, 2)), phase=0)
+    s = periodic((1, 2), phase=0)
     assert s.symbol_at(0) == 1
     assert s.symbol_at(1) == 2
     assert s.symbol_at(2) == 1
@@ -46,7 +50,7 @@ def test_periodic_symbol_at():
 
 
 def test_window_padded_symbol_at():
-    s = WindowPaddedSeq(FiniteWord((2,)), 0, 1)
+    s = window_padded((2,), 0, 1)
     assert s.symbol_at(0) == 2
     assert s.symbol_at(5) == 1
     assert s.symbol_at(-3) == 1
@@ -113,7 +117,7 @@ def test_seeded_universal_still_contains_every_word():
 
 def test_shift_moves_the_dot_right():
     # window ...1 1 1 . 2 1 1... : symbol 2 at position 1
-    s = WindowPaddedSeq(FiniteWord((2,)), 1, 1)
+    s = window_padded((2,), 1, 1)
     assert s.symbol_at(1) == 2
     shifted = s.shift(1)
     assert shifted.symbol_at(0) == 2
@@ -121,12 +125,12 @@ def test_shift_moves_the_dot_right():
 
 
 def test_shift_by_zero_is_identity():
-    for s in (periodic_point((1, 2)), WindowPaddedSeq(FiniteWord((2, 1)), -1, 2)):
+    for s in (periodic_point((1, 2)), window_padded((2, 1), -1, 2)):
         assert s.shift(0) == s
 
 
 def test_periodic_shift_by_period_is_structural_identity():
-    s = PeriodicSeq(FiniteWord((1, 2)), phase=0)
+    s = periodic((1, 2), phase=0)
     assert s.shift(2) == s
     assert s.shift(2).window(-5, 5) == s.window(-5, 5)
 
@@ -134,7 +138,7 @@ def test_periodic_shift_by_period_is_structural_identity():
 def test_shift_preserves_kind():
     cases = [
         periodic_point((1, 2, 2)),
-        WindowPaddedSeq(FiniteWord((1,)), 0, 2),
+        window_padded((1,), 0, 2),
         UniversalSeq(2),
         SplicedSeq(periodic_point((1,)), UniversalSeq(2)),
         FlippedSeq(periodic_point((2, 1)), 2),
@@ -278,7 +282,7 @@ def test_payload_round_trip(rng):
 # ---------------------------------------------------------------------------
 # Bulk windows against oracles that do not share their code: slices of the
 # materialized enumeration prefix, the entry positions of
-# `enumeration_position`, and the per-position loop of `BiSequence.window`.
+# `enumeration_position`, and the per-position reader `_ref_symbol` below.
 # ---------------------------------------------------------------------------
 
 PREFIX_LEN = 6000
@@ -362,13 +366,16 @@ def test_universal_window_at_large_offsets(m, seed):
     st.integers(min_value=-3, max_value=60),
 )
 def test_padded_and_periodic_windows_match_per_position_loop(m, symbols, anchor, pad, lo, width):
-    word = FiniteWord(tuple(min(s, m) for s in symbols))
+    word = tuple(min(s, m) for s in symbols)
     hi = lo + width - 1
-    seqs = [WindowPaddedSeq(word, anchor, min(pad, m))]
-    if len(word):
-        seqs.append(PeriodicSeq(word, anchor))
-    for s in seqs:
-        assert s.window(lo, hi) == BiSequence.window(s, lo, hi)
+    pad = min(pad, m)
+    cases = [(window_padded(word, anchor, pad), ("padded", word, anchor, pad))]
+    if word:
+        cases.append((periodic(word, anchor), ("periodic", word, anchor)))
+        parts = (word, word[1:], anchor, (pad,) + word)
+        cases.append((EventuallyPeriodicSeq(*parts), ("ep",) + parts))
+    for s, node in cases:
+        assert s.window(lo, hi) == tuple(_ref_symbol(node, j) for j in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +422,140 @@ def test_head_is_not_part_of_identity():
     assert sequence_from_payload(sequence_to_payload(u)) == u
     assert sequence_to_payload(u) == {"kind": "universal", "m": 3, "seed": 2 ** 63, "offset": 4}
     assert repr(u) == "UniversalSeq(m=3, seed=9223372036854775808, offset=4)"
+
+
+# ---------------------------------------------------------------------------
+# One eventually periodic kind: splices and flips of eventually periodic
+# inputs come out flat and canonical.  The oracle reads a description tree
+# position by position, sharing no code with the library.
+# ---------------------------------------------------------------------------
+
+
+def _ref_symbol(node, j):
+    kind = node[0]
+    if kind == "periodic":
+        _, block, phase = node
+        return block[(j - phase) % len(block)]
+    if kind == "padded":
+        _, word, start, pad = node
+        return word[j - start] if start <= j < start + len(word) else pad
+    if kind == "ep":
+        _, left, center, start, right = node
+        if start <= j < start + len(center):
+            return center[j - start]
+        if j < start:
+            return left[(j - start) % len(left)]
+        return right[(j - start - len(center)) % len(right)]
+    if kind == "splice":
+        _, past, future, offset = node
+        return _ref_symbol(past if j + offset <= 0 else future, j + offset)
+    if kind == "flip":
+        _, base, m = node
+        return _ref_symbol(base, j) % m + 1
+    _, base, steps = node  # "shift"
+    return _ref_symbol(base, j + steps)
+
+
+def _random_tree(rng, m, depth):
+    """(description, tree of SplicedSeq / FlippedSeq, flat form), shifted."""
+    def word(n):
+        return tuple(rng.randint(1, m) for _ in range(n))
+
+    kind = rng.randrange(5 if depth else 3)
+    if kind == 0:
+        block, phase = word(rng.randint(1, 4)), rng.randint(-5, 5)
+        node, tree = ("periodic", block, phase), periodic(block, phase)
+        flat = tree
+    elif kind == 1:
+        w, start, pad = word(rng.randint(0, 5)), rng.randint(-6, 6), rng.randint(1, m)
+        node, tree = ("padded", w, start, pad), window_padded(w, start, pad)
+        flat = tree
+    elif kind == 2:
+        parts = word(rng.randint(1, 3)), word(rng.randint(0, 4)), rng.randint(-4, 4), word(rng.randint(1, 3))
+        node, tree = ("ep",) + parts, EventuallyPeriodicSeq(*parts)
+        flat = tree
+    elif kind == 3:
+        (pn, pt, pf), (fn, ft, ff) = _random_tree(rng, m, depth - 1), _random_tree(rng, m, depth - 1)
+        offset = rng.randint(-5, 5)
+        node, tree, flat = ("splice", pn, fn, offset), SplicedSeq(pt, ft, offset), splice(pf, ff, offset)
+    else:
+        bn, bt, bf = _random_tree(rng, m, depth - 1)
+        node, tree, flat = ("flip", bn, m), FlippedSeq(bt, m), flip(bf, m)
+    steps = rng.randint(-8, 8)
+    return ("shift", node, steps), tree.shift(steps), flat.shift(steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from((2, 3)))
+def test_splices_and_flips_of_eventually_periodic_trees_are_flat(seed, m):
+    node, tree, flat = _random_tree(random.Random(seed), m, 3)
+    expected = tuple(_ref_symbol(node, j) for j in range(-40, 41))
+    assert isinstance(flat, EventuallyPeriodicSeq)
+    assert flat.window(-40, 40) == tree.window(-40, 40) == expected
+    # a payload of the tree reads back as the same flat form
+    assert sequence_from_payload(sequence_to_payload(tree)) == flat
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (window_padded((1,), 0, 1), window_padded((), 0, 1)),
+        (window_padded((2, 1, 1), -1, 1), window_padded((2,), -1, 1)),
+        (periodic((1, 2), 0), periodic((2, 1), 1)),
+        (EventuallyPeriodicSeq((1, 2), (1, 2), 5, (1, 2)), periodic_point((1, 2))),
+        (splice(periodic((2,)), window_padded((2, 1, 2))), EventuallyPeriodicSeq((2,), (1, 2), 2, (1,))),
+        # an empty center between different blocks: the right block
+        # continues the left one for a while, or forever
+        (EventuallyPeriodicSeq((1,), (), 1, (1, 2)), EventuallyPeriodicSeq((1,), (1,), 1, (2, 1))),
+        (EventuallyPeriodicSeq((1,), (), 3, (1, 1)), EventuallyPeriodicSeq((1,), (1, 1, 1), -2, (1, 1))),
+    ],
+)
+def test_two_descriptions_of_one_sequence_are_equal(a, b):
+    assert a == b
+    assert distance(a, b, MetricParams(0.3)) == DistanceBound(0.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from((2, 3)))
+def test_canonical_form_is_unique_for_given_block_lengths(seed, m):
+    """Any center window [a, b] around the stored one, read off the
+    sequence with blocks of the same lengths, describes the same value."""
+    rng = random.Random(seed)
+    parts = [tuple(rng.randint(1, m) for _ in range(rng.randint(lo, hi))) for lo, hi in ((1, 3), (0, 4), (1, 3))]
+    s = EventuallyPeriodicSeq(parts[0], parts[1], rng.randint(-4, 4), parts[2])
+    a = min(s.center_start, 1) - rng.randint(0, 6)
+    b = max(s.center_end, a - 1) + rng.randint(0, 6)
+    p, q = len(s.left_block), len(s.right_block)
+    other = EventuallyPeriodicSeq(s.window(a - p, a - 1), s.window(a, b), a, s.window(b + 1, b + q))
+    assert other == s
+
+
+def test_splice_stays_lazy_past_the_flat_cap():
+    far = _FLAT_SPLICE_CAP
+    near = window_padded((2,), 1 - far)  # the flat center spans positions 1 - far..0
+    assert isinstance(splice(near, window_padded(())), EventuallyPeriodicSeq)
+    past = window_padded((2,), -far)
+    lazy = splice(past, window_padded(()))
+    assert lazy == SplicedSeq(past, window_padded(()))
+    assert lazy.window(-far - 2, 3) == (1, 1, 2) + (1,) * (far + 3)
+    future = window_padded((2,), far + 1)
+    assert isinstance(splice(periodic((1,)), future, 5), SplicedSeq)
+
+
+def test_periodic_form_keeps_the_old_tails_and_block_length():
+    s = periodic((2, 1, 1, 2), -7)
+    assert (s.center, s.center_start, s.period) == (FiniteWord(()), 1, 4)
+    assert (s.left_tail(), s.right_tail()) == ((0, 4), (1, 4))
+    assert periodic((1, 1, 1)).period == 3  # never a shorter period
+
+
+def test_shift_keeps_the_center_length(rng):
+    for _ in range(40):
+        s = random_sequence(rng, 3)
+        if not isinstance(s, EventuallyPeriodicSeq):
+            continue
+        for n in (1, -3, 17, 10 ** 12):
+            shifted = s.shift(n)
+            assert len(shifted.center) == len(s.center)
+            assert shifted.center_start == (1 if s.period else s.center_start - n)
+            assert shifted.shift(-n) == s
