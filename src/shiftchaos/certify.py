@@ -3,13 +3,7 @@
 An unstable set collects all sequences sharing one fixed past (positions
 <= 0) with arbitrary futures.  On each such set the shift exhibits the
 three Devaney ingredients, recurrent (Poisson-stable style) motion, and
-scrambled pairs.  Every certificate constructed here is a plain data
-record: it stores the witnesses (as sequence payloads), the shift counts,
-the distances with their certified errors, and the tolerances used, and
-`verify_certificate` re-derives every numeric claim from the witnesses
-alone.
-
-Witness constructions:
+scrambled pairs.  Witness constructions:
 
 * transitivity: the member whose future is the universal enumeration
   visits any target cylinder after a closed-form number of shifts;
@@ -24,10 +18,16 @@ Witness constructions:
   blocks come arbitrarily close and separate beyond eps0, infinitely often
   at finite horizon.
 
-The CLI's four reports (diameter condition, separation, hyperbolic
-conditions, conjugacy) are pure functions of a few stored inputs: one
-builder per kind writes the payload, and the verifier rebuilds it whole
-from those inputs and compares it key by key.
+Every certificate, and every report of the CLI (diameter condition,
+separation, hyperbolic conditions, conjugacy), is the output of one pure
+payload function of a few inputs and, for certificates, the witnesses a
+search found: a shift count, a window depth k, return times, the proximal
+and distal times of a scrambled pair, or the given pair of a convergence
+check.  The writer calls it after its search; `verify_certificate` calls it
+on the inputs and witnesses stored in a file and compares the rebuilt
+payload with the stored one key by key, numbers exactly and sequences as
+sequences.  A claim the payload function refutes (AssertionError) is a
+failure; an input or witness past its size cap is a malformed certificate.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from .sequences import (
 SCHEMA_VERSION = 1  # of the certificate files the CLI writes and verifies
 _SCAN_CAP = 1 << 21
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
-_WINDOW_CAP = 1 << 20  # longest window a verifier reads up to a stored position
 
 
 @dataclass(frozen=True)
@@ -122,35 +121,63 @@ class VerificationResult:
 
 # ---------------------------------------------------------------------------
 # Witness constructions
+#
+# Each kind has a constructor, which searches for the witness, and a payload
+# function of the inputs and the witness, which derives every other stored
+# value and raises AssertionError when a claim fails.  The payload keeps its
+# sequences as objects; `_certificate` writes them as sequence payloads.
 # ---------------------------------------------------------------------------
+
+# Witness size caps.  A payload function refuses a larger stored size with
+# ValueError, so verifying any file ends with a verdict in bounded time.
+MAX_WINDOW = 1 << 20  # k (periodic_density, sensitivity) and li_yorke's horizon
+MAX_STEPS = 2048  # convergence n_max and Poisson depths: one distance per step
+
+
+def _bounded(name: str, value, lo: int, hi: int) -> int:
+    if type(value) is not int or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _certificate(kind: str, payload: dict) -> Certificate:
+    return Certificate(kind, {
+        key: sequence_to_payload(v) if isinstance(v, BiSequence) else v
+        for key, v in payload.items()
+    })
 
 
 def transitivity_witness(
     u_set: UnstableSetId, target: CylinderSet, seed: int = 0
 ) -> Certificate:
     """Shift count carrying the universal member of the set into `target`."""
+    shift_count = 0
+    if not target.is_whole:  # window start -k lands on the word's entry
+        shift_count = enumeration_position(u_set.alphabet.m, seed, target.fixed) - target.start
+    return _certificate("transitivity", transitivity_payload(u_set, target, seed, shift_count))
+
+
+def transitivity_payload(
+    u_set: UnstableSetId, target: CylinderSet, seed: int, shift_count: int
+) -> dict:
     if not (target.is_whole or target.is_two_sided):
         raise ValueError("transitivity targets are two-sided cylinders (or the whole space)")
-    member = universal_member(u_set, seed)
-    if target.is_whole:
-        shift_count = 0
-    else:
-        pos = enumeration_position(u_set.alphabet.m, seed, target.fixed)
-        shift_count = pos - target.start  # window start -k lands on the occurrence
-    observed = member.shift(shift_count).window(target.start, target.end)
-    if observed != target.fixed.symbols:
+    _bounded("shift_count", shift_count, 0, math.inf)
+    if not target.contains(universal_member(u_set, seed).shift(shift_count)):
         raise AssertionError("universal member missed the target window")
-    return Certificate(
-        "transitivity",
-        {
-            "m": u_set.alphabet.m,
-            "unstable_past": sequence_to_payload(u_set.past),
-            "universal_seed": seed,
-            "target_word": list(target.fixed),
-            "target_start": target.start,
-            "shift_count": shift_count,
-        },
-    )
+    return {
+        "m": u_set.alphabet.m,
+        "unstable_past": u_set.past,
+        "universal_seed": seed,
+        "target_word": list(target.fixed),
+        "target_start": target.start,
+        "shift_count": shift_count,
+    }
+
+
+def _window_threshold(j: int, p: MetricParams) -> float:
+    """Free weight outside [-j, j]: the recurrence threshold at depth j."""
+    return weight_below(-j - 1, p.r) + weight_above(j + 1, p.r)
 
 
 def periodic_density_witness(
@@ -160,29 +187,31 @@ def periodic_density_witness(
     with k chosen so the off-window weight drops below delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    degenerate = delta > space_diameter(p)
     k = 0
-    while weight_below(-k - 1, p.r) + weight_above(k + 1, p.r) >= delta:
+    while _window_threshold(k, p) >= delta:
         k += 1
-    block = s.window(-k, k)
-    witness = periodic(block, -k)
+    return _certificate("periodic_density", periodic_density_payload(s, delta, p, tol, k))
+
+
+def periodic_density_payload(
+    s: BiSequence, delta: float, p: MetricParams, tol: float, k: int
+) -> dict:
+    _bounded("k", k, 0, MAX_WINDOW)
+    witness = periodic(s.window(-k, k), -k)
     d = distance(s, witness, p, tol)
     if not d.value + d.error < delta:
         raise AssertionError("periodic witness missed its delta bound")
-    return Certificate(
-        "periodic_density",
-        {
-            "r": p.r,
-            "sequence": sequence_to_payload(s),
-            "delta": delta,
-            "k": k,
-            "witness": sequence_to_payload(witness),
-            "distance_value": d.value,
-            "distance_error": d.error,
-            "tolerance": tol,
-            "degenerate": degenerate,
-        },
-    )
+    return {
+        "r": p.r,
+        "sequence": s,
+        "delta": delta,
+        "k": k,
+        "witness": witness,
+        "distance_value": d.value,
+        "distance_error": d.error,
+        "tolerance": tol,
+        "degenerate": delta > space_diameter(p),
+    }
 
 
 def sensitivity_witness(
@@ -195,37 +224,37 @@ def sensitivity_witness(
     k = 0
     while weight_above(k + 1, p.r) >= eps:
         k += 1
-    partner = splice(s.shift(k), flip(s.shift(k), alphabet.m), -k)
+    return _certificate("sensitivity", sensitivity_payload(s, eps, alphabet, p, tol, k))
+
+
+def sensitivity_payload(
+    s: BiSequence, eps: float, alphabet: Alphabet, p: MetricParams, tol: float, k: int
+) -> dict:
+    _bounded("k", k, 0, MAX_WINDOW)
+    tail = s.shift(k)
+    partner = splice(tail, flip(tail, alphabet.m), -k)
     eps0 = weight(1, p.r)
     d_close = distance(s, partner, p, tol)
-    d_far = distance(s.shift(k), partner.shift(k), p, tol)
+    d_far = distance(tail, partner.shift(k), p, tol)
     if not d_close.value + d_close.error < eps:
         raise AssertionError("sensitivity partner not eps-close")
     if not d_far.value - d_far.error >= eps0:
         raise AssertionError("sensitivity divergence below the separation constant")
-    return Certificate(
-        "sensitivity",
-        {
-            "m": alphabet.m,
-            "r": p.r,
-            "sequence": sequence_to_payload(s),
-            "eps": eps,
-            "eps0": eps0,
-            "k": k,
-            "partner": sequence_to_payload(partner),
-            "close_value": d_close.value,
-            "close_error": d_close.error,
-            "far_value": d_far.value,
-            "far_error": d_far.error,
-            "tolerance": tol,
-            "degenerate": eps >= space_diameter(p),
-        },
-    )
-
-
-def _window_threshold(j: int, p: MetricParams) -> float:
-    """Free weight outside [-j, j]: the recurrence threshold at depth j."""
-    return weight_below(-j - 1, p.r) + weight_above(j + 1, p.r)
+    return {
+        "m": alphabet.m,
+        "r": p.r,
+        "sequence": s,
+        "eps": eps,
+        "eps0": eps0,
+        "k": k,
+        "partner": partner,
+        "close_value": d_close.value,
+        "close_error": d_close.error,
+        "far_value": d_far.value,
+        "far_error": d_far.error,
+        "tolerance": tol,
+        "degenerate": eps >= space_diameter(p),
+    }
 
 
 def poisson_recurrence_witness(
@@ -247,15 +276,11 @@ def poisson_recurrence_witness(
     used, whose agreement margin makes the threshold check unconditional.
     """
     p = p or MetricParams()
-    if depths < 1:
-        raise ValueError("depths must be >= 1")
+    _bounded("depths", depths, 1, MAX_STEPS)
     u = universal_member(u_set, seed)
     m = u_set.alphabet.m
     prefix = enumeration_prefix(m, seed, scan_cap)
     times: list[int] = []
-    thresholds: list[float] = []
-    values: list[float] = []
-    errors: list[float] = []
     prev_q = 0
     for j in range(1, depths + 1):
         word = bytes(u.window(-j, j))
@@ -270,33 +295,47 @@ def poisson_recurrence_witness(
                 break
             i = prefix.find(word, i + 1)
         if q is None:
-            extended = u.window(-j, j + 1)
-            q = enumeration_position(m, seed, extended)
+            q = enumeration_position(m, seed, u.window(-j, j + 1))
             if q < search_from:
                 raise AssertionError("return-time search lost monotonicity")
-            d = distance(u.shift(q + j), u, p, tol)
-            if not d.value + d.error < threshold:
-                raise AssertionError("recurrence distance exceeded its threshold")
         times.append(q + j)
-        thresholds.append(threshold)
+        prev_q = q
+    return _certificate(
+        "poisson_recurrence", poisson_recurrence_payload(u_set, depths, p, seed, tol, times)
+    )
+
+
+def poisson_recurrence_payload(
+    u_set: UnstableSetId, depths: int, p: MetricParams, seed: int, tol: float, times: list
+) -> dict:
+    _bounded("depths", depths, 1, MAX_STEPS)
+    if type(times) is not list or len(times) != depths:
+        raise ValueError("times must be a list of one return time per depth")
+    if any(a >= b for a, b in zip(times, times[1:])):
+        raise AssertionError("return times are not strictly increasing")
+    u = universal_member(u_set, seed)
+    thresholds: list[float] = []
+    values: list[float] = []
+    errors: list[float] = []
+    for j, n in enumerate(times, 1):
+        thresholds.append(_window_threshold(j, p))
+        d = distance(u.shift(_bounded("return time", n, 1, math.inf)), u, p, tol)
+        if not d.value + d.error < thresholds[-1]:
+            raise AssertionError(f"recurrence distance at depth {j} exceeded its threshold")
         values.append(d.value)
         errors.append(d.error)
-        prev_q = q
-    return Certificate(
-        "poisson_recurrence",
-        {
-            "m": m,
-            "r": p.r,
-            "unstable_past": sequence_to_payload(u_set.past),
-            "universal_seed": seed,
-            "depths": depths,
-            "times": times,
-            "thresholds": thresholds,
-            "distance_values": values,
-            "distance_errors": errors,
-            "tolerance": tol,
-        },
-    )
+    return {
+        "m": u_set.alphabet.m,
+        "r": p.r,
+        "unstable_past": u_set.past,
+        "universal_seed": seed,
+        "depths": depths,
+        "times": times,
+        "thresholds": thresholds,
+        "distance_values": values,
+        "distance_errors": errors,
+        "tolerance": tol,
+    }
 
 
 def _li_yorke_min_bound(r: float, horizon: int) -> float:
@@ -309,6 +348,20 @@ def _li_yorke_min_bound(r: float, horizon: int) -> float:
     return r ** max((1 << (big_j - 1)) - 2, 0) if big_j >= 1 else 1.0
 
 
+def _scrambled_pair(u_set: UnstableSetId, horizon: int) -> tuple[BiSequence, BiSequence]:
+    """Members of the set with futures constant 1 and, through horizon + 80,
+    alternating blocks of 2**j ones and 2**j twos."""
+    need = horizon + 80
+    pattern = bytearray()
+    j = 0
+    while len(pattern) < need:
+        pattern.extend(b"\x01" * (1 << j))
+        pattern.extend(b"\x02" * (1 << j))
+        j += 1
+    return (member_with_future(u_set, window_padded(())),
+            member_with_future(u_set, window_padded(pattern[:need])))
+
+
 def li_yorke_pair(
     u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float = 1e-12
 ) -> Certificate:
@@ -318,54 +371,46 @@ def li_yorke_pair(
     agrees on blocks of length 2**j and disagrees on blocks of length 2**j,
     alternating.  In the middle of the deepest agreement block inside the
     horizon the orbits come within r**(2**(J-1) - 2); at every disagreement
-    boundary they separate by at least eps0 = r.
+    boundary they separate by at least eps0 = r.  The witnesses are the
+    first times of the least and the greatest distance up to the horizon.
     """
-    if horizon < 10:
-        raise ValueError("horizon must be >= 10")
-    need = horizon + 80
-    pattern = bytearray()
-    j = 0
-    while len(pattern) < need:
-        pattern.extend(b"\x01" * (1 << j))
-        pattern.extend(b"\x02" * (1 << j))
-        j += 1
-    s = member_with_future(u_set, window_padded(()))
-    t = member_with_future(u_set, window_padded(pattern[:need]))
+    s, t = _scrambled_pair(u_set, _bounded("horizon", horizon, 10, MAX_WINDOW))
+    values = [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
+    min_time, max_time = values.index(min(values)) + 1, values.index(max(values)) + 1
+    return _certificate("li_yorke", li_yorke_payload(u_set, horizon, p, tol, min_time, max_time))
+
+
+def li_yorke_payload(
+    u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float, min_time: int, max_time: int
+) -> dict:
+    s, t = _scrambled_pair(u_set, _bounded("horizon", horizon, 10, MAX_WINDOW))
+    _bounded("min_time", min_time, 1, horizon)
+    _bounded("max_time", max_time, 1, horizon)
+    d_min = distance(s.shift(min_time), t.shift(min_time), p, tol)
+    d_max = distance(s.shift(max_time), t.shift(max_time), p, tol)
     min_bound = _li_yorke_min_bound(p.r, horizon)
     eps0 = weight(1, p.r)
-    min_value = min_error = math.inf
-    max_value = max_error = -math.inf
-    min_time = max_time = 0
-    for n in range(1, horizon + 1):
-        d = distance(s.shift(n), t.shift(n), p, tol)
-        if d.value < min_value:
-            min_value, min_error, min_time = d.value, d.error, n
-        if d.value > max_value:
-            max_value, max_error, max_time = d.value, d.error, n
-    if not min_value + min_error < min_bound:
-        raise AssertionError("scrambled pair never got close enough")
-    if not max_value - max_error >= eps0:
-        raise AssertionError("scrambled pair never separated")
-    return Certificate(
-        "li_yorke",
-        {
-            "m": u_set.alphabet.m,
-            "r": p.r,
-            "unstable_past": sequence_to_payload(u_set.past),
-            "s": sequence_to_payload(s),
-            "t": sequence_to_payload(t),
-            "horizon": horizon,
-            "min_time": min_time,
-            "min_value": min_value,
-            "min_error": min_error,
-            "min_bound": min_bound,
-            "max_time": max_time,
-            "max_value": max_value,
-            "max_error": max_error,
-            "eps0": eps0,
-            "tolerance": tol,
-        },
-    )
+    if not d_min.value + d_min.error < min_bound:
+        raise AssertionError("scrambled pair is not min_bound-close at min_time")
+    if not d_max.value - d_max.error >= eps0:
+        raise AssertionError("scrambled pair is not eps0-far at max_time")
+    return {
+        "m": u_set.alphabet.m,
+        "r": p.r,
+        "unstable_past": u_set.past,
+        "s": s,
+        "t": t,
+        "horizon": horizon,
+        "min_time": min_time,
+        "min_value": d_min.value,
+        "min_error": d_min.error,
+        "min_bound": min_bound,
+        "max_time": max_time,
+        "max_value": d_max.value,
+        "max_error": d_max.error,
+        "eps0": eps0,
+        "tolerance": tol,
+    }
 
 
 def stable_set_convergence(
@@ -373,7 +418,7 @@ def stable_set_convergence(
 ) -> Certificate:
     """Orbits of two points sharing a future converge under forward shifts:
     after n shifts every mismatch has weight at most r**(n+1)/(1-r)."""
-    return _convergence(s, t, n_max, p, tol, forward=True)
+    return _certificate("stable_convergence", convergence_payload(s, t, n_max, p, tol, True))
 
 
 def unstable_set_convergence(
@@ -381,14 +426,15 @@ def unstable_set_convergence(
 ) -> Certificate:
     """Mirror of stable_set_convergence under backward shifts for two points
     sharing a past."""
-    return _convergence(s, t, n_max, p, tol, forward=False)
+    return _certificate("unstable_convergence", convergence_payload(s, t, n_max, p, tol, False))
 
 
-def _convergence(
+def convergence_payload(
     s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float, forward: bool
-) -> Certificate:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+) -> dict:
+    """Distances of the two orbits after 0..n_max forward (stable) or
+    backward (unstable) shifts, each within its tail bound."""
+    _bounded("n_max", n_max, 1, MAX_STEPS)
     if forward:
         name, sign, lo, hi, side = "stable", 1, 1, n_max + _AGREEMENT_DEPTH, "stable set"
     else:
@@ -402,20 +448,16 @@ def _convergence(
         if not d.value <= bound + d.error:
             raise AssertionError(f"{name}-set distance exceeded its tail bound")
         rows.append({"n": n, "value": d.value, "error": d.error, "bound": bound})
-    final = rows[-1]
-    if not final["value"] < p.r ** (n_max - 1):
+    if not d.value < p.r ** (n_max - 1):
         raise AssertionError(f"{name}-set distance failed its terminal bound")
-    return Certificate(
-        f"{name}_convergence",
-        {
-            "r": p.r,
-            "s": sequence_to_payload(s),
-            "t": sequence_to_payload(t),
-            "n_max": n_max,
-            "rows": rows,
-            "tolerance": tol,
-        },
-    )
+    return {
+        "r": p.r,
+        "s": s,
+        "t": t,
+        "n_max": n_max,
+        "rows": rows,
+        "tolerance": tol,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +508,6 @@ def parse_number(text: str):
         return int(text)
     except ValueError:
         return float(text)
-
-
-def _bounded(name: str, value, lo: int, hi: int) -> int:
-    if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-    return value
 
 
 def diameter_payload(m: int, r: float, max_depth: int) -> dict:
@@ -549,169 +585,18 @@ def conjugacy_payload(hp: HorseshoeParams, depth: int, seed: int, samples: int) 
 
 
 # ---------------------------------------------------------------------------
-# Verification: re-derive every claim from stored witnesses
+# Verification: rebuild each payload from its stored inputs and witnesses
 # ---------------------------------------------------------------------------
-
-_VALUE_SLACK = 1e-12  # recomputation is deterministic; slack is defensive only
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _VALUE_SLACK
-
-
-def _recomputes(dist, value: float, error: float) -> bool:
-    """A stored distance value and its error bound match the recomputation."""
-    return _close(dist.value, value) and _close(dist.error, error)
-
-
-def _verify_transitivity(d: dict, failures: list[str]) -> None:
-    alphabet = Alphabet(d["m"])
-    u_set = UnstableSetId(alphabet, sequence_from_payload(d["unstable_past"]))
-    member = universal_member(u_set, d["universal_seed"])
-    word = tuple(d["target_word"])
-    start = d["target_start"]
-    shifted = member.shift(d["shift_count"])
-    if shifted.window(start, start + len(word) - 1) != word:
-        failures.append("shifted member does not carry the target word")
-    if word and d["shift_count"] < 0:
-        failures.append("shift count is not forward")
-
-
-def _verify_periodic_density(d: dict, failures: list[str]) -> None:
-    p = MetricParams(d["r"])
-    s = sequence_from_payload(d["sequence"])
-    witness = sequence_from_payload(d["witness"])
-    k = d["k"]
-    if getattr(witness, "period", None) != 2 * k + 1:  # also bounds k by the stored block
-        failures.append("witness period does not match its window")
-        return
-    if witness.window(-k, k) != s.window(-k, k):
-        failures.append("witness window does not replicate the sequence")
-    dist = distance(s, witness, p, d["tolerance"])
-    if not _recomputes(dist, d["distance_value"], d["distance_error"]):
-        failures.append("stored distance does not recompute")
-    if not dist.value + dist.error < d["delta"]:
-        failures.append("distance does not beat delta")
-    if d["degenerate"] is not (d["delta"] > space_diameter(p)):
-        failures.append("stored degenerate flag does not recompute")
-
-
-def _verify_sensitivity(d: dict, failures: list[str]) -> None:
-    p = MetricParams(d["r"])
-    s = sequence_from_payload(d["sequence"])
-    partner = sequence_from_payload(d["partner"])
-    k = _bounded("k", d["k"], 0, _WINDOW_CAP)
-    lo = -_AGREEMENT_DEPTH
-    if s.window(lo, k) != partner.window(lo, k):
-        failures.append("partner does not agree with the sequence through position k")
-    hi, m = k + _AGREEMENT_DEPTH, Alphabet(d["m"]).m
-    if partner.window(k + 1, hi) != tuple(a % m + 1 for a in s.window(k + 1, hi)):
-        failures.append("partner is not the flip mod m beyond position k")
-    d_close = distance(s, partner, p, d["tolerance"])
-    d_far = distance(s.shift(k), partner.shift(k), p, d["tolerance"])
-    if not _recomputes(d_close, d["close_value"], d["close_error"]):
-        failures.append("stored close distance does not recompute")
-    if not _recomputes(d_far, d["far_value"], d["far_error"]):
-        failures.append("stored divergence distance does not recompute")
-    if not d_close.value + d_close.error < d["eps"]:
-        failures.append("partner is not eps-close")
-    if d["degenerate"] is not (d["eps"] >= space_diameter(p)):
-        failures.append("stored degenerate flag does not recompute")
-    eps0 = weight(1, p.r)
-    if not _close(eps0, d["eps0"]):
-        failures.append("stored eps0 is not the separation constant w(1)")
-    if not d_far.value - d_far.error >= eps0:
-        failures.append("divergence below eps0")
-
-
-def _verify_poisson(d: dict, failures: list[str]) -> None:
-    p = MetricParams(d["r"])
-    alphabet = Alphabet(d["m"])
-    u_set = UnstableSetId(alphabet, sequence_from_payload(d["unstable_past"]))
-    u = universal_member(u_set, d["universal_seed"])
-    depths = _bounded("depths", d["depths"], 1, _WINDOW_CAP)
-    columns = [d[key] for key in ("times", "thresholds", "distance_values", "distance_errors")]
-    if any(len(column) != depths for column in columns):
-        failures.append("stored lists do not hold one entry per depth")
-        return
-    times, thresholds = columns[:2]
-    if sorted(set(times)) != times:
-        failures.append("return times are not strictly increasing")
-    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
-        failures.append("thresholds are not strictly decreasing")
-    for j, (n, thr, val, err) in enumerate(zip(*columns), 1):
-        dist = distance(u.shift(n), u, p, d["tolerance"])
-        if not _recomputes(dist, val, err):
-            failures.append(f"distance at depth {j} does not recompute")
-        if not dist.value + dist.error < thr:
-            failures.append(f"distance at depth {j} misses its threshold")
-        if not _close(thr, _window_threshold(j, p)):
-            failures.append(f"threshold at depth {j} is not the window tail weight")
-
-
-def _verify_li_yorke(d: dict, failures: list[str]) -> None:
-    p = MetricParams(d["r"])
-    s = sequence_from_payload(d["s"])
-    t = sequence_from_payload(d["t"])
-    if s == t:
-        failures.append("degenerate pair: the two sequences are identical")
-        return
-    past = UnstableSetId(Alphabet(d["m"]), sequence_from_payload(d["unstable_past"])).past
-    lo = -_AGREEMENT_DEPTH
-    if not s.window(lo, 0) == t.window(lo, 0) == past.window(lo, 0):
-        failures.append(f"the pair does not share the unstable past (checked positions {lo}..0)")
-    horizon = d["horizon"]
-    if not isinstance(horizon, int) or horizon < 10:
-        raise ValueError(f"horizon must be an integer >= 10, got {horizon!r}")
-    min_bound = _li_yorke_min_bound(p.r, horizon)
-    eps0 = weight(1, p.r)
-    if not _close(min_bound, d["min_bound"]):
-        failures.append("stored proximity bound does not recompute")
-    if not _close(eps0, d["eps0"]):
-        failures.append("stored eps0 is not the separation constant w(1)")
-    d_min = distance(s.shift(d["min_time"]), t.shift(d["min_time"]), p, d["tolerance"])
-    d_max = distance(s.shift(d["max_time"]), t.shift(d["max_time"]), p, d["tolerance"])
-    if not _recomputes(d_min, d["min_value"], d["min_error"]):
-        failures.append("stored proximal distance does not recompute")
-    if not _recomputes(d_max, d["max_value"], d["max_error"]):
-        failures.append("stored distal distance does not recompute")
-    if not d_min.value + d_min.error < min_bound:
-        failures.append("proximal distance misses its bound")
-    if not d_max.value - d_max.error >= eps0:
-        failures.append("distal distance below eps0")
-    if not (1 <= d["min_time"] <= horizon and 1 <= d["max_time"] <= horizon):
-        failures.append("witness times outside the horizon")
-
-
-def _verify_convergence(d: dict, failures: list[str], forward: bool) -> None:
-    p = MetricParams(d["r"])
-    s = sequence_from_payload(d["s"])
-    t = sequence_from_payload(d["t"])
-    sign = 1 if forward else -1
-    n_max, rows = d["n_max"], d["rows"]
-    if n_max < 1 or len(rows) != n_max + 1 or any(row["n"] != n for n, row in enumerate(rows)):
-        failures.append("rows do not run over n = 0..n_max")
-        return
-    for row in rows:
-        n = row["n"]
-        dist = distance(s.shift(sign * n), t.shift(sign * n), p, d["tolerance"])
-        bound = weight_below(-n, p.r) if forward else weight_above(n + 1, p.r)
-        if not _recomputes(dist, row["value"], row["error"]):
-            failures.append(f"distance at n={n} does not recompute")
-        if not _close(bound, row["bound"]):
-            failures.append(f"bound at n={n} is not the tail weight")
-        if not dist.value <= bound + dist.error:
-            failures.append(f"distance at n={n} exceeds its bound")
-    if not dist.value < p.r ** (n_max - 1):
-        failures.append("terminal distance misses its bound")
-
 
 _MISSING = object()
 
 
 def _same(fresh, stored) -> bool:
-    """JSON equality that tells true from 1 and 1.0 from 1.  Recursion
-    follows `fresh`, so a deeply nested stored value costs one step."""
+    """JSON equality that tells true from 1 and 1.0 from 1; sequences are
+    equal as values.  Recursion follows `fresh`, so a deeply nested stored
+    value costs one step."""
+    if fresh is stored:  # an input the payload echoes
+        return True
     if type(fresh) is not type(stored):
         return False
     if type(fresh) is list:
@@ -722,19 +607,37 @@ def _same(fresh, stored) -> bool:
 
 
 def _rebuilt(build, *verdicts):
-    """Verifier of a report kind: rebuild the payload from the inputs stored
-    in it, name every key whose stored value differs, and require each of
-    `verdicts` to be true in the rebuilt payload."""
+    """Verifier of a kind: rebuild the payload from the inputs and witnesses
+    stored in it, name every key whose stored value differs, and require
+    each of `verdicts` to be true in the rebuilt payload.  The objects at
+    the top level of a payload are sequence payloads: they are parsed
+    before the rebuild and compared as sequences.  A claim that the rebuild
+    refutes (AssertionError) is a failure."""
 
-    def verify(d: dict, failures: list[str]) -> None:
-        fresh = build(d)
-        failures.extend(
-            f"stored {key} does not recompute" for key in sorted(fresh.keys() | d.keys())
-            if not _same(fresh.get(key, _MISSING), d.get(key, _MISSING))
-        )
+    def verify(data: dict, failures: list[str]) -> None:
+        d = {k: sequence_from_payload(v) if type(v) is dict else v for k, v in data.items()}
+        try:
+            fresh = build(d)
+        except AssertionError as exc:
+            failures.append(str(exc))
+            return
+        differ = [key for key, value in fresh.items() if not _same(value, d.get(key, _MISSING))]
+        differ += d.keys() - fresh.keys()
+        failures.extend(f"stored {key} does not recompute" for key in sorted(differ))
         failures.extend(f"recomputed {key} is false" for key in verdicts if not fresh[key])
 
     return verify
+
+
+def _seq(d: dict, key: str) -> BiSequence:
+    """A sequence input of a payload that `_rebuilt` parsed."""
+    if not isinstance(d[key], BiSequence):
+        raise TypeError(f"{key} is not a sequence payload")
+    return d[key]
+
+
+def _unstable_set(d: dict) -> UnstableSetId:
+    return UnstableSetId(Alphabet(d["m"]), _seq(d, "unstable_past"))
 
 
 def _horseshoe_params(d: dict) -> HorseshoeParams:
@@ -743,14 +646,34 @@ def _horseshoe_params(d: dict) -> HorseshoeParams:
     return HorseshoeParams(parse_number(d["lambda"]), parse_number(d["mu"]))
 
 
+def _rebuilt_convergence(forward: bool):
+    return _rebuilt(lambda d: convergence_payload(
+        _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), d["tolerance"], forward
+    ))
+
+
 _VERIFIERS = {
-    "transitivity": _verify_transitivity,
-    "periodic_density": _verify_periodic_density,
-    "sensitivity": _verify_sensitivity,
-    "poisson_recurrence": _verify_poisson,
-    "li_yorke": _verify_li_yorke,
-    "stable_convergence": lambda d, f: _verify_convergence(d, f, True),
-    "unstable_convergence": lambda d, f: _verify_convergence(d, f, False),
+    "transitivity": _rebuilt(lambda d: transitivity_payload(
+        _unstable_set(d), CylinderSet(d["target_word"], d["target_start"]),
+        d["universal_seed"], d["shift_count"],
+    )),
+    "periodic_density": _rebuilt(lambda d: periodic_density_payload(
+        _seq(d, "sequence"), d["delta"], MetricParams(d["r"]), d["tolerance"], d["k"]
+    )),
+    "sensitivity": _rebuilt(lambda d: sensitivity_payload(
+        _seq(d, "sequence"), d["eps"], Alphabet(d["m"]), MetricParams(d["r"]), d["tolerance"],
+        d["k"],
+    )),
+    "poisson_recurrence": _rebuilt(lambda d: poisson_recurrence_payload(
+        _unstable_set(d), d["depths"], MetricParams(d["r"]), d["universal_seed"],
+        d["tolerance"], d["times"],
+    )),
+    "li_yorke": _rebuilt(lambda d: li_yorke_payload(
+        _unstable_set(d), d["horizon"], MetricParams(d["r"]), d["tolerance"],
+        d["min_time"], d["max_time"],
+    )),
+    "stable_convergence": _rebuilt_convergence(True),
+    "unstable_convergence": _rebuilt_convergence(False),
     "diameter_condition": _rebuilt(
         lambda d: diameter_payload(d["m"], d["r"], d["max_depth"]),
         "strictly_decreasing", "matches_prediction",

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from . import certify as cert
 from .horseshoe import (
+    RECTANGLE_CAP,
     EscapeError,
     HorseshoeParams,
     PlanePoint,
@@ -84,15 +85,13 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if self.k < 0 or self.n < 1:
             raise ConfigError("need k >= 0 and n >= 1")
-        if 2 ** (self.k + 1 + self.n) > 1 << 20:
+        if 2 ** (self.k + 1 + self.n) > RECTANGLE_CAP:
             raise ConfigError("rectangle cap exceeded: k + n too deep")
-        if self.horizon < 10:
-            raise ConfigError("horizon must be >= 10")
         if not (0 <= self.seed < 1 << 64):
             raise ConfigError("seed must fit in 64 bits")
-        if self.recurrence_depth < 1:
-            raise ConfigError("recurrence_depth must be >= 1")
         for name, lo, hi in (
+            ("horizon", 10, cert.MAX_WINDOW),
+            ("recurrence_depth", 1, cert.MAX_STEPS),
             ("metric_depth", 1, cert.MAX_METRIC_DEPTH),
             ("conjugacy_depth", 2, cert.MAX_CONJUGACY_DEPTH),
             ("conjugacy_samples", 0, cert.MAX_CONJUGACY_SAMPLES),
@@ -127,7 +126,16 @@ _CONFIG_KEYS = {
 _KEY_TO_FIELD = {"lambda": "lam"}
 
 
+def _parse_value(key: str, text: str, where: str):
+    try:
+        return _CONFIG_KEYS[key](text)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def load_config(path: Path | None, overrides: dict) -> RunConfig:
+    """The run configuration: `path` (a config file), then `overrides` (a
+    config key to a value; text is parsed as in the file, None is unset)."""
     values: dict = {}
     if path is not None:
         try:
@@ -144,13 +152,12 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](val)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            values[_KEY_TO_FIELD.get(key, key)] = _parse_value(key, val, f"{path}:{lineno}")
     for key, val in overrides.items():
+        if isinstance(val, str):
+            val = _parse_value(key, val, "command line")
         if val is not None:
-            values[key] = val
+            values[_KEY_TO_FIELD.get(key, key)] = val
     try:
         config = RunConfig(**values)
     except TypeError as exc:
@@ -426,35 +433,17 @@ def _verify_file(path: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Flags that set a config key, as text for the key's config-file parser.
+_FLAG_KEYS = ("out", "formats", "seed", "m", "r", "lambda", "mu", "k", "n", "horizon", "tol")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None)
-    sub.add_argument("--out", type=Path, default=None)
-    sub.add_argument("--format", dest="formats", default=None,
-                     help="comma list from json,csv,svg")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--r", type=str, default=None)
-    sub.add_argument("--lam", "--lambda", dest="lam", type=str, default=None)
-    sub.add_argument("--mu", type=str, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--horizon", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=None)
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in ("out", "seed", "m", "k", "n", "horizon", "tol"):
-        out[key] = getattr(args, key, None)
-    if getattr(args, "formats", None) is not None:
-        out["formats"] = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    if getattr(args, "r", None) is not None:
-        out["r"] = float(Fraction(args.r)) if "/" in args.r else float(args.r)
-    for key in ("lam", "mu"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = cert.parse_number(val)
-    return out
+    sub.add_argument("--out")
+    sub.add_argument("--format", dest="formats", help="comma list from json,csv,svg")
+    sub.add_argument("--lam", "--lambda", dest="lambda")
+    for key in ("seed", "m", "r", "mu", "k", "n", "horizon", "tol"):
+        sub.add_argument(f"--{key}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -480,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = load_config(args.config, _overrides(args))
+        config = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS})
         if args.command == "certify":
             return cmd_certify(config)
         if args.command == "horseshoe":

@@ -520,6 +520,8 @@ def locate_block(u: UniversalSeq, word) -> int:
 
 def sequence_to_payload(s: BiSequence) -> dict:
     if isinstance(s, EventuallyPeriodicSeq):
+        if s.period is not None:  # canonical: block[0] at position center_start
+            return {"kind": "periodic", "block": list(s.right_block), "phase": s.center_start}
         return {
             "kind": "eventually_periodic",
             "left_block": list(s.left_block),
@@ -545,8 +547,8 @@ _PAYLOAD_DEPTH_CAP = 64  # nesting levels a payload may use
 
 
 def sequence_from_payload(d: dict) -> BiSequence:
-    """Read a payload of any kind, the `periodic` and `window_padded` kinds
-    of older files included; splices and flips come out flat when they can."""
+    """Read a payload of any kind, the `window_padded` kind of older files
+    included; splices and flips come out flat when they can."""
     return _from_payload(d, 1)
 
 

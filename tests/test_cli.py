@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from itertools import product
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from shiftchaos.certify import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
     MAX_METRIC_DEPTH,
+    MAX_STEPS,
+    MAX_WINDOW,
     verify_certificate,
 )
 from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
@@ -232,7 +235,12 @@ def test_verify_payload_without_data_is_usage_error(fresh_outputs, tmp_path, cap
         ("h/conjugacy_report.json", "depth", MAX_CONJUGACY_DEPTH + 1, "malformed certificate"),
         ("h/conjugacy_report.json", "samples", MAX_CONJUGACY_SAMPLES + 1, "malformed certificate"),
         ("c/sensitivity_s0_e0.json", "k", 1 << 40, "malformed certificate"),
-        ("c/periodic_density_s0_d0.json", "k", 1 << 40, "witness period does not match"),
+        ("c/periodic_density_s0_d0.json", "k", 1 << 40, "malformed certificate"),
+        ("c/periodic_density_s0_d0.json", "k", MAX_WINDOW + 1, "malformed certificate"),
+        ("c/li_yorke.json", "horizon", MAX_WINDOW + 1, "malformed certificate"),
+        ("c/stable_convergence.json", "n_max", MAX_STEPS + 1, "malformed certificate"),
+        ("c/unstable_convergence.json", "n_max", 1 << 40, "malformed certificate"),
+        ("c/poisson_recurrence.json", "depths", MAX_STEPS + 1, "malformed certificate"),
         # 10**27 words are too many for the exhaustive separation oracle
         ("c/separation_n3.json", "m", 10 ** 9, "stored exhaustive_at_low_degree does not"),
         # exact powers of a 17-bit lambda at the depth cap take seconds
@@ -246,8 +254,72 @@ def test_verify_bounds_the_work_of_stored_sizes(
     path.write_text((fresh_outputs / name).read_text())
     _tamper(path, _set(key, value))
     capsys.readouterr()
+    start = time.perf_counter()
     assert run("--verify", str(path)) == 1
+    assert time.perf_counter() - start < 0.5
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, key, edit, claim",
+    [
+        ("transitivity_s0_t0.json", "shift_count", 0, "universal member missed the target window"),
+        ("periodic_density_s0_d0.json", "k", 0, "periodic witness missed its delta bound"),
+        ("sensitivity_s0_e0.json", "k", 0, "sensitivity partner not eps-close"),
+        ("poisson_recurrence.json", "times", lambda times: [2] + times[1:],
+         "recurrence distance at depth 1 exceeded its threshold"),
+        ("li_yorke.json", "min_time", 1, "scrambled pair is not min_bound-close at min_time"),
+    ],
+)
+def test_verify_reports_a_refuted_claim_as_a_failure(
+    fresh_outputs, tmp_path, capsys, name, key, edit, claim
+):
+    path = tmp_path / name
+    path.write_text((fresh_outputs / "c" / name).read_text())
+    _tamper(path, lambda data: data.__setitem__(key, edit(data[key]) if callable(edit) else edit))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [f"  - {claim}"]
+
+
+# Every stored key of a certificate that is neither an input nor a witness.
+DERIVED_KEYS = {
+    "transitivity_s0_t0.json": (),
+    "periodic_density_s0_d0.json": ("witness", "distance_value", "distance_error", "degenerate"),
+    "sensitivity_s0_e0.json": (
+        "eps0", "partner", "close_value", "close_error", "far_value", "far_error", "degenerate",
+    ),
+    "poisson_recurrence.json": ("thresholds", "distance_values", "distance_errors"),
+    "li_yorke.json": (
+        "s", "t", "min_value", "min_error", "min_bound", "max_value", "max_error", "eps0",
+    ),
+    "stable_convergence.json": ("rows",),
+    "unstable_convergence.json": ("rows",),
+}
+
+
+def _other(value):
+    """A JSON value of the same kind as `value` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, float):
+        return value + 0.25
+    if isinstance(value, list):
+        return value + value[-1:]
+    return {"kind": "periodic", "block": [2, 1, 1], "phase": 1}  # a sequence payload
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_KEYS))
+def test_verify_rebuilds_every_derived_key(fresh_outputs, name):
+    stored = json.loads((fresh_outputs / "c" / name).read_text())
+    assert verify_certificate(stored).ok
+    for key in DERIVED_KEYS[name] + ("note",):
+        for edit in (lambda d: d.__setitem__(key, _other(d.get(key, 1.0))), lambda d: d.pop(key, None)):
+            payload = json.loads(json.dumps(stored))
+            edit(payload["data"])
+            if payload == stored:
+                continue  # deleting a key that is not stored
+            assert verify_certificate(payload).failures == (f"stored {key} does not recompute",)
 
 
 @pytest.mark.parametrize("schema", [None, "1", True, 99, 1.0], ids=["missing", "string", "true", "99", "float"])
@@ -359,6 +431,17 @@ def test_config_rejects_sizes_past_their_caps_and_infinite_mu(tmp_path, capsys, 
         assert run(command, "--config", str(cfg), "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--r", "abc"), ("--lam", "abc"), ("--r", "1/0"), ("--mu", "1/0")]
+)
+def test_malformed_numeric_flag_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mu", ["inf", "1e400", "nan"])
@@ -688,7 +771,7 @@ def test_verify_survives_one_mutated_leaf(fresh_outputs, data):
     path.write_text(json.dumps(payload))
     code = verify_file(path, quiet=True)
     if name not in REPORT_FILES:
-        assert code in (0, 1, 2)
+        assert code in (0, 1)
     elif leaf == ("m",):
         # the diameter and separation tables are the same for every alphabet
         # size, so another valid m recomputes to the mutated report

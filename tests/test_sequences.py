@@ -279,6 +279,14 @@ def test_payload_round_trip(rng):
     assert sequence_from_payload(sequence_to_payload(composite)) == composite
 
 
+def test_periodic_sequences_are_written_as_the_periodic_kind():
+    s = periodic((1, 2, 2), 5)
+    payload = sequence_to_payload(s)
+    assert payload == {"kind": "periodic", "block": list(s.right_block), "phase": 1}
+    assert sequence_from_payload(payload) == s
+    assert sequence_to_payload(window_padded((2,), 0))["kind"] == "eventually_periodic"
+
+
 # ---------------------------------------------------------------------------
 # Bulk windows against oracles that do not share their code: slices of the
 # materialized enumeration prefix, the entry positions of
