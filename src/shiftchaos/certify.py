@@ -43,6 +43,7 @@ from .metric import (
     MetricParams,
     check_diameter_condition,
     check_separation,
+    check_tolerance,
     distance,
     separation_holds_everywhere,
     set_distance,
@@ -69,6 +70,7 @@ from .sequences import (
 
 SCHEMA_VERSION = 1  # of the certificate files the CLI writes and verifies
 _SCAN_CAP = 1 << 21
+MAX_SCAN_ALPHABET = 255  # the Poisson scan reads the enumeration as bytes
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
 
 
@@ -132,12 +134,27 @@ class VerificationResult:
 # ValueError, so verifying any file ends with a verdict in bounded time.
 MAX_WINDOW = 1 << 20  # k (periodic_density, sensitivity) and li_yorke's horizon
 MAX_STEPS = 2048  # convergence n_max and Poisson depths: one distance per step
+# Steps times the truncation depth at (r, tol): a distance with a universal
+# side reads windows that long, which grow like 1/(1 - r).
+MAX_STEP_SYMBOLS = 1 << 22
 
 
 def _bounded(name: str, value, lo: int, hi: int) -> int:
     if type(value) is not int or not lo <= value <= hi:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return value
+
+
+def check_steps(name: str, steps, p: MetricParams, tol: float) -> int:
+    """`steps` distances at (p.r, tol): at most MAX_STEPS, and within the
+    symbol budget MAX_STEP_SYMBOLS."""
+    depth = check_tolerance(p.r, tol)
+    if _bounded(name, steps, 1, MAX_STEPS) * depth > MAX_STEP_SYMBOLS:
+        raise ValueError(
+            f"{name} {steps} at truncation depth {depth} (r={p.r!r}, tol={tol!r}) "
+            f"exceeds the budget of {MAX_STEP_SYMBOLS} symbols"
+        )
+    return steps
 
 
 def _certificate(kind: str, payload: dict) -> Certificate:
@@ -276,7 +293,7 @@ def poisson_recurrence_witness(
     used, whose agreement margin makes the threshold check unconditional.
     """
     p = p or MetricParams()
-    _bounded("depths", depths, 1, MAX_STEPS)
+    check_steps("depths", depths, p, tol)
     u = universal_member(u_set, seed)
     m = u_set.alphabet.m
     prefix = enumeration_prefix(m, seed, scan_cap)
@@ -308,7 +325,7 @@ def poisson_recurrence_witness(
 def poisson_recurrence_payload(
     u_set: UnstableSetId, depths: int, p: MetricParams, seed: int, tol: float, times: list
 ) -> dict:
-    _bounded("depths", depths, 1, MAX_STEPS)
+    check_steps("depths", depths, p, tol)
     if type(times) is not list or len(times) != depths:
         raise ValueError("times must be a list of one return time per depth")
     if any(a >= b for a, b in zip(times, times[1:])):
@@ -434,7 +451,7 @@ def convergence_payload(
 ) -> dict:
     """Distances of the two orbits after 0..n_max forward (stable) or
     backward (unstable) shifts, each within its tail bound."""
-    _bounded("n_max", n_max, 1, MAX_STEPS)
+    check_steps("n_max", n_max, p, tol)
     if forward:
         name, sign, lo, hi, side = "stable", 1, 1, n_max + _AGREEMENT_DEPTH, "stable set"
     else:
@@ -636,6 +653,13 @@ def _seq(d: dict, key: str) -> BiSequence:
     return d[key]
 
 
+def _positive(d: dict, key: str) -> float:
+    """A stored delta, eps or tolerance: a finite positive float."""
+    if type(d[key]) is not float or not 0 < d[key] < math.inf:
+        raise ValueError(f"{key} must be a finite positive float, got {d[key]!r}")
+    return d[key]
+
+
 def _unstable_set(d: dict) -> UnstableSetId:
     return UnstableSetId(Alphabet(d["m"]), _seq(d, "unstable_past"))
 
@@ -648,7 +672,8 @@ def _horseshoe_params(d: dict) -> HorseshoeParams:
 
 def _rebuilt_convergence(forward: bool):
     return _rebuilt(lambda d: convergence_payload(
-        _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), d["tolerance"], forward
+        _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), _positive(d, "tolerance"),
+        forward,
     ))
 
 
@@ -658,18 +683,19 @@ _VERIFIERS = {
         d["universal_seed"], d["shift_count"],
     )),
     "periodic_density": _rebuilt(lambda d: periodic_density_payload(
-        _seq(d, "sequence"), d["delta"], MetricParams(d["r"]), d["tolerance"], d["k"]
+        _seq(d, "sequence"), _positive(d, "delta"), MetricParams(d["r"]),
+        _positive(d, "tolerance"), d["k"],
     )),
     "sensitivity": _rebuilt(lambda d: sensitivity_payload(
-        _seq(d, "sequence"), d["eps"], Alphabet(d["m"]), MetricParams(d["r"]), d["tolerance"],
-        d["k"],
+        _seq(d, "sequence"), _positive(d, "eps"), Alphabet(d["m"]), MetricParams(d["r"]),
+        _positive(d, "tolerance"), d["k"],
     )),
     "poisson_recurrence": _rebuilt(lambda d: poisson_recurrence_payload(
         _unstable_set(d), d["depths"], MetricParams(d["r"]), d["universal_seed"],
-        d["tolerance"], d["times"],
+        _positive(d, "tolerance"), d["times"],
     )),
     "li_yorke": _rebuilt(lambda d: li_yorke_payload(
-        _unstable_set(d), d["horizon"], MetricParams(d["r"]), d["tolerance"],
+        _unstable_set(d), d["horizon"], MetricParams(d["r"]), _positive(d, "tolerance"),
         d["min_time"], d["max_time"],
     )),
     "stable_convergence": _rebuilt_convergence(True),

@@ -70,7 +70,7 @@ class RunConfig:
     conjugacy_depth: int = 20
     conjugacy_samples: int = 25
 
-    def validate(self) -> None:
+    def validate(self, command: str | None = None) -> None:
         try:
             Alphabet(self.m)
             MetricParams(self.r)
@@ -101,6 +101,17 @@ class RunConfig:
         bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
         if bad:
             raise ConfigError(f"unknown output formats: {bad}")
+        if command != "certify":
+            return
+        if self.m > cert.MAX_SCAN_ALPHABET:
+            raise ConfigError(f"certify needs m <= {cert.MAX_SCAN_ALPHABET}: its Poisson scan "
+                              "stores symbols as bytes")
+        try:  # so that its Poisson and convergence files stay within their caps
+            p = MetricParams(self.r)
+            cert.check_steps("recurrence_depth", self.recurrence_depth, p, self.tol)
+            cert.check_steps("convergence n_max", _CONVERGENCE_STEPS, p, self.tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _CONFIG_KEYS = {
@@ -133,9 +144,10 @@ def _parse_value(key: str, text: str, where: str):
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
-def load_config(path: Path | None, overrides: dict) -> RunConfig:
+def load_config(path: Path | None, overrides: dict, command: str | None = None) -> RunConfig:
     """The run configuration: `path` (a config file), then `overrides` (a
-    config key to a value; text is parsed as in the file, None is unset)."""
+    config key to a value; text is parsed as in the file, None is unset),
+    validated for `command`."""
     values: dict = {}
     if path is not None:
         try:
@@ -162,7 +174,7 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
         config = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    config.validate()
+    config.validate(command)
     return config
 
 
@@ -183,6 +195,9 @@ def _float_str(v) -> str:
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
+
+
+_CONVERGENCE_STEPS = 20  # n_max of the two convergence certificates
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -222,11 +237,11 @@ def cmd_certify(config: RunConfig) -> int:
             shared_future = window_padded((2, 1, 2))
             s_conv = cert.member_with_future(u_set, shared_future)
             t_conv = splice(periodic((2,)), shared_future)
-            c = cert.stable_set_convergence(s_conv, t_conv, 20, p, config.tol)
+            c = cert.stable_set_convergence(s_conv, t_conv, _CONVERGENCE_STEPS, p, config.tol)
             files.append(("stable_convergence.json", c.kind, c.data))
             u1 = cert.member_with_future(u_set, window_padded((1, 2)))
             u2 = cert.member_with_future(u_set, window_padded((2, 1)))
-            c = cert.unstable_set_convergence(u1, u2, 20, p, config.tol)
+            c = cert.unstable_set_convergence(u1, u2, _CONVERGENCE_STEPS, p, config.tol)
             files.append(("unstable_convergence.json", c.kind, c.data))
 
     status = 0
@@ -469,7 +484,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS})
+        config = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS},
+                             args.command)
         if args.command == "certify":
             return cmd_certify(config)
         if args.command == "horseshoe":

@@ -141,10 +141,10 @@ def _truncation_depth(r: float, half_tol: float) -> int:
     return k
 
 
-def check_tolerance(r: float, tol: float) -> None:
-    """Raise ValueError when `distance` at weight base r and tolerance tol
-    would need a truncation depth above `_MAX_TRUNCATION_DEPTH`."""
-    _truncation_depth(r, tol / 2)
+def check_tolerance(r: float, tol: float) -> int:
+    """The truncation depth of `distance` at weight base r and tolerance tol;
+    ValueError when it would exceed `_MAX_TRUNCATION_DEPTH`."""
+    return _truncation_depth(r, tol / 2)
 
 
 @lru_cache(maxsize=8, typed=True)

@@ -29,17 +29,15 @@ periodic inputs give one flat :class:`EventuallyPeriodicSeq`, others a
 flat center would be longer than ``_FLAT_SPLICE_CAP`` symbols.  All are
 closed under shifting.
 
-``window(lo, hi)`` is the bulk path, and the metric and the certificates
-read sequences through it.  Eventually periodic sequences answer with
-tuple slices; the universal sequence locates its start section once and then
-walks the enumeration entry by entry, carrying on a digit list.  Every
-``symbol_at`` is a one-position window.  A universal sequence and all its
-shifted copies share one memoized head of the enumeration.  Windows that end
-inside the head are slices.  A window that starts at most one symbol past
-the head's end (a shifted copy's past reaches enumeration position 0, the
-unshifted future starts at 1), or ends inside twice the head's length,
-first extends the head to its own end or to twice the length, whichever is
-more.  Other windows, such as those near 10**10, walk.
+``window(lo, hi)`` is the bulk path the metric and the certificates read
+(``symbol_at`` is a one-position window).  Eventually periodic sequences
+answer with tuple slices; the universal sequence locates its start section
+once and walks the enumeration entry by entry, carrying on a digit list.
+A universal sequence and its shifted copies share one memoized head of the
+enumeration.  Windows ending inside it are slices; one starting at most a
+symbol past its end (a shifted past reaches position 0, the unshifted
+future starts at 1) or ending inside twice its length first extends it to
+that end or to twice the length, whichever is more.  Others walk.
 
 All values are immutable (the shared head is a memo that changes no value);
 every operation is a pure function.
@@ -51,7 +49,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 
 @dataclass(frozen=True)
@@ -311,29 +308,32 @@ def enumeration_position(m: int, seed: int, word) -> int:
 
 @lru_cache(maxsize=8)
 def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
-    """First `count` symbols of the enumeration, as bytes with values 1..m."""
-    out = bytearray()
-    length = 1
-    while len(out) < count:
-        size = m ** length
-        if seed == 0:
-            for w in product(range(1, m + 1), repeat=length):
-                out.extend(w)
-                if len(out) >= count:
-                    break
-        else:
-            rot = _rotation(m, seed, length)
-            for i in range(size):
-                num = (i + rot) % size
-                digits = []
-                for _ in range(length):
-                    num, d = divmod(num, m)
-                    digits.append(d + 1)
-                out.extend(reversed(digits))
-                if len(out) >= count:
-                    break
-        length += 1
-    return bytes(out[:count])
+    """First `count` symbols of the enumeration, as bytes with values 1..m.
+
+    Column k of the length-L section cycles through runs of run = m**(L-1-k)
+    copies of each symbol from offset rot % (m * run), rot the seed's rotation.
+    It is built for the entries needed (a period at most, then repeated) and
+    written by one extended-slice assignment: work memory is 2 * count bytes."""
+    if m > 255:
+        raise ValueError(f"enumeration_prefix stores symbols as bytes: m={m} exceeds 255")
+    sections, end, length = [], 0, 1
+    while end < count:
+        entries = min(m ** length, -(-(count - end) // length))
+        section, rot = bytearray(length * entries), _rotation(m, seed, length)
+        for k in range(length):
+            run = m ** (length - 1 - k)
+            need, (sym, skip) = min(m * run, entries), divmod(rot % (m * run), run)
+            col = bytearray()
+            while len(col) < need:
+                col += bytes((sym % m + 1,)) * min(run - skip, need - len(col))
+                sym, skip = sym + 1, 0
+            col *= entries // need
+            col += col[: entries % need]
+            section[k::length] = col
+        del section[count - end :], col  # col: not kept alive through the join
+        sections.append(section)
+        end, length = end + length * entries, length + 1
+    return b"".join(sections)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The oracles here are deliberately independent of the library's closed
 forms: distances by direct truncated summation, block locations by scanning
-a materialized prefix, suprema by sampling.
+a materialized prefix, suprema by sampling, the enumeration word by word.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from shiftchaos import (
     periodic,
     window_padded,
 )
+from shiftchaos.sequences import _rotation
 
 
 def brute_distance(s, t, r, depth=64):
@@ -41,6 +43,34 @@ def scan_for_block(symbols, block):
         if tuple(symbols[i : i + n]) == tuple(block):
             return i
     return None
+
+
+def _ref_enumeration(m, seed, count):
+    """First `count` enumeration symbols as bytes, generated word by word:
+    length-lex order at seed 0, and otherwise entry i of the length-L
+    section is (i + _rotation) % m**L in L base-m digits, one divmod each."""
+    out = bytearray()
+    length = 1
+    while len(out) < count:
+        size = m ** length
+        if seed == 0:
+            for w in product(range(1, m + 1), repeat=length):
+                out.extend(w)
+                if len(out) >= count:
+                    break
+        else:
+            rot = _rotation(m, seed, length)
+            for i in range(size):
+                num = (i + rot) % size
+                digits = []
+                for _ in range(length):
+                    num, d = divmod(num, m)
+                    digits.append(d + 1)
+                out.extend(reversed(digits))
+                if len(out) >= count:
+                    break
+        length += 1
+    return bytes(out[:count])
 
 
 def random_block(rng, m, max_len=4):

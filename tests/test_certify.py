@@ -224,6 +224,34 @@ def test_poisson_rejects_bad_depth():
         poisson_recurrence_witness(ones_past(), 0, P)
 
 
+# Return times as a scan of the word-by-word prefix found them, inside the
+# 2**21-symbol scan prefix and past it.
+@pytest.mark.parametrize(
+    "m, past, seed, times",
+    [
+        (2, window_padded((2, 1), -1, 2), 3, [
+            2, 47, 240, 579, 11465, 40681, 77340, 1242578, 26122079, 173577694, 411667205,
+            3225403460, 10532663915, 36688090568,
+        ]),
+        (3, periodic((3, 1), 0), 11, [
+            28, 670, 1338, 11603, 224539, 91754061, 526698383, 5531299769, 36043553059,
+            530101476183,
+        ]),
+    ],
+)
+def test_poisson_return_times_are_frozen(m, past, seed, times):
+    u_set = UnstableSetId(Alphabet(m), past)
+    cert = poisson_recurrence_witness(u_set, len(times), P, seed=seed)
+    assert cert.data["times"] == times
+    assert verify_certificate(as_payload(cert)).ok
+
+
+def test_poisson_refuses_steps_past_the_symbol_budget():
+    # 40 depths at truncation depth 375,326 would read 15 million symbols
+    with pytest.raises(ValueError, match="budget"):
+        poisson_recurrence_witness(ones_past(), 40, MetricParams(0.9999))
+
+
 # -- scrambled pairs --------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, files, verify mode."""
 
 import json
+import math
 import re
 import time
 from itertools import product
@@ -258,6 +259,70 @@ def test_verify_bounds_the_work_of_stored_sizes(
     assert run("--verify", str(path)) == 1
     assert time.perf_counter() - start < 0.5
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("periodic_density_s0_d0.json", "delta", True),
+        ("sensitivity_s0_e0.json", "eps", True),
+        ("li_yorke.json", "tolerance", True),
+        ("li_yorke.json", "tolerance", 5),
+        ("li_yorke.json", "tolerance", math.inf),  # written as Infinity
+        ("stable_convergence.json", "tolerance", True),
+        ("unstable_convergence.json", "tolerance", 5),
+        ("stable_convergence.json", "tolerance", math.inf),
+    ],
+)
+def test_verify_requires_finite_positive_float_inputs(
+    fresh_outputs, tmp_path, capsys, name, key, value
+):
+    path = tmp_path / name
+    path.write_text((fresh_outputs / "c" / name).read_text())
+    _tamper(path, _set(key, value))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert f"{key} must be a finite positive float" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["poisson_recurrence.json", "stable_convergence.json"])
+def test_verify_bounds_steps_times_truncation_depth(fresh_outputs, tmp_path, capsys, name):
+    # at r = 0.9999 each distance with a universal side reads 375,326 symbols
+    path = tmp_path / name
+    path.write_text((fresh_outputs / "c" / name).read_text())
+
+    def edit(data):
+        data["r"] = 0.9999
+        if "times" in data:
+            data["depths"] = 40
+            data["times"] = [data["times"][0] + 7 * i for i in range(40)]
+
+    _tamper(path, edit)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("--verify", str(path)) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "exceeds the budget of" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["r = 0.9999", "r = 0.99\nrecurrence_depth = 2048"])
+def test_certify_rejects_a_config_its_verifier_would_refuse(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_certify_alphabet_cap_is_255(tmp_path, capsys):
+    assert run("certify", "--m", "256", "--out", str(tmp_path / "c256")) == 2
+    assert "m <= 255" in capsys.readouterr().err
+    assert not (tmp_path / "c256").exists()
+    assert run("certify", "--m", "255", "--out", str(tmp_path / "c255")) == 0
+    # orbits and horseshoes have no byte scan
+    assert run("orbit", "--m", "256", "--start", "universal", "--steps", "3",
+               "--out", str(tmp_path / "o")) == 0
 
 
 @pytest.mark.parametrize(

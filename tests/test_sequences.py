@@ -1,6 +1,7 @@
 """Sequence generators, shifting, and the universal enumeration."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,14 @@ from shiftchaos import (
     splice,
     window_padded,
 )
-from shiftchaos.sequences import _FLAT_SPLICE_CAP, enumeration_position, enumeration_prefix
+from shiftchaos.sequences import (
+    _FLAT_SPLICE_CAP,
+    _enum_window,
+    enumeration_position,
+    enumeration_prefix,
+)
 
-from conftest import random_sequence, scan_for_block
+from conftest import _ref_enumeration, random_sequence, scan_for_block
 
 
 def test_alphabet_rejects_small_m():
@@ -384,6 +390,60 @@ def test_padded_and_periodic_windows_match_per_position_loop(m, symbols, anchor,
         cases.append((EventuallyPeriodicSeq(*parts), ("ep",) + parts))
     for s, node in cases:
         assert s.window(lo, hi) == tuple(_ref_symbol(node, j) for j in range(lo, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# The column-built enumeration prefix against the word-by-word generator of
+# the tests and against the walker behind `UniversalSeq.window`.
+# ---------------------------------------------------------------------------
+
+REF_LEN = 140_000
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 255])
+@pytest.mark.parametrize("seed", [0, 1, 3, 11, 2 ** 63])
+def test_enumeration_prefix_matches_the_word_by_word_reference(m, seed):
+    ref = _ref_enumeration(m, seed, REF_LEN)
+    counts = {0, 1, REF_LEN}
+    length = 2
+    while section_start(m, length) < REF_LEN:  # each section boundary, +-1
+        boundary = section_start(m, length)
+        counts |= {boundary - 1, boundary, boundary + 1}
+        length += 1
+    for count in sorted(counts):
+        assert enumeration_prefix(m, seed, count) == ref[:count], count
+
+
+@pytest.mark.parametrize("m", [2, 3, 255])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 63])
+def test_enumeration_prefix_slices_match_the_walker(m, seed):
+    count = 1 << 21
+    prefix = enumeration_prefix(m, seed, count)
+    assert len(prefix) == count
+    rng = random.Random(m * 1000 + seed % 997)
+    for _ in range(60):
+        lo = rng.randrange(count)
+        hi = min(count, lo + rng.randint(1, 300))
+        assert tuple(prefix[lo:hi]) == _enum_window(m, seed, lo, hi - 1)
+
+
+@pytest.mark.parametrize("m", [2, 255])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_enumeration_prefix_work_memory_is_about_two_copies(m, seed):
+    count = 1 << 21
+    tracemalloc.start()
+    try:
+        enumeration_prefix.__wrapped__(m, seed, count)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * count + 64 * 1024
+
+
+def test_enumeration_prefix_names_its_alphabet_cap():
+    assert enumeration_prefix(255, 0, 300)[254:256] == bytes((255, 1))
+    with pytest.raises(ValueError, match="exceeds 255"):
+        enumeration_prefix(256, 0, 10)
 
 
 # ---------------------------------------------------------------------------
