@@ -112,6 +112,14 @@ class RunConfig:
             cert.check_steps("convergence n_max", _CONVERGENCE_STEPS, p, self.tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # the Li-Yorke pair's proximity bound r**(2**(J-1) - 2) is proven
+        # only where 2 r**2 / (1 - r) <= 1, and must not underflow
+        if self.r > 0.5:
+            raise ConfigError("certify needs r <= 1/2: its Li-Yorke proximity bound "
+                              "is not proven above")
+        if cert._li_yorke_min_bound(self.r, self.horizon) < sys.float_info.min:
+            raise ConfigError(f"horizon {self.horizon} is too long at r = {self.r}: "
+                              "the Li-Yorke proximity bound underflows")
 
 
 _CONFIG_KEYS = {

@@ -32,15 +32,20 @@ y-interval only on its future digits, so the level-(k, n) grid of
 future y-intervals (`rectangle_lattice`); the CLI streams its CSV and SVG
 rows from the two factors, and even the 2**20 cap takes seconds.
 
-All arithmetic runs in whatever number type the parameters carry; with
-`fractions.Fraction` (the default lambda = 1/3, mu = 3) every interval,
-itinerary, and conjugacy defect below is exact.
+With exact parameters (`fractions.Fraction` or int, the default lambda =
+1/3, mu = 3) every interval, itinerary, and conjugacy defect below is
+exact.  The digit sums then run over integers: for lambda = a/b one Horner
+pass keeps the sum over the common denominator b**len (mu**-j likewise over
+a power of mu's numerator), and one `Fraction` is normalised per sum
+instead of one per digit.  Squared defects and diagonals are compared as
+integer cross products.  Float parameters take a separate float path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -81,7 +86,7 @@ class HorseshoeParams:
             if isinstance(value, (int, Fraction)) and max(value.numerator, value.denominator) >> MAX_EXACT_BITS:
                 raise ValueError(f"exact {name} {value} has a term of more than {MAX_EXACT_BITS} bits")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return isinstance(self.lam, (int, Fraction)) and isinstance(self.mu, (int, Fraction))
 
@@ -190,20 +195,35 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
     image = horseshoe_map(p_here, hp)
     dx = image.x - p_next.x
     dy = image.y - p_next.y
+    if hp.exact:
+        # squares as integer fractions: (1 + lam) * lam**depth =
+        # (b + a) * a**depth / b**(depth + 1) and (1 + mu) * mu**-depth =
+        # (e + c) * e**(depth - 1) / c**depth, for lam = a / b and mu = c / e
+        a, b = hp.lam.numerator, hp.lam.denominator
+        c, e = hp.mu.numerator, hp.mu.denominator
+        defect_num, defect_den = _sum_of_squares(dx.numerator, dx.denominator,
+                                                 dy.numerator, dy.denominator)
+        bound_num, bound_den = _sum_of_squares((b + a) * a ** depth, b ** (depth + 1),
+                                               (e + c) * e ** (depth - 1), c ** depth)
+        return ConjugacyReport(
+            math.sqrt(defect_num / defect_den),  # int / int rounds correctly
+            math.sqrt(bound_num / bound_den),
+            True,
+            defect_num * bound_den <= bound_num * defect_den,
+        )
     defect_sq = dx * dx + dy * dy
     bx = (1 + hp.lam) * hp.lam ** depth
-    if hp.exact:
-        by = (1 + hp.mu) * (_one(hp) / hp.mu ** depth)
-    else:
-        by = (1 + hp.mu) * float(hp.mu) ** (-depth)
+    by = (1 + hp.mu) * float(hp.mu) ** (-depth)
     bound_sq = bx * bx + by * by
-    if hp.exact:
-        passed = defect_sq <= bound_sq
-    else:
-        passed = float(defect_sq) <= float(bound_sq) * (1 + 1e-9) + 1e-30
+    passed = float(defect_sq) <= float(bound_sq) * (1 + 1e-9) + 1e-30
     return ConjugacyReport(
-        math.sqrt(float(defect_sq)), math.sqrt(float(bound_sq)), hp.exact, passed
+        math.sqrt(float(defect_sq)), math.sqrt(float(bound_sq)), False, passed
     )
+
+
+def _sum_of_squares(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
+    """(xn / xd)**2 + (yn / yd)**2 as an unreduced (numerator, denominator)."""
+    return (xn * yd) ** 2 + (yn * xd) ** 2, (xd * yd) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +279,42 @@ class Interval(NamedTuple):
     hi: object
 
 
+def _x_exact(past, lam) -> tuple[int, int]:
+    """Integers (num, den) with x_lo = num / den, for exact lam = a / b.
+
+    One Horner pass over the common denominator b**len(past): after the
+    digits d_0..d_j (word order) num / scale holds
+    sum_i (d_i - 1) * lam**(j - i) / b, and (1 - lam) = (b - a) / b.
+    """
+    a, b = lam.numerator, lam.denominator
+    num, scale = 0, 1
+    for digit in past:
+        num = num * a + (digit - 1) * scale
+        scale *= b
+    return num * (b - a), scale
+
+
+def _y_exact(future, mu) -> tuple[int, int]:
+    """Integers (num, den) with y_lo = num / den, for exact mu = c / e.
+
+    Over the common denominator c**n the digit at position j weighs
+    e**j * c**(n - j), and (mu - 1) = (c - e) / e.
+    """
+    c, e = mu.numerator, mu.denominator
+    num, epow = 0, e
+    for digit in future:
+        num = num * c + (digit - 1) * epow
+        epow *= e
+    return num * (c - e), e * c ** len(future)
+
+
 def _x_lo(past, hp: HorseshoeParams):
     """Left end of the x-interval of the past digits at positions -k..0 (in
     word order): the x coordinate they code with zeros beyond."""
-    one = _one(hp)
-    x_lo = 0 * one
-    powlam = one
+    if hp.exact:
+        return Fraction(*_x_exact(past, hp.lam))
+    x_lo = 0.0
+    powlam = 1.0
     for digit in reversed(past):  # positions 0, -1, .., -k
         x_lo += (digit - 1) * powlam
         powlam = powlam * hp.lam
@@ -273,9 +323,10 @@ def _x_lo(past, hp: HorseshoeParams):
 
 def _y_lo(future, hp: HorseshoeParams):
     """Lower end of the y-interval of the future digits at positions 1..n."""
-    one = _one(hp)
-    y_lo = 0 * one
-    powmu = one
+    if hp.exact:
+        return Fraction(*_y_exact(future, hp.mu))
+    y_lo = 0.0
+    powmu = 1.0
     for digit in future:
         powmu = powmu / hp.mu
         y_lo += (digit - 1) * powmu
@@ -284,15 +335,21 @@ def _y_lo(future, hp: HorseshoeParams):
 
 def _x_interval(past, hp: HorseshoeParams) -> tuple[object, object]:
     """x-interval of the past digits at positions -k..0 (in word order)."""
+    if hp.exact:  # width lam**len(past) = a**len / den
+        num, den = _x_exact(past, hp.lam)
+        return Fraction(num, den), Fraction(num + hp.lam.numerator ** len(past), den)
     x_lo = _x_lo(past, hp)
     return x_lo, x_lo + hp.lam ** len(past)
 
 
 def _y_interval(future, hp: HorseshoeParams) -> tuple[object, object]:
     """y-interval of the future digits at positions 1..n."""
-    y_lo = _y_lo(future, hp)
     n = len(future)
-    return y_lo, y_lo + (_one(hp) / hp.mu ** n if hp.exact else float(hp.mu) ** (-n))
+    if hp.exact:  # height mu**-n = e**(n+1) / den
+        num, den = _y_exact(future, hp.mu)
+        return Fraction(num, den), Fraction(num + hp.mu.denominator ** (n + 1), den)
+    y_lo = _y_lo(future, hp)
+    return y_lo, y_lo + float(hp.mu) ** (-n)
 
 
 def rectangle_for_word(word, start: int, hp: HorseshoeParams) -> SymbolicRectangle:
@@ -358,10 +415,19 @@ def rectangle_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
     return rect.diagonal()
 
 
+def _predicted_sq(hp: HorseshoeParams, k: int, n: int) -> tuple[int, int]:
+    """lam**(2(k+1)) + mu**(-2n) at exact parameters, as an unreduced
+    (numerator, denominator)."""
+    a, b = hp.lam.numerator, hp.lam.denominator
+    c, e = hp.mu.numerator, hp.mu.denominator
+    return _sum_of_squares(a ** (k + 1), b ** (k + 1), e ** n, c ** n)
+
+
 def predicted_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
-    lam2 = hp.lam ** (2 * (k + 1))
-    mu2 = (_one(hp) / hp.mu ** (2 * n)) if hp.exact else float(hp.mu) ** (-2 * n)
-    return math.sqrt(float(lam2 + mu2))
+    if hp.exact:
+        num, den = _predicted_sq(hp, k, n)
+        return math.sqrt(num / den)
+    return math.sqrt(float(hp.lam ** (2 * (k + 1)) + float(hp.mu) ** (-2 * n)))
 
 
 def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> HyperbolicReport:
@@ -380,14 +446,15 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
     for k in range(1, max_depth + 1):
         for n in range(1, max_depth + 1):
             rect = rectangle_for_word((1,) * (k + 1 + n), -k, hp)
-            lhs = rect.diagonal_sq()
-            rhs = hp.lam ** (2 * (k + 1)) + (
-                _one(hp) / hp.mu ** (2 * n) if hp.exact else float(hp.mu) ** (-2 * n)
-            )
             if hp.exact:
-                ok = lhs == rhs
+                w, h = rect.width(), rect.height()
+                lhs_num, lhs_den = _sum_of_squares(w.numerator, w.denominator,
+                                                   h.numerator, h.denominator)
+                rhs_num, rhs_den = _predicted_sq(hp, k, n)
+                ok = lhs_num * rhs_den == rhs_num * lhs_den
             else:
-                ok = math.isclose(float(lhs), float(rhs), rel_tol=1e-12)
+                rhs = hp.lam ** (2 * (k + 1)) + float(hp.mu) ** (-2 * n)
+                ok = math.isclose(float(rect.diagonal_sq()), float(rhs), rel_tol=1e-12)
             grid_exact = grid_exact and ok
     eps0 = float(1 - 2 * _one(hp) / hp.mu)
     eps0_horizontal = float(1 - 2 * hp.lam)

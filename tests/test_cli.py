@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, verify mode."""
 
+import hashlib
 import json
 import math
 import re
@@ -312,6 +313,19 @@ def test_certify_rejects_a_config_its_verifier_would_refuse(tmp_path, capsys, li
     out = tmp_path / "c"
     assert run("certify", "--config", str(cfg), "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, claim",
+    [(("--r", "0.6"), "r <= 1/2"), (("--r", "0.9"), "r <= 1/2"),
+     (("--horizon", "16000"), "underflows"), (("--horizon", "12286"), "underflows")],
+)
+def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, claim):
+    out = tmp_path / "c"
+    assert run("certify", "--out", str(out), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and claim in err
     assert not out.exists()
 
 
@@ -656,6 +670,52 @@ def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp):
     csv_text, svg_text = _expected_rectangle_files(hp, 3, 4)
     assert (out / "rectangles.csv").read_bytes() == csv_text.encode()
     assert (out / "horseshoe.svg").read_bytes() == svg_text.encode()
+
+
+# sha256 of every file these runs wrote before exact parameters were summed
+# over a common denominator; the float run pins the float path
+HORSESHOE_PINS = {
+    ("--k", "6", "--n", "6", "--lam", "1/3", "--mu", "3", "--seed", "5"): {
+        "conjugacy_report.json": "9dd9f715bf4284dad4e906a7765c1b7dc54be6c5bfa5821314c40b23b29b368f",
+        "horseshoe.svg": "c2466ad860e4be8afca0d0758d6f58149f6b75769dc8f63705da0a1b7a017079",
+        "hyperbolic_report.json": "918925c1ca85ea1251ecf273146d9ea541f28b895392e9dec64e705572ffdffc",
+        "rectangles.csv": "1f02524dd252e70abd651faf4e021b03c3f0eb6a97d48bbf60bb0002bb2ef39b",
+    },
+    ("--k", "3", "--n", "3", "--lam", "21840/65521", "--mu", "65521/21841"): {
+        "conjugacy_report.json": "59b9948015c171aabdd8227a42dcd2cd1d8a5eebd49f167c789909f41df8d80c",
+        "horseshoe.svg": "895bef3ed54763e820c3d0f967411891d85dc68f5a9f6487b7a9709fdba40ce3",
+        "hyperbolic_report.json": "5b75af2dc08d8e10c5e0cfaa9c7f00015f651c21ac41b8b6943153f91abe247b",
+        "rectangles.csv": "57ffa7b10e55b48cde8d97273922dc86efaaa572567adb1bea2ff239498cfd7d",
+    },
+    ("--k", "7", "--n", "7", "--lam", "0.3", "--mu", "3.5", "--seed", "5"): {
+        "conjugacy_report.json": "1e7f5be898517849e933f45355a6caf94fec2e84119a042a17d2973c26add46b",
+        "horseshoe.svg": "d31454ba6464f2618a30f623bf3d6a5e565c5f1dc9e2e2c9e936b5623e6bc3d1",
+        "hyperbolic_report.json": "d86dba6bcc22b6b66775cf4539fd28c3a757a411cc247d7783ecc042e65c32d2",
+        "rectangles.csv": "d09c0671e26abe6a29f034bde8a8eadc4c2f7075b8c5de925ee00c924edc2392",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(HORSESHOE_PINS), ids=["exact", "16-bit", "float"])
+def test_horseshoe_files_match_their_pinned_bytes(tmp_path, flags):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--format", "json,csv,svg", *flags) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == HORSESHOE_PINS[flags]
+
+
+def test_conjugacy_report_at_the_caps_round_trips(tmp_path):
+    # 16 bits in every term and the largest depth and sample count
+    cfg = tmp_path / "caps.cfg"
+    cfg.write_text(f"lambda = 21840/65521\nmu = 65521/21841\n"
+                   f"conjugacy_depth = {MAX_CONJUGACY_DEPTH}\n"
+                   f"conjugacy_samples = {MAX_CONJUGACY_SAMPLES}\n")
+    out = tmp_path / "hs"
+    argv = ["horseshoe", "--config", str(cfg), "--out", str(out), "--k", "1", "--n", "1"]
+    assert run(*argv, "--format", "json") == 0
+    payload = json.loads((out / "conjugacy_report.json").read_text())
+    assert (payload["data"]["depth"], len(payload["data"]["rows"])) == (512, 50)
+    assert verify_certificate(payload).ok
 
 
 def test_orbit_periodic_returns_to_start(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +23,15 @@ from shiftchaos import (
     point_from_itinerary,
     verify_hyperbolic_conditions,
 )
-from shiftchaos.horseshoe import branch_of, rectangle_for_word, rectangle_lattice
+from shiftchaos import horseshoe
+from shiftchaos.horseshoe import (
+    _x_interval,
+    _y_interval,
+    branch_of,
+    rectangle_for_word,
+    rectangle_lattice,
+)
+from shiftchaos.sequences import EventuallyPeriodicSeq
 
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
@@ -266,3 +275,92 @@ def test_mixed_signature_itinerary_against_spliced_window():
     pt, _ = point_from_itinerary(seq, HP, 40)
     got = itinerary(pt, HP, back=4, fwd=6)
     assert tuple(got) == seq.window(-3, 6)
+
+
+def _random_exact_params(rng):
+    """An int mu, a small fraction, or two terms of up to 16 bits each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return HorseshoeParams(Fraction(1, rng.randint(3, 40)), rng.randint(3, 40))
+    if kind == 1:
+        b = rng.randint(3, 50)
+        e = rng.randint(1, 20)
+        return HorseshoeParams(Fraction(rng.randint(1, (b - 1) // 2), b),
+                               Fraction(rng.randint(2 * e + 1, 60), e))
+    b = rng.randint(1 << 15, 65535)
+    e = rng.randint(1 << 12, 30000)
+    return HorseshoeParams(Fraction(rng.randint(1, (b - 1) // 2), b),
+                           Fraction(rng.randint(2 * e + 1, 65535), e))
+
+
+def _x_sum(past, lam):
+    """(1 - lam) * sum_i a_{-i} lam**i, term by term, past in word order."""
+    digits = [d - 1 for d in reversed(past)]  # positions 0, -1, ..
+    return (1 - lam) * sum((Fraction(d) * lam ** i for i, d in enumerate(digits)), Fraction(0))
+
+
+def _y_sum(future, mu):
+    """(mu - 1) * sum_j a_j mu**-j, term by term, positions 1..n."""
+    mu = Fraction(mu)
+    return (mu - 1) * sum(
+        (Fraction(d - 1) * mu ** -j for j, d in enumerate(future, 1)), Fraction(0)
+    )
+
+
+def test_exact_intervals_and_points_match_the_digit_sums():
+    rng = random.Random(17)
+    for _ in range(150):
+        hp = _random_exact_params(rng)
+        lam, mu = hp.lam, Fraction(hp.mu)
+        past = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
+        future = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
+        x_lo, x_hi = _x_interval(past, hp)
+        y_lo, y_hi = _y_interval(future, hp)
+        assert x_lo == _x_sum(past, lam) and x_hi == x_lo + lam ** len(past)
+        assert y_lo == _y_sum(future, mu) and y_hi == y_lo + mu ** -len(future)
+        assert all(type(v) is Fraction for v in (x_lo, x_hi, y_lo, y_hi))
+
+        seq = EventuallyPeriodicSeq((rng.randint(1, 2),), past + future, 1 - len(past),
+                                    tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 5))))
+        depth = rng.randint(1, 64)
+        pt, _ = point_from_itinerary(seq, hp, depth)
+        assert pt.x == _x_sum([seq.symbol_at(j) for j in range(1 - depth, 1)], lam)
+        assert pt.y == _y_sum([seq.symbol_at(j) for j in range(1, depth + 1)], mu)
+        assert type(pt.x) is Fraction and type(pt.y) is Fraction
+
+
+def test_exact_conjugacy_check_matches_fraction_arithmetic():
+    rng = random.Random(23)
+    for _ in range(40):
+        hp = _random_exact_params(rng)
+        lam, mu = hp.lam, Fraction(hp.mu)
+        word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
+        depth = rng.randint(2, 80)
+        seq = periodic_point(word)
+        here = PlanePoint(_x_sum(seq.window(1 - depth, 0), lam), _y_sum(seq.window(1, depth), mu))
+        after = PlanePoint(_x_sum(seq.window(2 - depth, 1), lam),
+                           _y_sum(seq.window(2, depth + 1), mu))
+        image = horseshoe_map(here, hp)
+        defect_sq = (image.x - after.x) ** 2 + (image.y - after.y) ** 2
+        bound_sq = ((1 + lam) * lam ** depth) ** 2 + ((1 + mu) * mu ** -depth) ** 2
+        rep = conjugacy_check(seq, hp, depth)
+        assert rep.exact and rep.passed == (defect_sq <= bound_sq)
+        assert rep.defect == math.sqrt(float(defect_sq))
+        assert rep.bound == math.sqrt(float(bound_sq))
+
+
+def test_exact_checks_flag_a_geometry_off_by_a_little(monkeypatch):
+    depth = 12
+    bound = math.hypot(float(Fraction(4, 3) * Fraction(1, 3) ** depth),
+                       float(4 * Fraction(1, 3) ** depth))
+    nudge = Fraction(6, 5) * Fraction(bound)  # past the bound, short of sqrt(2) times it
+    true_map = horseshoe.horseshoe_map
+    monkeypatch.setattr(horseshoe, "horseshoe_map",
+                        lambda q, hp: PlanePoint(true_map(q, hp).x + nudge, true_map(q, hp).y))
+    rep = conjugacy_check(periodic_point((1,)), HP, depth)
+    assert not rep.passed and rep.defect == math.sqrt(float(nudge * nudge))
+
+    true_rect = horseshoe.rectangle_for_word
+    monkeypatch.setattr(horseshoe, "rectangle_for_word", lambda w, start, hp: replace(
+        true_rect(w, start, hp), x_hi=true_rect(w, start, hp).x_hi + Fraction(1, 10 ** 30)))
+    assert not verify_hyperbolic_conditions(HP, 3).grid_exact
