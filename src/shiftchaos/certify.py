@@ -277,10 +277,9 @@ def sensitivity_payload(
 def poisson_recurrence_witness(
     u_set: UnstableSetId,
     depths: int,
-    p: MetricParams | None = None,
+    p: MetricParams,
     seed: int = 0,
     tol: float = 1e-12,
-    scan_cap: int = _SCAN_CAP,
 ) -> Certificate:
     """Return times of the universal member to shrinking windows around
     itself: numerical recurrence evidence, never a proof.
@@ -292,11 +291,10 @@ def poisson_recurrence_witness(
     prefix the exact entry position of the extended word u(-j)..u(j+1) is
     used, whose agreement margin makes the threshold check unconditional.
     """
-    p = p or MetricParams()
     check_steps("depths", depths, p, tol)
     u = universal_member(u_set, seed)
     m = u_set.alphabet.m
-    prefix = enumeration_prefix(m, seed, scan_cap)
+    prefix = enumeration_prefix(m, seed, _SCAN_CAP)
     times: list[int] = []
     prev_q = 0
     for j in range(1, depths + 1):

@@ -31,24 +31,22 @@ closed under shifting.
 
 ``window(lo, hi)`` is the bulk path the metric and the certificates read
 (``symbol_at`` is a one-position window).  Eventually periodic sequences
-answer with tuple slices; the universal sequence locates its start section
-once and walks the enumeration entry by entry, carrying on a digit list.
-A universal sequence and its shifted copies share one memoized head of the
-enumeration.  Windows ending inside it are slices; one starting at most a
-symbol past its end (a shifted past reaches position 0, the unshifted
-future starts at 1) or ending inside twice its length first extends it to
-that end or to twice the length, whichever is more.  Others walk.
+answer with tuple slices.  The universal sequence has one generator, which
+builds the enumeration column by column from any position.
+``enumeration_prefix`` caches the head it builds, and while the symbols fit
+in bytes (m <= 255) a window that ends inside the first ``_HEAD`` symbols
+is a slice of that one head.  Every other window is built alone.
 
-All values are immutable (the shared head is a memo that changes no value);
-every operation is a pure function.
+All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from array import array
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 
 @dataclass(frozen=True)
@@ -256,40 +254,6 @@ def _section_locate(m: int, pos: int) -> tuple[int, int]:
         length += 1
 
 
-def _enum_window(m: int, seed: int, lo: int, hi: int) -> tuple[int, ...]:
-    """Enumeration symbols at positions lo..hi (0 <= lo), walked section by
-    section: the first entry's digits come from its number, and each next
-    entry of the section is the previous one plus 1 mod m**length, carried
-    on the digit list."""
-    if hi < lo:
-        return ()
-    length, start = _section_locate(m, lo)
-    index, skip = divmod(lo - start, length)
-    need = skip + hi - lo + 1
-    out: list[int] = []
-    while True:
-        size = m ** length
-        num = (index + _rotation(m, seed, length)) % size
-        digits = []
-        for _ in range(length):
-            num, d = divmod(num, m)
-            digits.append(d + 1)
-        digits.reverse()
-        entries = min(size - index, -(-(need - len(out)) // length))
-        for _ in range(entries):
-            out.extend(digits)
-            k = length - 1
-            while k >= 0 and digits[k] == m:
-                digits[k] = 1
-                k -= 1
-            if k >= 0:
-                digits[k] += 1
-        if len(out) >= need:
-            return tuple(out[skip:need])
-        length += 1
-        index = 0
-
-
 def enumeration_position(m: int, seed: int, word) -> int:
     """Position of the first symbol of `word`'s own entry in the enumeration."""
     w = as_word(word)
@@ -306,34 +270,51 @@ def enumeration_position(m: int, seed: int, word) -> int:
     return start + length * index
 
 
-@lru_cache(maxsize=8)
-def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
-    """First `count` symbols of the enumeration, as bytes with values 1..m.
+def _enumeration(m: int, seed: int, lo: int, count: int):
+    """Enumeration symbols at positions lo..lo+count-1 (0 <= lo): bytes with
+    values 1..m for m <= 255, array('L') above.
 
     Column k of the length-L section cycles through runs of run = m**(L-1-k)
-    copies of each symbol from offset rot % (m * run), rot the seed's rotation.
-    It is built for the entries needed (a period at most, then repeated) and
-    written by one extended-slice assignment: work memory is 2 * count bytes."""
-    if m > 255:
-        raise ValueError(f"enumeration_prefix stores symbols as bytes: m={m} exceeds 255")
-    sections, end, length = [], 0, 1
-    while end < count:
-        entries = min(m ** length, -(-(count - end) // length))
-        section, rot = bytearray(length * entries), _rotation(m, seed, length)
+    copies of each symbol from offset rot % (m * run), where rot is the
+    seed's rotation plus the index of the first entry built.  Each column
+    is built for the entries needed (a period at most, then repeated) and
+    written by one extended-slice assignment: work memory is 2 * count
+    symbols.  The first entry's symbols before lo are built, then dropped."""
+    # bytearray writes extended slices several times faster than array
+    unit = bytearray if m <= 255 else partial(array, "L")
+    length, start = _section_locate(m, lo)
+    index, skip = divmod(lo - start, length)
+    sections, end, stop = [], 0, skip + count
+    while end < stop:
+        entries = min(m ** length - index, -(-(stop - end) // length))
+        section = unit((0,)) * (length * entries)
+        rot = _rotation(m, seed, length) + index
         for k in range(length):
             run = m ** (length - 1 - k)
-            need, (sym, skip) = min(m * run, entries), divmod(rot % (m * run), run)
-            col = bytearray()
+            need, (sym, cut) = min(m * run, entries), divmod(rot % (m * run), run)
+            col = unit(())
             while len(col) < need:
-                col += bytes((sym % m + 1,)) * min(run - skip, need - len(col))
-                sym, skip = sym + 1, 0
+                col += unit((sym % m + 1,)) * min(run - cut, need - len(col))
+                sym, cut = sym + 1, 0
             col *= entries // need
             col += col[: entries % need]
             section[k::length] = col
-        del section[count - end :], col  # col: not kept alive through the join
+        del section[stop - end :], section[:skip], col  # col: not kept alive through the join
         sections.append(section)
-        end, length = end + length * entries, length + 1
-    return b"".join(sections)
+        end, length, index, skip = end + length * entries, length + 1, 0, 0
+    out = b"".join(sections)
+    return out if m <= 255 else array("L", out)
+
+
+@lru_cache(maxsize=8)
+def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
+    """First `count` symbols of the enumeration, as bytes with values 1..m."""
+    if m > 255:
+        raise ValueError(f"enumeration_prefix stores symbols as bytes: m={m} exceeds 255")
+    return _enumeration(m, seed, 0, count)
+
+
+_HEAD = 1 << 16  # symbols of the cached enumeration head that windows slice
 
 
 @dataclass(frozen=True)
@@ -342,39 +323,30 @@ class UniversalSeq(BiSequence):
     on the negative side.  `offset` tracks shifting; `seed` rotates each
     length class of the enumeration (0 keeps plain length-lex order).
 
-    `head` boxes one memoized head of the enumeration, as a tuple in a
-    one-element list.  Shifted copies share the box, so a family of copies
-    (an orbit) reads one head, which grows as windows reach past it."""
+    For m <= 255 a window that ends inside the first ``_HEAD`` enumeration
+    symbols is a slice of ``enumeration_prefix(m, seed, _HEAD)``, one cached
+    head for every copy of the sequence; every other window is built alone.
+    The value is the three fields: shifting carries no state."""
 
     m: int
     seed: int = 0
     offset: int = 0
-    head: list = field(default_factory=lambda: [()], compare=False, repr=False)
 
     def __post_init__(self) -> None:
         Alphabet(self.m)
 
     def shift(self, steps: int) -> "UniversalSeq":
-        return UniversalSeq(self.m, self.seed, self.offset + steps, self.head)
+        return UniversalSeq(self.m, self.seed, self.offset + steps)
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        a, b = lo + self.offset, hi + self.offset
-        ones = max(0, min(b, -1) - a + 1)  # the padded negative side
-        return (1,) * ones + self._enum(max(a, 0), b)
-
-    def _enum(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Enumeration symbols lo..hi, sliced from the head after extending
-        it if they end past it (see the module docstring), or walked."""
-        if hi < lo:
-            return ()
-        head = self.head[0]
-        size = len(head)
-        if hi >= size:
-            if lo > size + 1 and hi >= 2 * size:
-                return _enum_window(self.m, self.seed, lo, hi)
-            head = head + _enum_window(self.m, self.seed, size, max(hi, 2 * size - 1))
-            self.head[0] = head
-        return head[lo : hi + 1]
+        a, b = lo + self.offset, hi + self.offset + 1  # enumeration positions a..b-1
+        ones = max(0, min(b, 0) - a)  # the padded negative side
+        a, b = max(a, 0), max(b, 0)
+        if b <= _HEAD and self.m <= 255:
+            syms = enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
+        else:
+            syms = _enumeration(self.m, self.seed, a, b - a)
+        return (1,) * ones + tuple(syms)
 
     def left_tail(self) -> tuple[int, int]:
         return (-1 - self.offset, 1)

@@ -45,32 +45,40 @@ def scan_for_block(symbols, block):
     return None
 
 
-def _ref_enumeration(m, seed, count):
-    """First `count` enumeration symbols as bytes, generated word by word:
-    length-lex order at seed 0, and otherwise entry i of the length-L
-    section is (i + _rotation) % m**L in L base-m digits, one divmod each."""
-    out = bytearray()
-    length = 1
-    while len(out) < count:
+def _ref_enumeration(m, seed, count, lo=0):
+    """`count` enumeration symbols from position `lo` on, generated word by
+    word: length-lex order at seed 0, and otherwise entry i of the length-L
+    section is (i + _rotation) % m**L in L base-m digits, one divmod each.
+    Bytes for m <= 255, a tuple of ints above."""
+    length, start = 1, 0
+    while start + length * m ** length <= lo:  # skip whole sections
+        start += length * m ** length
+        length += 1
+    index, skip = divmod(lo - start, length)
+    out = []
+    while len(out) < skip + count:
         size = m ** length
-        if seed == 0:
-            for w in product(range(1, m + 1), repeat=length):
-                out.extend(w)
-                if len(out) >= count:
-                    break
+        if seed == 0 and index == 0:
+            words = product(range(1, m + 1), repeat=length)
         else:
             rot = _rotation(m, seed, length)
-            for i in range(size):
-                num = (i + rot) % size
-                digits = []
-                for _ in range(length):
-                    num, d = divmod(num, m)
-                    digits.append(d + 1)
-                out.extend(reversed(digits))
-                if len(out) >= count:
-                    break
-        length += 1
-    return bytes(out[:count])
+            words = (_digits((i + rot) % size, m, length) for i in range(index, size))
+        for w in words:
+            out.extend(w)
+            if len(out) >= skip + count:
+                break
+        length, index = length + 1, 0
+    out = out[skip : skip + count]
+    return bytes(out) if m <= 255 else tuple(out)
+
+
+def _digits(num, m, length):
+    """`num` as `length` base-m digits, most significant first, 1-based."""
+    digits = []
+    for _ in range(length):
+        num, d = divmod(num, m)
+        digits.append(d + 1)
+    return digits[::-1]
 
 
 def random_block(rng, m, max_len=4):

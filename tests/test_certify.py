@@ -34,9 +34,8 @@ from shiftchaos.certify import (
     random_two_sided_target,
     random_unstable_set,
 )
-from shiftchaos.sequences import enumeration_prefix
 
-from conftest import brute_distance, scan_for_block
+from conftest import _ref_enumeration, brute_distance, scan_for_block
 
 A2 = Alphabet(2)
 P = MetricParams(0.5)
@@ -80,7 +79,7 @@ def test_transitivity_concrete_target_scan_oracle():
     member = universal_member(u_set)
     assert member.shift(p).window(-1, 1) == (1, 2, 1)
     # oracle: scanning the materialized future also finds the word at p - 1
-    prefix = list(enumeration_prefix(2, 0, 64))
+    prefix = list(_ref_enumeration(2, 0, 64))
     occurrence = scan_for_block(prefix, (1, 2, 1))
     assert occurrence is not None and member.window(p - 1, p + 1) == (1, 2, 1)
     assert verify_certificate(as_payload(cert)).ok

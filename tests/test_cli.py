@@ -23,7 +23,8 @@ from shiftchaos.certify import (
 from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError
 from shiftchaos.horseshoe import HorseshoeParams, rectangle_for_word
-from shiftchaos.sequences import enumeration_prefix
+
+from conftest import _ref_enumeration
 
 
 def run(*argv):
@@ -771,9 +772,9 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
 
 def orbit_oracle(m, seed, steps, r=0.5, depth=60):
     """d(shift^n u, u) for n = 0..steps by direct summation over the
-    materialized enumeration (the past of u is all 1s, so positions below
+    word-by-word enumeration (the past of u is all 1s, so positions below
     -n never differ); the dropped tail beyond `depth` weighs < 2r**depth."""
-    prefix = enumeration_prefix(m, seed, steps + depth + 1)
+    prefix = _ref_enumeration(m, seed, steps + depth + 1)
 
     def u(i):
         return 1 if i < 0 else prefix[i]

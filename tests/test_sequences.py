@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,8 @@ from shiftchaos import (
 )
 from shiftchaos.sequences import (
     _FLAT_SPLICE_CAP,
-    _enum_window,
+    _HEAD,
+    _enumeration,
     enumeration_position,
     enumeration_prefix,
 )
@@ -101,7 +103,7 @@ def test_universal_all_length3_words_occur_in_short_prefix():
 def test_universal_m3_block_position_matches_scan():
     pos = enumeration_position(3, 0, (3, 3, 3))
     assert pos == 99  # frozen: start of the (3,3,3) entry in the length-3 section
-    prefix = list(enumeration_prefix(3, 0, 120))
+    prefix = list(_ref_enumeration(3, 0, 120))
     assert tuple(prefix[99:102]) == (3, 3, 3)
     # the scan finds an occurrence no later than the entry itself
     assert scan_for_block(prefix, (3, 3, 3)) <= 99
@@ -177,7 +179,7 @@ def test_shift_bijectivity_at_finite_depth(seed, n):
 
 def test_locate_block_first_words_match_scan():
     u = make_universal_sequence(Alphabet(2))
-    prefix = list(enumeration_prefix(2, 0, 64))
+    prefix = list(_ref_enumeration(2, 0, 64))
     for word in ((1,), (2,)):
         p = locate_block(u, word)
         assert p == scan_for_block(prefix, word) - 1
@@ -295,15 +297,17 @@ def test_periodic_sequences_are_written_as_the_periodic_kind():
 
 # ---------------------------------------------------------------------------
 # Bulk windows against oracles that do not share their code: slices of the
-# materialized enumeration prefix, the entry positions of
+# word-by-word enumeration `_ref_enumeration`, the entry positions of
 # `enumeration_position`, and the per-position reader `_ref_symbol` below.
 # ---------------------------------------------------------------------------
 
 PREFIX_LEN = 6000
 
+ref_prefix = lru_cache(maxsize=None)(_ref_enumeration)
+
 
 def prefix_window(m, seed, offset, lo, hi):
-    prefix = enumeration_prefix(m, seed, PREFIX_LEN)
+    prefix = ref_prefix(m, seed, PREFIX_LEN)
     return tuple(1 if j + offset < 0 else prefix[j + offset] for j in range(lo, hi + 1))
 
 
@@ -416,15 +420,18 @@ def test_enumeration_prefix_matches_the_word_by_word_reference(m, seed):
 
 @pytest.mark.parametrize("m", [2, 3, 255])
 @pytest.mark.parametrize("seed", [0, 3, 2 ** 63])
-def test_enumeration_prefix_slices_match_the_walker(m, seed):
-    count = 1 << 21
-    prefix = enumeration_prefix(m, seed, count)
-    assert len(prefix) == count
+def test_windows_built_alone_match_the_word_by_word_reference(m, seed):
     rng = random.Random(m * 1000 + seed % 997)
-    for _ in range(60):
-        lo = rng.randrange(count)
-        hi = min(count, lo + rng.randint(1, 300))
-        assert tuple(prefix[lo:hi]) == _enum_window(m, seed, lo, hi - 1)
+    windows = [(rng.randrange(1 << 21), rng.randint(1, 300)) for _ in range(60)]
+    length = 2
+    while section_start(m, length) < 1 << 21:  # each section boundary, +-1
+        boundary = section_start(m, length)
+        for lo in (boundary - 1, boundary, boundary + 1):
+            windows += [(lo, 1), (lo, rng.randint(2, 300))]
+        windows.append((boundary - 40, 40))  # ends at the boundary
+        length += 1
+    for lo, count in windows:
+        assert _enumeration(m, seed, lo, count) == _ref_enumeration(m, seed, count, lo), lo
 
 
 @pytest.mark.parametrize("m", [2, 255])
@@ -447,7 +454,8 @@ def test_enumeration_prefix_names_its_alphabet_cap():
 
 
 # ---------------------------------------------------------------------------
-# The memoized enumeration head shared by a family of shifted copies.
+# The cached enumeration head, read by a family of shifted copies, and the
+# windows built alone past it.
 # ---------------------------------------------------------------------------
 
 
@@ -455,34 +463,43 @@ def test_enumeration_prefix_names_its_alphabet_cap():
 @pytest.mark.parametrize("seed", [0, 2 ** 63])
 def test_shifted_family_shares_one_head(m, seed):
     u = UniversalSeq(m, seed)
-    prefix = enumeration_prefix(m, seed, 80002)
+    prefix = _ref_enumeration(m, seed, 80002)
 
     def expected(lo, hi):  # enumeration positions, 1-padded below 0
         return tuple(1 if j < 0 else prefix[j] for j in range(lo, hi + 1))
 
     family = [u.shift(n) for n in (0, 1, 7, 60, 700, 4000)]
-    assert all(s.head is u.head for s in family)
-    # (first, last enumeration position read, head length after the read):
-    # a window ending inside the head is a slice; one that starts at most one
-    # symbol past the head's end, or ends inside twice its length, extends
-    # the head to its own end or to twice the length, whichever is more;
-    # any other window walks
+    # (first, last enumeration position read): windows inside the head,
+    # ending at its last symbol or one or two past it, and far past it
     steps = [
-        (1, 40, 41), (-5, 99, 100), (50, 150, 200), (100, 199, 200),
-        (201, 300, 400), (700, 800, 400), (500, 799, 800), (0, 3000, 3001),
-        (3003, 6500, 3001), (3002, 7000, 7001), (20000, 30000, 7001), (6100, 12003, 14002),
-        (1, 12003, 14002), (-1, 40000, 40001), (45000, 80001, 80002),
+        (1, 40), (-5, 99), (50, 150), (100, 199), (201, 300), (700, 800), (500, 799),
+        (0, 3000), (3003, 6500), (3002, 7000), (20000, 30000), (6100, 12003),
+        (1, 12003), (-1, 40000), (45000, 80001),
+        (60000, _HEAD - 1), (_HEAD - 5, _HEAD), (-3, _HEAD + 1), (_HEAD, _HEAD + 9),
     ]
-    for i, (lo, hi, size) in enumerate(steps):
+    for i, (lo, hi) in enumerate(steps):
         s = family[i % len(family)]
         assert s.window(lo - s.offset, hi - s.offset) == expected(lo, hi)
-        assert len(u.head[0]) == size
-    assert u.head[0] == tuple(prefix)
+
+
+@pytest.mark.parametrize("m", [256, 300])
+@pytest.mark.parametrize("seed", [0, 3, 2 ** 63])
+def test_universal_windows_above_255_symbols_match_the_reference(m, seed):
+    u = UniversalSeq(m, seed)
+    assert u.window(-3, 40) == (1,) * 3 + _ref_enumeration(m, seed, 41)
+    assert u.shift(-10).window(5, 20) == (1,) * 5 + _ref_enumeration(m, seed, 11)
+    rng = random.Random(m + seed % 991)
+    starts = [rng.randrange(10 ** 6, 10 ** 9) for _ in range(5)]
+    for boundary in (section_start(m, 2), section_start(m, 3)):
+        starts += [boundary - 7, boundary - 1, boundary, boundary + 1]
+    for lo in starts:
+        assert u.window(lo, lo + 12) == _ref_enumeration(m, seed, 13, lo), lo
+        assert u.shift(lo).symbol_at(0) == _ref_enumeration(m, seed, 1, lo)[0]
 
 
 def test_head_is_not_part_of_identity():
     u = UniversalSeq(3, 2 ** 63, 4)
-    u.window(0, 3000)  # grows the head
+    u.window(0, 3000)  # reads the cached head
     back = u.shift(5).shift(-5)
     fresh = UniversalSeq(3, 2 ** 63, 4)
     assert back == u == fresh
