@@ -32,13 +32,16 @@ y-interval only on its future digits, so the level-(k, n) grid of
 future y-intervals (`rectangle_lattice`); the CLI streams its CSV and SVG
 rows from the two factors, and even the 2**20 cap takes seconds.
 
-With exact parameters (`fractions.Fraction` or int, the default lambda =
-1/3, mu = 3) every interval, itinerary, and conjugacy defect below is
-exact.  The digit sums then run over integers: for lambda = a/b one Horner
-pass keeps the sum over the common denominator b**len (mu**-j likewise over
-a power of mu's numerator), and one `Fraction` is normalised per sum
-instead of one per digit.  Squared defects and diagonals are compared as
-integer cross products.  Float parameters take a separate float path.
+There is one arithmetic for every parameter type.  A float lambda or mu is
+the dyadic rational it holds, so int, `fractions.Fraction` and float
+parameters alike enter as the integer ratios lambda = a/b and mu = c/e
+(`as_integer_ratio`), and every interval, itinerary point and conjugacy
+defect below is the exact value of those inputs (the default lambda = 1/3,
+mu = 3).  The digit sums run over integers: one Horner pass keeps a sum
+over the common denominator b**len (mu**-j likewise over a power of c),
+and at most one `Fraction` is normalised per sum.  Squared defects,
+diagonals and gaps are compared exactly, as integer cross products.
+Reported floats are the correctly rounded values of the exact ones.
 """
 
 from __future__ import annotations
@@ -63,15 +66,20 @@ class EscapeError(ValueError):
         super().__init__(f"iterate {step} escaped through the {axis} gap")
 
 
-MAX_EXACT_BITS = 16  # bounds the exact powers a conjugacy check takes at its caps
+# bound the powers a conjugacy check takes at its caps: an exact value may
+# have 16 bits in each term, a float's dyadic ratio (its mantissa and
+# exponent) 64
+MAX_EXACT_BITS = 16
+MAX_FLOAT_BITS = 64
 
 
 @dataclass(frozen=True)
 class HorseshoeParams:
     """Contraction lambda in (0, 1/2) and finite expansion mu > 2.
 
-    Values may be floats or exact rationals of at most `MAX_EXACT_BITS`
-    bits above and below the line; defaults are exact.
+    Values may be ints, `Fraction`s of at most `MAX_EXACT_BITS` bits above
+    and below the line, or floats whose integer ratio has terms of at most
+    `MAX_FLOAT_BITS` bits; defaults are exact.
     """
 
     lam: object = Fraction(1, 3)
@@ -82,13 +90,17 @@ class HorseshoeParams:
             raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam}")
         if not (2 < self.mu < math.inf):
             raise ValueError(f"mu must be a finite number above 2, got {self.mu}")
-        for name, value in (("lambda", self.lam), ("mu", self.mu)):
-            if isinstance(value, (int, Fraction)) and max(value.numerator, value.denominator) >> MAX_EXACT_BITS:
-                raise ValueError(f"exact {name} {value} has a term of more than {MAX_EXACT_BITS} bits")
+        a, b, c, e = self.ratios
+        for name, value, terms in (("lambda", self.lam, (a, b)), ("mu", self.mu, (c, e))):
+            kind = "float" if isinstance(value, float) else "exact"
+            bits = MAX_FLOAT_BITS if kind == "float" else MAX_EXACT_BITS
+            if max(terms) >> bits:
+                raise ValueError(f"{kind} {name} {value} has a term of more than {bits} bits")
 
     @cached_property
-    def exact(self) -> bool:
-        return isinstance(self.lam, (int, Fraction)) and isinstance(self.mu, (int, Fraction))
+    def ratios(self) -> tuple[int, int, int, int]:
+        """(a, b, c, e) in lowest terms with lambda = a / b and mu = c / e."""
+        return (*self.lam.as_integer_ratio(), *self.mu.as_integer_ratio())
 
 
 @dataclass(frozen=True)
@@ -101,13 +113,10 @@ class PlanePoint:
             raise ValueError(f"point ({self.x}, {self.y}) outside the unit square")
 
 
-def _one(hp: HorseshoeParams):
-    return Fraction(1) if hp.exact else 1.0
-
-
 def branch_of(q: PlanePoint, hp: HorseshoeParams, step: int = 0) -> int:
     """Which horizontal strip holds q: 1, 2, or an escape."""
-    gap_lo = _one(hp) / hp.mu
+    _, _, c, e = hp.ratios
+    gap_lo = Fraction(e, c)  # 1 / mu; compares exactly against floats too
     if q.y <= gap_lo:
         return 1
     if q.y >= 1 - gap_lo:
@@ -155,18 +164,16 @@ def point_from_itinerary(
 ) -> tuple[PlanePoint, float]:
     """Reconstruct the coded point from `depth` symbols per side.
 
-    Returns the truncated point and the Euclidean bound on its distance to
-    the true coded point (tails lambda**depth and mu**-depth per axis).
+    Returns the truncated point, as exact `Fraction`s, and the Euclidean
+    bound on its distance to the true coded point (tails lambda**depth and
+    mu**-depth per axis).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x = _x_lo(s.window(1 - depth, 0), hp)
-    y = _y_lo(s.window(1, depth), hp)
-    if not hp.exact:
-        # the exact sums lie in [0, 1); only float rounding can overshoot
-        x, y = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
+    x, _, x_den = _x_ends(s.window(1 - depth, 0), hp)
+    y, _, y_den = _y_ends(s.window(1, depth), hp)
     err = math.hypot(float(hp.lam) ** depth, float(hp.mu) ** (-depth))
-    return PlanePoint(x, y), err
+    return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,6 @@ class ConjugacyReport:
 
     defect: float
     bound: float
-    exact: bool
     passed: bool
 
 
@@ -184,46 +190,49 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
     reconstruction of the shifted sequence.
 
     The defect must stay within hypot((1+lambda)*lambda**depth,
-    (1+mu)*mu**-depth).  With exact parameters the comparison is exact
-    (squared defect against squared bound); with floats a machine-epsilon
-    allowance is added.
+    (1+mu)*mu**-depth).  The comparison is exact (squared defect against
+    squared bound), on the integer numerators of the two points over their
+    common denominators.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    p_here, _ = point_from_itinerary(s, hp, depth)
-    p_next, _ = point_from_itinerary(s.shift(1), hp, depth)
-    image = horseshoe_map(p_here, hp)
-    dx = image.x - p_next.x
-    dy = image.y - p_next.y
-    if hp.exact:
-        # squares as integer fractions: (1 + lam) * lam**depth =
-        # (b + a) * a**depth / b**(depth + 1) and (1 + mu) * mu**-depth =
-        # (e + c) * e**(depth - 1) / c**depth, for lam = a / b and mu = c / e
-        a, b = hp.lam.numerator, hp.lam.denominator
-        c, e = hp.mu.numerator, hp.mu.denominator
-        defect_num, defect_den = _sum_of_squares(dx.numerator, dx.denominator,
-                                                 dy.numerator, dy.denominator)
-        bound_num, bound_den = _sum_of_squares((b + a) * a ** depth, b ** (depth + 1),
-                                               (e + c) * e ** (depth - 1), c ** depth)
-        return ConjugacyReport(
-            math.sqrt(defect_num / defect_den),  # int / int rounds correctly
-            math.sqrt(bound_num / bound_den),
-            True,
-            defect_num * bound_den <= bound_num * defect_den,
-        )
-    defect_sq = dx * dx + dy * dy
-    bx = (1 + hp.lam) * hp.lam ** depth
-    by = (1 + hp.mu) * float(hp.mu) ** (-depth)
-    bound_sq = bx * bx + by * by
-    passed = float(defect_sq) <= float(bound_sq) * (1 + 1e-9) + 1e-30
+    a, b, c, e = hp.ratios
+    w = s.window(1 - depth, depth + 1)
+    x, _, xd = _x_ends(w[:depth], hp)  # the point: x / xd, y / yd
+    y, _, yd = _y_ends(w[depth : 2 * depth], hp)
+    x_next = _x_ends(w[1 : depth + 1], hp)[0]  # the shifted sequence's point
+    y_next = _y_ends(w[depth + 1 :], hp)[0]
+    # branch_of: y <= 1/mu = e/c is strip 1, y >= 1 - e/c strip 2
+    if y * c <= e * yd:
+        t = 0
+    elif y * c >= (c - e) * yd:
+        t = 1
+    else:
+        raise EscapeError(0, "horizontal")
+    # image (lam x + t (1 - lam), mu y - t (mu - 1)) minus the next point,
+    # over the denominators b xd and e yd
+    dx = a * x + t * (b - a) * xd - b * x_next
+    dy = c * y - t * (c - e) * yd - e * y_next
+    defect_num, defect_den = _sum_of_squares(dx, b * xd, dy, e * yd)
+    # (1 + lam) * lam**depth = (b + a) * a**depth / b**(depth + 1) and
+    # (1 + mu) * mu**-depth = (e + c) * e**(depth - 1) / c**depth
+    bound_num, bound_den = _sum_of_squares((b + a) * a ** depth, b ** (depth + 1),
+                                           (e + c) * e ** (depth - 1), c ** depth)
     return ConjugacyReport(
-        math.sqrt(float(defect_sq)), math.sqrt(float(bound_sq)), False, passed
+        _root(defect_num, defect_den),
+        _root(bound_num, bound_den),
+        defect_num * bound_den <= bound_num * defect_den,
     )
 
 
 def _sum_of_squares(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
     """(xn / xd)**2 + (yn / yd)**2 as an unreduced (numerator, denominator)."""
     return (xn * yd) ** 2 + (yn * xd) ** 2, (xd * yd) ** 2
+
+
+def _root(num: int, den: int) -> float:
+    """sqrt(num / den) of the correctly rounded int / int quotient."""
+    return math.sqrt(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -279,77 +288,51 @@ class Interval(NamedTuple):
     hi: object
 
 
-def _x_exact(past, lam) -> tuple[int, int]:
-    """Integers (num, den) with x_lo = num / den, for exact lam = a / b.
+def _x_ends(past, hp: HorseshoeParams) -> tuple[int, int, int]:
+    """Integers (lo, hi, den): the x-interval [lo / den, hi / den] of the
+    past digits at positions -k..0 (in word order), for lambda = a / b.
 
     One Horner pass over the common denominator b**len(past): after the
-    digits d_0..d_j (word order) num / scale holds
-    sum_i (d_i - 1) * lam**(j - i) / b, and (1 - lam) = (b - a) / b.
+    digits d_0..d_j (word order) num / den holds
+    sum_i (d_i - 1) * lam**(j - i) / b, and (1 - lam) = (b - a) / b.  The
+    width is lam**len(past) = a**len / den.
     """
-    a, b = lam.numerator, lam.denominator
-    num, scale = 0, 1
+    a, b, _, _ = hp.ratios
+    num, den = 0, 1
     for digit in past:
-        num = num * a + (digit - 1) * scale
-        scale *= b
-    return num * (b - a), scale
+        num = num * a + (digit - 1) * den
+        den *= b
+    lo = num * (b - a)
+    return lo, lo + a ** len(past), den
 
 
-def _y_exact(future, mu) -> tuple[int, int]:
-    """Integers (num, den) with y_lo = num / den, for exact mu = c / e.
+def _y_ends(future, hp: HorseshoeParams) -> tuple[int, int, int]:
+    """Integers (lo, hi, den): the y-interval [lo / den, hi / den] of the
+    future digits at positions 1..n, for mu = c / e.
 
-    Over the common denominator c**n the digit at position j weighs
-    e**j * c**(n - j), and (mu - 1) = (c - e) / e.
+    Over the common denominator e * c**n the digit at position j weighs
+    e**j * c**(n - j), and (mu - 1) = (c - e) / e.  The height is
+    mu**-n = e**(n+1) / den.
     """
-    c, e = mu.numerator, mu.denominator
+    _, _, c, e = hp.ratios
     num, epow = 0, e
     for digit in future:
         num = num * c + (digit - 1) * epow
         epow *= e
-    return num * (c - e), e * c ** len(future)
+    lo = num * (c - e)
+    return lo, lo + epow, e * c ** len(future)
 
 
-def _x_lo(past, hp: HorseshoeParams):
-    """Left end of the x-interval of the past digits at positions -k..0 (in
-    word order): the x coordinate they code with zeros beyond."""
-    if hp.exact:
-        return Fraction(*_x_exact(past, hp.lam))
-    x_lo = 0.0
-    powlam = 1.0
-    for digit in reversed(past):  # positions 0, -1, .., -k
-        x_lo += (digit - 1) * powlam
-        powlam = powlam * hp.lam
-    return x_lo * (1 - hp.lam)
-
-
-def _y_lo(future, hp: HorseshoeParams):
-    """Lower end of the y-interval of the future digits at positions 1..n."""
-    if hp.exact:
-        return Fraction(*_y_exact(future, hp.mu))
-    y_lo = 0.0
-    powmu = 1.0
-    for digit in future:
-        powmu = powmu / hp.mu
-        y_lo += (digit - 1) * powmu
-    return y_lo * (hp.mu - 1)
-
-
-def _x_interval(past, hp: HorseshoeParams) -> tuple[object, object]:
+def _x_interval(past, hp: HorseshoeParams) -> tuple[Fraction, Fraction]:
     """x-interval of the past digits at positions -k..0 (in word order)."""
-    if hp.exact:  # width lam**len(past) = a**len / den
-        num, den = _x_exact(past, hp.lam)
-        return Fraction(num, den), Fraction(num + hp.lam.numerator ** len(past), den)
-    x_lo = _x_lo(past, hp)
-    return x_lo, x_lo + hp.lam ** len(past)
+    lo, hi, den = _x_ends(past, hp)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
-def _y_interval(future, hp: HorseshoeParams) -> tuple[object, object]:
+def _y_interval(future, hp: HorseshoeParams) -> tuple[Fraction, Fraction]:
     """y-interval of the future digits at positions 1..n."""
-    n = len(future)
-    if hp.exact:  # height mu**-n = e**(n+1) / den
-        num, den = _y_exact(future, hp.mu)
-        return Fraction(num, den), Fraction(num + hp.mu.denominator ** (n + 1), den)
-    y_lo = _y_lo(future, hp)
-    return y_lo, y_lo + float(hp.mu) ** (-n)
+    lo, hi, den = _y_ends(future, hp)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def rectangle_for_word(word, start: int, hp: HorseshoeParams) -> SymbolicRectangle:
@@ -409,25 +392,31 @@ class HyperbolicReport:
     passed: bool
 
 
+def _width(hp: HorseshoeParams, k: int) -> tuple[int, int]:
+    """Width of a level-k past interval, from the ends of the all-ones one."""
+    lo, hi, den = _x_ends((1,) * (k + 1), hp)
+    return hi - lo, den
+
+
+def _height(hp: HorseshoeParams, n: int) -> tuple[int, int]:
+    """Height of a level-n future interval, from the ends of the all-ones one."""
+    lo, hi, den = _y_ends((1,) * n, hp)
+    return hi - lo, den
+
+
 def rectangle_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
-    """Diagonal of any level-(k, n) rectangle, from a constructed instance."""
-    rect = rectangle_for_word((1,) * (k + 1 + n), -k, hp)
-    return rect.diagonal()
+    """Diagonal of any level-(k, n) rectangle, from constructed intervals."""
+    return _root(*_sum_of_squares(*_width(hp, k), *_height(hp, n)))
 
 
 def _predicted_sq(hp: HorseshoeParams, k: int, n: int) -> tuple[int, int]:
-    """lam**(2(k+1)) + mu**(-2n) at exact parameters, as an unreduced
-    (numerator, denominator)."""
-    a, b = hp.lam.numerator, hp.lam.denominator
-    c, e = hp.mu.numerator, hp.mu.denominator
+    """lam**(2(k+1)) + mu**(-2n) as an unreduced (numerator, denominator)."""
+    a, b, c, e = hp.ratios
     return _sum_of_squares(a ** (k + 1), b ** (k + 1), e ** n, c ** n)
 
 
 def predicted_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
-    if hp.exact:
-        num, den = _predicted_sq(hp, k, n)
-        return math.sqrt(num / den)
-    return math.sqrt(float(hp.lam ** (2 * (k + 1)) + float(hp.mu) ** (-2 * n)))
+    return _root(*_predicted_sq(hp, k, n))
 
 
 def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> HyperbolicReport:
@@ -437,44 +426,39 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
         raise ValueError("max_depth must be >= 1")
     if 2 ** (2 * max_depth + 1) > RECTANGLE_CAP:
         raise ValueError("max_depth exceeds the rectangle cap")
+    # every cell's diagonal from the 2 * max_depth factor sides, built once
+    depths = range(1, max_depth + 1)
+    widths = {k: _width(hp, k) for k in depths}
+    heights = {n: _height(hp, n) for n in depths}
+    diagonal_sq = {
+        (k, n): _sum_of_squares(*widths[k], *heights[n]) for k in depths for n in depths
+    }
     report = diameter_table(
-        lambda k, n: rectangle_diagonal(hp, k, n),
+        lambda k, n: _root(*diagonal_sq[k, n]),
         lambda k, n: predicted_diagonal(hp, k, n),
         max_depth,
     )
     grid_exact = True
-    for k in range(1, max_depth + 1):
-        for n in range(1, max_depth + 1):
-            rect = rectangle_for_word((1,) * (k + 1 + n), -k, hp)
-            if hp.exact:
-                w, h = rect.width(), rect.height()
-                lhs_num, lhs_den = _sum_of_squares(w.numerator, w.denominator,
-                                                   h.numerator, h.denominator)
-                rhs_num, rhs_den = _predicted_sq(hp, k, n)
-                ok = lhs_num * rhs_den == rhs_num * lhs_den
-            else:
-                rhs = hp.lam ** (2 * (k + 1)) + float(hp.mu) ** (-2 * n)
-                ok = math.isclose(float(rect.diagonal_sq()), float(rhs), rel_tol=1e-12)
-            grid_exact = grid_exact and ok
-    eps0 = float(1 - 2 * _one(hp) / hp.mu)
-    eps0_horizontal = float(1 - 2 * hp.lam)
+    for (k, n), (num, den) in diagonal_sq.items():
+        want_num, want_den = _predicted_sq(hp, k, n)
+        grid_exact = grid_exact and num * want_den == want_num * den
+    a, b, c, e = hp.ratios
     # brute force at depth 1: minimum gap between the 4 window-[0,1]
     # rectangles whose future symbols differ
     rects = level_rectangles(hp, 0, 1)
-    gaps = [
-        a.gap_to(b)
-        for i, a in enumerate(rects)
-        for b in rects[i + 1 :]
-        if a.word[1] != b.word[1]
-    ]
-    brute = min(gaps)
-    passed = report.passed and grid_exact and math.isclose(brute, eps0, abs_tol=1e-12)
+    gap_sq = min(
+        r.gap_sq_to(q)
+        for i, r in enumerate(rects)
+        for q in rects[i + 1 :]
+        if r.word[1] != q.word[1]
+    )
+    passed = report.passed and grid_exact and gap_sq == Fraction(c - 2 * e, c) ** 2
     return HyperbolicReport(
         diameter=report,
         grid_exact=grid_exact,
-        eps0=eps0,
-        eps0_horizontal=eps0_horizontal,
+        eps0=(c - 2 * e) / c,  # 1 - 2/mu, correctly rounded
+        eps0_horizontal=(b - 2 * a) / b,
         witness_words=((1, 2), (2, 1)),
-        brute_min_gap=brute,
+        brute_min_gap=math.sqrt(float(gap_sq)),
         passed=passed,
     )

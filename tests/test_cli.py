@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 import time
 from itertools import product
 from pathlib import Path
@@ -22,7 +23,7 @@ from shiftchaos.certify import (
 )
 from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError
-from shiftchaos.horseshoe import HorseshoeParams, rectangle_for_word
+from shiftchaos.horseshoe import HorseshoeParams
 
 from conftest import _ref_enumeration
 
@@ -632,9 +633,23 @@ def test_horseshoe_cap_exceeded(tmp_path):
     assert run("horseshoe", "--out", str(tmp_path / "x"), "--k", "15", "--n", "15") == 2
 
 
+def _pull_back(digits, shift, scale):
+    """Image of [0, 1] under the composition of the branch maps
+    t -> scale * t + (digit - 1) * shift, innermost digit last."""
+    lo, hi = Fraction(0), Fraction(1)
+    for d in reversed(digits):
+        lo, hi = scale * lo + (d - 1) * shift, scale * hi + (d - 1) * shift
+    return lo, hi
+
+
 def _expected_rectangle_files(hp, k, n):
     """rectangles.csv and horseshoe.svg text rebuilt one rectangle at a time,
-    with the row and <rect> formatting of the first release."""
+    with the row and <rect> formatting of the first release.  Each rectangle
+    is the exact image of the unit square under the branches its word names
+    (a float parameter as the rational it holds), not the library's digit
+    sums: x under x -> lam x + (a - 1)(1 - lam) for a_0, a_-1, .., a_-k, y
+    under the inverse branches y -> (y + (a - 1)(mu - 1)) / mu for a_1..a_n."""
+    lam, mu = Fraction(hp.lam), Fraction(hp.mu)
     rows = ["word,x_lo,x_hi,y_lo,y_hi"]
     svg = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -642,15 +657,16 @@ def _expected_rectangle_files(hp, k, n):
     ]
     colors = {1: "#3465a4", 2: "#cc0000"}
     for word in product((1, 2), repeat=k + 1 + n):
-        rect = rectangle_for_word(word, -k, hp)
+        x_lo, x_hi = _pull_back(word[k::-1], 1 - lam, lam)
+        y_lo, y_hi = _pull_back(word[k + 1 :], (mu - 1) / mu, 1 / mu)
         chars = [str(s) for s in word]
         text = "".join(chars[: k + 1]) + "." + "".join(chars[k + 1 :])
-        bounds = (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi)
+        bounds = (x_lo, x_hi, y_lo, y_hi)
         rows.append(",".join([text] + [repr(float(v)) for v in bounds]))
-        x = float(rect.x_lo) * 1000
-        y = (1 - float(rect.y_hi)) * 1000
-        w = (float(rect.x_hi) - float(rect.x_lo)) * 1000
-        h = (float(rect.y_hi) - float(rect.y_lo)) * 1000
+        x = float(x_lo) * 1000
+        y = (1 - float(y_hi)) * 1000
+        w = (float(x_hi) - float(x_lo)) * 1000
+        h = (float(y_hi) - float(y_lo)) * 1000
         svg.append(
             f'<rect x="{x:.6f}" y="{y:.6f}" width="{w:.6f}" height="{h:.6f}" '
             f'fill="{colors[word[k + 1]]}" fill-opacity="0.8"/>'
@@ -673,8 +689,11 @@ def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp):
     assert (out / "horseshoe.svg").read_bytes() == svg_text.encode()
 
 
-# sha256 of every file these runs wrote before exact parameters were summed
-# over a common denominator; the float run pins the float path
+# sha256 of every file these runs write.  The exact and 16-bit pins were
+# taken before exact parameters were summed over a common denominator.  The
+# float pin was taken when floats joined the exact path: its files hold the
+# correctly rounded values of the rationals 0.3 and 3.5 hold, which the
+# pull-back oracle accepts row for row (horseshoe.svg kept its bytes)
 HORSESHOE_PINS = {
     ("--k", "6", "--n", "6", "--lam", "1/3", "--mu", "3", "--seed", "5"): {
         "conjugacy_report.json": "9dd9f715bf4284dad4e906a7765c1b7dc54be6c5bfa5821314c40b23b29b368f",
@@ -689,10 +708,10 @@ HORSESHOE_PINS = {
         "rectangles.csv": "57ffa7b10e55b48cde8d97273922dc86efaaa572567adb1bea2ff239498cfd7d",
     },
     ("--k", "7", "--n", "7", "--lam", "0.3", "--mu", "3.5", "--seed", "5"): {
-        "conjugacy_report.json": "1e7f5be898517849e933f45355a6caf94fec2e84119a042a17d2973c26add46b",
+        "conjugacy_report.json": "9da792f7f278da0fdbc4708b5dc01852df1dff1e9b1f2cfe6dfac492d17dac39",
         "horseshoe.svg": "d31454ba6464f2618a30f623bf3d6a5e565c5f1dc9e2e2c9e936b5623e6bc3d1",
-        "hyperbolic_report.json": "d86dba6bcc22b6b66775cf4539fd28c3a757a411cc247d7783ecc042e65c32d2",
-        "rectangles.csv": "d09c0671e26abe6a29f034bde8a8eadc4c2f7075b8c5de925ee00c924edc2392",
+        "hyperbolic_report.json": "7bc72df6e16c134e20dcae8e575ff635844a3eeeffc6a9032139fb7d431f73ed",
+        "rectangles.csv": "3997ab1ce2a6b4ecdfb1c6cd23a8eb00add3ce573e092aa287f10db3425253a1",
     },
 }
 
@@ -705,10 +724,18 @@ def test_horseshoe_files_match_their_pinned_bytes(tmp_path, flags):
     assert digests == HORSESHOE_PINS[flags]
 
 
-def test_conjugacy_report_at_the_caps_round_trips(tmp_path):
-    # 16 bits in every term and the largest depth and sample count
+@pytest.mark.parametrize(
+    "lam, mu",
+    [("21840/65521", "65521/21841"), ("0.3", "3.5"),
+     (repr((2 ** 52 + 1) / 2 ** 63), repr(2.0 ** 64 - 2.0 ** 11))],
+    ids=["16-bit", "float", "64-bit-float"],
+)
+def test_conjugacy_report_at_the_caps_round_trips(tmp_path, lam, mu):
+    # the largest depth and sample count, at 16 bits in every exact term, at
+    # the float run that float rounding refuted (its bound underflowed to
+    # 0.0), and at the slowest floats accepted: 64 bits in both ratios
     cfg = tmp_path / "caps.cfg"
-    cfg.write_text(f"lambda = 21840/65521\nmu = 65521/21841\n"
+    cfg.write_text(f"lambda = {lam}\nmu = {mu}\n"
                    f"conjugacy_depth = {MAX_CONJUGACY_DEPTH}\n"
                    f"conjugacy_samples = {MAX_CONJUGACY_SAMPLES}\n")
     out = tmp_path / "hs"
@@ -717,6 +744,47 @@ def test_conjugacy_report_at_the_caps_round_trips(tmp_path):
     payload = json.loads((out / "conjugacy_report.json").read_text())
     assert (payload["data"]["depth"], len(payload["data"]["rows"])) == (512, 50)
     assert verify_certificate(payload).ok
+
+
+def test_float_mu_of_a_million_passes_and_verifies(tmp_path):
+    # float rounding made the defect 1.0 against a bound of 4.5e-11 here
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--lam", "0.3", "--mu", "1e6") == 0
+    for name in ("hyperbolic_report.json", "conjugacy_report.json"):
+        assert run("--verify", str(out / name)) == 0
+
+
+def test_float_lambda_of_twenty_bits_is_accepted(tmp_path):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), "--lam", repr(2.0 ** -20), "--format", "json") == 0
+    for name in ("hyperbolic_report.json", "conjugacy_report.json"):
+        assert run("--verify", str(out / name)) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--lam", "1e-5"), ("--mu", "1e20"), ("--lam", "5e-324", "--mu", "1.7976931348623157e308")],
+    ids=["lam-1e-5", "mu-1e20", "extremes"],
+)
+def test_horseshoe_refuses_floats_past_64_bits(tmp_path, capsys, flags):
+    out = tmp_path / "hs"
+    assert run("horseshoe", "--out", str(out), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 64 bits" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("lambda", "1e-05"), ("mu", "1e+20")])
+def test_verify_reports_floats_past_64_bits_as_malformed(
+    fresh_outputs, tmp_path, capsys, key, value
+):
+    for name in ("hyperbolic_report.json", "conjugacy_report.json"):
+        path = tmp_path / name
+        path.write_text((fresh_outputs / "h" / name).read_text())
+        _tamper(path, _set(key, value))
+        capsys.readouterr()
+        assert run("--verify", str(path)) == 1
+        assert "malformed certificate: float" in capsys.readouterr().out
 
 
 def test_orbit_periodic_returns_to_start(tmp_path):

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -141,13 +140,48 @@ def test_conjugacy_fixed_point_defect_zero():
 
 def test_conjugacy_period_two_depth_twenty():
     rep = conjugacy_check(periodic_point((1, 2)), HP, 20)
-    assert rep.passed and rep.exact
+    assert rep.passed
     assert rep.defect < 1e-8
 
 
-def test_conjugacy_float_params_within_bound_allowance():
-    rep = conjugacy_check(periodic_point((2, 1, 1)), HPF, 20)
-    assert rep.passed and not rep.exact
+def test_conjugacy_float_params_pass_without_an_allowance():
+    assert conjugacy_check(periodic_point((2, 1, 1)), HPF, 20).passed
+    # float rounding refuted these before floats were summed as the dyadic
+    # rationals they are: a defect of 1.0 at mu = 1e6, and at depth 512 a
+    # rounding defect against a bound that underflows to 0.0
+    rng = random.Random(5)
+    for hp, depth in ((HorseshoeParams(0.3, 1e6), 20), (HorseshoeParams(0.3, 3.5), 512)):
+        for _ in range(20):
+            word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
+            rep = conjugacy_check(periodic_point(word), hp, depth)
+            assert rep.passed and rep.defect <= rep.bound
+
+
+# dyadic extremes under the 64-bit cap: one-bit and full-mantissa terms, the
+# smallest full-mantissa lambda, the largest mu, and both just inside (0, 1/2)
+# and (2, inf)
+FLOAT_EXTREMES = (
+    (2.0 ** -20, 3.5),
+    (2.0 ** -63, 2.0 ** 64 - 2.0 ** 11),
+    ((2 ** 52 + 1) / 2.0 ** 63, 2.0 ** 63),
+    (0.5 - 2.0 ** -54, 2.0 + 2.0 ** -51),
+)
+
+
+@pytest.mark.parametrize("lam, mu", [(1e-5, 3.0), (0.3, 1e20), (1 / 3, 2.0 ** 64),
+                                     (5e-324, 1.7976931348623157e308)])
+def test_float_params_with_a_term_past_64_bits_are_refused(lam, mu):
+    with pytest.raises(ValueError, match="float .* has a term of more than 64 bits"):
+        HorseshoeParams(lam, mu)
+
+
+@pytest.mark.parametrize("lam, mu", FLOAT_EXTREMES)
+def test_float_params_at_the_64_bit_cap_are_accepted(lam, mu):
+    hp = HorseshoeParams(lam, mu)
+    assert hp.ratios == (*lam.as_integer_ratio(), *mu.as_integer_ratio())
+    assert verify_hyperbolic_conditions(hp, 4).passed
+    for word in ((1,), (2,), (1, 2), (2, 2, 1)):
+        assert conjugacy_check(periodic_point(word), hp, 64).passed
 
 
 def test_conjugacy_random_periodic_depth_thirty():
@@ -253,8 +287,9 @@ def test_hyperbolic_conditions_report():
 
 def test_hyperbolic_conditions_float_params():
     report = verify_hyperbolic_conditions(HorseshoeParams(0.3, 2.5), 4)
-    assert report.diameter.strictly_decreasing
-    assert math.isclose(report.eps0, 1 - 2 / 2.5, abs_tol=1e-12)
+    assert report.passed and report.grid_exact and report.diameter.strictly_decreasing
+    assert report.eps0 == report.brute_min_gap == float(1 - 2 / Fraction(2.5))
+    assert report.eps0_horizontal == float(1 - 2 * Fraction(0.3))
 
 
 def test_escape_points_never_get_symbols():
@@ -278,8 +313,13 @@ def test_mixed_signature_itinerary_against_spliced_window():
 
 
 def _random_exact_params(rng):
-    """An int mu, a small fraction, or two terms of up to 16 bits each."""
-    kind = rng.randrange(3)
+    """An int mu, a small fraction, two terms of up to 16 bits each, random
+    full-mantissa floats, or a pair of `FLOAT_EXTREMES`."""
+    kind = rng.randrange(5)
+    if kind == 3:
+        return HorseshoeParams(rng.uniform(0.001, 0.49), rng.uniform(2.001, 1e6))
+    if kind == 4:
+        return HorseshoeParams(*rng.choice(FLOAT_EXTREMES))
     if kind == 0:
         return HorseshoeParams(Fraction(1, rng.randint(3, 40)), rng.randint(3, 40))
     if kind == 1:
@@ -311,7 +351,7 @@ def test_exact_intervals_and_points_match_the_digit_sums():
     rng = random.Random(17)
     for _ in range(150):
         hp = _random_exact_params(rng)
-        lam, mu = hp.lam, Fraction(hp.mu)
+        lam, mu = Fraction(hp.lam), Fraction(hp.mu)  # exact, floats too
         past = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
         future = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
         x_lo, x_hi = _x_interval(past, hp)
@@ -331,36 +371,67 @@ def test_exact_intervals_and_points_match_the_digit_sums():
 
 def test_exact_conjugacy_check_matches_fraction_arithmetic():
     rng = random.Random(23)
-    for _ in range(40):
+    for _ in range(60):
         hp = _random_exact_params(rng)
-        lam, mu = hp.lam, Fraction(hp.mu)
+        lam, mu = Fraction(hp.lam), Fraction(hp.mu)  # exact, floats too
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
         depth = rng.randint(2, 80)
         seq = periodic_point(word)
         here = PlanePoint(_x_sum(seq.window(1 - depth, 0), lam), _y_sum(seq.window(1, depth), mu))
         after = PlanePoint(_x_sum(seq.window(2 - depth, 1), lam),
                            _y_sum(seq.window(2, depth + 1), mu))
-        image = horseshoe_map(here, hp)
+        t = 0 if here.y <= 1 / mu else 1  # the branch formulas, in Fractions
+        image = PlanePoint(lam * here.x + t * (1 - lam), mu * here.y - t * (mu - 1))
         defect_sq = (image.x - after.x) ** 2 + (image.y - after.y) ** 2
         bound_sq = ((1 + lam) * lam ** depth) ** 2 + ((1 + mu) * mu ** -depth) ** 2
         rep = conjugacy_check(seq, hp, depth)
-        assert rep.exact and rep.passed == (defect_sq <= bound_sq)
+        assert rep.passed == (defect_sq <= bound_sq)
         assert rep.defect == math.sqrt(float(defect_sq))
         assert rep.bound == math.sqrt(float(bound_sq))
+
+
+def _nudge_x_lo(monkeypatch, delta):
+    """Move the left end of every x-interval the integer kernel builds by delta."""
+    true_ends = horseshoe._x_ends
+    p, q = delta.numerator, delta.denominator
+
+    def nudged(past, hp):
+        lo, hi, den = true_ends(past, hp)
+        return lo * q + p * den, hi * q, den * q
+
+    monkeypatch.setattr(horseshoe, "_x_ends", nudged)
 
 
 def test_exact_checks_flag_a_geometry_off_by_a_little(monkeypatch):
     depth = 12
     bound = math.hypot(float(Fraction(4, 3) * Fraction(1, 3) ** depth),
                        float(4 * Fraction(1, 3) ** depth))
-    nudge = Fraction(6, 5) * Fraction(bound)  # past the bound, short of sqrt(2) times it
-    true_map = horseshoe.horseshoe_map
-    monkeypatch.setattr(horseshoe, "horseshoe_map",
-                        lambda q, hp: PlanePoint(true_map(q, hp).x + nudge, true_map(q, hp).y))
-    rep = conjugacy_check(periodic_point((1,)), HP, depth)
-    assert not rep.passed and rep.defect == math.sqrt(float(nudge * nudge))
+    # the fixed point (0, 0) and its shift both move to x = nudge, whose
+    # image lam * nudge misses it by (1 - lam) * nudge: past the bound,
+    # short of sqrt(2) times it
+    nudge = Fraction(9, 5) * Fraction(bound)
+    with monkeypatch.context() as m:
+        _nudge_x_lo(m, nudge)
+        rep = conjugacy_check(periodic_point((1,)), HP, depth)
+    assert not rep.passed and rep.defect == math.sqrt(float(((1 - HP.lam) * nudge) ** 2))
+    assert conjugacy_check(periodic_point((1,)), HP, depth).passed
 
-    true_rect = horseshoe.rectangle_for_word
-    monkeypatch.setattr(horseshoe, "rectangle_for_word", lambda w, start, hp: replace(
-        true_rect(w, start, hp), x_hi=true_rect(w, start, hp).x_hi + Fraction(1, 10 ** 30)))
+    assert verify_hyperbolic_conditions(HP, 3).grid_exact
+    _nudge_x_lo(monkeypatch, Fraction(1, 10 ** 30))  # every width shrinks by 1e-30
     assert not verify_hyperbolic_conditions(HP, 3).grid_exact
+
+
+def test_hyperbolic_report_flags_a_separation_off_by_a_little(monkeypatch):
+    # lift every y-interval whose first future symbol is 2 by 1e-30: sides
+    # and diagonals keep their values, the first-symbol gap grows past 1 - 2/mu
+    true_ends = horseshoe._y_ends
+    q = 10 ** 30
+
+    def lifted(future, hp):
+        lo, hi, den = true_ends(future, hp)
+        lift = den if future[:1] == (2,) else 0
+        return lo * q + lift, hi * q + lift, den * q
+
+    monkeypatch.setattr(horseshoe, "_y_ends", lifted)
+    report = verify_hyperbolic_conditions(HP, 3)
+    assert report.grid_exact and report.diameter.passed and not report.passed
