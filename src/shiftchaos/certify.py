@@ -28,6 +28,8 @@ on the inputs and witnesses stored in a file and compares the rebuilt
 payload with the stored one key by key, numbers exactly and sequences as
 sequences.  A claim the payload function refutes (AssertionError) is a
 failure; an input or witness past its size cap is a malformed certificate.
+The payload functions of the two horseshoe reports live in `horseshoe`,
+which `verify_certificate` loads only when it meets such a report.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cylinders import CylinderSet, two_sided_cylinder
-from .horseshoe import HorseshoeParams, conjugacy_check, verify_hyperbolic_conditions
 from .metric import (
     MetricParams,
     check_diameter_condition,
@@ -52,6 +52,7 @@ from .metric import (
     weight_above,
     weight_below,
 )
+from .schema import MAX_METRIC_DEPTH, MAX_STEPS, MAX_WINDOW, SCHEMA_VERSION, bounded
 from .sequences import (
     Alphabet,
     BiSequence,
@@ -61,14 +62,12 @@ from .sequences import (
     enumeration_prefix,
     flip,
     periodic,
-    periodic_point,
     sequence_from_payload,
     sequence_to_payload,
     splice,
     window_padded,
 )
 
-SCHEMA_VERSION = 1  # of the certificate files the CLI writes and verifies
 _SCAN_CAP = 1 << 21
 MAX_SCAN_ALPHABET = 255  # the Poisson scan reads the enumeration as bytes
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
@@ -130,26 +129,17 @@ class VerificationResult:
 # sequences as objects; `_certificate` writes them as sequence payloads.
 # ---------------------------------------------------------------------------
 
-# Witness size caps.  A payload function refuses a larger stored size with
-# ValueError, so verifying any file ends with a verdict in bounded time.
-MAX_WINDOW = 1 << 20  # k (periodic_density, sensitivity) and li_yorke's horizon
-MAX_STEPS = 2048  # convergence n_max and Poisson depths: one distance per step
-# Steps times the truncation depth at (r, tol): a distance with a universal
-# side reads windows that long, which grow like 1/(1 - r).
+# Witness size caps are in `schema`.  This one is the budget of steps times
+# the truncation depth at (r, tol): a distance with a universal side reads
+# windows that long, which grow like 1/(1 - r).
 MAX_STEP_SYMBOLS = 1 << 22
-
-
-def _bounded(name: str, value, lo: int, hi: int) -> int:
-    if type(value) is not int or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-    return value
 
 
 def check_steps(name: str, steps, p: MetricParams, tol: float) -> int:
     """`steps` distances at (p.r, tol): at most MAX_STEPS, and within the
     symbol budget MAX_STEP_SYMBOLS."""
     depth = check_tolerance(p.r, tol)
-    if _bounded(name, steps, 1, MAX_STEPS) * depth > MAX_STEP_SYMBOLS:
+    if bounded(name, steps, 1, MAX_STEPS) * depth > MAX_STEP_SYMBOLS:
         raise ValueError(
             f"{name} {steps} at truncation depth {depth} (r={p.r!r}, tol={tol!r}) "
             f"exceeds the budget of {MAX_STEP_SYMBOLS} symbols"
@@ -179,7 +169,7 @@ def transitivity_payload(
 ) -> dict:
     if not (target.is_whole or target.is_two_sided):
         raise ValueError("transitivity targets are two-sided cylinders (or the whole space)")
-    _bounded("shift_count", shift_count, 0, math.inf)
+    bounded("shift_count", shift_count, 0, math.inf)
     if not target.contains(universal_member(u_set, seed).shift(shift_count)):
         raise AssertionError("universal member missed the target window")
     return {
@@ -213,7 +203,7 @@ def periodic_density_witness(
 def periodic_density_payload(
     s: BiSequence, delta: float, p: MetricParams, tol: float, k: int
 ) -> dict:
-    _bounded("k", k, 0, MAX_WINDOW)
+    bounded("k", k, 0, MAX_WINDOW)
     witness = periodic(s.window(-k, k), -k)
     d = distance(s, witness, p, tol)
     if not d.value + d.error < delta:
@@ -247,7 +237,7 @@ def sensitivity_witness(
 def sensitivity_payload(
     s: BiSequence, eps: float, alphabet: Alphabet, p: MetricParams, tol: float, k: int
 ) -> dict:
-    _bounded("k", k, 0, MAX_WINDOW)
+    bounded("k", k, 0, MAX_WINDOW)
     tail = s.shift(k)
     partner = splice(tail, flip(tail, alphabet.m), -k)
     eps0 = weight(1, p.r)
@@ -334,7 +324,7 @@ def poisson_recurrence_payload(
     errors: list[float] = []
     for j, n in enumerate(times, 1):
         thresholds.append(_window_threshold(j, p))
-        d = distance(u.shift(_bounded("return time", n, 1, math.inf)), u, p, tol)
+        d = distance(u.shift(bounded("return time", n, 1, math.inf)), u, p, tol)
         if not d.value + d.error < thresholds[-1]:
             raise AssertionError(f"recurrence distance at depth {j} exceeded its threshold")
         values.append(d.value)
@@ -389,7 +379,7 @@ def li_yorke_pair(
     boundary they separate by at least eps0 = r.  The witnesses are the
     first times of the least and the greatest distance up to the horizon.
     """
-    s, t = _scrambled_pair(u_set, _bounded("horizon", horizon, 10, MAX_WINDOW))
+    s, t = _scrambled_pair(u_set, bounded("horizon", horizon, 10, MAX_WINDOW))
     values = [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
     min_time, max_time = values.index(min(values)) + 1, values.index(max(values)) + 1
     return _certificate("li_yorke", li_yorke_payload(u_set, horizon, p, tol, min_time, max_time))
@@ -398,9 +388,9 @@ def li_yorke_pair(
 def li_yorke_payload(
     u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float, min_time: int, max_time: int
 ) -> dict:
-    s, t = _scrambled_pair(u_set, _bounded("horizon", horizon, 10, MAX_WINDOW))
-    _bounded("min_time", min_time, 1, horizon)
-    _bounded("max_time", max_time, 1, horizon)
+    s, t = _scrambled_pair(u_set, bounded("horizon", horizon, 10, MAX_WINDOW))
+    bounded("min_time", min_time, 1, horizon)
+    bounded("max_time", max_time, 1, horizon)
     d_min = distance(s.shift(min_time), t.shift(min_time), p, tol)
     d_max = distance(s.shift(max_time), t.shift(max_time), p, tol)
     min_bound = _li_yorke_min_bound(p.r, horizon)
@@ -502,31 +492,16 @@ def random_two_sided_target(
 
 
 # ---------------------------------------------------------------------------
-# Reports: payloads built from a few inputs, by the writer and the verifier
+# Reports: payloads built from a few inputs, by the writer and the verifier.
+# The horseshoe reports are in `horseshoe`.
 # ---------------------------------------------------------------------------
 
-# Size caps: the largest report they allow verifies in about 1 s.  Diameter
-# rows cost O(depth) each; conjugacy rows take exact powers of lambda and mu.
-MAX_METRIC_DEPTH = 2048
-MAX_CONJUGACY_DEPTH = 512
-MAX_CONJUGACY_SAMPLES = 50
 # The exhaustive separation oracle compares up to words**2 pairs.
 _EXHAUSTIVE_WORDS = 4096
 
 
-def parse_number(text: str):
-    """Accept ints, floats, and exact fractions like 1/3."""
-    text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def diameter_payload(m: int, r: float, max_depth: int) -> dict:
-    _bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH)
+    bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH)
     report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
     return {
         "m": m,
@@ -542,7 +517,7 @@ def diameter_payload(m: int, r: float, max_depth: int) -> dict:
 
 
 def separation_payload(m: int, r: float, degree: int) -> dict:
-    _bounded("degree", degree, 1, MAX_METRIC_DEPTH)
+    bounded("degree", degree, 1, MAX_METRIC_DEPTH)
     a, p = Alphabet(m), MetricParams(r)
     result = check_separation(a, p, degree)
     exhaustive = (degree <= 3 and m ** degree <= _EXHAUSTIVE_WORDS
@@ -555,47 +530,6 @@ def separation_payload(m: int, r: float, degree: int) -> dict:
         "witness_words": [list(result.witness[0].fixed), list(result.witness[1].fixed)],
         "witness_distance": set_distance(result.witness[0], result.witness[1], p),
         "exhaustive_at_low_degree": exhaustive,
-    }
-
-
-def hyperbolic_payload(hp: HorseshoeParams, max_depth: int) -> dict:
-    report = verify_hyperbolic_conditions(hp, _bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH))
-    return {
-        "lambda": str(hp.lam),
-        "mu": str(hp.mu),
-        "max_depth": max_depth,
-        "rows": [
-            {"k": r.k, "n": r.n, "diagonal": r.diameter, "predicted": r.predicted}
-            for r in report.diameter.rows
-        ],
-        "strictly_decreasing": report.diameter.strictly_decreasing,
-        "grid_exact": report.grid_exact,
-        "eps0": report.eps0,
-        "eps0_horizontal": report.eps0_horizontal,
-        "witness_words": [list(w) for w in report.witness_words],
-        "brute_min_gap": report.brute_min_gap,
-        "passed": report.passed,
-    }
-
-
-def conjugacy_payload(hp: HorseshoeParams, depth: int, seed: int, samples: int) -> dict:
-    """Conjugacy defects at `samples` periodic points drawn from `seed`."""
-    _bounded("depth", depth, 2, MAX_CONJUGACY_DEPTH)
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(_bounded("samples", samples, 0, MAX_CONJUGACY_SAMPLES)):
-        length = rng.randint(1, 12)
-        word = tuple(rng.randint(1, 2) for _ in range(length))
-        rep = conjugacy_check(periodic_point(word), hp, depth)
-        rows.append({"word": list(word), "defect": rep.defect, "bound": rep.bound, "passed": rep.passed})
-    return {
-        "lambda": str(hp.lam),
-        "mu": str(hp.mu),
-        "depth": depth,
-        "seed": seed,
-        "samples": samples,
-        "rows": rows,
-        "passed": all(row["passed"] for row in rows),
     }
 
 
@@ -662,17 +596,24 @@ def _unstable_set(d: dict) -> UnstableSetId:
     return UnstableSetId(Alphabet(d["m"]), _seq(d, "unstable_past"))
 
 
-def _horseshoe_params(d: dict) -> HorseshoeParams:
-    if not (isinstance(d["lambda"], str) and isinstance(d["mu"], str)):
-        raise TypeError("lambda and mu must be stored as strings")
-    return HorseshoeParams(parse_number(d["lambda"]), parse_number(d["mu"]))
-
-
 def _rebuilt_convergence(forward: bool):
     return _rebuilt(lambda d: convergence_payload(
         _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), _positive(d, "tolerance"),
         forward,
     ))
+
+
+def _hyperbolic_report(d: dict) -> dict:
+    from . import horseshoe
+
+    return horseshoe.hyperbolic_payload(horseshoe.stored_params(d), d["max_depth"])
+
+
+def _conjugacy_report(d: dict) -> dict:
+    from . import horseshoe
+
+    return horseshoe.conjugacy_payload(horseshoe.stored_params(d), d["depth"], d["seed"],
+                                       d["samples"])
 
 
 _VERIFIERS = {
@@ -703,13 +644,8 @@ _VERIFIERS = {
         "strictly_decreasing", "matches_prediction",
     ),
     "separation": _rebuilt(lambda d: separation_payload(d["m"], d["r"], d["degree"])),
-    "hyperbolic_conditions": _rebuilt(
-        lambda d: hyperbolic_payload(_horseshoe_params(d), d["max_depth"]), "passed"
-    ),
-    "conjugacy": _rebuilt(
-        lambda d: conjugacy_payload(_horseshoe_params(d), d["depth"], d["seed"], d["samples"]),
-        "passed",
-    ),
+    "hyperbolic_conditions": _rebuilt(_hyperbolic_report, "passed"),
+    "conjugacy": _rebuilt(_conjugacy_report, "passed"),
 }
 
 

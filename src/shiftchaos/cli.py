@@ -14,31 +14,35 @@ report with `certify.verify_certificate`.
 Configuration is a flat ``key = value`` text file (``--config``); explicit
 flags win over file values.  Identical config plus seed reproduces output
 files byte for byte.
+
+Each subcommand imports the layers it runs when it runs: a symbolic orbit
+loads neither `certify` nor `horseshoe`, `certify` does not load
+`horseshoe`, and `horseshoe` does not load `certify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import certify as cert
-from .horseshoe import (
-    RECTANGLE_CAP,
-    EscapeError,
-    HorseshoeParams,
-    PlanePoint,
-    branch_of,
-    horseshoe_map,
-    rectangle_lattice,
-)
 from .metric import MetricParams, check_tolerance, orbit_distances
+from .schema import (
+    MAX_CONJUGACY_DEPTH,
+    MAX_CONJUGACY_SAMPLES,
+    MAX_METRIC_DEPTH,
+    MAX_STEPS,
+    MAX_WINDOW,
+    RECTANGLE_CAP,
+    SCHEMA_VERSION,
+    parse_number,
+)
 from .sequences import (
     Alphabet,
+    BiSequence,
     UniversalSeq,
     periodic,
     splice,
@@ -74,7 +78,10 @@ class RunConfig:
         try:
             Alphabet(self.m)
             MetricParams(self.r)
-            HorseshoeParams(self.lam, self.mu)
+            if (self.lam, self.mu) != (RunConfig.lam, RunConfig.mu):  # the defaults are valid
+                from .horseshoe import HorseshoeParams
+
+                HorseshoeParams(self.lam, self.mu)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.tol <= 0:
@@ -90,11 +97,11 @@ class RunConfig:
         if not (0 <= self.seed < 1 << 64):
             raise ConfigError("seed must fit in 64 bits")
         for name, lo, hi in (
-            ("horizon", 10, cert.MAX_WINDOW),
-            ("recurrence_depth", 1, cert.MAX_STEPS),
-            ("metric_depth", 1, cert.MAX_METRIC_DEPTH),
-            ("conjugacy_depth", 2, cert.MAX_CONJUGACY_DEPTH),
-            ("conjugacy_samples", 0, cert.MAX_CONJUGACY_SAMPLES),
+            ("horizon", 10, MAX_WINDOW),
+            ("recurrence_depth", 1, MAX_STEPS),
+            ("metric_depth", 1, MAX_METRIC_DEPTH),
+            ("conjugacy_depth", 2, MAX_CONJUGACY_DEPTH),
+            ("conjugacy_samples", 0, MAX_CONJUGACY_SAMPLES),
         ):
             if not lo <= getattr(self, name) <= hi:
                 raise ConfigError(f"{name} must lie in [{lo}, {hi}]")
@@ -103,6 +110,8 @@ class RunConfig:
             raise ConfigError(f"unknown output formats: {bad}")
         if command != "certify":
             return
+        from . import certify as cert
+
         if self.m > cert.MAX_SCAN_ALPHABET:
             raise ConfigError(f"certify needs m <= {cert.MAX_SCAN_ALPHABET}: its Poisson scan "
                               "stores symbols as bytes")
@@ -125,8 +134,8 @@ class RunConfig:
 _CONFIG_KEYS = {
     "m": int,
     "r": lambda s: float(Fraction(s)) if "/" in s else float(s),
-    "lambda": cert.parse_number,
-    "mu": cert.parse_number,
+    "lambda": parse_number,
+    "mu": parse_number,
     "k": int,
     "n": int,
     "horizon": int,
@@ -192,7 +201,9 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
 
 
 def _write_json(path: Path, kind: str, data: dict) -> None:
-    payload = {"schema": cert.SCHEMA_VERSION, "kind": kind, "data": data}
+    import json
+
+    payload = {"schema": SCHEMA_VERSION, "kind": kind, "data": data}
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -209,6 +220,8 @@ _CONVERGENCE_STEPS = 20  # n_max of the two convergence certificates
 
 
 def cmd_certify(config: RunConfig) -> int:
+    from . import certify as cert
+
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     a = Alphabet(config.m)
@@ -316,6 +329,8 @@ def _write_svg(path: Path, pasts, futures) -> None:
 
 
 def cmd_horseshoe(config: RunConfig) -> int:
+    from .horseshoe import HorseshoeParams, conjugacy_payload, hyperbolic_payload, rectangle_lattice
+
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     hp = HorseshoeParams(config.lam, config.mu)
@@ -327,9 +342,9 @@ def cmd_horseshoe(config: RunConfig) -> int:
     if "csv" in config.formats:
         _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 
-    hyperbolic = cert.hyperbolic_payload(hp, max(1, min(config.k + config.n, 8)))
+    hyperbolic = hyperbolic_payload(hp, max(1, min(config.k + config.n, 8)))
     _write_json(out / "hyperbolic_report.json", "hyperbolic_conditions", hyperbolic)
-    conjugacy = cert.conjugacy_payload(
+    conjugacy = conjugacy_payload(
         hp, config.conjugacy_depth, config.seed, config.conjugacy_samples
     )
     _write_json(out / "conjugacy_report.json", "conjugacy", conjugacy)
@@ -378,8 +393,10 @@ def parse_descriptor(text: str, m: int = 2):
             seed = int(rest) if rest else 0
             return UniversalSeq(m, seed)
         if kind == "point":
+            from .horseshoe import PlanePoint
+
             x_text, _, y_text = rest.partition(",")
-            return PlanePoint(cert.parse_number(x_text), cert.parse_number(y_text))
+            return PlanePoint(parse_number(x_text), parse_number(y_text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad orbit descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"bad orbit descriptor {text!r}: unknown kind {kind!r}")
@@ -392,7 +409,9 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     path = out / "orbit.csv"
-    if isinstance(start, PlanePoint):
+    if not isinstance(start, BiSequence):  # a plane point
+        from .horseshoe import EscapeError, HorseshoeParams, branch_of, horseshoe_map
+
         hp = HorseshoeParams(config.lam, config.mu)
         rows = ["n,x,y,symbol"]
         pt = start
@@ -433,13 +452,17 @@ def verify_file(path: Path, quiet: bool = False) -> int:
 
 
 def _verify_file(path: Path, quiet: bool) -> int:
+    import json
+
+    from .certify import verify_certificate
+
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         if not quiet:
             print(f"error: cannot load {path}: {exc}", file=sys.stderr)
         return 2
-    result = cert.verify_certificate(payload)
+    result = verify_certificate(payload)
     if not result.shaped:
         if not quiet:
             print(f"error: cannot verify {path}: {result.failures[0]}", file=sys.stderr)

@@ -41,12 +41,20 @@ mu = 3).  The digit sums run over integers: one Horner pass keeps a sum
 over the common denominator b**len (mu**-j likewise over a power of c),
 and at most one `Fraction` is normalised per sum.  Squared defects,
 diagonals and gaps are compared exactly, as integer cross products.
-Reported floats are the correctly rounded values of the exact ones.
+Reported floats are the correctly rounded values of the exact ones, except
+for the square roots of `_root` (diagonals, conjugacy defects and bounds):
+roots of correctly rounded squares, which may be one ulp off.
+
+The payloads of the CLI's two horseshoe reports, the hyperbolic-condition
+and the conjugacy report, are built here (`hyperbolic_payload`,
+`conjugacy_payload`), by the writer and by `certify.verify_certificate`
+alike, so that writing them loads no certificate code.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -54,7 +62,15 @@ from itertools import product
 from typing import NamedTuple
 
 from .metric import DiameterReport, diameter_table
-from .sequences import BiSequence, FiniteWord, as_word
+from .schema import (
+    MAX_CONJUGACY_DEPTH,
+    MAX_CONJUGACY_SAMPLES,
+    MAX_METRIC_DEPTH,
+    RECTANGLE_CAP,
+    bounded,
+    parse_number,
+)
+from .sequences import BiSequence, FiniteWord, as_word, periodic_point
 
 
 class EscapeError(ValueError):
@@ -235,12 +251,26 @@ def _root(num: int, den: int) -> float:
     return math.sqrt(num / den)
 
 
+def _exact_root(num: int, den: int) -> float:
+    """The correctly rounded square root of num / den (num >= 0, den > 0).
+
+    The integer square root of num / den, scaled by 2**-q to at least 55
+    bits, has its last bit set when it is inexact (round to odd), so the one
+    rounding of the final int / int division is the correct one.
+    """
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 # ---------------------------------------------------------------------------
 # Level rectangles: the planar realization of two-sided cylinders
 # ---------------------------------------------------------------------------
-
-RECTANGLE_CAP = 1 << 20
-
 
 @dataclass(frozen=True)
 class SymbolicRectangle:
@@ -459,6 +489,60 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
         eps0=(c - 2 * e) / c,  # 1 - 2/mu, correctly rounded
         eps0_horizontal=(b - 2 * a) / b,
         witness_words=((1, 2), (2, 1)),
-        brute_min_gap=math.sqrt(float(gap_sq)),
+        brute_min_gap=_exact_root(gap_sq.numerator, gap_sq.denominator),
         passed=passed,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reports: the payloads of the CLI's hyperbolic-condition and conjugacy
+# files, built from a few inputs by the writer and the verifier alike
+# ---------------------------------------------------------------------------
+
+
+def stored_params(d: dict) -> HorseshoeParams:
+    """The parameters of a stored report: lambda and mu as number strings."""
+    if not (isinstance(d["lambda"], str) and isinstance(d["mu"], str)):
+        raise TypeError("lambda and mu must be stored as strings")
+    return HorseshoeParams(parse_number(d["lambda"]), parse_number(d["mu"]))
+
+
+def hyperbolic_payload(hp: HorseshoeParams, max_depth: int) -> dict:
+    report = verify_hyperbolic_conditions(hp, bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH))
+    return {
+        "lambda": str(hp.lam),
+        "mu": str(hp.mu),
+        "max_depth": max_depth,
+        "rows": [
+            {"k": r.k, "n": r.n, "diagonal": r.diameter, "predicted": r.predicted}
+            for r in report.diameter.rows
+        ],
+        "strictly_decreasing": report.diameter.strictly_decreasing,
+        "grid_exact": report.grid_exact,
+        "eps0": report.eps0,
+        "eps0_horizontal": report.eps0_horizontal,
+        "witness_words": [list(w) for w in report.witness_words],
+        "brute_min_gap": report.brute_min_gap,
+        "passed": report.passed,
+    }
+
+
+def conjugacy_payload(hp: HorseshoeParams, depth: int, seed: int, samples: int) -> dict:
+    """Conjugacy defects at `samples` periodic points drawn from `seed`."""
+    bounded("depth", depth, 2, MAX_CONJUGACY_DEPTH)
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(bounded("samples", samples, 0, MAX_CONJUGACY_SAMPLES)):
+        length = rng.randint(1, 12)
+        word = tuple(rng.randint(1, 2) for _ in range(length))
+        rep = conjugacy_check(periodic_point(word), hp, depth)
+        rows.append({"word": list(word), "defect": rep.defect, "bound": rep.bound, "passed": rep.passed})
+    return {
+        "lambda": str(hp.lam),
+        "mu": str(hp.mu),
+        "depth": depth,
+        "seed": seed,
+        "samples": samples,
+        "rows": rows,
+        "passed": all(row["passed"] for row in rows),
+    }

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftchaos.certify import (
+from shiftchaos.certify import verify_certificate
+from shiftchaos.schema import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
     MAX_METRIC_DEPTH,
     MAX_STEPS,
     MAX_WINDOW,
-    verify_certificate,
 )
 from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError
@@ -514,6 +514,31 @@ def test_config_rejects_sizes_past_their_caps_and_infinite_mu(tmp_path, capsys, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [("--lam", "7"), ("--mu", "2"), "lambda = 1e-5", "mu = 65537/3"])
+@pytest.mark.parametrize(
+    "command",
+    [("certify",), ("orbit", "--start", "universal", "--steps", "3"), ("horseshoe",)],
+    ids=["certify", "orbit", "horseshoe"],
+)
+def test_bad_lambda_or_mu_is_usage_error_for_every_subcommand(tmp_path, capsys, command, bad):
+    """lambda and mu are validated whatever the subcommand, also where the
+    run does not use them, from a flag or from a config file."""
+    flags = bad
+    if isinstance(bad, str):
+        (tmp_path / "run.cfg").write_text(bad + "\n")
+        flags = ("--config", str(tmp_path / "run.cfg"))
+    out = tmp_path / "out"
+    assert run(*command, "--out", str(out), *flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_default_lambda_and_mu_given_explicitly_are_accepted(tmp_path):
+    out = tmp_path / "o"
+    assert run("orbit", "--start", "universal", "--steps", "3", "--out", str(out),
+               "--lam", "2/6", "--mu", "3.0") == 0
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--r", "abc"), ("--lam", "abc"), ("--r", "1/0"), ("--mu", "1/0")]
 )
@@ -710,7 +735,7 @@ HORSESHOE_PINS = {
     ("--k", "7", "--n", "7", "--lam", "0.3", "--mu", "3.5", "--seed", "5"): {
         "conjugacy_report.json": "9da792f7f278da0fdbc4708b5dc01852df1dff1e9b1f2cfe6dfac492d17dac39",
         "horseshoe.svg": "d31454ba6464f2618a30f623bf3d6a5e565c5f1dc9e2e2c9e936b5623e6bc3d1",
-        "hyperbolic_report.json": "7bc72df6e16c134e20dcae8e575ff635844a3eeeffc6a9032139fb7d431f73ed",
+        "hyperbolic_report.json": "2b072003fd78591e6fbe5bce8625997c35c44a76b6bfb1cd4e588faba731af71",
         "rectangles.csv": "3997ab1ce2a6b4ecdfb1c6cd23a8eb00add3ce573e092aa287f10db3425253a1",
     },
 }

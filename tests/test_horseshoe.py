@@ -292,6 +292,32 @@ def test_hyperbolic_conditions_float_params():
     assert report.eps0_horizontal == float(1 - 2 * Fraction(0.3))
 
 
+@pytest.mark.parametrize("lam, mu", [(0.3, 3.5), (Fraction(1, 3), Fraction(7, 2)), (0.25, 2.2)])
+def test_brute_min_gap_is_the_correctly_rounded_exact_gap(lam, mu):
+    # the gap is 1 - 2/mu exactly; sqrt(float(gap**2)) would give
+    # 0.4285714285714286 at mu = 3.5, one ulp above 3/7
+    report = verify_hyperbolic_conditions(HorseshoeParams(lam, mu), 2)
+    assert report.passed
+    assert report.brute_min_gap == report.eps0 == float(1 - 2 / Fraction(mu))
+
+
+def _is_correctly_rounded_root(x: float, q: Fraction) -> bool:
+    """x is the float nearest sqrt(q): q lies between the squares of the
+    midpoints from x to its two neighbours."""
+    lo, hi = math.nextafter(x, 0), math.nextafter(x, math.inf)
+    return ((Fraction(lo) + Fraction(x)) / 2) ** 2 <= q <= ((Fraction(x) + Fraction(hi)) / 2) ** 2
+
+
+def test_exact_root_is_correctly_rounded():
+    rng = random.Random(5)
+    cases = [(0, 1), (1, 1), (9, 49), (2, 1), (1, 2 ** 2000), (2 ** 2001, 3)]
+    cases += [(rng.randrange(1, 10 ** rng.randint(1, 60)), rng.randrange(1, 10 ** rng.randint(1, 60)))
+              for _ in range(2000)]
+    for num, den in cases:
+        x = horseshoe._exact_root(num, den)
+        assert x == 0.0 if num == 0 else _is_correctly_rounded_root(x, Fraction(num, den))
+
+
 def test_escape_points_never_get_symbols():
     rng = random.Random(8)
     for _ in range(200):
