@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+import sys
 
 from .cylinders import CylinderSet, two_sided_cylinder
 from .metric import (
@@ -57,6 +57,7 @@ from .sequences import (
     Alphabet,
     BiSequence,
     EventuallyPeriodicSeq,
+    FrozenValue,
     UniversalSeq,
     enumeration_position,
     enumeration_prefix,
@@ -73,21 +74,21 @@ MAX_SCAN_ALPHABET = 255  # the Poisson scan reads the enumeration as bytes
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
 
 
-@dataclass(frozen=True)
-class UnstableSetId:
+class UnstableSetId(FrozenValue):
     """The unstable set of a point: all sequences sharing its entire past.
 
     The past carrier must be an eventually periodic sequence over the
     alphabet; only its symbols at positions <= 0 matter.
     """
 
-    alphabet: Alphabet
-    past: BiSequence
+    __slots__ = _fields = ("alphabet", "past")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.past, EventuallyPeriodicSeq):
+    def __init__(self, alphabet: Alphabet, past: BiSequence) -> None:
+        if not isinstance(past, EventuallyPeriodicSeq):
             raise TypeError("unstable-set past must be eventually periodic")
-        self.past.validate(self.alphabet)
+        past.validate(alphabet)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "past", past)
 
 
 def member_with_future(u_set: UnstableSetId, future: BiSequence) -> BiSequence:
@@ -100,24 +101,28 @@ def universal_member(u_set: UnstableSetId, seed: int = 0) -> BiSequence:
     return member_with_future(u_set, UniversalSeq(u_set.alphabet.m, seed))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenValue):
     """A self-contained, re-verifiable record of one chaos check."""
 
-    kind: str
-    data: dict
+    __slots__ = _fields = ("kind", "data")
+
+    def __init__(self, kind: str, data: dict) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "data", data)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(FrozenValue):
     """`shaped` is False when the payload is no certificate at all: not an
     object, a `schema` other than the integer `SCHEMA_VERSION`, a `kind`
     that is neither a string nor missing, or no `data` object."""
 
-    kind: str
-    ok: bool
-    failures: tuple[str, ...]
-    shaped: bool = True
+    __slots__ = _fields = ("kind", "ok", "failures", "shaped")
+
+    def __init__(self, kind: str, ok: bool, failures: tuple[str, ...], shaped: bool = True) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "shaped", shaped)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +192,52 @@ def _window_threshold(j: int, p: MetricParams) -> float:
     return weight_below(-j - 1, p.r) + weight_above(j + 1, p.r)
 
 
+def _agreement_bound(lo, hi: int, p: MetricParams, tol: float) -> float:
+    """The most `distance(s, t, p, tol)` can report as value + error when s
+    and t agree on positions lo..hi (lo <= 0 < hi; lo may be -inf), whatever
+    they are: the weight outside both [lo, hi] and the truncation window
+    [1 - k, k], since a truncated side reports its tail beyond k as error."""
+    k = check_tolerance(p.r, tol)
+    return weight_below(max(lo - 1, -k), p.r) + weight_above(min(hi, k) + 1, p.r)
+
+
+def check_witness_room(
+    p: MetricParams, tol: float, depths: int, deltas, epsilons
+) -> None:
+    """ValueError unless the errors `distance` certifies at (p.r, tol) leave
+    room for every witness a suite with these Poisson `depths`, periodic
+    `deltas` and sensitivity `epsilons` finds, whatever its sequences.
+
+    The Poisson fallback at depth j agrees on [-j, j + 1] and must stay below
+    the depth-j threshold, which holds while the truncation depth is above
+    j; a periodic witness agrees on [-k, k] and a sensitivity partner on
+    every position <= k; the sensitivity divergence differs at every
+    position >= 1 and must keep value - error >= eps0."""
+    r, k = p.r, check_tolerance(p.r, tol)
+    if not _agreement_bound(-depths, depths + 1, p, tol) < _window_threshold(depths, p):
+        raise ValueError(f"recurrence_depth {depths} needs a truncation depth above it; at "
+                         f"r={r!r}, tol={tol!r} it is {k}")
+    for delta in deltas:
+        w = _density_depth(delta, p)
+        if not _agreement_bound(-w, w, p, tol) < delta:
+            raise ValueError(f"tol {tol!r} leaves no room for the periodic witness at "
+                             f"delta={delta!r} (r={r!r})")
+    for eps in epsilons:
+        if not _agreement_bound(-math.inf, _sensitivity_depth(eps, p), p, tol) < eps:
+            raise ValueError(f"tol {tol!r} leaves no room for the sensitivity partner at "
+                             f"eps={eps!r} (r={r!r})")
+    if not weight_above(1, r) - 2 * weight_above(k + 1, r) - weight_below(-k, r) >= weight(1, r):
+        raise ValueError(f"tol {tol!r} hides the sensitivity divergence at r={r!r}")
+
+
+def _density_depth(delta: float, p: MetricParams) -> int:
+    """The least k whose off-window weight outside [-k, k] is below delta."""
+    k = 0
+    while _window_threshold(k, p) >= delta:
+        k += 1
+    return k
+
+
 def periodic_density_witness(
     s: BiSequence, delta: float, p: MetricParams, tol: float = 1e-12
 ) -> Certificate:
@@ -194,9 +245,7 @@ def periodic_density_witness(
     with k chosen so the off-window weight drops below delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    k = 0
-    while _window_threshold(k, p) >= delta:
-        k += 1
+    k = _density_depth(delta, p)
     return _certificate("periodic_density", periodic_density_payload(s, delta, p, tol, k))
 
 
@@ -228,10 +277,16 @@ def sensitivity_witness(
     eps0-far after k shifts, with every symbol beyond k flipped."""
     if eps <= 0:
         raise ValueError("eps must be positive")
+    k = _sensitivity_depth(eps, p)
+    return _certificate("sensitivity", sensitivity_payload(s, eps, alphabet, p, tol, k))
+
+
+def _sensitivity_depth(eps: float, p: MetricParams) -> int:
+    """The least k whose weight beyond position k is below eps."""
     k = 0
     while weight_above(k + 1, p.r) >= eps:
         k += 1
-    return _certificate("sensitivity", sensitivity_payload(s, eps, alphabet, p, tol, k))
+    return k
 
 
 def sensitivity_payload(
@@ -434,12 +489,23 @@ def unstable_set_convergence(
     return _certificate("unstable_convergence", convergence_payload(s, t, n_max, p, tol, False))
 
 
+def check_n_max(n_max, p: MetricParams, tol: float) -> int:
+    """A convergence `n_max`: within `check_steps`, and with a terminal
+    bound r**(n_max - 1) that is a normal float.  Below that the bound has
+    lost its precision, and the distance it bounds underflows to 0.0."""
+    check_steps("n_max", n_max, p, tol)
+    if not p.r ** (n_max - 1) >= sys.float_info.min:
+        raise ValueError(f"n_max {n_max} at r={p.r!r}: the terminal bound r**(n_max - 1) "
+                         "is not a normal float")
+    return n_max
+
+
 def convergence_payload(
     s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float, forward: bool
 ) -> dict:
     """Distances of the two orbits after 0..n_max forward (stable) or
     backward (unstable) shifts, each within its tail bound."""
-    check_steps("n_max", n_max, p, tol)
+    check_n_max(n_max, p, tol)
     if forward:
         name, sign, lo, hi, side = "stable", 1, 1, n_max + _AGREEMENT_DEPTH, "stable set"
     else:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .schema import (
 from .sequences import (
     Alphabet,
     BiSequence,
+    FrozenValue,
     UniversalSeq,
     periodic,
     splice,
@@ -54,8 +54,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FrozenValue):
+    """One run's settings.  The defaults are class attributes, so
+    `RunConfig.r` reads the default weight base."""
+
+    _fields = ("m", "r", "lam", "mu", "k", "n", "horizon", "tol", "out", "formats", "seed",
+               "sets", "targets", "recurrence_depth", "metric_depth", "conjugacy_depth",
+               "conjugacy_samples")
     m: int = 2
     r: float = 0.5
     lam: object = Fraction(1, 3)
@@ -73,6 +78,15 @@ class RunConfig:
     metric_depth: int = 12
     conjugacy_depth: int = 20
     conjugacy_samples: int = 25
+
+    def __init__(self, m=m, r=r, lam=lam, mu=mu, k=k, n=n, horizon=horizon, tol=tol, out=out,
+                 formats=formats, seed=seed, sets=sets, targets=targets,
+                 recurrence_depth=recurrence_depth, metric_depth=metric_depth,
+                 conjugacy_depth=conjugacy_depth, conjugacy_samples=conjugacy_samples) -> None:
+        for name, value in zip(self._fields, (m, r, lam, mu, k, n, horizon, tol, out, formats,
+                                              seed, sets, targets, recurrence_depth, metric_depth,
+                                              conjugacy_depth, conjugacy_samples)):
+            object.__setattr__(self, name, value)
 
     def validate(self, command: str | None = None) -> None:
         try:
@@ -118,7 +132,7 @@ class RunConfig:
         try:  # so that its Poisson and convergence files stay within their caps
             p = MetricParams(self.r)
             cert.check_steps("recurrence_depth", self.recurrence_depth, p, self.tol)
-            cert.check_steps("convergence n_max", _CONVERGENCE_STEPS, p, self.tol)
+            cert.check_n_max(_CONVERGENCE_STEPS, p, self.tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # the Li-Yorke pair's proximity bound r**(2**(J-1) - 2) is proven
@@ -129,6 +143,10 @@ class RunConfig:
         if cert._li_yorke_min_bound(self.r, self.horizon) < sys.float_info.min:
             raise ConfigError(f"horizon {self.horizon} is too long at r = {self.r}: "
                               "the Li-Yorke proximity bound underflows")
+        try:  # so that every witness its searches find passes its payload check
+            cert.check_witness_room(p, self.tol, self.recurrence_depth, _DELTAS, _EPSILONS)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _CONFIG_KEYS = {
@@ -217,6 +235,8 @@ def _float_str(v) -> str:
 
 
 _CONVERGENCE_STEPS = 20  # n_max of the two convergence certificates
+_DELTAS = (0.1, 1e-2, 1e-3)  # of the periodic-density certificates
+_EPSILONS = (0.25, 1e-2)  # of the sensitivity certificates
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -235,8 +255,6 @@ def cmd_certify(config: RunConfig) -> int:
         files.append((f"separation_n{degree}.json", "separation",
                       cert.separation_payload(config.m, config.r, degree)))
 
-    deltas = (0.1, 1e-2, 1e-3)
-    epsilons = (0.25, 1e-2)
     for i in range(config.sets):
         u_set = cert.random_unstable_set(rng, a)
         member = cert.universal_member(u_set)
@@ -244,10 +262,10 @@ def cmd_certify(config: RunConfig) -> int:
             target = cert.random_two_sided_target(rng, a, 2, 3)
             c = cert.transitivity_witness(u_set, target)
             files.append((f"transitivity_s{i}_t{t}.json", c.kind, c.data))
-        for d_i, delta in enumerate(deltas):
+        for d_i, delta in enumerate(_DELTAS):
             c = cert.periodic_density_witness(member, delta, p, config.tol)
             files.append((f"periodic_density_s{i}_d{d_i}.json", c.kind, c.data))
-        for e_i, eps in enumerate(epsilons):
+        for e_i, eps in enumerate(_EPSILONS):
             c = cert.sensitivity_witness(member, eps, a, p, config.tol)
             files.append((f"sensitivity_s{i}_e{e_i}.json", c.kind, c.data))
         if i == 0:

@@ -18,27 +18,26 @@ some member of the cylinder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .sequences import (
     Alphabet,
     BiSequence,
     FiniteWord,
+    FrozenValue,
     as_word,
     window_padded,
 )
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(FrozenValue):
     """Sequences carrying `fixed` at positions start..start+len-1."""
 
-    fixed: FiniteWord
-    start: int = 1
+    __slots__ = _fields = ("fixed", "start")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed", as_word(self.fixed))
+    def __init__(self, fixed, start: int = 1) -> None:
+        object.__setattr__(self, "fixed", as_word(fixed))
+        object.__setattr__(self, "start", start)
 
     @property
     def end(self) -> int:

@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -70,7 +68,7 @@ from .schema import (
     bounded,
     parse_number,
 )
-from .sequences import BiSequence, FiniteWord, as_word, periodic_point
+from .sequences import BiSequence, FiniteWord, FrozenValue, as_word, periodic_point
 
 
 class EscapeError(ValueError):
@@ -89,44 +87,42 @@ MAX_EXACT_BITS = 16
 MAX_FLOAT_BITS = 64
 
 
-@dataclass(frozen=True)
-class HorseshoeParams:
+class HorseshoeParams(FrozenValue):
     """Contraction lambda in (0, 1/2) and finite expansion mu > 2.
 
     Values may be ints, `Fraction`s of at most `MAX_EXACT_BITS` bits above
     and below the line, or floats whose integer ratio has terms of at most
-    `MAX_FLOAT_BITS` bits; defaults are exact.
+    `MAX_FLOAT_BITS` bits; defaults are exact.  `ratios` is (a, b, c, e) in
+    lowest terms with lambda = a / b and mu = c / e.
     """
 
-    lam: object = Fraction(1, 3)
-    mu: object = Fraction(3)
+    _fields = ("lam", "mu")
+    __slots__ = (*_fields, "ratios")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.lam) or not (self.lam < Fraction(1, 2)):
-            raise ValueError(f"lambda must lie in (0, 1/2), got {self.lam}")
-        if not (2 < self.mu < math.inf):
-            raise ValueError(f"mu must be a finite number above 2, got {self.mu}")
-        a, b, c, e = self.ratios
-        for name, value, terms in (("lambda", self.lam, (a, b)), ("mu", self.mu, (c, e))):
+    def __init__(self, lam=Fraction(1, 3), mu=Fraction(3)) -> None:
+        if not (0 < lam) or not (lam < Fraction(1, 2)):
+            raise ValueError(f"lambda must lie in (0, 1/2), got {lam}")
+        if not (2 < mu < math.inf):
+            raise ValueError(f"mu must be a finite number above 2, got {mu}")
+        a, b, c, e = ratios = (*lam.as_integer_ratio(), *mu.as_integer_ratio())
+        for name, value, terms in (("lambda", lam, (a, b)), ("mu", mu, (c, e))):
             kind = "float" if isinstance(value, float) else "exact"
             bits = MAX_FLOAT_BITS if kind == "float" else MAX_EXACT_BITS
             if max(terms) >> bits:
                 raise ValueError(f"{kind} {name} {value} has a term of more than {bits} bits")
-
-    @cached_property
-    def ratios(self) -> tuple[int, int, int, int]:
-        """(a, b, c, e) in lowest terms with lambda = a / b and mu = c / e."""
-        return (*self.lam.as_integer_ratio(), *self.mu.as_integer_ratio())
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "ratios", ratios)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    x: object
-    y: object
+class PlanePoint(FrozenValue):
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
-            raise ValueError(f"point ({self.x}, {self.y}) outside the unit square")
+    def __init__(self, x, y) -> None:
+        if not (0 <= x <= 1 and 0 <= y <= 1):
+            raise ValueError(f"point ({x}, {y}) outside the unit square")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 def branch_of(q: PlanePoint, hp: HorseshoeParams, step: int = 0) -> int:
@@ -192,13 +188,15 @@ def point_from_itinerary(
     return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(FrozenValue):
     """Defect of map-then-code versus shift-then-code at finite depth."""
 
-    defect: float
-    bound: float
-    passed: bool
+    __slots__ = _fields = ("defect", "bound", "passed")
+
+    def __init__(self, defect: float, bound: float, passed: bool) -> None:
+        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "passed", passed)
 
 
 def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> ConjugacyReport:
@@ -272,16 +270,18 @@ def _exact_root(num: int, den: int) -> float:
 # Level rectangles: the planar realization of two-sided cylinders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicRectangle:
+class SymbolicRectangle(FrozenValue):
     """All points whose itinerary carries `word` on window [start, end]."""
 
-    word: FiniteWord
-    start: int
-    x_lo: object
-    x_hi: object
-    y_lo: object
-    y_hi: object
+    __slots__ = _fields = ("word", "start", "x_lo", "x_hi", "y_lo", "y_hi")
+
+    def __init__(self, word: FiniteWord, start: int, x_lo, x_hi, y_lo, y_hi) -> None:
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
+        object.__setattr__(self, "y_lo", y_lo)
+        object.__setattr__(self, "y_hi", y_hi)
 
     @property
     def end(self) -> int:
@@ -411,15 +411,23 @@ def level_rectangles(hp: HorseshoeParams, k: int, n: int) -> list[SymbolicRectan
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HyperbolicReport:
-    diameter: DiameterReport
-    grid_exact: bool
-    eps0: float
-    eps0_horizontal: float
-    witness_words: tuple[tuple[int, ...], tuple[int, ...]]
-    brute_min_gap: float
-    passed: bool
+class HyperbolicReport(FrozenValue):
+    __slots__ = _fields = ("diameter", "grid_exact", "eps0", "eps0_horizontal", "witness_words",
+                           "brute_min_gap", "passed")
+
+    def __init__(
+        self,
+        diameter: DiameterReport,
+        grid_exact: bool,
+        eps0: float,
+        eps0_horizontal: float,
+        witness_words: tuple[tuple[int, ...], tuple[int, ...]],
+        brute_min_gap: float,
+        passed: bool,
+    ) -> None:
+        for name, value in zip(self._fields, (diameter, grid_exact, eps0, eps0_horizontal,
+                                              witness_words, brute_min_gap, passed)):
+            object.__setattr__(self, name, value)
 
 
 def _width(hp: HorseshoeParams, k: int) -> tuple[int, int]:

@@ -49,14 +49,13 @@ which `distance` truncates the past.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, ne, truediv
 from typing import Callable, NamedTuple
 
 from .cylinders import CylinderSet, all_words, future_cylinder
-from .sequences import Alphabet, BiSequence
+from .sequences import Alphabet, BiSequence, FrozenValue
 
 # Exact summation is abandoned beyond this many explicitly compared
 # positions per side (huge shifts of universal members); the certified
@@ -68,27 +67,27 @@ _EXACT_SPAN_CAP = 20_000
 _MAX_TRUNCATION_DEPTH = 1 << 20
 
 
-@dataclass(frozen=True)
-class MetricParams:
+class MetricParams(FrozenValue):
     """Geometric weight base r in (0, 1); 1/2 gives total diameter 2."""
 
-    r: float = 0.5
+    __slots__ = _fields = ("r",)
 
-    def __post_init__(self) -> None:
-        if not (0 < self.r < 1):
-            raise ValueError(f"weight base must lie in (0, 1), got {self.r}")
+    def __init__(self, r: float = 0.5) -> None:
+        if not (0 < r < 1):
+            raise ValueError(f"weight base must lie in (0, 1), got {r}")
+        object.__setattr__(self, "r", r)
 
 
-@dataclass(frozen=True, slots=True)
-class DistanceBound:
+class DistanceBound(FrozenValue):
     """A distance value with a certified truncation error (0 when exact)."""
 
-    value: float
-    error: float
+    __slots__ = _fields = ("value", "error")
 
-    def __post_init__(self) -> None:
-        if self.error < 0:
+    def __init__(self, value: float, error: float) -> None:
+        if error < 0:
             raise ValueError("error bound cannot be negative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error", error)
 
 
 def weight(j: int, r: float) -> float:
@@ -296,19 +295,25 @@ def set_distance(c1: CylinderSet, c2: CylinderSet, p: MetricParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiameterRow:
-    k: int
-    n: int
-    diameter: float
-    predicted: float
+class DiameterRow(FrozenValue):
+    __slots__ = _fields = ("k", "n", "diameter", "predicted")
+
+    def __init__(self, k: int, n: int, diameter: float, predicted: float) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "predicted", predicted)
 
 
-@dataclass(frozen=True)
-class DiameterReport:
-    rows: tuple[DiameterRow, ...]
-    strictly_decreasing: bool
-    matches_prediction: bool
+class DiameterReport(FrozenValue):
+    __slots__ = _fields = ("rows", "strictly_decreasing", "matches_prediction")
+
+    def __init__(
+        self, rows: tuple[DiameterRow, ...], strictly_decreasing: bool, matches_prediction: bool
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "strictly_decreasing", strictly_decreasing)
+        object.__setattr__(self, "matches_prediction", matches_prediction)
 
     @property
     def passed(self) -> bool:

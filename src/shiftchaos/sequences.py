@@ -37,7 +37,10 @@ builds the enumeration column by column from any position.
 in bytes (m <= 255) a window that ends inside the first ``_HEAD`` symbols
 is a slice of that one head.  Every other window is built alone.
 
-All values are immutable; every operation is a pure function.
+All values are immutable; every operation is a pure function.  The
+immutability comes from :class:`FrozenValue`, the base of every value class
+of the package but its two NamedTuples: it refuses assignment and deletion,
+and takes equality, hashing and ``repr`` from one tuple of field names.
 """
 
 from __future__ import annotations
@@ -45,32 +48,72 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class FrozenValue:
+    """Base of the package's immutable values.
+
+    A subclass names its fields once, in ``_fields``, and its ``__init__``
+    sets each of them with ``object.__setattr__``; after that, assigning or
+    deleting an attribute raises AttributeError.  Two values are equal when
+    they are of the same class and their fields are equal, and ``__hash__``
+    and ``__repr__`` (``Name(field=value, ...)``) read the same fields.
+    Equality and hashing get the fields with one ``operator.attrgetter``, so
+    the comparisons every `distance` call makes run in C.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls._fields:
+            cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Alphabet(FrozenValue):
     """Symbol set {1, ..., m}."""
 
-    m: int
+    __slots__ = _fields = ("m",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError(f"alphabet needs at least two symbols, got m={self.m}")
+    def __init__(self, m: int) -> None:
+        if not isinstance(m, int) or m < 2:
+            raise ValueError(f"alphabet needs at least two symbols, got m={m}")
+        object.__setattr__(self, "m", m)
 
     def symbols(self) -> range:
         return range(1, self.m + 1)
 
 
-@dataclass(frozen=True)
-class FiniteWord:
+class FiniteWord(FrozenValue):
     """An ordered, finite tuple of symbols."""
 
-    symbols: tuple[int, ...]
+    __slots__ = _fields = ("symbols",)
 
-    def __post_init__(self) -> None:
-        syms = tuple(map(int, self.symbols))
+    def __init__(self, symbols) -> None:
+        syms = tuple(map(int, symbols))
         if min(syms, default=1) < 1:
             raise ValueError(f"symbols are 1-based, got {syms}")
         object.__setattr__(self, "symbols", syms)
@@ -100,8 +143,10 @@ def as_word(w) -> FiniteWord:
 _EMPTY = FiniteWord(())
 
 
-class BiSequence:
+class BiSequence(FrozenValue):
     """Base class for bi-infinite sequences.  Subclasses are immutable."""
+
+    __slots__ = ()
 
     def symbol_at(self, j: int) -> int:
         return self.window(j, j)[0]
@@ -132,7 +177,6 @@ def _cycle(block: tuple[int, ...], cut: int, count: int) -> tuple[int, ...]:
     return ((block[cut:] + block[:cut]) * -(-count // len(block)))[:count]
 
 
-@dataclass(frozen=True)
 class EventuallyPeriodicSeq(BiSequence):
     """A finite center word with periodic blocks repeating on both sides.
 
@@ -152,15 +196,12 @@ class EventuallyPeriodicSeq(BiSequence):
     metric sums over their lengths.
     """
 
-    left_block: FiniteWord
-    center: FiniteWord
-    center_start: int
-    right_block: FiniteWord
+    __slots__ = _fields = ("left_block", "center", "center_start", "right_block")
 
-    def __post_init__(self) -> None:
-        left, center = as_word(self.left_block), as_word(self.center) if self.center else _EMPTY
-        right = left if self.right_block == self.left_block else as_word(self.right_block)
-        start = operator.index(self.center_start)
+    def __init__(self, left_block, center, center_start: int, right_block) -> None:
+        left, center = as_word(left_block), as_word(center) if center else _EMPTY
+        right = left if right_block == left_block else as_word(right_block)
+        start = operator.index(center_start)
         ls, syms, rs = left.symbols, center.symbols, right.symbols
         if not (ls and rs):
             raise ValueError("tail blocks must be nonempty")
@@ -317,7 +358,6 @@ def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
 _HEAD = 1 << 16  # symbols of the cached enumeration head that windows slice
 
 
-@dataclass(frozen=True)
 class UniversalSeq(BiSequence):
     """The enumeration of all finite words at nonnegative positions, 1-padded
     on the negative side.  `offset` tracks shifting; `seed` rotates each
@@ -328,12 +368,13 @@ class UniversalSeq(BiSequence):
     head for every copy of the sequence; every other window is built alone.
     The value is the three fields: shifting carries no state."""
 
-    m: int
-    seed: int = 0
-    offset: int = 0
+    __slots__ = _fields = ("m", "seed", "offset")
 
-    def __post_init__(self) -> None:
-        Alphabet(self.m)
+    def __init__(self, m: int, seed: int = 0, offset: int = 0) -> None:
+        Alphabet(m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "offset", offset)
 
     def shift(self, steps: int) -> "UniversalSeq":
         return UniversalSeq(self.m, self.seed, self.offset + steps)
@@ -352,7 +393,6 @@ class UniversalSeq(BiSequence):
         return (-1 - self.offset, 1)
 
 
-@dataclass(frozen=True)
 class SplicedSeq(BiSequence):
     """Past of one sequence glued to the future of another at the dot.
 
@@ -360,9 +400,12 @@ class SplicedSeq(BiSequence):
     both evaluated at j + offset, so shifting only moves the offset.
     """
 
-    past: BiSequence
-    future: BiSequence
-    offset: int = 0
+    __slots__ = _fields = ("past", "future", "offset")
+
+    def __init__(self, past: BiSequence, future: BiSequence, offset: int = 0) -> None:
+        object.__setattr__(self, "past", past)
+        object.__setattr__(self, "future", future)
+        object.__setattr__(self, "offset", offset)
 
     def shift(self, steps: int) -> "SplicedSeq":
         return SplicedSeq(self.past, self.future, self.offset + steps)
@@ -390,15 +433,15 @@ class SplicedSeq(BiSequence):
         return (min(start, 0) - self.offset, period)
 
 
-@dataclass(frozen=True)
 class FlippedSeq(BiSequence):
     """Pointwise symbol increment mod m; differs from its base everywhere."""
 
-    base: BiSequence
-    m: int
+    __slots__ = _fields = ("base", "m")
 
-    def __post_init__(self) -> None:
-        Alphabet(self.m)
+    def __init__(self, base: BiSequence, m: int) -> None:
+        Alphabet(m)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
 
     def shift(self, steps: int) -> "FlippedSeq":
         return FlippedSeq(self.base.shift(steps), self.m)

@@ -31,6 +31,7 @@ from shiftchaos.certify import (
     MAX_STEPS,
     MAX_WINDOW,
     _li_yorke_min_bound,
+    check_witness_room,
     random_two_sided_target,
     random_unstable_set,
 )
@@ -322,6 +323,47 @@ def test_unstable_convergence_mirrors():
 def test_unstable_convergence_rejects_disjoint_pasts():
     with pytest.raises(ValueError):
         unstable_set_convergence(periodic_point((1,)), periodic_point((2,)), 5, P)
+
+
+def _periodic_past_pair():
+    u_set = UnstableSetId(A2, periodic((1, 2)))
+    return (member_with_future(u_set, window_padded((1, 2))),
+            member_with_future(u_set, window_padded((2, 1))))
+
+
+def test_convergence_certifies_while_its_terminal_bound_is_a_normal_float():
+    s, t = _periodic_past_pair()
+    cert = unstable_set_convergence(s, t, 1023, P)  # r**1022 is the least normal float
+    assert cert.data["n_max"] == 1023
+    assert verify_certificate(as_payload(cert)).ok
+
+
+@pytest.mark.parametrize(
+    "tol, depths, deltas, epsilons, claim",
+    [
+        (1e-12, 10, (0.1, 1e-2, 1e-3), (0.25, 1e-2), None),  # the CLI's suite
+        (1e-3, 11, (), (), "truncation depth above it"),  # the depth is 11
+        (2e-3, 1, (1e-3,), (), "periodic witness at delta=0.001"),
+        (0.5, 1, (), (0.25,), "sensitivity partner at eps=0.25"),
+        (0.5, 1, (), (), "sensitivity divergence"),  # 1 - 2/4 - 1/4 < eps0
+    ],
+)
+def test_witness_room_refuses_an_error_a_witness_cannot_absorb(
+    tol, depths, deltas, epsilons, claim
+):
+    if claim is None:
+        check_witness_room(P, tol, depths, deltas, epsilons)
+    else:
+        with pytest.raises(ValueError, match=claim):
+            check_witness_room(P, tol, depths, deltas, epsilons)
+
+
+@pytest.mark.parametrize("n_max", [1024, 1080])
+def test_convergence_refuses_a_subnormal_terminal_bound(n_max):
+    s, t = _periodic_past_pair()
+    for convergence in (unstable_set_convergence, stable_set_convergence):
+        with pytest.raises(ValueError, match="not a normal float"):
+            convergence(s, t, n_max, P)
 
 
 # -- tampering and the devaney sweep ----------------------------------------

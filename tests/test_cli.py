@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftchaos.certify import verify_certificate
+from shiftchaos.certify import VerificationResult, verify_certificate
 from shiftchaos.schema import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
@@ -22,7 +22,7 @@ from shiftchaos.schema import (
     MAX_WINDOW,
 )
 from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
-from shiftchaos.cli import ConfigError
+from shiftchaos.cli import ConfigError, RunConfig
 from shiftchaos.horseshoe import HorseshoeParams
 
 from conftest import _ref_enumeration
@@ -244,6 +244,8 @@ def test_verify_payload_without_data_is_usage_error(fresh_outputs, tmp_path, cap
         ("c/li_yorke.json", "horizon", MAX_WINDOW + 1, "malformed certificate"),
         ("c/stable_convergence.json", "n_max", MAX_STEPS + 1, "malformed certificate"),
         ("c/unstable_convergence.json", "n_max", 1 << 40, "malformed certificate"),
+        # r**1079 is subnormal: the terminal bound certifies nothing
+        ("c/unstable_convergence.json", "n_max", 1080, "malformed certificate"),
         ("c/poisson_recurrence.json", "depths", MAX_STEPS + 1, "malformed certificate"),
         # 10**27 words are too many for the exhaustive separation oracle
         ("c/separation_n3.json", "m", 10 ** 9, "stored exhaustive_at_low_degree does not"),
@@ -329,6 +331,42 @@ def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, cla
     err = capsys.readouterr().err
     assert err.startswith("error: ") and claim in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, claim",
+    [
+        # the Poisson fallback witness at a truncation depth <= recurrence_depth
+        (("--r", "0.07"), "truncation depth"), (("--r", "0.06"), "truncation depth"),
+        (("--r", "0.05"), "truncation depth"), (("--r", "0.01"), "truncation depth"),
+        (("--r", "1e-20"), "not a normal float"),
+        (("--tol", "2e-3"), "truncation depth"), (("--tol", "5e-3"), "truncation depth"),
+        (("--tol", "1e-2"), "truncation depth"), (("--tol", "0.5"), "truncation depth"),
+    ],
+)
+def test_certify_refuses_an_error_its_witnesses_cannot_absorb(tmp_path, capsys, flags, claim):
+    out = tmp_path / "c"
+    assert run("certify", "--out", str(out), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and claim in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", ["tol = 2e-3", "r = 0.45\ntol = 1.5e-3"])
+def test_certify_refuses_a_tolerance_its_periodic_witnesses_cannot_absorb(
+    tmp_path, capsys, lines
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("recurrence_depth = 1\n" + lines + "\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    assert "periodic witness at delta=0.001" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--r", "0.08"), ("--r", "0.5"), ("--tol", "1e-3")])
+def test_certify_accepts_an_error_its_witnesses_absorb(tmp_path, flags):
+    assert run("certify", "--out", str(tmp_path / "c"), *flags) == 0
 
 
 def test_certify_alphabet_cap_is_255(tmp_path, capsys):
@@ -592,6 +630,28 @@ def test_orbit_rejects_negative_steps(tmp_path, capsys):
     assert run("orbit", "--out", str(out), "--start", "periodic:1,2", "--steps", "-5") == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_run_config_defaults_are_class_attributes():
+    assert RunConfig.r == 0.5 and RunConfig.tol == 1e-12
+    assert RunConfig() == RunConfig(2, 0.5) == RunConfig(m=2, tol=1e-12)
+    assert RunConfig(r=0.25) != RunConfig() and RunConfig(r=0.25).r == 0.25
+    assert RunConfig.r == 0.5  # an instance never writes through to the class
+    with pytest.raises(TypeError, match="bogus"):
+        RunConfig(bogus=1)
+    config = RunConfig()
+    with pytest.raises(AttributeError):
+        config.r = 0.25
+    with pytest.raises(AttributeError):
+        del config.tol
+    assert repr(RunConfig(seed=3)).startswith("RunConfig(m=2, r=0.5, lam=Fraction(1, 3), ")
+
+
+def test_verification_result_keeps_its_shaped_default():
+    assert VerificationResult("x", True, ()).shaped
+    result = VerificationResult("x", False, ("bad",), shaped=False)
+    assert not result.shaped and result == VerificationResult("x", False, ("bad",), False)
+    assert repr(result) == "VerificationResult(kind='x', ok=False, failures=('bad',), shaped=False)"
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -76,18 +76,25 @@ def test_star_import_binds_every_public_name():
     assert set(shiftchaos.__all__) <= set(dir(shiftchaos))
 
 
+# Heavy standard modules no run may load: `dataclasses` pulls in `inspect`,
+# `ast`, `dis` and `tokenize`, and the package's values do without them.
+UNLOADED = ("dataclasses", "inspect")
+
+
 def _loaded(tmp_path, code: str) -> set[str]:
     """The shiftchaos modules a fresh interpreter holds after running `code`
-    in `tmp_path`."""
+    in `tmp_path`; the run must not have loaded any module of `UNLOADED`."""
     paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    script = (code + "\nimport sys\n"
+    script = ("import sys\n_start = set(sys.modules)\n" + code + "\n"
+              f"print('UNLOADED', *sorted(set({UNLOADED!r}) & (sys.modules.keys() - _start)))\n"
               "print('MODULES', *sorted(m for m in sys.modules if m.startswith('shiftchaos')))")
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)}, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    last = result.stdout.splitlines()[-1].split()
+    unloaded, last = (line.split() for line in result.stdout.splitlines()[-2:])
+    assert unloaded == ["UNLOADED"], f"the run loaded {unloaded[1:]}"
     assert last[0] == "MODULES"
     return set(last[1:])
 

@@ -1,5 +1,7 @@
 """Sequence generators, shifting, and the universal enumeration."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 from functools import lru_cache
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
+    CylinderSet,
     DistanceBound,
     EventuallyPeriodicSeq,
     FiniteWord,
@@ -644,3 +647,88 @@ def test_shift_keeps_the_center_length(rng):
             assert len(shifted.center) == len(s.center)
             assert shifted.center_start == (1 if s.period else s.center_start - n)
             assert shifted.shift(-n) == s
+
+
+# ---------------------------------------------------------------------------
+# Value semantics of the immutable values (the FrozenValue base)
+# ---------------------------------------------------------------------------
+
+VALUES = [
+    Alphabet(3),
+    FiniteWord((1, 2)),
+    EventuallyPeriodicSeq((1, 2), (2, 1, 1), -1, (2,)),
+    UniversalSeq(2, 0, 5),
+    SplicedSeq(UniversalSeq(2), periodic((1,)), 3),
+    FlippedSeq(UniversalSeq(2), 2),
+    CylinderSet((1, 2), -1),
+    MetricParams(0.25),
+    DistanceBound(0.25, 0.0),
+]
+VALUE_IDS = [type(v).__name__ for v in VALUES]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
+def test_values_refuse_assignment_and_deletion(value):
+    before = repr(value)
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("value", VALUES, ids=VALUE_IDS)
+def test_equal_values_are_equal_and_hash_equal(value):
+    twin = type(value)(*(getattr(value, name) for name in value._fields))
+    assert twin is not value and twin == value and not twin != value
+    assert hash(twin) == hash(value)
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+def test_values_of_different_classes_never_compare_equal():
+    class Twin(UniversalSeq):
+        __slots__ = ()
+
+    u = UniversalSeq(2, 0, 5)
+    assert Twin(2, 0, 5) == Twin(2, 0, 5)
+    assert u != Twin(2, 0, 5) and Twin(2, 0, 5) != u
+    assert u != SplicedSeq(u, u, 5) and u != FlippedSeq(u, 2)
+    # a one-field value is not its field, nor is a value the tuple of its fields
+    assert FiniteWord((1, 2)) != (1, 2) and MetricParams(0.5) != 0.5
+    assert DistanceBound(0.5, 0.0) != (0.5, 0.0)
+    assert len({FiniteWord((1, 2)), (1, 2), MetricParams(0.5), 0.5}) == 4
+
+
+def test_canonical_forms_compare_and_hash_equal():
+    a = EventuallyPeriodicSeq((1,), (), 1, (1, 2))
+    b = EventuallyPeriodicSeq((1,), (1,), 1, (2, 1))
+    assert a == b and hash(a) == hash(b)
+    c, d = periodic((1, 2), 0), periodic((2, 1), 1)
+    assert c == d and hash(c) == hash(d)
+    assert {a: "x"}[b] == "x"
+
+
+def test_repr_keeps_the_field_text():
+    assert repr(UniversalSeq(2, 3, 5)) == "UniversalSeq(m=2, seed=3, offset=5)"
+    assert repr(EventuallyPeriodicSeq((1, 2), (2, 1, 1), -1, (2,))) == (
+        "EventuallyPeriodicSeq(left_block=FiniteWord(symbols=(1, 2)), "
+        "center=FiniteWord(symbols=(2, 1, 1)), center_start=-1, "
+        "right_block=FiniteWord(symbols=(2,)))"
+    )
+    assert repr(DistanceBound(0.25, 0.0)) == "DistanceBound(value=0.25, error=0.0)"
+    assert repr(CylinderSet((1, 2), -1)) == "CylinderSet(fixed=FiniteWord(symbols=(1, 2)), start=-1)"
+
+
+def test_constructors_keep_their_defaults_and_keywords():
+    assert MetricParams() == MetricParams(0.5) == MetricParams(r=0.5)
+    assert UniversalSeq(2) == UniversalSeq(m=2, seed=0, offset=0) == UniversalSeq(2, 0)
+    assert SplicedSeq(periodic((1,)), periodic((2,))).offset == 0
+    assert CylinderSet((1,)).start == 1
+    assert EventuallyPeriodicSeq(
+        left_block=(1,), center=(2,), center_start=0, right_block=(1,)
+    ) == window_padded((2,), 0)
+    with pytest.raises(TypeError):
+        UniversalSeq(2, bogus=1)
+    with pytest.raises(TypeError):
+        DistanceBound(0.5)
