@@ -182,8 +182,8 @@ def point_from_itinerary(
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x, _, x_den = _x_ends(s.window(1 - depth, 0), hp)
-    y, _, y_den = _y_ends(s.window(1, depth), hp)
+    x, _, x_den = _x_ends(s.span(1 - depth, 0), hp)
+    y, _, y_den = _y_ends(s.span(1, depth), hp)
     err = math.hypot(float(hp.lam) ** depth, float(hp.mu) ** (-depth))
     return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
@@ -211,7 +211,7 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
     if depth < 2:
         raise ValueError("depth must be >= 2")
     a, b, c, e = hp.ratios
-    w = s.window(1 - depth, depth + 1)
+    w = s.span(1 - depth, depth + 1)
     x, _, xd = _x_ends(w[:depth], hp)  # the point: x / xd, y / yd
     y, _, yd = _y_ends(w[depth : 2 * depth], hp)
     x_next = _x_ends(w[1 : depth + 1], hp)[0]  # the shifted sequence's point

@@ -22,10 +22,14 @@ Distances are exact (error 0) whenever both sequences have periodic tails
 on each side; otherwise the sum is truncated with a certified two-sided
 error bound below the requested tolerance.
 
-Each side is summed by one pass in C: the weights come from a cached table
-of r**j per weight base, periodic-block weights are divided by
-1 - r**period, and `reduce(add, compress(weights, mismatches), 0.0)` adds
-the weights at mismatched positions one by one from 0.0.  The future side
+Each side is summed in C: the weights come from a cached table of r**j
+per weight base, periodic-block weights are divided by 1 - r**period, and
+`reduce(add, compress(weights, mismatches), 0.0)` adds the weights at
+mismatched positions one by one from 0.0.  The sides read each sequence's
+`span`, which is bytes while its symbols fit in a byte.  Two byte spans
+longer than `_SHORT_SPAN` are XORed as integers, and the nonzero bytes of
+the result are the mismatches; other spans are compared symbol by symbol.
+Either way the same weights are added in the same order.  The future side
 runs in increasing j; the past side runs over the explicit positions in
 increasing j, then over the periodic block from its start downwards.  This
 fixes every rounding step, so values are the same on every Python version
@@ -61,6 +65,10 @@ from .sequences import Alphabet, BiSequence, FrozenValue
 # positions per side (huge shifts of universal members); the certified
 # truncated path takes over.
 _EXACT_SPAN_CAP = 20_000
+
+# Byte spans up to this long are compared symbol by symbol, which costs
+# less there than converting them to integers.
+_SHORT_SPAN = 8
 
 # The truncated sums never compare more positions than this per side: a
 # weight base so close to 1 that the tolerance needs more is refused.
@@ -115,11 +123,13 @@ def space_diameter(p: MetricParams) -> float:
     return weight_above(1, p.r) + weight_below(0, p.r)
 
 
+@lru_cache(maxsize=32, typed=True)
 def _truncation_depth(r: float, half_tol: float) -> int:
     """The smallest k >= 1 whose dropped tail r**(k+1)/(1-r), the error the
     truncated sums report, is at most half_tol.  A logarithm gives k up to
     rounding, and one step each way fixes it.  ValueError when k exceeds
-    `_MAX_TRUNCATION_DEPTH` (or half_tol is not a positive float)."""
+    `_MAX_TRUNCATION_DEPTH` (or half_tol is not a positive float), which
+    the cache never stores."""
 
     geo = 1 - r
     if r ** 2 / geo <= half_tol:
@@ -160,10 +170,18 @@ def _powers(r: float, top: int) -> list[float]:
     return table
 
 
-def _mismatch_sum(terms, sw, tw) -> float:
-    """Add the terms at the positions where sw and tw differ, left to right
-    from 0.0.  (Not `sum`, which compensates float sums on Python 3.12+.)"""
-    return reduce(add, compress(terms, map(ne, sw, tw)), 0.0)
+def _mismatch_sum(terms, sw, tw, start: float = 0.0) -> float:
+    """Add the terms at the positions where the spans sw and tw differ, left
+    to right from `start`.  (Not `sum`, which compensates float sums on
+    Python 3.12+.)"""
+    if sw == tw:
+        return start
+    if len(sw) > _SHORT_SPAN and sw.__class__ is bytes is tw.__class__:
+        diff = int.from_bytes(sw, "big") ^ int.from_bytes(tw, "big")
+        mismatches = diff.to_bytes(len(sw), "big")  # nonzero where they differ
+    else:
+        mismatches = map(ne, sw, tw)
+    return reduce(add, compress(terms, mismatches), start)
 
 
 def _right_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
@@ -177,10 +195,10 @@ def _right_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[floa
             geo = 1.0 - r ** period
             # positions 1..start-1, then the periodic block start..hi
             terms = chain(table[1:start], map(truediv, table[start : hi + 1], repeat(geo)))
-            return _mismatch_sum(terms, s.window(1, hi), t.window(1, hi)), 0.0
+            return _mismatch_sum(terms, s.span(1, hi), t.span(1, hi)), 0.0
     k = _truncation_depth(r, tol / 2)
     table = _powers(r, k)
-    return _mismatch_sum(table[1 : k + 1], s.window(1, k), t.window(1, k)), r ** (k + 1) / (1 - r)
+    return _mismatch_sum(table[1 : k + 1], s.span(1, k), t.span(1, k)), r ** (k + 1) / (1 - r)
 
 
 def _left_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
@@ -195,13 +213,13 @@ def _left_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float
             # positions start+1..0 left to right, then the periodic block
             # from start down to lo; position j weighs table[1 - j]
             terms = chain(table[-start:0:-1], map(truediv, table[1 - start : 2 - lo], repeat(geo)))
-            sw, tw = s.window(lo, 0), t.window(lo, 0)
+            sw, tw = s.span(lo, 0), t.span(lo, 0)
             return _mismatch_sum(terms, sw[period:] + sw[period - 1 :: -1],
                                  tw[period:] + tw[period - 1 :: -1]), 0.0
     k = _truncation_depth(r, tol / 2)
     lo = 1 - k  # positions lo..0 explicit; dropped tail is j <= -k
     table = _powers(r, k)
-    return _mismatch_sum(table[k:0:-1], s.window(lo, 0), t.window(lo, 0)), r ** (k + 1) / (1 - r)
+    return _mismatch_sum(table[k:0:-1], s.span(lo, 0), t.span(lo, 0)), r ** (k + 1) / (1 - r)
 
 
 def distance(
@@ -245,7 +263,7 @@ def orbit_distances(
     c = s.symbol_at(tail[0])
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources b + 1..b + n against c
-    sources = s.window(b + 1, last)
+    sources = s.span(b + 1, last)
     table = _powers(r, 1 - b)
     shallow, past, top = table[-b:0:-1], sources[:-b], table[1 - b]
     deep = 0.0
@@ -260,7 +278,7 @@ def orbit_distances(
             continue
         vr, er = _right_sum(sn, s, r, tol)
         # the exact left path: the deep positions, then b + 1..0, from `deep`
-        vl = reduce(add, compress(shallow, map(ne, sources[n : n - b], past)), deep)
+        vl = _mismatch_sum(shallow, sources[n : n - b], past, deep)
         rows.append(DistanceBound(vr + vl, er))
     rows.extend(distance(s.shift(n), s, p, tol) for n in range(last + 1, steps + 1))
     return rows

@@ -29,13 +29,14 @@ periodic inputs give one flat :class:`EventuallyPeriodicSeq`, others a
 flat center would be longer than ``_FLAT_SPLICE_CAP`` symbols.  All are
 closed under shifting.
 
-``window(lo, hi)`` is the bulk path the metric and the certificates read
-(``symbol_at`` is a one-position window).  Eventually periodic sequences
-answer with tuple slices.  The universal sequence has one generator, which
-builds the enumeration column by column from any position.
-``enumeration_prefix`` caches the head it builds, and while the symbols fit
-in bytes (m <= 255) a window that ends inside the first ``_HEAD`` symbols
-is a slice of that one head.  Every other window is built alone.
+Each kind reads its symbols through one primitive, ``span(lo, hi)``:
+``bytes`` while every symbol fits in a byte, a tuple otherwise.  ``window``
+(a tuple) and ``symbol_at`` derive from it; the metric compares spans.
+Eventually periodic sequences cycle byte forms of their words, built on
+first use.  The universal sequence has one generator, which builds the
+enumeration column by column from any position; ``enumeration_prefix``
+caches the head it builds, and for m <= 255 a span that ends inside the
+first ``_HEAD`` symbols is a slice of that one head.
 
 All values are immutable; every operation is a pure function.  The
 immutability comes from :class:`FrozenValue`, the base of every value class
@@ -93,14 +94,18 @@ class FrozenValue:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
+def _check_m(m: int) -> None:
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"alphabet needs at least two symbols, got m={m}")
+
+
 class Alphabet(FrozenValue):
     """Symbol set {1, ..., m}."""
 
     __slots__ = _fields = ("m",)
 
     def __init__(self, m: int) -> None:
-        if not isinstance(m, int) or m < 2:
-            raise ValueError(f"alphabet needs at least two symbols, got m={m}")
+        _check_m(m)
         object.__setattr__(self, "m", m)
 
     def symbols(self) -> range:
@@ -110,7 +115,8 @@ class Alphabet(FrozenValue):
 class FiniteWord(FrozenValue):
     """An ordered, finite tuple of symbols."""
 
-    __slots__ = _fields = ("symbols",)
+    __slots__ = ("symbols", "_packed")
+    _fields = ("symbols",)
 
     def __init__(self, symbols) -> None:
         syms = tuple(map(int, symbols))
@@ -126,6 +132,15 @@ class FiniteWord(FrozenValue):
 
     def __getitem__(self, i):
         return self.symbols[i]
+
+    def _pack(self) -> bytes | None:
+        """Set `_packed` to the symbols as bytes (None if one exceeds 255)."""
+        try:
+            packed = bytes(self.symbols)
+        except ValueError:  # a symbol above 255
+            packed = None
+        object.__setattr__(self, "_packed", packed)
+        return packed
 
     def validate(self, alphabet: Alphabet) -> None:
         if max(self.symbols, default=1) > alphabet.m:
@@ -148,15 +163,20 @@ class BiSequence(FrozenValue):
 
     __slots__ = ()
 
-    def symbol_at(self, j: int) -> int:
-        return self.window(j, j)[0]
-
     def shift(self, steps: int) -> "BiSequence":
+        raise NotImplementedError
+
+    def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
+        """Symbols at positions lo..hi inclusive (empty if lo > hi): bytes
+        when every one fits in a byte, a tuple otherwise."""
         raise NotImplementedError
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
         """Symbols at positions lo..hi inclusive (empty tuple if lo > hi)."""
-        raise NotImplementedError
+        return tuple(self.span(lo, hi))
+
+    def symbol_at(self, j: int) -> int:
+        return self.span(j, j)[0]
 
     # Tail descriptors drive the exact closed forms in the metric module.
     # right_tail() -> (start, period) with s(j + period) == s(j) for all
@@ -171,7 +191,7 @@ class BiSequence(FrozenValue):
         return None
 
 
-def _cycle(block: tuple[int, ...], cut: int, count: int) -> tuple[int, ...]:
+def _cycle(block, cut: int, count: int):
     """`count` symbols of `block` repeated, starting at block[cut % len]."""
     cut %= len(block)
     return ((block[cut:] + block[:cut]) * -(-count // len(block)))[:count]
@@ -248,23 +268,33 @@ class EventuallyPeriodicSeq(BiSequence):
             self.left_block, self.center, self.center_start - steps, self.right_block
         )
 
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        c0, c1 = self.center_start, self.center_end
+    def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
+        left, center, right = self.left_block, self.center, self.right_block
+        try:
+            ls, cs, rs = left._packed, center._packed, right._packed
+        except AttributeError:  # the first span of one of the words
+            ls, cs = left._pack(), center._pack()
+            rs = ls if right is left else right._pack()
+        if ls is None or cs is None or rs is None:
+            ls, cs, rs = left.symbols, center.symbols, right.symbols
+        c0 = self.center_start
+        c1 = c0 + len(cs) - 1
         if lo > c1:  # all in the right tail
-            return _cycle(self.right_block.symbols, lo - c1 - 1, hi - lo + 1)
+            return _cycle(rs, lo - c1 - 1, hi - lo + 1)
         if hi < c0:  # all in the left tail
-            return _cycle(self.left_block.symbols, lo - c0, hi - lo + 1)
-        out = _cycle(self.left_block.symbols, lo - c0, c0 - lo) if lo < c0 else ()
-        out += self.center.symbols[max(lo - c0, 0) : hi - c0 + 1]
+            return _cycle(ls, lo - c0, hi - lo + 1)
+        out = cs[max(lo - c0, 0) : hi - c0 + 1]
+        if lo < c0:
+            out = _cycle(ls, lo - c0, c0 - lo) + out
         if hi > c1:
-            out += _cycle(self.right_block.symbols, 0, hi - c1)
+            out += _cycle(rs, 0, hi - c1)
         return out
 
     def right_tail(self) -> tuple[int, int]:
-        return (self.center_end + 1, len(self.right_block))
+        return (self.center_start + len(self.center.symbols), len(self.right_block.symbols))
 
     def left_tail(self) -> tuple[int, int]:
-        return (self.center_start - 1, len(self.left_block))
+        return (self.center_start - 1, len(self.left_block.symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +393,15 @@ class UniversalSeq(BiSequence):
     on the negative side.  `offset` tracks shifting; `seed` rotates each
     length class of the enumeration (0 keeps plain length-lex order).
 
-    For m <= 255 a window that ends inside the first ``_HEAD`` enumeration
+    For m <= 255 a span that ends inside the first ``_HEAD`` enumeration
     symbols is a slice of ``enumeration_prefix(m, seed, _HEAD)``, one cached
-    head for every copy of the sequence; every other window is built alone.
+    head for every copy of the sequence; every other span is built alone.
     The value is the three fields: shifting carries no state."""
 
     __slots__ = _fields = ("m", "seed", "offset")
 
     def __init__(self, m: int, seed: int = 0, offset: int = 0) -> None:
-        Alphabet(m)
+        _check_m(m)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "offset", offset)
@@ -379,15 +409,15 @@ class UniversalSeq(BiSequence):
     def shift(self, steps: int) -> "UniversalSeq":
         return UniversalSeq(self.m, self.seed, self.offset + steps)
 
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
+    def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
         a, b = lo + self.offset, hi + self.offset + 1  # enumeration positions a..b-1
         ones = max(0, min(b, 0) - a)  # the padded negative side
         a, b = max(a, 0), max(b, 0)
-        if b <= _HEAD and self.m <= 255:
-            syms = enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
-        else:
-            syms = _enumeration(self.m, self.seed, a, b - a)
-        return (1,) * ones + tuple(syms)
+        if self.m > 255:
+            return (1,) * ones + tuple(_enumeration(self.m, self.seed, a, b - a))
+        if b <= _HEAD:
+            return b"\1" * ones + enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
+        return b"\1" * ones + _enumeration(self.m, self.seed, a, b - a)
 
     def left_tail(self) -> tuple[int, int]:
         return (-1 - self.offset, 1)
@@ -410,13 +440,16 @@ class SplicedSeq(BiSequence):
     def shift(self, steps: int) -> "SplicedSeq":
         return SplicedSeq(self.past, self.future, self.offset + steps)
 
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
+    def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
         a, b = lo + self.offset, hi + self.offset
         if b <= 0:
-            return self.past.window(a, b)
+            return self.past.span(a, b)
         if a >= 1:
-            return self.future.window(a, b)
-        return self.past.window(a, 0) + self.future.window(1, b)
+            return self.future.span(a, b)
+        past, future = self.past.span(a, 0), self.future.span(1, b)
+        if past.__class__ is not future.__class__:  # one side has symbols above 255
+            past, future = tuple(past), tuple(future)
+        return past + future
 
     def right_tail(self) -> tuple[int, int] | None:
         tail = self.future.right_tail()
@@ -439,21 +472,30 @@ class FlippedSeq(BiSequence):
     __slots__ = _fields = ("base", "m")
 
     def __init__(self, base: BiSequence, m: int) -> None:
-        Alphabet(m)
+        _check_m(m)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "m", m)
 
     def shift(self, steps: int) -> "FlippedSeq":
         return FlippedSeq(self.base.shift(steps), self.m)
 
-    def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(s % self.m + 1 for s in self.base.window(lo, hi))
+    def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
+        syms = self.base.span(lo, hi)
+        if self.m <= 255 and syms.__class__ is bytes:
+            return syms.translate(_flip_table(self.m))
+        return tuple(s % self.m + 1 for s in syms)
 
     def right_tail(self) -> tuple[int, int] | None:
         return self.base.right_tail()
 
     def left_tail(self) -> tuple[int, int] | None:
         return self.base.left_tail()
+
+
+@lru_cache(maxsize=16)
+def _flip_table(m: int) -> bytes:
+    """The `bytes.translate` table of s -> s % m + 1."""
+    return bytes(s % m + 1 for s in range(256))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +545,7 @@ def flip(base: BiSequence, m: int) -> BiSequence:
     is eventually periodic."""
     if not isinstance(base, EventuallyPeriodicSeq):
         return FlippedSeq(base, m)
-    Alphabet(m)  # the check FlippedSeq makes
+    _check_m(m)  # the check FlippedSeq makes
     words = (base.left_block, base.center, base.right_block)
     left, center, right = (tuple(s % m + 1 for s in w) for w in words)
     return EventuallyPeriodicSeq(left, center, base.center_start, right)

@@ -809,6 +809,52 @@ def test_horseshoe_files_match_their_pinned_bytes(tmp_path, flags):
     assert digests == HORSESHOE_PINS[flags]
 
 
+# sha256 of every file written by these runs.  A certify run writes dozens of
+# files, so its digests live in `sha256sum` format under tests/data/pins.
+PINS = Path(__file__).parent / "data" / "pins"
+CERTIFY_PINS = {
+    (): "certify_seed5.sha256",
+    ("sets = 20", "targets = 10", "horizon = 500", "recurrence_depth = 14"):
+        "certify_suite_seed5.sha256",
+}
+ORBIT_PINS = {
+    ("universal:7", "--steps", "1000"):
+        "578c16c81759793e69de2ac103080634d6728de85d15f17b0e353bac490f7a46",
+    ("window:2,1,2@-3:1", "--steps", "300"):
+        "0da424560012e519bd3e2ed7b55cdcf9d96b0e7b1eaf66f11c3f96cae93441b9",
+    ("periodic:1,2,2@1", "--steps", "300"):
+        "7f98ef3f6eb7c3247cb00e88f25f4d63bfcb5ec5988e2c4a810b58405e5aae53",
+    ("universal:3", "--r", "0.25", "--steps", "600"):
+        "236d42017f3293962cd39490cefaeed9291e328e86c898a4f855f607866bb416",
+    ("universal:1", "--m", "300", "--steps", "200"):
+        "537e3c36ca2410833c20338c6877c4f084c21862ae5d04e91c7ece057fa114db",
+}
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("lines", list(CERTIFY_PINS), ids=["defaults", "suite"])
+def test_certify_files_match_their_pinned_bytes(tmp_path, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in lines))
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 0
+    pinned = {}
+    for line in (PINS / CERTIFY_PINS[lines]).read_text().splitlines():
+        digest, name = line.split()
+        pinned[name] = digest
+    assert _digests(out) == pinned
+
+
+@pytest.mark.parametrize("flags", list(ORBIT_PINS), ids=lambda flags: flags[0])
+def test_orbit_files_match_their_pinned_bytes(tmp_path, flags):
+    out = tmp_path / "o"
+    assert run("orbit", "--out", str(out), "--start", *flags) == 0
+    assert _digests(out) == {"orbit.csv": ORBIT_PINS[flags]}
+
+
 @pytest.mark.parametrize(
     "lam, mu",
     [("21840/65521", "65521/21841"), ("0.3", "3.5"),

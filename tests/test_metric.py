@@ -1,5 +1,6 @@
 """The weighted mismatch metric and its cylinder geometry."""
 
+import functools
 import math
 import random
 import sys
@@ -20,12 +21,14 @@ from shiftchaos import (
     check_separation,
     cylinder_diameter,
     distance,
+    flip,
     future_cylinder,
     past_cylinder,
     periodic,
     periodic_point,
     set_distance,
     space_diameter,
+    splice,
     two_sided_cylinder,
     whole_space,
     window_padded,
@@ -42,7 +45,7 @@ from shiftchaos.metric import (
     weight_below,
 )
 
-from conftest import brute_distance, random_sequence
+from conftest import _ref_enumeration, brute_distance, random_block, random_sequence
 
 P = MetricParams(0.5)
 
@@ -469,8 +472,9 @@ def test_truncation_depth_is_one_for_loose_tolerances():
     "r, half_tol", [(1 - 1e-6, 5e-13), (1 - 1e-15, 5e-13), (0.5, 0.0), (0.5, math.nan)]
 )
 def test_truncation_depth_refuses_past_its_cap(r, half_tol):
-    with pytest.raises(ValueError):
-        _truncation_depth(r, half_tol)
+    for _ in range(2):  # the depth cache keeps no refusal
+        with pytest.raises(ValueError):
+            _truncation_depth(r, half_tol)
 
 
 def test_truncation_depth_reaches_its_cap():
@@ -564,3 +568,170 @@ def test_orbit_sweep_checks_its_arguments():
     assert orbit_distances(u, P, 0) == [distance(u, u, P)]
     deep = window_padded((2,), -10 ** 9, 1)  # past beyond the span cap
     assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)
+
+
+# ---------------------------------------------------------------------------
+# The span kernel against a position-by-position reference.  Each sequence
+# comes with its description, and `_ref_symbol` reads its symbols from that
+# description alone: the blocks as given (drawn with conftest's
+# `random_block`), and the enumeration of `_ref_enumeration`.
+# ---------------------------------------------------------------------------
+
+_REF_PREFIX = 1000  # enumeration symbols the random descriptions can reach
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_prefix(m, seed, count=_REF_PREFIX):
+    return _ref_enumeration(m, seed, count)
+
+
+def _ref_symbol(desc, j):
+    kind = desc[0]
+    if kind == "eventually_periodic":
+        _, left, center, start, right = desc
+        if j < start:
+            return left[(j - start) % len(left)]
+        if j < start + len(center):
+            return center[j - start]
+        return right[(j - start - len(center)) % len(right)]
+    if kind == "universal":
+        _, m, seed, offset, count = desc
+        return 1 if j + offset < 0 else _ref_prefix(m, seed, count)[j + offset]
+    if kind == "spliced":
+        _, past, future, offset = desc
+        return _ref_symbol(past if j + offset <= 0 else future, j + offset)
+    if kind == "flipped":
+        _, base, m = desc
+        return _ref_symbol(base, j) % m + 1
+    _, base, steps = desc  # shifted
+    return _ref_symbol(base, j + steps)
+
+
+def _ref_depth(r, tol):
+    """The smallest k >= 1 whose dropped tail r**(k+1)/(1-r) is <= tol/2."""
+    k = 1
+    while r ** (k + 1) / (1 - r) > tol / 2:
+        k += 1
+    return k
+
+
+def _ref_side(sd, td, r, tol, tails, future):
+    """One side of the distance, position by position in the documented
+    order: the explicit positions in increasing j, then the periodic block
+    (upwards on the future side, from its start downwards on the past side).
+    `tails` are the sequences' own tail descriptors, which pick the path."""
+    weight = (lambda j: r ** j) if future else (lambda j: r ** (1 - j))
+    exact = None not in tails
+    if exact:
+        period = math.lcm(tails[0][1], tails[1][1])
+        if future:
+            start = max(tails[0][0], tails[1][0], 1)
+            explicit, block = range(1, start), range(start, start + period)
+        else:
+            start = min(tails[0][0], tails[1][0], 0)
+            explicit, block = range(start + 1, 1), range(start, start - period, -1)
+        exact = len(explicit) + period <= _EXACT_SPAN_CAP
+    if exact:
+        geo = 1.0 - r ** period
+        terms = [(j, weight(j)) for j in explicit] + [(j, weight(j) / geo) for j in block]
+        error = 0.0
+    else:
+        k = _ref_depth(r, tol)
+        terms = [(j, weight(j)) for j in (range(1, k + 1) if future else range(1 - k, 1))]
+        error = r ** (k + 1) / (1 - r)
+    total = 0.0
+    for j, w in terms:
+        if _ref_symbol(sd, j) != _ref_symbol(td, j):
+            total += w
+    return total, error
+
+
+def _ref_distance(s, sd, t, td, r, tol):
+    if s == t:
+        return 0.0, 0.0
+    vr, er = _ref_side(sd, td, r, tol, (s.right_tail(), t.right_tail()), True)
+    vl, el = _ref_side(sd, td, r, tol, (s.left_tail(), t.left_tail()), False)
+    return vr + vl, er + el
+
+
+def _assert_reads_like_reference(s, desc, lo, hi):
+    expected = tuple(_ref_symbol(desc, j) for j in range(lo, hi + 1))
+    span = s.span(lo, hi)
+    assert type(span) in (bytes, tuple) and tuple(span) == expected
+    assert s.window(lo, hi) == expected
+    assert [s.symbol_at(j) for j in (lo, hi)] == [expected[0], expected[-1]]
+
+
+@st.composite
+def described_sequences(draw, m, depth=0):
+    """(sequence, description) of any kind over {1..m}, built through the
+    package's constructors; splices and flips of eventually periodic inputs
+    come out flat, others as SplicedSeq and FlippedSeq."""
+    kinds = ["eventually_periodic", "universal"] + ["spliced", "flipped", "shifted"] * (depth < 2)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "eventually_periodic":
+        rng = draw(st.randoms(use_true_random=False))
+        left, right = random_block(rng, m), random_block(rng, m)
+        center = random_block(rng, m, 6)[: rng.randint(0, 6)]
+        start = draw(st.integers(-8, 8))
+        seq = EventuallyPeriodicSeq(left, center, start, right)
+        return seq, (kind, left, center, start, right)
+    if kind == "universal":
+        seed, offset = draw(st.integers(0, 3)), draw(st.integers(-40, 200))
+        return UniversalSeq(m, seed, offset), (kind, m, seed, offset, _REF_PREFIX)
+    base, base_desc = draw(described_sequences(m, depth + 1))
+    if kind == "spliced":
+        future, future_desc = draw(described_sequences(m, depth + 1))
+        offset = draw(st.integers(-10, 10))
+        glue = draw(st.sampled_from([splice, SplicedSeq]))
+        return glue(base, future, offset), (kind, base_desc, future_desc, offset)
+    if kind == "flipped":
+        return flip(base, m), (kind, base_desc, m)
+    steps = draw(st.integers(-30, 60))
+    return base.shift(steps), (kind, base_desc, steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 256, 300]), r=st.sampled_from([0.5, 0.3]),
+       tol=st.sampled_from([1e-12, 1e-4]))
+def test_distance_equals_the_reference_sum_bit_for_bit(data, m, r, tol):
+    s, sd = data.draw(described_sequences(m))
+    if data.draw(st.booleans()):
+        steps = data.draw(st.integers(-40, 60))
+        t, td = s.shift(steps), ("shifted", sd, steps)
+    else:
+        t, td = data.draw(described_sequences(m))
+    lo = data.draw(st.integers(-60, 60))
+    _assert_reads_like_reference(s, sd, lo, lo + data.draw(st.integers(0, 60)))
+    value, error = _ref_distance(s, sd, t, td, r, tol)
+    d = distance(s, t, MetricParams(r), tol)
+    assert (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("steps", [0, 5, 150])
+def test_a_small_symbol_past_before_a_wide_future_reads_as_a_tuple(r, steps):
+    # the past fits in bytes and the future (m = 300) does not
+    past = EventuallyPeriodicSeq((1, 2), (2, 2, 1), -4, (2,))
+    s = splice(past, UniversalSeq(300, 1, 280), 0).shift(steps)
+    sd = ("shifted", ("spliced", ("eventually_periodic", (1, 2), (2, 2, 1), -4, (2,)),
+                      ("universal", 300, 1, 280, _REF_PREFIX), 0), steps)
+    assert type(s.span(-5, 5)) is tuple and type(s.span(-20 - steps, -steps)) is bytes
+    _assert_reads_like_reference(s, sd, -20, 30)
+    t, td = window_padded((1, 2, 1), -3), ("eventually_periodic", (1,), (1, 2, 1), -3, (1,))
+    for a, ad, b, bd in [(s, sd, t, td), (t, td, s, sd), (s, sd, s.shift(3), ("shifted", sd, 3))]:
+        value, error = _ref_distance(a, ad, b, bd, r, 1e-12)
+        d = distance(a, b, MetricParams(r))
+        assert (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
+
+
+@pytest.mark.parametrize("m", [2, 300])
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_a_past_beyond_the_span_cap_is_truncated_like_the_reference(m, r):
+    count = _EXACT_SPAN_CAP + 200
+    u = UniversalSeq(m, 2, _EXACT_SPAN_CAP + 50)
+    ud = ("universal", m, 2, _EXACT_SPAN_CAP + 50, count)
+    for t, td in [(u.shift(7), ("shifted", ud, 7)), (flip(u, m), ("flipped", ud, m))]:
+        value, error = _ref_distance(u, ud, t, td, r, 1e-12)
+        d = distance(u, t, MetricParams(r))
+        assert error > 0 and (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())

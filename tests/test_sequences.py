@@ -47,6 +47,16 @@ def test_alphabet_rejects_small_m():
         Alphabet(1)
 
 
+@pytest.mark.parametrize("m", [1, 0, 2.0, "3"])
+def test_every_alphabet_check_refuses_with_one_message(m):
+    message = f"alphabet needs at least two symbols, got m={m}"
+    for build in (Alphabet, UniversalSeq, lambda m: FlippedSeq(UniversalSeq(2), m),
+                  lambda m: flip(periodic((1, 2)), m), lambda m: flip(UniversalSeq(2), m)):
+        with pytest.raises(ValueError) as err:
+            build(m)
+        assert str(err.value) == message
+
+
 def test_finite_word_rejects_zero_symbols():
     with pytest.raises(ValueError):
         FiniteWord((0, 1))
