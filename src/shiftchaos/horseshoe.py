@@ -296,17 +296,11 @@ class SymbolicRectangle(FrozenValue):
     def diagonal_sq(self):
         return self.width() ** 2 + self.height() ** 2
 
-    def diagonal(self) -> float:
-        return math.sqrt(float(self.diagonal_sq()))
-
     def gap_sq_to(self, other: "SymbolicRectangle"):
         """Squared Euclidean distance between the two closed boxes."""
         dx = max(self.x_lo - other.x_hi, other.x_lo - self.x_hi, 0)
         dy = max(self.y_lo - other.y_hi, other.y_lo - self.y_hi, 0)
         return dx * dx + dy * dy
-
-    def gap_to(self, other: "SymbolicRectangle") -> float:
-        return math.sqrt(float(self.gap_sq_to(other)))
 
 
 class Interval(NamedTuple):

@@ -22,32 +22,28 @@ Distances are exact (error 0) whenever both sequences have periodic tails
 on each side; otherwise the sum is truncated with a certified two-sided
 error bound below the requested tolerance.
 
-Each side is summed in C: the weights come from a cached table of r**j
-per weight base, periodic-block weights are divided by 1 - r**period, and
-`reduce(add, compress(weights, mismatches), 0.0)` adds the weights at
-mismatched positions one by one from 0.0.  The sides read each sequence's
-`span`, which is bytes while its symbols fit in a byte.  Two byte spans
-longer than `_SHORT_SPAN` are XORed as integers, and the nonzero bytes of
-the result are the mismatches; other spans are compared symbol by symbol.
-Either way the same weights are added in the same order.  The future side
-runs in increasing j; the past side runs over the explicit positions in
-increasing j, then over the periodic block from its start downwards.  This
-fixes every rounding step, so values are the same on every Python version
-(the builtin `sum` compensates float sums from Python 3.12 on).
+Each side is summed in C from the sequences' byte (or tuple) `span`s.  At
+r = 2**-q, 1 <= q <= 5, a side's mismatch digits (1 where the spans
+differ, found by one XOR of two byte spans), read by depth with the past
+reversed, are a base-2**q numeral W that one `int(text, 2**q)` parses:
+the sum over depths 1..k is W / 2**(q*k), and over E explicit depths then
+a periodic block of P it is (W - (W >> q*P)) / (2**(q*E) * (2**(q*P) - 1)).
+One `int / int` over a common denominator, which CPython rounds
+correctly, gives the correctly rounded exact (or truncated) sum.  Every
+other r adds float weights r**j from a cached table one by one from 0.0
+(block weights divided by 1 - r**period): the future in increasing j, the
+past over its explicit positions in increasing j, then over the block from
+its start downwards.  That fixes every rounding step on every Python
+version (the builtin `sum` compensates float sums from Python 3.12 on).
 
-`orbit_distances` tabulates d(shift^n s, s) for n = 0..steps in one pass
-and returns the rows `distance` gives, bit for bit.  When s has a constant
-past (left tail of period 1: s(j) = c for j <= b, b <= 0), row n's exact
-left sum starts with the deep positions b - n + 1..b, where s(j) = c and the
-shifted sequence reads s(j + n).  Their sum obeys the Horner step
-D(n) = r * D(n - 1) + [s(b + n) != c] * r**(1 - b), which repeats the
-left-to-right additions exactly when r is a power of two, as long as every
-deep weight of the row is a nonzero float: r**(n - b) >= 2**-1074.  The
-shallow positions b + 1..0 and the future side are added per row as in
-`distance`.  The rows call `distance` for other r, for pasts of longer
-period, and from the first row whose deepest weight underflows to 0.0 (row
-1075 + b at r = 1/2).  That row comes long before the exact span cap, past
-which `distance` truncates the past.
+`orbit_distances` returns the rows d(shift^n s, s), n = 0..steps, of
+`distance` bit for bit.  When s has a constant past (s(j) = c for j <= b,
+b <= 0) and r = 2**-q, q <= 5, the deep positions b - n + 1..b of row n,
+where the shifted sequence reads s(j + n) against c, are the low n digits
+of one numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least
+significant: F & (2**(q*n) - 1).  The shallow positions b + 1..0 and the
+future are read per row.  Other r, other pasts, and rows past the exact
+span cap (where `distance` truncates the past) call `distance` per row.
 """
 
 from __future__ import annotations
@@ -170,56 +166,83 @@ def _powers(r: float, top: int) -> list[float]:
     return table
 
 
-def _mismatch_sum(terms, sw, tw, start: float = 0.0) -> float:
-    """Add the terms at the positions where the spans sw and tw differ, left
-    to right from `start`.  (Not `sum`, which compensates float sums on
-    Python 3.12+.)"""
-    if sw == tw:
-        return start
+def _mismatches(sw, tw):
+    """Nonzero at each position where the spans sw and tw differ and zero
+    elsewhere: the bytes of one XOR for two byte spans longer than
+    `_SHORT_SPAN`, else the booleans of `map(ne, ...)`."""
     if len(sw) > _SHORT_SPAN and sw.__class__ is bytes is tw.__class__:
         diff = int.from_bytes(sw, "big") ^ int.from_bytes(tw, "big")
-        mismatches = diff.to_bytes(len(sw), "big")  # nonzero where they differ
-    else:
-        mismatches = map(ne, sw, tw)
-    return reduce(add, compress(terms, mismatches), start)
+        return diff.to_bytes(len(sw), "big")
+    return map(ne, sw, tw)
 
 
-def _right_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
-    ts, tt = s.right_tail(), t.right_tail()
+def _mismatch_sum(terms, sw, tw) -> float:
+    """Add the terms at the positions where the spans sw and tw differ, left
+    to right from 0.0.  (Not `sum`, which compensates float sums on Python
+    3.12+.)"""
+    if sw == tw:
+        return 0.0
+    return reduce(add, compress(terms, _mismatches(sw, tw)), 0.0)
+
+
+# Maps a mismatch byte to its base-2**q digit: 0 to "0", anything else to "1".
+_DIGITS = b"0" + b"1" * 255
+
+
+def _dyadic(r: float) -> int:
+    """q when r = 2**-q with 1 <= q <= 5, else 0.  Bases 2**q up to 32 parse
+    in linear time, with no int-str digit limit."""
+    mantissa, exponent = math.frexp(r)
+    return 1 - exponent if mantissa == 0.5 and exponent >= -4 else 0
+
+
+def _numeral(sw, tw, q: int, reverse: bool) -> int:
+    """The base-2**q numeral whose digits are 1 where the spans sw and tw
+    differ and 0 elsewhere, their first symbols most significant (their last
+    when `reverse`); 0 for equal spans and for empty ones (of either type)."""
+    if not sw or sw == tw:
+        return 0
+    digits = bytes(_mismatches(sw, tw))
+    if reverse:
+        digits = digits[::-1]
+    return int(digits.translate(_DIGITS), 1 << q)
+
+
+def _quotient(right: tuple[int, int, int], left: tuple[int, int, int]) -> float:
+    """The correctly rounded sum of two sides (n, a, g), each n / (g << a)."""
+    (nr, ar, gr), (nl, al, gl) = right, left
+    a = max(ar, al)
+    return ((nr * gl << (a - ar)) + (nl * gr << (a - al))) / (gr * gl << a)
+
+
+def _side(s: BiSequence, t: BiSequence, r: float, tol: float, q: int, future: bool):
+    """(value, error) of one side: the future (depth i = j at position j >= 1)
+    or the past (i = 1 - j at j <= 0), where position j weighs r**i.  The
+    value is a float, or at r = 2**-q the triple (n, a, g) of n / (g << a)."""
+    ts, tt = (s.right_tail(), t.right_tail()) if future else (s.left_tail(), t.left_tail())
+    explicit, period = None, 0  # depths 1..explicit, then a periodic block
     if ts is not None and tt is not None:
-        start = max(ts[0], tt[0], 1)
+        explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
         period = math.lcm(ts[1], tt[1])
-        if start - 1 + period <= _EXACT_SPAN_CAP:
-            hi = start + period - 1
-            table = _powers(r, hi)
-            geo = 1.0 - r ** period
-            # positions 1..start-1, then the periodic block start..hi
-            terms = chain(table[1:start], map(truediv, table[start : hi + 1], repeat(geo)))
-            return _mismatch_sum(terms, s.span(1, hi), t.span(1, hi)), 0.0
-    k = _truncation_depth(r, tol / 2)
-    table = _powers(r, k)
-    return _mismatch_sum(table[1 : k + 1], s.span(1, k), t.span(1, k)), r ** (k + 1) / (1 - r)
-
-
-def _left_sum(s: BiSequence, t: BiSequence, r: float, tol: float) -> tuple[float, float]:
-    ts, tt = s.left_tail(), t.left_tail()
-    if ts is not None and tt is not None:
-        start = min(ts[0], tt[0], 0)
-        period = math.lcm(ts[1], tt[1])
-        if -start + period <= _EXACT_SPAN_CAP:
-            lo = start - period + 1
-            table = _powers(r, 1 - lo)
-            geo = 1.0 - r ** period
-            # positions start+1..0 left to right, then the periodic block
-            # from start down to lo; position j weighs table[1 - j]
-            terms = chain(table[-start:0:-1], map(truediv, table[1 - start : 2 - lo], repeat(geo)))
-            sw, tw = s.span(lo, 0), t.span(lo, 0)
-            return _mismatch_sum(terms, sw[period:] + sw[period - 1 :: -1],
-                                 tw[period:] + tw[period - 1 :: -1]), 0.0
-    k = _truncation_depth(r, tol / 2)
-    lo = 1 - k  # positions lo..0 explicit; dropped tail is j <= -k
-    table = _powers(r, k)
-    return _mismatch_sum(table[k:0:-1], s.span(lo, 0), t.span(lo, 0)), r ** (k + 1) / (1 - r)
+    if explicit is None or explicit + period > _EXACT_SPAN_CAP:
+        explicit, period = _truncation_depth(r, tol / 2), 0
+    depth = explicit + period
+    lo, hi = (1, depth) if future else (1 - depth, 0)
+    sw, tw = s.span(lo, hi), t.span(lo, hi)
+    error = 0.0 if period else r ** (depth + 1) / (1 - r)  # the dropped tail
+    if q:
+        n = _numeral(sw, tw, q, not future)
+        if period:  # the repeating block is worth its numeral / (2**(q*period) - 1)
+            return (n - (n >> q * period), q * explicit, (1 << q * period) - 1), error
+        return (n, q * depth, 1), error
+    table = _powers(r, depth)
+    terms = table[1 : explicit + 1] if future else table[explicit:0:-1]
+    if period:
+        block = map(truediv, table[explicit + 1 : depth + 1], repeat(1.0 - r ** period))
+        terms = chain(terms, block)
+        if not future:  # the past's block runs from position -explicit downwards
+            sw, tw = sw[period:] + sw[period - 1 :: -1], tw[period:] + tw[period - 1 :: -1]
+    return _mismatch_sum(terms, sw, tw), error
 
 
 def distance(
@@ -235,9 +258,10 @@ def distance(
         raise ValueError("tolerance must be positive")
     if s == t:
         return DistanceBound(0.0, 0.0)
-    vr, er = _right_sum(s, t, p.r, tol)
-    vl, el = _left_sum(s, t, p.r, tol)
-    return DistanceBound(vr + vl, er + el)
+    q = _dyadic(p.r)
+    vr, er = _side(s, t, p.r, tol, q, True)
+    vl, el = _side(s, t, p.r, tol, q, False)
+    return DistanceBound(_quotient(vr, vl) if q else vr + vl, er + el)
 
 
 def orbit_distances(
@@ -245,41 +269,37 @@ def orbit_distances(
 ) -> list[DistanceBound]:
     """The rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit for bit.
 
-    When the past of s is constant and r is a power of two, the deep part of
-    each row's exact left sum follows from the previous row's by one Horner
-    step, until its deepest weight underflows (see the module docstring)."""
+    When the past of s is constant and r = 2**-q with q <= 5, the deep part
+    of each row's left numerator is read off one integer built once (see
+    the module docstring); otherwise each row calls `distance`."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    r = p.r
+    r, q = p.r, _dyadic(p.r)
     tail = s.left_tail()
     b = 0 if tail is None else min(tail[0], 0)
-    mantissa, exponent = math.frexp(r)
-    # r = 2**-q, and r**k is a nonzero float exactly while q*k <= 1074; row
-    # n's deepest weight is r**(n - b), and shift(n) moves the start of the
-    # past to tail[0] - n, past the span cap from row _EXACT_SPAN_CAP + b on
-    last = min(steps, 1074 // (1 - exponent) + b, _EXACT_SPAN_CAP - 1 + b)
-    if tail is None or tail[1] != 1 or mantissa != 0.5 or last < 0:
+    # shift(n) moves the start of the past to tail[0] - n, past the span cap
+    # from row _EXACT_SPAN_CAP + b on
+    last = min(steps, _EXACT_SPAN_CAP - 1 + b)
+    if tail is None or tail[1] != 1 or not q or last < 0:
         return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
     c = s.symbol_at(tail[0])
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
-    # deep positions j = b - n + 1..b read sources b + 1..b + n against c
-    sources = s.span(b + 1, last)
-    table = _powers(r, 1 - b)
-    shallow, past, top = table[-b:0:-1], sources[:-b], table[1 - b]
-    deep = 0.0
+    # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
+    # source i at depth n - b - i: digit i of `deep` from the least
+    sources, run = s.span(b + 1, last), (c,) * (last - b)
+    deep, past = _numeral(sources, bytes(run) if c < 256 else run, q, True), sources[:-b]
     rows = []
     for n in range(last + 1):
-        if n:
-            # row n's deep weights are r times row n - 1's, plus r**(1 - b)
-            deep = deep * r + top if sources[n - 1] != c else deep * r
         sn = s.shift(n)
         if sn == s:
             rows.append(DistanceBound(0.0, 0.0))
             continue
-        vr, er = _right_sum(sn, s, r, tol)
-        # the exact left path: the deep positions, then b + 1..0, from `deep`
-        vl = _mismatch_sum(shallow, sources[n : n - b], past, deep)
-        rows.append(DistanceBound(vr + vl, er))
+        right, er = _side(sn, s, r, tol, q, True)
+        # depths 1..-b are the shallow positions b + 1..0, then n deep ones;
+        # the block below them agrees
+        shallow = _numeral(sources[n : n - b], past, q, True)
+        left = ((shallow << q * n) | (deep & ((1 << q * n) - 1)), q * (n - b), 1)
+        rows.append(DistanceBound(_quotient(right, left), er))
     rows.extend(distance(s.shift(n), s, p, tol) for n in range(last + 1, steps + 1))
     return rows
 

@@ -194,6 +194,9 @@ class BiSequence(FrozenValue):
 def _cycle(block, cut: int, count: int):
     """`count` symbols of `block` repeated, starting at block[cut % len]."""
     cut %= len(block)
+    end = cut + max(count, 0)
+    if end <= len(block):  # a slice of one copy
+        return block[cut:end]
     return ((block[cut:] + block[:cut]) * -(-count // len(block)))[:count]
 
 

@@ -810,7 +810,9 @@ def test_horseshoe_files_match_their_pinned_bytes(tmp_path, flags):
 
 
 # sha256 of every file written by these runs.  A certify run writes dozens of
-# files, so its digests live in `sha256sum` format under tests/data/pins.
+# files, so its digests live in `sha256sum` format under tests/data/pins.  All
+# of these runs are at r = 1/2 or 1/4, and were pinned again when distances
+# there became correctly rounded integer quotients.
 PINS = Path(__file__).parent / "data" / "pins"
 CERTIFY_PINS = {
     (): "certify_seed5.sha256",
@@ -819,20 +821,25 @@ CERTIFY_PINS = {
 }
 ORBIT_PINS = {
     ("universal:7", "--steps", "1000"):
-        "578c16c81759793e69de2ac103080634d6728de85d15f17b0e353bac490f7a46",
+        "be579dc0d29a47fff95fdfd8f3f99616861ba826a5683f5cdc30e46601440f49",
     ("window:2,1,2@-3:1", "--steps", "300"):
-        "0da424560012e519bd3e2ed7b55cdcf9d96b0e7b1eaf66f11c3f96cae93441b9",
+        "5918b1218f62f27e5f4238b1ff3a1921d6f7bc08248a2c2a63514e58eb50df70",
     ("periodic:1,2,2@1", "--steps", "300"):
-        "7f98ef3f6eb7c3247cb00e88f25f4d63bfcb5ec5988e2c4a810b58405e5aae53",
+        "41fde4dc7c7115b4fae18b3459f5f9abaf9853bd79a7df29bd7b904bda37eb32",
     ("universal:3", "--r", "0.25", "--steps", "600"):
-        "236d42017f3293962cd39490cefaeed9291e328e86c898a4f855f607866bb416",
+        "cc0d48e784b68749e58d55e060a25d7f2b9d516ca87f7df9e602e0cb2d9700e9",
     ("universal:1", "--m", "300", "--steps", "200"):
-        "537e3c36ca2410833c20338c6877c4f084c21862ae5d04e91c7ece057fa114db",
+        "7e0187f5d6bf4e5b71e83ae0b1adaf32d3321c94b097d9eaf586fad8ea42e6e3",
 }
 
 
 def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+def _pinned(name):
+    """The digests of a `sha256sum` file under tests/data/pins, by file name."""
+    return {f: digest for digest, f in map(str.split, (PINS / name).read_text().splitlines())}
 
 
 @pytest.mark.parametrize("lines", list(CERTIFY_PINS), ids=["defaults", "suite"])
@@ -841,11 +848,7 @@ def test_certify_files_match_their_pinned_bytes(tmp_path, lines):
     cfg.write_text("".join(f"{line}\n" for line in lines))
     out = tmp_path / "c"
     assert run("certify", "--config", str(cfg), "--seed", "5", "--out", str(out)) == 0
-    pinned = {}
-    for line in (PINS / CERTIFY_PINS[lines]).read_text().splitlines():
-        digest, name = line.split()
-        pinned[name] = digest
-    assert _digests(out) == pinned
+    assert _digests(out) == _pinned(CERTIFY_PINS[lines])
 
 
 @pytest.mark.parametrize("flags", list(ORBIT_PINS), ids=lambda flags: flags[0])
@@ -853,6 +856,18 @@ def test_orbit_files_match_their_pinned_bytes(tmp_path, flags):
     out = tmp_path / "o"
     assert run("orbit", "--out", str(out), "--start", *flags) == 0
     assert _digests(out) == {"orbit.csv": ORBIT_PINS[flags]}
+
+
+def test_files_at_a_weight_base_off_the_powers_of_two_keep_their_bytes(tmp_path):
+    # r = 0.3 runs the float kernel, whose sums were pinned before distances
+    # at r = 2**-q became one correctly rounded integer quotient
+    assert run("orbit", "--out", str(tmp_path / "o"), "--start", "universal:7",
+               "--steps", "1000", "--r", "0.3") == 0
+    assert _digests(tmp_path / "o") == {
+        "orbit.csv": "ecc271db6a6be78097040fdcb770f41cc28b9af8a489b20720c792cc45bda203"}
+    out = tmp_path / "c"
+    assert run("certify", "--seed", "5", "--r", "0.3", "--out", str(out)) == 0
+    assert _digests(out) == _pinned("certify_seed5_r03.sha256")
 
 
 @pytest.mark.parametrize(

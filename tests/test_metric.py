@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -271,10 +272,34 @@ def test_huge_shifts_fall_back_to_certified_truncation():
 
 
 # ---------------------------------------------------------------------------
-# The summation kernel against the per-position loops it replaced: the same
-# terms added in the same order give the same floats, so the comparison is
-# `==`, not a tolerance.
+# The summation kernels against per-position loops.  Off the powers of two
+# the loops add the same float terms in the same order as the float kernel;
+# at r = 1/2 they add the exact weights as integer numerators, and the
+# integer kernel must give the correctly rounded sum.  Either way the
+# comparison is `==`, not a tolerance.
 # ---------------------------------------------------------------------------
+
+
+def weigh(explicit, block, period, r):
+    """The weight of the mismatch depths: r**i over the explicit depths, then
+    r**i / (1 - r**period) over the block depths, added one by one in the
+    order given.  At r = 1/2 the sum is exact instead: each depth adds its
+    numerator 2**(top - i) over the one denominator 2**top, and one
+    `Fraction` is made at the end."""
+    if r == 0.5:
+        top = max(explicit + block, default=0)
+        total = Fraction(sum(1 << (top - i) for i in explicit), 1 << top)
+        if block:
+            numerator = sum(1 << (top - i) for i in block) << period
+            total += Fraction(numerator, ((1 << period) - 1) << top)
+        return total
+    total = 0.0
+    for i in explicit:
+        total += r ** i
+    geo = 1.0 - r ** period
+    for i in block:
+        total += (r ** i) / geo
+    return total
 
 
 def loop_right_sum(s, t, r, tol):
@@ -285,23 +310,12 @@ def loop_right_sum(s, t, r, tol):
         if start - 1 + period <= _EXACT_SPAN_CAP:
             hi = start + period - 1
             sw, tw = s.window(1, hi), t.window(1, hi)
-            total = 0.0
-            for j in range(1, start):
-                if sw[j - 1] != tw[j - 1]:
-                    total += r ** j
-            geo = 1.0 - r ** period
-            for c in range(period):
-                j = start + c
-                if sw[j - 1] != tw[j - 1]:
-                    total += (r ** j) / geo
-            return total, True
+            explicit = [j for j in range(1, start) if sw[j - 1] != tw[j - 1]]
+            block = [start + c for c in range(period) if sw[start + c - 1] != tw[start + c - 1]]
+            return weigh(explicit, block, period, r), True
     k = _truncation_depth(r, tol / 2)
     sw, tw = s.window(1, k), t.window(1, k)
-    total = 0.0
-    for j in range(1, k + 1):
-        if sw[j - 1] != tw[j - 1]:
-            total += r ** j
-    return total, False
+    return weigh([j for j in range(1, k + 1) if sw[j - 1] != tw[j - 1]], [], 0, r), False
 
 
 def loop_left_sum(s, t, r, tol):
@@ -312,33 +326,23 @@ def loop_left_sum(s, t, r, tol):
         if -start + period <= _EXACT_SPAN_CAP:
             lo = start - period + 1
             sw, tw = s.window(lo, 0), t.window(lo, 0)
-            total = 0.0
-            for j in range(start + 1, 1):
-                if sw[j - lo] != tw[j - lo]:
-                    total += r ** (1 - j)
-            geo = 1.0 - r ** period
-            for c in range(period):
-                j = start - c
-                if sw[j - lo] != tw[j - lo]:
-                    total += (r ** (1 - j)) / geo
-            return total, True
+            explicit = [1 - j for j in range(start + 1, 1) if sw[j - lo] != tw[j - lo]]
+            block = [1 - start + c for c in range(period) if sw[start - c - lo] != tw[start - c - lo]]
+            return weigh(explicit, block, period, r), True
     k = _truncation_depth(r, tol / 2)
     lo = 1 - k
     sw, tw = s.window(lo, 0), t.window(lo, 0)
-    total = 0.0
-    for j in range(lo, 1):
-        if sw[j - lo] != tw[j - lo]:
-            total += r ** (1 - j)
-    return total, False
+    return weigh([1 - j for j in range(lo, 1) if sw[j - lo] != tw[j - lo]], [], 0, r), False
 
 
 def loop_distance(s, t, r, tol=1e-12):
-    """The value and, per side, whether the exact path was taken."""
+    """The value and, per side, whether the exact path was taken.  At r = 1/2
+    the value is float() of the exact sum."""
     if s == t:
         return 0.0, None
     vr, exact_r = loop_right_sum(s, t, r, tol)
     vl, exact_l = loop_left_sum(s, t, r, tol)
-    return vr + vl, (exact_r, exact_l)
+    return float(vr + vl), (exact_r, exact_l)
 
 
 KERNEL_RS = (0.5, 0.3, 1 / 3)
@@ -490,7 +494,7 @@ def test_truncation_depth_reaches_its_cap():
 # ---------------------------------------------------------------------------
 
 
-SWEEP_RS = (0.5, 0.25, 0.3, 1 / 3, 0.9)
+SWEEP_RS = (0.5, 0.25, 0.3, 1 / 3, 0.9, 2.0 ** -5, 2.0 ** -6)
 
 
 def sweep_starts():
@@ -510,6 +514,9 @@ def sweep_starts():
         SplicedSeq(periodic((2,)), padded, 0).shift(2),
         FlippedSeq(padded, 2),
         FlippedSeq(UniversalSeq(2, 1).shift(3), 2),
+        SplicedSeq(periodic((300,)), padded, 0),  # a past symbol above 255, byte sources
+        window_padded((300,)),  # byte past, tuple sources (empty at 0 steps)
+        SplicedSeq(periodic((300,)), UniversalSeq(300, 1), 0).shift(-5),
     ]
 
 
@@ -521,7 +528,8 @@ def per_row(s, p, steps, tol=1e-12):
 def test_orbit_sweep_matches_distance_on_every_start(r):
     p = MetricParams(r)
     for s in sweep_starts():
-        assert orbit_distances(s, p, 300) == per_row(s, p, 300), s
+        for steps in (0, 1, 300):
+            assert orbit_distances(s, p, steps) == per_row(s, p, steps), (s, steps)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.25])
@@ -536,8 +544,8 @@ def test_orbit_sweep_matches_distance_into_the_subnormal_weights(r, seed):
 @pytest.mark.parametrize(
     "s",
     [
-        # windows whose rows past the underflow would differ from a plain
-        # Horner step, by one unit of 2**-1074: the sweep hands them over
+        # deep windows, whose mismatches weigh subnormal floats or less in
+        # the rows from 2100 on
         window_padded((2, 2, 2), 1058, 1),
         FlippedSeq(window_padded((2, 2, 1, 2), 1044, 1), 2),
         SplicedSeq(periodic_point((1,)), window_padded((1, 2, 2, 2, 1), 1041, 1), 0),
@@ -550,14 +558,17 @@ def test_orbit_sweep_matches_distance_on_subnormal_windows(s):
     assert rows[2100:] == [distance(s.shift(n), s, p) for n in range(2100, 2141)]
 
 
-@pytest.mark.parametrize("r, first", [(0.5, 1074), (0.25, 537), (0.125, 358)])
-def test_orbit_sweep_hands_over_where_the_deepest_weight_underflows(r, first):
-    # a universal past starts at b = -1; row n's deepest weight is r**(n + 1)
+@pytest.mark.parametrize("r", [0.5, 0.25, 0.125])
+@pytest.mark.parametrize("b", [-1, -40])
+def test_orbit_sweep_equals_distance_past_row_1075_plus_b(r, b):
+    # the past is constant from b on; from row 1075 + b the deepest weight
+    # r**(n - b) of a row is below every float at r = 1/2
     p = MetricParams(r)
-    u = UniversalSeq(2, 7)
-    assert r ** (first + 1) == 0.0 and r ** first > 0.0
-    assert orbit_distances(u, p, first + 5)[first - 5 :] == [
-        distance(u.shift(n), u, p) for n in range(first - 5, first + 6)
+    u = UniversalSeq(2, 7, -1 - b)
+    assert u.left_tail() == (b, 1)
+    first = 1075 + b
+    assert orbit_distances(u, p, first + 40)[first - 40 :] == [
+        distance(u.shift(n), u, p) for n in range(first - 40, first + 41)
     ]
 
 
@@ -578,6 +589,7 @@ def test_orbit_sweep_checks_its_arguments():
 # ---------------------------------------------------------------------------
 
 _REF_PREFIX = 1000  # enumeration symbols the random descriptions can reach
+DYADIC_RS = (0.5, 0.25, 0.125, 2.0 ** -5)  # the weight bases of the integer kernel
 
 
 @functools.lru_cache(maxsize=None)
@@ -619,7 +631,8 @@ def _ref_side(sd, td, r, tol, tails, future):
     """One side of the distance, position by position in the documented
     order: the explicit positions in increasing j, then the periodic block
     (upwards on the future side, from its start downwards on the past side).
-    `tails` are the sequences' own tail descriptors, which pick the path."""
+    `tails` are the sequences' own tail descriptors, which pick the path.
+    A `Fraction` r gives the exact sum, and the error as a float."""
     weight = (lambda j: r ** j) if future else (lambda j: r ** (1 - j))
     exact = None not in tails
     if exact:
@@ -632,14 +645,14 @@ def _ref_side(sd, td, r, tol, tails, future):
             explicit, block = range(start + 1, 1), range(start, start - period, -1)
         exact = len(explicit) + period <= _EXACT_SPAN_CAP
     if exact:
-        geo = 1.0 - r ** period
+        geo = 1 - r ** period
         terms = [(j, weight(j)) for j in explicit] + [(j, weight(j) / geo) for j in block]
         error = 0.0
     else:
-        k = _ref_depth(r, tol)
+        k = _ref_depth(float(r), tol)
         terms = [(j, weight(j)) for j in (range(1, k + 1) if future else range(1 - k, 1))]
-        error = r ** (k + 1) / (1 - r)
-    total = 0.0
+        error = float(r) ** (k + 1) / (1 - float(r))
+    total = 0 * r
     for j, w in terms:
         if _ref_symbol(sd, j) != _ref_symbol(td, j):
             total += w
@@ -647,11 +660,14 @@ def _ref_side(sd, td, r, tol, tails, future):
 
 
 def _ref_distance(s, sd, t, td, r, tol):
+    """Left to right in floats, except at r = 2**-q: there float() of the
+    exact `Fraction` sum, which the integer kernel rounds correctly."""
     if s == t:
         return 0.0, 0.0
-    vr, er = _ref_side(sd, td, r, tol, (s.right_tail(), t.right_tail()), True)
-    vl, el = _ref_side(sd, td, r, tol, (s.left_tail(), t.left_tail()), False)
-    return vr + vl, er + el
+    x = Fraction(r) if r in DYADIC_RS else r
+    vr, er = _ref_side(sd, td, x, tol, (s.right_tail(), t.right_tail()), True)
+    vl, el = _ref_side(sd, td, x, tol, (s.left_tail(), t.left_tail()), False)
+    return float(vr + vl), er + el
 
 
 def _assert_reads_like_reference(s, desc, lo, hi):
@@ -662,8 +678,15 @@ def _assert_reads_like_reference(s, desc, lo, hi):
     assert [s.symbol_at(j) for j in (lo, hi)] == [expected[0], expected[-1]]
 
 
+# Far draws put centers and universal pasts past depth 1030, where the
+# weights at r = 1/2 are subnormal or round to 0.0, and exact spans beyond
+# 1100 positions; a universal offset past the span cap truncates the past.
+_FAR_OFFSET = _EXACT_SPAN_CAP + 300
+_FAR_PREFIX = _FAR_OFFSET + 300
+
+
 @st.composite
-def described_sequences(draw, m, depth=0):
+def described_sequences(draw, m, depth=0, far=False):
     """(sequence, description) of any kind over {1..m}, built through the
     package's constructors; splices and flips of eventually periodic inputs
     come out flat, others as SplicedSeq and FlippedSeq."""
@@ -673,15 +696,22 @@ def described_sequences(draw, m, depth=0):
         rng = draw(st.randoms(use_true_random=False))
         left, right = random_block(rng, m), random_block(rng, m)
         center = random_block(rng, m, 6)[: rng.randint(0, 6)]
-        start = draw(st.integers(-8, 8))
+        starts = st.integers(-8, 8)
+        if far:
+            starts |= st.integers(-1300, -1030) | st.integers(1030, 1300)
+        start = draw(starts)
         seq = EventuallyPeriodicSeq(left, center, start, right)
         return seq, (kind, left, center, start, right)
     if kind == "universal":
-        seed, offset = draw(st.integers(0, 3)), draw(st.integers(-40, 200))
-        return UniversalSeq(m, seed, offset), (kind, m, seed, offset, _REF_PREFIX)
-    base, base_desc = draw(described_sequences(m, depth + 1))
+        offsets = st.integers(-40, 200)
+        if far:
+            offsets |= st.integers(1030, 1300) | st.just(_FAR_OFFSET)
+        seed, offset = draw(st.integers(0, 3)), draw(offsets)
+        count = _FAR_PREFIX if far else _REF_PREFIX
+        return UniversalSeq(m, seed, offset), (kind, m, seed, offset, count)
+    base, base_desc = draw(described_sequences(m, depth + 1, far))
     if kind == "spliced":
-        future, future_desc = draw(described_sequences(m, depth + 1))
+        future, future_desc = draw(described_sequences(m, depth + 1, far))
         offset = draw(st.integers(-10, 10))
         glue = draw(st.sampled_from([splice, SplicedSeq]))
         return glue(base, future, offset), (kind, base_desc, future_desc, offset)
@@ -706,6 +736,47 @@ def test_distance_equals_the_reference_sum_bit_for_bit(data, m, r, tol):
     value, error = _ref_distance(s, sd, t, td, r, tol)
     d = distance(s, t, MetricParams(r), tol)
     assert (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 300]), r=st.sampled_from(DYADIC_RS),
+       tol=st.sampled_from([1e-12, 1e-4]))
+def test_dyadic_distance_is_the_correctly_rounded_exact_sum(data, m, r, tol):
+    s, sd = data.draw(described_sequences(m, far=True))
+    if data.draw(st.booleans()):
+        steps = data.draw(st.integers(-40, 60))
+        t, td = s.shift(steps), ("shifted", sd, steps)
+    else:
+        t, td = data.draw(described_sequences(m, far=True))
+    value, error = _ref_distance(s, sd, t, td, r, tol)
+    d = distance(s, t, MetricParams(r), tol)
+    assert (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
+
+
+@pytest.mark.parametrize("r", DYADIC_RS)
+@pytest.mark.parametrize("position", [1041, 1101, -1040, -1100])
+def test_a_single_deep_mismatch_rounds_correctly(r, position):
+    # one mismatch at depth 1041, whose weight is subnormal at r = 1/2, or at
+    # depth 1101, whose weight rounds to 0.0
+    ones, deep = window_padded(()), window_padded((2,), position)
+    od = ("eventually_periodic", (1,), (), 1, (1,))
+    dd = ("eventually_periodic", (1,), (2,), position, (1,))
+    exact = Fraction(r) ** (position if position > 0 else 1 - position)
+    d = distance(ones, deep, MetricParams(r))
+    assert d.value == float(exact)
+    if d.value == exact:  # the rounding of an inexact value is not in `error`
+        assert d.error == 0.0
+    # the same pair beside a truncated side: a universal future, or a past
+    # beyond the span cap
+    far, fd = UniversalSeq(2, 1, _FAR_OFFSET), ("universal", 2, 1, _FAR_OFFSET, _FAR_PREFIX)
+    cases = [
+        (splice(ones, far), ("spliced", od, fd, 0), splice(deep, far), ("spliced", dd, fd, 0)),
+        (splice(far, ones), ("spliced", fd, od, 0), splice(far, deep), ("spliced", fd, dd, 0)),
+    ]
+    for a, ad, b, bd in cases:
+        value, error = _ref_distance(a, ad, b, bd, r, 1e-12)
+        d = distance(a, b, MetricParams(r))
+        assert error > 0 and (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
 
 
 @pytest.mark.parametrize("r", [0.5, 0.3])

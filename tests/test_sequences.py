@@ -34,6 +34,7 @@ from shiftchaos import (
 from shiftchaos.sequences import (
     _FLAT_SPLICE_CAP,
     _HEAD,
+    _cycle,
     _enumeration,
     enumeration_position,
     enumeration_prefix,
@@ -626,6 +627,17 @@ def test_canonical_form_is_unique_for_given_block_lengths(seed, m):
     p, q = len(s.left_block), len(s.right_block)
     other = EventuallyPeriodicSeq(s.window(a - p, a - 1), s.window(a, b), a, s.window(b + 1, b + q))
     assert other == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+       cut=st.integers(-20, 20), count=st.integers(-3, 30), packed=st.booleans())
+def test_cycle_equals_the_rotate_and_repeat_formula(block, cut, count, packed):
+    block = bytes(b % 256 for b in block) if packed else tuple(block)
+    rotated = block[cut % len(block):] + block[: cut % len(block)]
+    expected = (rotated * -(-count // len(block)))[:count]
+    got = _cycle(block, cut, count)
+    assert type(got) is type(block) and got == expected
 
 
 def test_splice_stays_lazy_past_the_flat_cap():
