@@ -253,7 +253,7 @@ def periodic_density_payload(
     s: BiSequence, delta: float, p: MetricParams, tol: float, k: int
 ) -> dict:
     bounded("k", k, 0, MAX_WINDOW)
-    witness = periodic(s.window(-k, k), -k)
+    witness = periodic(s.span(-k, k), -k)
     d = distance(s, witness, p, tol)
     if not d.value + d.error < delta:
         raise AssertionError("periodic witness missed its delta bound")
@@ -343,7 +343,7 @@ def poisson_recurrence_witness(
     times: list[int] = []
     prev_q = 0
     for j in range(1, depths + 1):
-        word = bytes(u.window(-j, j))
+        word = bytes(u.span(-j, j))
         threshold = _window_threshold(j, p)
         search_from = max(prev_q, 1)
         q = None

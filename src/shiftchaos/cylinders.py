@@ -62,7 +62,7 @@ class CylinderSet(FrozenValue):
     def contains(self, s: BiSequence) -> bool:
         if self.is_whole:
             return True
-        return s.window(self.start, self.end) == self.fixed.symbols
+        return FiniteWord(s.span(self.start, self.end)) == self.fixed
 
     def entails(self, other: "CylinderSet") -> bool:
         """True when membership in self forces membership in other."""
@@ -73,7 +73,7 @@ class CylinderSet(FrozenValue):
         if other.start < self.start or other.end > self.end:
             return False
         off = other.start - self.start
-        return self.fixed.symbols[off : off + len(other.fixed)] == other.fixed.symbols
+        return FiniteWord(self.fixed[off : off + len(other.fixed)]) == other.fixed
 
 
 def whole_space() -> CylinderSet:
@@ -104,7 +104,7 @@ def two_sided_cylinder(word, start: int) -> CylinderSet:
 
 def all_words(alphabet: Alphabet, length: int):
     """All words of exactly `length` symbols, in lexicographic order."""
-    return (tuple(w) for w in product(alphabet.symbols(), repeat=length))
+    return product(alphabet.symbols(), repeat=length)
 
 
 def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) -> bool:
@@ -123,7 +123,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
     if c.is_future:
         for wlen in range(1, depth - n + 1):
             for w in all_words(alphabet, wlen):
-                member = window_padded(c.fixed.symbols + w)
+                member = window_padded((*c.fixed, *w))
                 if not c.contains(member):
                     return False
                 if member.shift(n).window(1, wlen) != w:
@@ -132,7 +132,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
     if c.is_past:
         for wlen in range(1, depth - n + 1):
             for w in all_words(alphabet, wlen):
-                member = window_padded(w + c.fixed.symbols, 1 - n - wlen)
+                member = window_padded((*w, *c.fixed), 1 - n - wlen)
                 if not c.contains(member):
                     return False
                 if member.shift(-n).window(1 - wlen, 0) != w:

@@ -41,9 +41,8 @@ mu = 3).  The digit sums run over integers: one Horner pass keeps a sum
 over the common denominator b**len (mu**-j likewise over a power of c),
 and at most one `Fraction` is normalised per sum.  Squared defects,
 diagonals and gaps are compared exactly, as integer cross products.
-Reported floats are the correctly rounded values of the exact ones, except
-for the square roots of `_root` (diagonals, conjugacy defects and bounds):
-roots of correctly rounded squares, which may be one ulp off.
+Reported floats, square roots included (diagonals, conjugacy defects and
+bounds), are the correctly rounded values of the exact ones.
 
 The payloads of the CLI's two horseshoe reports, the hyperbolic-condition
 and the conjugacy report, are built here (`hyperbolic_payload`,
@@ -233,8 +232,8 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
     bound_num, bound_den = _sum_of_squares((b + a) * a ** depth, b ** (depth + 1),
                                            (e + c) * e ** (depth - 1), c ** depth)
     return ConjugacyReport(
-        _root(defect_num, defect_den),
-        _root(bound_num, bound_den),
+        _exact_root(defect_num, defect_den),
+        _exact_root(bound_num, bound_den),
         defect_num * bound_den <= bound_num * defect_den,
     )
 
@@ -242,11 +241,6 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
 def _sum_of_squares(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
     """(xn / xd)**2 + (yn / yd)**2 as an unreduced (numerator, denominator)."""
     return (xn * yd) ** 2 + (yn * xd) ** 2, (xd * yd) ** 2
-
-
-def _root(num: int, den: int) -> float:
-    """sqrt(num / den) of the correctly rounded int / int quotient."""
-    return math.sqrt(num / den)
 
 
 def _exact_root(num: int, den: int) -> float:
@@ -438,7 +432,7 @@ def _height(hp: HorseshoeParams, n: int) -> tuple[int, int]:
 
 def rectangle_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
     """Diagonal of any level-(k, n) rectangle, from constructed intervals."""
-    return _root(*_sum_of_squares(*_width(hp, k), *_height(hp, n)))
+    return _exact_root(*_sum_of_squares(*_width(hp, k), *_height(hp, n)))
 
 
 def _predicted_sq(hp: HorseshoeParams, k: int, n: int) -> tuple[int, int]:
@@ -448,7 +442,7 @@ def _predicted_sq(hp: HorseshoeParams, k: int, n: int) -> tuple[int, int]:
 
 
 def predicted_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
-    return _root(*_predicted_sq(hp, k, n))
+    return _exact_root(*_predicted_sq(hp, k, n))
 
 
 def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> HyperbolicReport:
@@ -466,7 +460,7 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
         (k, n): _sum_of_squares(*widths[k], *heights[n]) for k in depths for n in depths
     }
     report = diameter_table(
-        lambda k, n: _root(*diagonal_sq[k, n]),
+        lambda k, n: _exact_root(*diagonal_sq[k, n]),
         lambda k, n: predicted_diagonal(hp, k, n),
         max_depth,
     )

@@ -32,8 +32,9 @@ closed under shifting.
 Each kind reads its symbols through one primitive, ``span(lo, hi)``:
 ``bytes`` while every symbol fits in a byte, a tuple otherwise.  ``window``
 (a tuple) and ``symbol_at`` derive from it; the metric compares spans.
-Eventually periodic sequences cycle byte forms of their words, built on
-first use.  The universal sequence has one generator, which builds the
+A :class:`FiniteWord` stores its symbols once, in that same form, so
+eventually periodic sequences cycle their words' stored symbols as they
+are.  The universal sequence has one generator, which builds the
 enumeration column by column from any position; ``enumeration_prefix``
 caches the head it builds, and for m <= 255 a span that ends inside the
 first ``_HEAD`` symbols is a slice of that one head.
@@ -113,16 +114,24 @@ class Alphabet(FrozenValue):
 
 
 class FiniteWord(FrozenValue):
-    """An ordered, finite tuple of symbols."""
+    """A finite word, stored once in the form spans take: bytes when every
+    symbol is in 1..255, else a tuple of ints (each read by operator.index)."""
 
-    __slots__ = ("symbols", "_packed")
-    _fields = ("symbols",)
+    __slots__ = _fields = ("symbols",)
 
     def __init__(self, symbols) -> None:
-        syms = tuple(map(int, symbols))
-        if min(syms, default=1) < 1:
-            raise ValueError(f"symbols are 1-based, got {syms}")
-        object.__setattr__(self, "symbols", syms)
+        if symbols.__class__ is not bytes:
+            symbols = symbols if isinstance(symbols, (tuple, list)) else tuple(symbols)
+            try:
+                symbols = bytes(symbols)
+            except ValueError:  # a symbol outside 0..255
+                symbols = tuple(map(operator.index, symbols))
+        if min(symbols) < 1 if symbols.__class__ is tuple else 0 in symbols:
+            raise ValueError(f"symbols are 1-based, got {tuple(symbols)}")
+        object.__setattr__(self, "symbols", symbols)
+
+    def __repr__(self) -> str:
+        return f"FiniteWord(symbols={tuple(self.symbols)!r})"
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -132,15 +141,6 @@ class FiniteWord(FrozenValue):
 
     def __getitem__(self, i):
         return self.symbols[i]
-
-    def _pack(self) -> bytes | None:
-        """Set `_packed` to the symbols as bytes (None if one exceeds 255)."""
-        try:
-            packed = bytes(self.symbols)
-        except ValueError:  # a symbol above 255
-            packed = None
-        object.__setattr__(self, "_packed", packed)
-        return packed
 
     def validate(self, alphabet: Alphabet) -> None:
         if max(self.symbols, default=1) > alphabet.m:
@@ -189,6 +189,13 @@ class BiSequence(FrozenValue):
 
     def left_tail(self) -> tuple[int, int] | None:
         return None
+
+
+def _join(a, b):
+    """Spans a and b end to end, as a tuple when either is one (a symbol above 255)."""
+    if a.__class__ is not b.__class__:
+        a, b = tuple(a), tuple(b)
+    return a + b
 
 
 def _cycle(block, cut: int, count: int):
@@ -272,25 +279,17 @@ class EventuallyPeriodicSeq(BiSequence):
         )
 
     def span(self, lo: int, hi: int) -> bytes | tuple[int, ...]:
-        left, center, right = self.left_block, self.center, self.right_block
-        try:
-            ls, cs, rs = left._packed, center._packed, right._packed
-        except AttributeError:  # the first span of one of the words
-            ls, cs = left._pack(), center._pack()
-            rs = ls if right is left else right._pack()
-        if ls is None or cs is None or rs is None:
-            ls, cs, rs = left.symbols, center.symbols, right.symbols
-        c0 = self.center_start
-        c1 = c0 + len(cs) - 1
+        ls, cs, rs = self.left_block.symbols, self.center.symbols, self.right_block.symbols
+        c0, c1 = self.center_start, self.center_start + len(cs) - 1
         if lo > c1:  # all in the right tail
             return _cycle(rs, lo - c1 - 1, hi - lo + 1)
         if hi < c0:  # all in the left tail
             return _cycle(ls, lo - c0, hi - lo + 1)
         out = cs[max(lo - c0, 0) : hi - c0 + 1]
         if lo < c0:
-            out = _cycle(ls, lo - c0, c0 - lo) + out
+            out = _join(_cycle(ls, lo - c0, c0 - lo), out)
         if hi > c1:
-            out += _cycle(rs, 0, hi - c1)
+            out = _join(out, _cycle(rs, 0, hi - c1))
         return out
 
     def right_tail(self) -> tuple[int, int]:
@@ -449,10 +448,7 @@ class SplicedSeq(BiSequence):
             return self.past.span(a, b)
         if a >= 1:
             return self.future.span(a, b)
-        past, future = self.past.span(a, 0), self.future.span(1, b)
-        if past.__class__ is not future.__class__:  # one side has symbols above 255
-            past, future = tuple(past), tuple(future)
-        return past + future
+        return _join(self.past.span(a, 0), self.future.span(1, b))
 
     def right_tail(self) -> tuple[int, int] | None:
         tail = self.future.right_tail()
@@ -536,10 +532,10 @@ def splice(past: BiSequence, future: BiSequence, offset: int = 0) -> BiSequence:
     if not flat or hi - lo + 1 > _FLAT_SPLICE_CAP:
         return SplicedSeq(past, future, offset)
     return EventuallyPeriodicSeq(
-        past.window(lo - len(past.left_block), lo - 1),
-        past.window(lo, 0) + future.window(1, hi),
+        past.span(lo - len(past.left_block), lo - 1),
+        _join(past.span(lo, 0), future.span(1, hi)),
         lo - offset,
-        future.window(hi + 1, hi + len(future.right_block)),
+        future.span(hi + 1, hi + len(future.right_block)),
     )
 
 
@@ -612,16 +608,25 @@ def sequence_from_payload(d: dict) -> BiSequence:
     return _from_payload(d, 1)
 
 
+def _symbols(key: str, syms) -> list:
+    """A stored word: a JSON list of ints, not of floats, strings or true."""
+    if type(syms) is not list or not set(map(type, syms)) <= {int}:
+        raise TypeError(f"{key} is not a list of integer symbols")
+    return syms
+
+
 def _from_payload(d: dict, depth: int) -> BiSequence:
     if depth > _PAYLOAD_DEPTH_CAP:
         raise ValueError(f"sequence payload nests deeper than {_PAYLOAD_DEPTH_CAP} levels")
     kind = d["kind"]
     if kind == "eventually_periodic":
-        return EventuallyPeriodicSeq(d["left_block"], d["center"], d["center_start"], d["right_block"])
+        left, center, right = (_symbols(k, d[k]) for k in ("left_block", "center", "right_block"))
+        return EventuallyPeriodicSeq(left, center, d["center_start"], right)
     if kind == "periodic":
-        return periodic(d["block"], d["phase"])
+        return periodic(_symbols("block", d["block"]), d["phase"])
     if kind == "window_padded":
-        return window_padded(d["window"], d["start"], d["pad"])
+        pad = _symbols("pad", [d["pad"]])
+        return window_padded(_symbols("window", d["window"]), d["start"], *pad)
     if kind == "universal":
         return UniversalSeq(d["m"], d["seed"], d["offset"])
     if kind == "spliced":

@@ -5,7 +5,9 @@ forms: distances by direct truncated summation, block locations by scanning
 a materialized prefix, suprema by sampling, the enumeration word by word.
 """
 
+import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,6 +36,13 @@ def brute_distance(s, t, r, depth=64):
         if s.symbol_at(j) != t.symbol_at(j):
             total += r ** (1 - j)
     return total
+
+
+def _is_correctly_rounded_root(x: float, q: Fraction) -> bool:
+    """x is the float nearest sqrt(q): q lies between the squares of the
+    midpoints from x to its two neighbours."""
+    lo, hi = math.nextafter(x, 0), math.nextafter(x, math.inf)
+    return ((Fraction(lo) + Fraction(x)) / 2) ** 2 <= q <= ((Fraction(x) + Fraction(hi)) / 2) ** 2
 
 
 def scan_for_block(symbols, block):

@@ -48,6 +48,8 @@ from shiftchaos.cylinders import all_words
 from shiftchaos.horseshoe import predicted_diagonal, rectangle_diagonal
 from shiftchaos.metric import flip_first
 
+from conftest import _is_correctly_rounded_root
+
 A2 = Alphabet(2)
 P = MetricParams(0.5)
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
@@ -226,8 +228,8 @@ def test_hyperbolic_conditions_exact_table_and_eps0():
             diag = rectangle_diagonal(HP, k, n)
             predicted = predicted_diagonal(HP, k, n)
             assert diag == predicted  # bitwise equal floats from equal rationals
-            assert predicted == math.sqrt(
-                float(Fraction(1, 3) ** (2 * (k + 1)) + Fraction(3) ** (-2 * n))
+            assert _is_correctly_rounded_root(
+                predicted, Fraction(1, 3) ** (2 * (k + 1)) + Fraction(3) ** (-2 * n)
             )
     assert report.eps0 == float(1 - Fraction(2, 3))
     assert abs(report.brute_min_gap - report.eps0) <= 1e-12

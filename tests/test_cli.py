@@ -509,6 +509,48 @@ def test_legacy_payload_kinds_still_verify():
     assert {"periodic", "window_padded", "spliced", "flipped"} <= kinds
 
 
+def _put_symbol(keys, value):
+    """Edit putting `value` in the word at data[keys[0]][keys[1]]..., in
+    place of the first symbol that int() would read it as."""
+    def edit(data):
+        *path, last = keys
+        for key in path:
+            data = data[key]
+        if type(data[last]) is list:
+            data[last][data[last].index(int(value))] = value
+        else:  # the pad symbol of a window_padded payload
+            data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "value", [2.7, 2.0, "1", True], ids=["float", "integral-float", "string", "bool"]
+)
+@pytest.mark.parametrize(
+    "source, keys",
+    [
+        ("c/periodic_density_s0_d0.json", ("witness", "block")),
+        ("c/stable_convergence.json", ("s", "center")),
+        ("legacy/periodic_density_s0_d0.json", ("sequence", "past", "window")),
+        ("legacy/periodic_density_s0_d0.json", ("sequence", "past", "pad")),
+    ],
+    ids=["periodic", "eventually-periodic", "window-padded", "pad"],
+)
+def test_verify_refuses_symbols_that_are_not_integers(
+    fresh_outputs, tmp_path, capsys, source, keys, value
+):
+    # int() reads each of these as the symbol it replaces; the file must not
+    # verify as the sequence that reading gives
+    folder, name = source.split("/")
+    path = tmp_path / name
+    path.write_text(((LEGACY if folder == "legacy" else fresh_outputs / folder) / name).read_text())
+    assert verify_file(path, quiet=True) == 0
+    _tamper(path, _put_symbol(keys, value))
+    capsys.readouterr()
+    assert verify_file(path) == 1
+    assert "malformed certificate" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "side, part, start",
     [("s", "past", -10 ** 12), ("t", "past", -10 ** 12), ("t", "future", 10 ** 12)],
@@ -778,18 +820,21 @@ def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp):
 # taken before exact parameters were summed over a common denominator.  The
 # float pin was taken when floats joined the exact path: its files hold the
 # correctly rounded values of the rationals 0.3 and 3.5 hold, which the
-# pull-back oracle accepts row for row (horseshoe.svg kept its bytes)
+# pull-back oracle accepts row for row (horseshoe.svg kept its bytes).  The
+# exact hyperbolic report and both 16-bit reports were pinned again when
+# every square root became the correctly rounded one: a diagonal of each
+# and the 16-bit conjugacy bounds moved by one ulp
 HORSESHOE_PINS = {
     ("--k", "6", "--n", "6", "--lam", "1/3", "--mu", "3", "--seed", "5"): {
         "conjugacy_report.json": "9dd9f715bf4284dad4e906a7765c1b7dc54be6c5bfa5821314c40b23b29b368f",
         "horseshoe.svg": "c2466ad860e4be8afca0d0758d6f58149f6b75769dc8f63705da0a1b7a017079",
-        "hyperbolic_report.json": "918925c1ca85ea1251ecf273146d9ea541f28b895392e9dec64e705572ffdffc",
+        "hyperbolic_report.json": "160ce50398bd3a1f601151f0f3534e4dd9657c4b08bf2a5381db88617c315f92",
         "rectangles.csv": "1f02524dd252e70abd651faf4e021b03c3f0eb6a97d48bbf60bb0002bb2ef39b",
     },
     ("--k", "3", "--n", "3", "--lam", "21840/65521", "--mu", "65521/21841"): {
-        "conjugacy_report.json": "59b9948015c171aabdd8227a42dcd2cd1d8a5eebd49f167c789909f41df8d80c",
+        "conjugacy_report.json": "51dd89c068f62fc0391a823a28cc757e1123467b67e8e05f33ed4a076c151a9d",
         "horseshoe.svg": "895bef3ed54763e820c3d0f967411891d85dc68f5a9f6487b7a9709fdba40ce3",
-        "hyperbolic_report.json": "5b75af2dc08d8e10c5e0cfaa9c7f00015f651c21ac41b8b6943153f91abe247b",
+        "hyperbolic_report.json": "611611b41cebc7fbce8a8531d33b91007ed8db37b18bf6c6042797634a2a62a2",
         "rectangles.csv": "57ffa7b10e55b48cde8d97273922dc86efaaa572567adb1bea2ff239498cfd7d",
     },
     ("--k", "7", "--n", "7", "--lam", "0.3", "--mu", "3.5", "--seed", "5"): {

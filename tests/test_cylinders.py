@@ -93,3 +93,30 @@ def test_general_windows_are_representable():
     c = CylinderSet(FiniteWord((1, 2)), 3)
     assert not (c.is_future or c.is_past or c.is_two_sided or c.is_whole)
     assert c.contains(window_padded((1, 2), 3, 1))
+
+
+@pytest.mark.parametrize(
+    "fixed, start, seq, inside",
+    [
+        ((1, 2), 1, window_padded((1, 2)), True),
+        ((1, 2), 1, window_padded((1, 300)), False),
+        ((1, 300), 1, window_padded((1, 300)), True),
+        ((1, 300), 1, window_padded((1, 2)), False),
+        ((1, 2), 1, window_padded((1, 2, 300)), True),  # a tuple span below 255
+        ((300,), 0, window_padded((300, 1), 0), True),
+        ((2, 2), 1, periodic_point((2, 300)), False),
+    ],
+)
+def test_membership_on_both_sides_of_255(fixed, start, seq, inside):
+    assert CylinderSet(fixed, start).contains(seq) is inside
+
+
+def test_entailment_on_both_sides_of_255():
+    wide = future_cylinder((300, 1, 2))
+    assert wide.entails(future_cylinder((300,))) and wide.entails(future_cylinder((300, 1)))
+    assert wide.entails(CylinderSet((1, 2), 2))  # a byte word inside a tuple word
+    assert not wide.entails(CylinderSet((1, 3), 2))
+    assert not future_cylinder((1, 2)).entails(future_cylinder((1, 300)))
+    assert not CylinderSet((1, 2), 2).entails(wide)
+    assert similarity_identity_check(future_cylinder((300,)), Alphabet(2), 3)
+    assert similarity_identity_check(past_cylinder((300, 1)), Alphabet(2), 4)

@@ -1,9 +1,11 @@
 """Affine horseshoe: branches, coding, geometry, conjugacy."""
 
 import math
+import operator
 import random
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product, repeat
 
 import pytest
 
@@ -30,7 +32,10 @@ from shiftchaos.horseshoe import (
     rectangle_for_word,
     rectangle_lattice,
 )
+from shiftchaos.schema import MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES
 from shiftchaos.sequences import EventuallyPeriodicSeq
+
+from conftest import _is_correctly_rounded_root
 
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
@@ -282,7 +287,7 @@ def test_hyperbolic_conditions_report():
     assert report.eps0_horizontal == float(Fraction(1, 3))
     assert math.isclose(report.brute_min_gap, 1 / 3, abs_tol=1e-12)
     diag = report.diameter.rows[-1]
-    assert diag.diameter == math.sqrt(float(Fraction(1, 3) ** 18 + Fraction(3) ** -16))
+    assert _is_correctly_rounded_root(diag.diameter, Fraction(1, 3) ** 18 + Fraction(3) ** -16)
 
 
 def test_hyperbolic_conditions_float_params():
@@ -299,13 +304,6 @@ def test_brute_min_gap_is_the_correctly_rounded_exact_gap(lam, mu):
     report = verify_hyperbolic_conditions(HorseshoeParams(lam, mu), 2)
     assert report.passed
     assert report.brute_min_gap == report.eps0 == float(1 - 2 / Fraction(mu))
-
-
-def _is_correctly_rounded_root(x: float, q: Fraction) -> bool:
-    """x is the float nearest sqrt(q): q lies between the squares of the
-    midpoints from x to its two neighbours."""
-    lo, hi = math.nextafter(x, 0), math.nextafter(x, math.inf)
-    return ((Fraction(lo) + Fraction(x)) / 2) ** 2 <= q <= ((Fraction(x) + Fraction(hi)) / 2) ** 2
 
 
 def test_exact_root_is_correctly_rounded():
@@ -359,18 +357,44 @@ def _random_exact_params(rng):
                            Fraction(rng.randint(2 * e + 1, 65535), e))
 
 
+@lru_cache(maxsize=8)
+def _powers(base, n):
+    """base**0, ..., base**n."""
+    return tuple(accumulate(repeat(base, n), operator.mul, initial=1))
+
+
 def _x_sum(past, lam):
-    """(1 - lam) * sum_i a_{-i} lam**i, term by term, past in word order."""
+    """(1 - lam) * sum_i a_{-i} lam**i, term by term over the denominator
+    b**len for lam = a / b, past in word order."""
+    lam = Fraction(lam)
+    n = len(past)
+    a, b = _powers(lam.numerator, n), _powers(lam.denominator, n)
     digits = [d - 1 for d in reversed(past)]  # positions 0, -1, ..
-    return (1 - lam) * sum((Fraction(d) * lam ** i for i, d in enumerate(digits)), Fraction(0))
+    num = sum(d * a[i] * b[n - i] for i, d in enumerate(digits) if d)
+    return (1 - lam) * Fraction(num, b[n])
 
 
 def _y_sum(future, mu):
-    """(mu - 1) * sum_j a_j mu**-j, term by term, positions 1..n."""
+    """(mu - 1) * sum_j a_j mu**-j, term by term over the denominator c**n
+    for mu = c / e, positions 1..n."""
     mu = Fraction(mu)
-    return (mu - 1) * sum(
-        (Fraction(d - 1) * mu ** -j for j, d in enumerate(future, 1)), Fraction(0)
-    )
+    n = len(future)
+    c, e = _powers(mu.numerator, n), _powers(mu.denominator, n)
+    num = sum((d - 1) * e[j] * c[n - j] for j, d in enumerate(future, 1) if d != 1)
+    return (mu - 1) * Fraction(num, c[n])
+
+
+def _conjugacy_squares(seq, lam, mu, depth):
+    """The squared defect and bound that `conjugacy_check` compares, from the
+    branch formulas in Fractions."""
+    here = PlanePoint(_x_sum(seq.window(1 - depth, 0), lam), _y_sum(seq.window(1, depth), mu))
+    after = PlanePoint(_x_sum(seq.window(2 - depth, 1), lam),
+                       _y_sum(seq.window(2, depth + 1), mu))
+    t = 0 if here.y <= 1 / mu else 1
+    image = PlanePoint(lam * here.x + t * (1 - lam), mu * here.y - t * (mu - 1))
+    defect_sq = (image.x - after.x) ** 2 + (image.y - after.y) ** 2
+    bound_sq = ((1 + lam) * lam ** depth) ** 2 + ((1 + mu) * mu ** -depth) ** 2
+    return defect_sq, bound_sq
 
 
 def test_exact_intervals_and_points_match_the_digit_sums():
@@ -403,17 +427,46 @@ def test_exact_conjugacy_check_matches_fraction_arithmetic():
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
         depth = rng.randint(2, 80)
         seq = periodic_point(word)
-        here = PlanePoint(_x_sum(seq.window(1 - depth, 0), lam), _y_sum(seq.window(1, depth), mu))
-        after = PlanePoint(_x_sum(seq.window(2 - depth, 1), lam),
-                           _y_sum(seq.window(2, depth + 1), mu))
-        t = 0 if here.y <= 1 / mu else 1  # the branch formulas, in Fractions
-        image = PlanePoint(lam * here.x + t * (1 - lam), mu * here.y - t * (mu - 1))
-        defect_sq = (image.x - after.x) ** 2 + (image.y - after.y) ** 2
-        bound_sq = ((1 + lam) * lam ** depth) ** 2 + ((1 + mu) * mu ** -depth) ** 2
+        defect_sq, bound_sq = _conjugacy_squares(seq, lam, mu, depth)
         rep = conjugacy_check(seq, hp, depth)
         assert rep.passed == (defect_sq <= bound_sq)
-        assert rep.defect == math.sqrt(float(defect_sq))
-        assert rep.bound == math.sqrt(float(bound_sq))
+        assert _is_correctly_rounded_root(rep.defect, defect_sq)
+        assert _is_correctly_rounded_root(rep.bound, bound_sq)
+
+
+# the three pinned CLI runs, and the slowest floats the 64-bit cap accepts
+ROOT_PARAMS = [
+    (Fraction(1, 3), 3),
+    (Fraction(21840, 65521), Fraction(65521, 21841)),
+    (0.3, 3.5),
+    ((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11),
+]
+
+
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize(
+    "max_depth, depth, samples",
+    [(8, 20, 25), (9, MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES)],
+    ids=["cli", "caps"],
+)
+def test_every_stored_root_is_correctly_rounded(lam, mu, max_depth, depth, samples):
+    # the sizes the CLI writes at --k + --n >= 8 with its default conjugacy
+    # settings, and every cap: max_depth 9 is the rectangle cap's
+    hp = HorseshoeParams(lam, mu)
+    lam, mu = Fraction(hp.lam), Fraction(hp.mu)
+    report = horseshoe.hyperbolic_payload(hp, max_depth)
+    assert len(report["rows"]) == max_depth
+    for row in report["rows"]:
+        diagonal_sq = lam ** (2 * row["k"] + 2) + mu ** (-2 * row["n"])
+        assert _is_correctly_rounded_root(row["diagonal"], diagonal_sq)
+        assert _is_correctly_rounded_root(row["predicted"], diagonal_sq)
+    assert _is_correctly_rounded_root(report["brute_min_gap"], (1 - 2 / mu) ** 2)
+    report = horseshoe.conjugacy_payload(hp, depth, 5, samples)
+    assert len(report["rows"]) == samples
+    for row in report["rows"]:
+        defect_sq, bound_sq = _conjugacy_squares(periodic_point(row["word"]), lam, mu, depth)
+        assert _is_correctly_rounded_root(row["defect"], defect_sq)
+        assert _is_correctly_rounded_root(row["bound"], bound_sq)
 
 
 def _nudge_x_lo(monkeypatch, delta):
@@ -439,7 +492,7 @@ def test_exact_checks_flag_a_geometry_off_by_a_little(monkeypatch):
     with monkeypatch.context() as m:
         _nudge_x_lo(m, nudge)
         rep = conjugacy_check(periodic_point((1,)), HP, depth)
-    assert not rep.passed and rep.defect == math.sqrt(float(((1 - HP.lam) * nudge) ** 2))
+    assert not rep.passed and rep.defect == float((1 - HP.lam) * nudge)
     assert conjugacy_check(periodic_point((1,)), HP, depth).passed
 
     assert verify_hyperbolic_conditions(HP, 3).grid_exact

@@ -61,6 +61,80 @@ def test_every_alphabet_check_refuses_with_one_message(m):
 def test_finite_word_rejects_zero_symbols():
     with pytest.raises(ValueError):
         FiniteWord((0, 1))
+    for symbols in ((300, 0), (300, -1), b"\x01\x00", [-1]):
+        with pytest.raises(ValueError):
+            FiniteWord(symbols)
+
+
+@pytest.mark.parametrize("symbols", [(1, 2.0), [2.7], ("1",), "12", (300, 2.0), 5])
+def test_finite_word_refuses_symbols_that_are_not_integers(symbols):
+    with pytest.raises(TypeError):
+        FiniteWord(symbols)
+
+
+def test_finite_word_stores_bytes_up_to_255_and_a_tuple_above():
+    assert FiniteWord((1, 255, 2)).symbols == b"\x01\xff\x02"
+    assert FiniteWord(()).symbols == b""
+    word = FiniteWord([1, 256, 2])
+    assert word.symbols == (1, 256, 2) and all(type(s) is int for s in word.symbols)
+    # a slice of a tuple word below the line is bytes again
+    assert FiniteWord(word.symbols[2:]).symbols == b"\x02"
+    assert repr(FiniteWord(b"\x01\x02")) == "FiniteWord(symbols=(1, 2))"
+    assert (list(word), word[1], word[1:], len(word)) == ([1, 256, 2], 256, (256, 2), 3)
+
+
+@pytest.mark.parametrize("symbols", [(1, 2, 3), (1, 300, 2)], ids=["bytes", "tuple"])
+def test_finite_word_inputs_give_one_value(symbols):
+    forms = [list(symbols), tuple(symbols), (s for s in symbols), iter(symbols)]
+    if max(symbols) <= 255:
+        forms += [bytes(symbols), bytearray(symbols)]
+    words = [FiniteWord(form) for form in forms]
+    assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
+    assert words[0].symbols.__class__ is (bytes if max(symbols) <= 255 else tuple)
+    assert pickle.loads(pickle.dumps(words[0])) == words[0]
+
+
+def _ref_eventually_periodic(left, center, start, right, j):
+    """Symbol j of the eventually periodic sequence, read from its definition."""
+    if j < start:
+        return left[(j - start) % len(left)]
+    if j < start + len(center):
+        return center[j - start]
+    return right[(j - start - len(center)) % len(right)]
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ((300,), (1, 2), 0, (2, 1)),
+        ((1, 2), (3,), 5, (300, 1)),
+        ((2,), (300, 1, 2), -2, (1,)),
+        ((300, 1), (), 1, (300, 1)),
+        ((1,), (2, 2), 0, (1, 2)),
+    ],
+    ids=["left", "right", "center", "periodic", "none"],
+)
+def test_spans_of_words_on_both_sides_of_255(words):
+    s = EventuallyPeriodicSeq(*words)
+    for lo in range(-9, 10):
+        for hi in range(lo - 1, 12):
+            want = tuple(_ref_eventually_periodic(*words, j) for j in range(lo, hi + 1))
+            assert tuple(s.span(lo, hi)) == s.window(lo, hi) == want
+            assert s.shift(3).window(lo - 3, hi - 3) == want
+
+
+def test_a_short_span_of_a_mixed_sequence_copies_no_whole_word():
+    # beside a tuple block, a long byte center stays bytes: only the pieces
+    # a span joins become tuples
+    s = EventuallyPeriodicSeq((300,), (1, 2) * 50_000, 0, (1,))
+    tracemalloc.start()
+    try:
+        assert s.span(-2, 3) == (300, 300, 1, 2, 1, 2)
+        assert s.span(1, 4) == b"\x02\x01\x02\x01"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
 
 
 def test_periodic_symbol_at():
