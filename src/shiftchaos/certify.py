@@ -40,7 +40,10 @@ import sys
 
 from .cylinders import CylinderSet, two_sided_cylinder
 from .metric import (
+    _EXACT_SPAN_CAP,
     MetricParams,
+    _dyadic,
+    _numeral,
     check_diameter_condition,
     check_separation,
     check_tolerance,
@@ -59,6 +62,8 @@ from .sequences import (
     EventuallyPeriodicSeq,
     FrozenValue,
     UniversalSeq,
+    _enumeration,
+    _HEAD,
     enumeration_position,
     enumeration_prefix,
     flip,
@@ -69,7 +74,11 @@ from .sequences import (
     window_padded,
 )
 
+# The Poisson scan searches the first _SCAN_CAP enumeration symbols through
+# one window of about _SCAN_WINDOW symbols that only moves forward, so its
+# memory does not grow with the cap.
 _SCAN_CAP = 1 << 21
+_SCAN_WINDOW = _HEAD  # the first window is the cached enumeration head
 MAX_SCAN_ALPHABET = 255  # the Poisson scan reads the enumeration as bytes
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
 
@@ -319,6 +328,35 @@ def sensitivity_payload(
     }
 
 
+class _EnumerationScan:
+    """Occurrences of words in the first `_SCAN_CAP` symbols of one
+    enumeration, read through one window that only moves forward.  The first
+    window is the cached head; a search that runs past a window's end
+    rebuilds it from where the search stands, `_SCAN_WINDOW` symbols plus
+    the len(word) - 1 that overlap the last one."""
+
+    __slots__ = ("m", "seed", "base", "window")
+
+    def __init__(self, m: int, seed: int) -> None:
+        self.m, self.seed = m, seed
+        self.base, self.window = 0, enumeration_prefix(m, seed, _SCAN_WINDOW)
+
+    def find(self, word: bytes, start: int) -> int:
+        """The least i >= start with `word` at enumeration positions
+        i..i + len(word) - 1, all below `_SCAN_CAP`; -1 when there is none."""
+        size = len(word)
+        while True:
+            if start >= self.base:
+                i = self.window.find(word, start - self.base)
+                if i != -1:
+                    return self.base + i
+                start = max(start, self.base + len(self.window) - size + 1)
+            if start + size > _SCAN_CAP:
+                return -1
+            count = min(_SCAN_WINDOW + size - 1, _SCAN_CAP - start)
+            self.base, self.window = start, _enumeration(self.m, self.seed, start, count)
+
+
 def poisson_recurrence_witness(
     u_set: UnstableSetId,
     depths: int,
@@ -332,14 +370,16 @@ def poisson_recurrence_witness(
     For each depth j the orbit must re-enter the window [-j, j] around the
     starting point: the enumeration future revisits the word u(-j)..u(j) at
     some position q >= 1, giving the return time n = q + j.  Occurrences are
-    scanned in a materialized prefix first (earliest hit wins); beyond the
-    prefix the exact entry position of the extended word u(-j)..u(j+1) is
-    used, whose agreement margin makes the threshold check unconditional.
+    scanned in the first `_SCAN_CAP` enumeration symbols first (earliest hit
+    wins), through one window that each depth's search, starting at the
+    previous hit, moves only forward; beyond the cap the exact entry
+    position of the extended word u(-j)..u(j+1) is used, whose agreement
+    margin makes the threshold check unconditional.
     """
     check_steps("depths", depths, p, tol)
     u = universal_member(u_set, seed)
     m = u_set.alphabet.m
-    prefix = enumeration_prefix(m, seed, _SCAN_CAP)
+    scan = _EnumerationScan(m, seed)
     times: list[int] = []
     prev_q = 0
     for j in range(1, depths + 1):
@@ -347,13 +387,13 @@ def poisson_recurrence_witness(
         threshold = _window_threshold(j, p)
         search_from = max(prev_q, 1)
         q = None
-        i = prefix.find(word, search_from)
+        i = scan.find(word, search_from)
         while i != -1:
             d = distance(u.shift(i + j), u, p, tol)
             if d.value + d.error < threshold:
                 q = i
                 break
-            i = prefix.find(word, i + 1)
+            i = scan.find(word, i + 1)
         if q is None:
             q = enumeration_position(m, seed, u.window(-j, j + 1))
             if q < search_from:
@@ -408,9 +448,10 @@ def _li_yorke_min_bound(r: float, horizon: int) -> float:
     return r ** max((1 << (big_j - 1)) - 2, 0) if big_j >= 1 else 1.0
 
 
-def _scrambled_pair(u_set: UnstableSetId, horizon: int) -> tuple[BiSequence, BiSequence]:
-    """Members of the set with futures constant 1 and, through horizon + 80,
-    alternating blocks of 2**j ones and 2**j twos."""
+def _scrambled_pair(past: BiSequence, horizon: int) -> tuple[BiSequence, BiSequence]:
+    """Two sequences with the past of `past`, one with the future constant 1,
+    the other with alternating blocks of 2**j ones and 2**j twos through
+    position horizon + 80 and ones beyond."""
     need = horizon + 80
     pattern = bytearray()
     j = 0
@@ -418,8 +459,7 @@ def _scrambled_pair(u_set: UnstableSetId, horizon: int) -> tuple[BiSequence, BiS
         pattern.extend(b"\x01" * (1 << j))
         pattern.extend(b"\x02" * (1 << j))
         j += 1
-    return (member_with_future(u_set, window_padded(())),
-            member_with_future(u_set, window_padded(pattern[:need])))
+    return splice(past, window_padded(())), splice(past, window_padded(pattern[:need]))
 
 
 def li_yorke_pair(
@@ -432,18 +472,61 @@ def li_yorke_pair(
     alternating.  In the middle of the deepest agreement block inside the
     horizon the orbits come within r**(2**(J-1) - 2); at every disagreement
     boundary they separate by at least eps0 = r.  The witnesses are the
-    first times of the least and the greatest distance up to the horizon.
+    first times of the least and the greatest distance up to the horizon,
+    over the values of `_scrambled_values`.
     """
-    s, t = _scrambled_pair(u_set, bounded("horizon", horizon, 10, MAX_WINDOW))
-    values = [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
+    s, t = _scrambled_pair(u_set.past, bounded("horizon", horizon, 10, MAX_WINDOW))
+    values = _scrambled_values(s, t, horizon, p, tol)
     min_time, max_time = values.index(min(values)) + 1, values.index(max(values)) + 1
     return _certificate("li_yorke", li_yorke_payload(u_set, horizon, p, tol, min_time, max_time))
+
+
+def _scrambled_values(
+    s: BiSequence, t: BiSequence, horizon: int, p: MetricParams, tol: float
+) -> list[float]:
+    """distance(s.shift(n), t.shift(n), p, tol).value for n = 1..horizon, bit
+    for bit, for a pair of `_scrambled_pair`: s and t agree at every position
+    <= 0 and beyond need = horizon + 80, and their right blocks have length 1.
+
+    At r = 2**-q, q <= 5, a row whose two sides `distance` sums exactly is the
+    correctly rounded sum over the mismatches at positions 1..need, read off
+    two base-2**q numerals of their digits built once: D, position 1 most
+    significant, and R, position 1 least.  Row n's future (depth i at
+    position n + i) is D & (2**(q*(need - n)) - 1) over 2**(q*(need - n)), its
+    past (depth i at position n + 1 - i) is R & (2**(q*n) - 1) over
+    2**(q*n), and one `int / int` rounds their sum.  Other r, and rows where
+    a side passes `_EXACT_SPAN_CAP` and `distance` truncates it, call
+    `distance`."""
+    q = _dyadic(p.r)
+    if not q:
+        return [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
+    need = horizon + 80
+    sw, tw = s.span(1, need), t.span(1, need)
+    future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
+    # `distance` sums a side exactly while its explicit depths and block fit
+    # in the span cap: row n's future has at most need - n before a block
+    # of 1, its past at most n - min(ls, ts, 0) before the left blocks' lcm,
+    # with ls and ts the left-tail starts of the unshifted pair.
+    (ls, lp), (ts, tp) = s.left_tail(), t.left_tail()
+    first = max(1, need + 1 - _EXACT_SPAN_CAP)
+    last = min(horizon, _EXACT_SPAN_CAP - math.lcm(lp, tp) + min(ls, ts, 0))
+    values = []
+    for n in range(1, horizon + 1):
+        if not first <= n <= last:
+            values.append(distance(s.shift(n), t.shift(n), p, tol).value)
+            continue
+        a, b = need - n, n  # digits of each side
+        top = max(a, b)
+        num = ((future & ((1 << q * a) - 1)) << q * (top - a)) + (
+            (past & ((1 << q * b) - 1)) << q * (top - b))
+        values.append(num / (1 << q * top))
+    return values
 
 
 def li_yorke_payload(
     u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float, min_time: int, max_time: int
 ) -> dict:
-    s, t = _scrambled_pair(u_set, bounded("horizon", horizon, 10, MAX_WINDOW))
+    s, t = _scrambled_pair(u_set.past, bounded("horizon", horizon, 10, MAX_WINDOW))
     bounded("min_time", min_time, 1, horizon)
     bounded("max_time", max_time, 1, horizon)
     d_min = distance(s.shift(min_time), t.shift(min_time), p, tol)

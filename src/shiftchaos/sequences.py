@@ -615,26 +615,33 @@ def _symbols(key: str, syms) -> list:
     return syms
 
 
+def _integer(d: dict, key: str) -> int:
+    """A stored integer field: a JSON int, not a float, string or true."""
+    if type(d[key]) is not int:
+        raise ValueError(f"{key} is not an integer")
+    return d[key]
+
+
 def _from_payload(d: dict, depth: int) -> BiSequence:
     if depth > _PAYLOAD_DEPTH_CAP:
         raise ValueError(f"sequence payload nests deeper than {_PAYLOAD_DEPTH_CAP} levels")
     kind = d["kind"]
     if kind == "eventually_periodic":
         left, center, right = (_symbols(k, d[k]) for k in ("left_block", "center", "right_block"))
-        return EventuallyPeriodicSeq(left, center, d["center_start"], right)
+        return EventuallyPeriodicSeq(left, center, _integer(d, "center_start"), right)
     if kind == "periodic":
-        return periodic(_symbols("block", d["block"]), d["phase"])
+        return periodic(_symbols("block", d["block"]), _integer(d, "phase"))
     if kind == "window_padded":
         pad = _symbols("pad", [d["pad"]])
-        return window_padded(_symbols("window", d["window"]), d["start"], *pad)
+        return window_padded(_symbols("window", d["window"]), _integer(d, "start"), *pad)
     if kind == "universal":
-        return UniversalSeq(d["m"], d["seed"], d["offset"])
+        return UniversalSeq(*(_integer(d, k) for k in ("m", "seed", "offset")))
     if kind == "spliced":
         return splice(
             _from_payload(d["past"], depth + 1),
             _from_payload(d["future"], depth + 1),
-            d["offset"],
+            _integer(d, "offset"),
         )
     if kind == "flipped":
-        return flip(_from_payload(d["base"], depth + 1), d["m"])
+        return flip(_from_payload(d["base"], depth + 1), _integer(d, "m"))
     raise ValueError(f"unknown sequence payload kind {kind!r}")

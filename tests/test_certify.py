@@ -1,15 +1,24 @@
 """Witness construction and self-verification of the chaos certificates."""
 
 import json
+import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
+    EventuallyPeriodicSeq,
     MetricParams,
     SplicedSeq,
+    UniversalSeq,
     UnstableSetId,
+    distance,
+    flip,
     li_yorke_pair,
     member_with_future,
     periodic,
@@ -18,6 +27,7 @@ from shiftchaos import (
     poisson_recurrence_witness,
     sensitivity_witness,
     sequence_from_payload,
+    splice,
     stable_set_convergence,
     transitivity_witness,
     two_sided_cylinder,
@@ -30,11 +40,16 @@ from shiftchaos import (
 from shiftchaos.certify import (
     MAX_STEPS,
     MAX_WINDOW,
+    _EnumerationScan,
     _li_yorke_min_bound,
+    _scrambled_pair,
+    _scrambled_values,
     check_witness_room,
     random_two_sided_target,
     random_unstable_set,
 )
+from shiftchaos.metric import _EXACT_SPAN_CAP
+from shiftchaos.sequences import _HEAD, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
 
@@ -246,6 +261,63 @@ def test_poisson_return_times_are_frozen(m, past, seed, times):
     assert verify_certificate(as_payload(cert)).ok
 
 
+def _occurrences(find, word, cap):
+    """Every i >= 1 with `word` at i..i + len(word) - 1 < cap, by chained finds."""
+    found, i = [], find(word, 1)
+    while i != -1 and i + len(word) <= cap:
+        found.append(i)
+        i = find(word, i + 1)
+    return found
+
+
+@pytest.mark.parametrize("m, seed", [(2, 0), (2, 3), (2, 2 ** 63), (3, 0), (3, 11)])
+def test_windowed_scan_finds_what_a_scan_of_the_whole_prefix_finds(monkeypatch, m, seed):
+    window, cap = 97, 6000
+    monkeypatch.setattr("shiftchaos.certify._SCAN_WINDOW", window)
+    monkeypatch.setattr("shiftchaos.certify._SCAN_CAP", cap)
+    ref = _ref_enumeration(m, seed, cap)
+    # words planted across the first window's edge and deep in the prefix
+    for lo, size in [(window - 2, 5), (window - 1, 2), (window - 6, 13), (2500, 9), (cap - 7, 7)]:
+        word = ref[lo : lo + size]
+        expected = _occurrences(ref.find, word, cap)
+        assert lo in expected
+        scan = _EnumerationScan(m, seed)
+        assert _occurrences(scan.find, word, math.inf) == expected
+    # searches that start at the previous hit with longer and longer words,
+    # as the Poisson depths do, share one window that only moves forward
+    scan, start = _EnumerationScan(m, seed), 1
+    for size in range(1, 30, 2):
+        word = ref[4000 - size : 4000]
+        expected = ref.find(word, start)
+        if expected + size > cap:
+            expected = -1
+        assert scan.find(word, start) == expected
+        if expected == -1:
+            break
+        start = expected
+
+
+def test_poisson_times_do_not_depend_on_the_window(monkeypatch):
+    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
+    times = poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"]
+    monkeypatch.setattr("shiftchaos.certify._SCAN_WINDOW", 1000)
+    assert poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"] == times
+
+
+def test_poisson_scan_memory_does_not_grow_with_the_cap():
+    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
+    enumeration_prefix.cache_clear()
+    enumeration_prefix(2, 3, _HEAD)  # the head every universal member reads
+    tracemalloc.start()
+    try:
+        poisson_recurrence_witness(u_set, 14, P, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a prefix of the whole 2**21-symbol cap peaks at 4 MiB while it is built
+    assert peak < 512 * 1024
+
+
 def test_poisson_refuses_steps_past_the_symbol_budget():
     # 40 depths at truncation depth 375,326 would read 15 million symbols
     with pytest.raises(ValueError, match="budget"):
@@ -281,6 +353,102 @@ def test_li_yorke_degenerate_pair_fails_verification():
     result = verify_certificate(tampered)
     assert not result.ok
     assert result.failures == ("stored t does not recompute",)
+
+
+def _row_values(s, t, horizon, p):
+    """The scrambled pair's rows as `li_yorke_pair` once found them: one
+    `distance` call per row."""
+    return [distance(s.shift(n), t.shift(n), p).value for n in range(1, horizon + 1)]
+
+
+def _exact_row(s, t, n, horizon, r):
+    """float of the exact sum of Fraction(r)**depth over the mismatches of
+    row n, read symbol by symbol from a window that covers positions 0 to
+    horizon + 81 of the unshifted pair (they agree outside it)."""
+    sn, tn = s.shift(n), t.shift(n)
+    total = Fraction(0)
+    for j in range(-n, horizon + 82 - n):
+        if sn.symbol_at(j) != tn.symbol_at(j):
+            total += Fraction(r) ** (j if j >= 1 else 1 - j)
+    return float(total)
+
+
+_BLOCKS = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
+_WORDS = st.lists(st.integers(1, 3), max_size=6).map(tuple)
+# offsets past the span cap leave the past no tail that `distance` sums exactly
+_UNIVERSAL = st.builds(
+    UniversalSeq, st.just(3), st.integers(0, 5),
+    st.one_of(st.integers(-8, 8), st.integers(_EXACT_SPAN_CAP - 300, 10 ** 12)),
+)
+_PASTS = st.one_of(
+    st.builds(periodic, _BLOCKS, st.integers(-4, 4)),
+    st.builds(window_padded, _WORDS, st.integers(-8, 1), st.integers(1, 3)),
+    st.builds(EventuallyPeriodicSeq, _BLOCKS, _WORDS, st.integers(-8, 2), _BLOCKS),
+    _UNIVERSAL,
+    _UNIVERSAL.map(lambda u: flip(u, 3)),
+    st.builds(splice, _UNIVERSAL, st.builds(periodic, _BLOCKS)),
+    # a past center this long pushes every row from `extra` on past the cap
+    st.integers(-50, 300).map(
+        lambda extra: window_padded((2,) * (_EXACT_SPAN_CAP - extra), 1 - _EXACT_SPAN_CAP + extra)
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    past=_PASTS,
+    r=st.sampled_from([0.5, 0.25, 0.125, 1 / 32, 0.3, 1 / 3]),
+    horizon=st.one_of(st.integers(10, 300), st.integers(10, 4000)),
+    rows=st.lists(st.integers(1, 4000), max_size=3),
+)
+def test_scrambled_values_are_the_distance_rows_bit_for_bit(past, r, horizon, rows):
+    p = MetricParams(r)
+    s, t = _scrambled_pair(past, horizon)
+    values = _scrambled_values(s, t, horizon, p, 1e-12)
+    assert values == _row_values(s, t, horizon, p)
+    if r in (0.3, 1 / 3):  # the float kernel: no correctly rounded oracle
+        return
+    for n in {1, horizon, *(min(n, horizon) for n in rows)}:
+        if distance(s.shift(n), t.shift(n), p).error == 0:
+            assert values[n - 1] == _exact_row(s, t, n, horizon, r), n
+
+
+@pytest.mark.parametrize("r", [0.5, 1 / 8])
+@pytest.mark.parametrize("horizon", [250, 400, 700])
+@pytest.mark.parametrize(
+    "past",
+    [
+        periodic((1,), 0),
+        periodic((1, 2, 1, 2, 2), 3),
+        EventuallyPeriodicSeq((2, 1, 1), (2,) * 150, -170, (1,)),
+        UniversalSeq(3, 1, 40),
+    ],
+    ids=["ones", "block-5", "long-center", "universal"],
+)
+def test_scrambled_values_fall_back_where_distance_truncates(monkeypatch, past, horizon, r):
+    # with a span cap of 300, rows up to need - 300 truncate the future and
+    # rows from about 300 - (past center + left block) on truncate the past
+    for module in ("shiftchaos.metric", "shiftchaos.certify"):
+        monkeypatch.setattr(f"{module}._EXACT_SPAN_CAP", 300)
+    p = MetricParams(r)
+    s, t = _scrambled_pair(past, horizon)
+    assert _scrambled_values(s, t, horizon, p, 1e-12) == _row_values(s, t, horizon, p)
+
+
+@pytest.mark.parametrize("horizon", [500, 1000, 4000])
+@pytest.mark.parametrize(
+    "r, past", [(0.5, periodic((1,), 0)), (1 / 32, window_padded((2, 1), -1, 2))]
+)
+def test_scrambled_witness_times_match_the_row_by_row_search(horizon, r, past):
+    p = MetricParams(r)
+    s, t = _scrambled_pair(past, horizon)
+    values = _row_values(s, t, horizon, p)
+    times = values.index(min(values)) + 1, values.index(max(values)) + 1
+    swept = _scrambled_values(s, t, horizon, p, 1e-12)
+    assert (swept.index(min(swept)) + 1, swept.index(max(swept)) + 1) == times
+    if r == 0.5:
+        cert = li_yorke_pair(UnstableSetId(A2, past), horizon, p)
+        assert (cert.data["min_time"], cert.data["max_time"]) == times
 
 
 # -- convergence along stable / unstable sets --------------------------------

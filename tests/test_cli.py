@@ -551,6 +551,52 @@ def test_verify_refuses_symbols_that_are_not_integers(
     assert "malformed certificate" in capsys.readouterr().out
 
 
+def _boolean_field(node, kind, key):
+    """The first sequence payload of `kind` below `node` (depth first) whose
+    `key` holds 0 or 1, or None."""
+    if isinstance(node, dict):
+        if node.get("kind") == kind and node.get(key) in (0, 1):
+            return node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            found = _boolean_field(child, kind, key)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize(
+    "folder, kind, key",
+    [
+        ("c", "periodic", "phase"),
+        ("c", "eventually_periodic", "center_start"),
+        ("c", "universal", "seed"),
+        ("c", "universal", "offset"),
+        ("c", "spliced", "offset"),
+        ("legacy", "window_padded", "start"),
+    ],
+)
+def test_verify_refuses_true_and_false_in_integer_fields(
+    fresh_outputs, tmp_path, capsys, folder, kind, key
+):
+    # Python reads true as 1 and false as 0, the values these fields hold
+    for path in sorted((LEGACY if folder == "legacy" else fresh_outputs / folder).glob("*.json")):
+        payload = json.loads(path.read_text())
+        node = _boolean_field(payload["data"], kind, key)
+        if node is not None:
+            break
+    else:
+        pytest.fail(f"no {kind} payload holds {key} at 0 or 1")
+    node[key] = bool(node[key])
+    tampered = tmp_path / path.name
+    tampered.write_text(json.dumps(payload))
+    assert verify_file(path, quiet=True) == 0
+    capsys.readouterr()
+    assert verify_file(tampered) == 1
+    assert "malformed certificate" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "side, part, start",
     [("s", "past", -10 ** 12), ("t", "past", -10 ** 12), ("t", "future", 10 ** 12)],

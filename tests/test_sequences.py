@@ -383,6 +383,45 @@ def test_periodic_sequences_are_written_as_the_periodic_kind():
     assert sequence_to_payload(window_padded((2,), 0))["kind"] == "eventually_periodic"
 
 
+# One payload of each kind whose integer fields hold 1 (m: 2), so that true
+# would compare equal to the value it replaces.
+_INTEGER_FIELDS = [
+    ({"kind": "periodic", "block": [1, 2], "phase": 1}, ("phase",)),
+    ({"kind": "eventually_periodic", "left_block": [1], "center": [2], "center_start": 1,
+      "right_block": [2, 1]}, ("center_start",)),
+    ({"kind": "window_padded", "window": [2], "start": 1, "pad": 2}, ("start",)),
+    ({"kind": "universal", "m": 2, "seed": 1, "offset": 1}, ("m",)),
+    ({"kind": "universal", "m": 2, "seed": 1, "offset": 1}, ("seed",)),
+    ({"kind": "universal", "m": 2, "seed": 1, "offset": 1}, ("offset",)),
+    ({"kind": "spliced", "past": {"kind": "periodic", "block": [2], "phase": 1},
+      "future": {"kind": "universal", "m": 2, "seed": 0, "offset": 0}, "offset": 1},
+     ("offset",)),
+    ({"kind": "flipped", "base": {"kind": "universal", "m": 2, "seed": 0, "offset": 0}, "m": 2},
+     ("m",)),
+    ({"kind": "flipped", "base": {"kind": "periodic", "block": [1, 2], "phase": 1}, "m": 2},
+     ("base", "phase")),
+]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None], ids=["true", "float", "string", "null"])
+@pytest.mark.parametrize(
+    "payload, keys", _INTEGER_FIELDS,
+    ids=["periodic-phase", "eventually-periodic-center_start", "window-padded-start",
+         "universal-m", "universal-seed", "universal-offset", "spliced-offset", "flipped-m",
+         "flipped-base-phase"],
+)
+def test_payload_integer_fields_refuse_other_types(payload, keys, value):
+    sequence_from_payload(payload)  # reads as stored
+    tampered = copy.deepcopy(payload)
+    *path, last = keys
+    node = tampered
+    for key in path:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError, match=f"{last} is not an integer"):
+        sequence_from_payload(tampered)
+
+
 # ---------------------------------------------------------------------------
 # Bulk windows against oracles that do not share their code: slices of the
 # word-by-word enumeration `_ref_enumeration`, the entry positions of
