@@ -23,6 +23,7 @@ loads neither `certify` nor `horseshoe`, `certify` does not load
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -91,61 +92,45 @@ class RunConfig(FrozenValue):
     def validate(self, command: str | None = None) -> None:
         try:
             Alphabet(self.m)
-            MetricParams(self.r)
+            p = MetricParams(self.r)
             if (self.lam, self.mu) != (RunConfig.lam, RunConfig.mu):  # the defaults are valid
                 from .horseshoe import HorseshoeParams
 
                 HorseshoeParams(self.lam, self.mu)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        try:
+            if not 0 < self.tol < math.inf:
+                raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
             check_tolerance(self.r, self.tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.k < 0 or self.n < 1:
-            raise ConfigError("need k >= 0 and n >= 1")
-        if 2 ** (self.k + 1 + self.n) > RECTANGLE_CAP:
-            raise ConfigError("rectangle cap exceeded: k + n too deep")
-        if not (0 <= self.seed < 1 << 64):
-            raise ConfigError("seed must fit in 64 bits")
-        for name, lo, hi in (
-            ("horizon", 10, MAX_WINDOW),
-            ("recurrence_depth", 1, MAX_STEPS),
-            ("metric_depth", 1, MAX_METRIC_DEPTH),
-            ("conjugacy_depth", 2, MAX_CONJUGACY_DEPTH),
-            ("conjugacy_samples", 0, MAX_CONJUGACY_SAMPLES),
-        ):
-            if not lo <= getattr(self, name) <= hi:
-                raise ConfigError(f"{name} must lie in [{lo}, {hi}]")
-        bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
-        if bad:
-            raise ConfigError(f"unknown output formats: {bad}")
-        if command != "certify":
-            return
-        from . import certify as cert
+            if self.k < 0 or self.n < 1:
+                raise ValueError("need k >= 0 and n >= 1")
+            if 2 ** (self.k + 1 + self.n) > RECTANGLE_CAP:
+                raise ValueError("rectangle cap exceeded: k + n too deep")
+            if not (0 <= self.seed < 1 << 64):
+                raise ValueError("seed must fit in 64 bits")
+            for name, lo, hi in (
+                ("horizon", 10, MAX_WINDOW),
+                ("recurrence_depth", 1, MAX_STEPS),
+                ("metric_depth", 1, MAX_METRIC_DEPTH),
+                ("conjugacy_depth", 2, MAX_CONJUGACY_DEPTH),
+                ("conjugacy_samples", 0, MAX_CONJUGACY_SAMPLES),
+            ):
+                if not lo <= getattr(self, name) <= hi:
+                    raise ValueError(f"{name} must lie in [{lo}, {hi}]")
+            bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
+            if bad:
+                raise ValueError(f"unknown output formats: {bad}")
+            if command != "certify":
+                return
+            from . import certify as cert
 
-        if self.m > cert.MAX_SCAN_ALPHABET:
-            raise ConfigError(f"certify needs m <= {cert.MAX_SCAN_ALPHABET}: its Poisson scan "
-                              "stores symbols as bytes")
-        try:  # so that its Poisson and convergence files stay within their caps
-            p = MetricParams(self.r)
+            if self.m > cert.MAX_SCAN_ALPHABET:
+                raise ValueError(f"certify needs m <= {cert.MAX_SCAN_ALPHABET}: its Poisson scan "
+                                 "stores symbols as bytes")
+            # its files stay within their caps, and every witness passes its check
             cert.check_steps("recurrence_depth", self.recurrence_depth, p, self.tol)
             cert.check_n_max(_CONVERGENCE_STEPS, p, self.tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # the Li-Yorke pair's proximity bound r**(2**(J-1) - 2) is proven
-        # only where 2 r**2 / (1 - r) <= 1, and must not underflow
-        if self.r > 0.5:
-            raise ConfigError("certify needs r <= 1/2: its Li-Yorke proximity bound "
-                              "is not proven above")
-        if cert._li_yorke_min_bound(self.r, self.horizon) < sys.float_info.min:
-            raise ConfigError(f"horizon {self.horizon} is too long at r = {self.r}: "
-                              "the Li-Yorke proximity bound underflows")
-        try:  # so that every witness its searches find passes its payload check
+            cert.check_horizon(p, self.horizon)
             cert.check_witness_room(p, self.tol, self.recurrence_depth, _DELTAS, _EPSILONS)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
 

@@ -44,6 +44,17 @@ of one numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least
 significant: F & (2**(q*n) - 1).  The shallow positions b + 1..0 and the
 future are read per row.  Other r, other pasts, and rows past the exact
 span cap (where `distance` truncates the past) call `distance` per row.
+
+`pair_values` returns the values of the rows d(shift^n s, shift^n t),
+n = 1..horizon, bit for bit, for a pair that agrees at positions <= 0 and
+beyond need = horizon + 80.  At r = 2**-q, q <= 5, it builds two numerals
+of the pair's mismatch digits at positions 1..need once: D, position 1
+most significant, and R, position 1 least.  Row n's future (depth i at
+position n + i) is D & (2**(q*(need - n)) - 1) over 2**(q*(need - n)), its
+past (depth i at position n + 1 - i) is R & (2**(q*n) - 1) over 2**(q*n),
+and one `int / int` rounds their sum.  Other r, and rows where `distance`
+truncates a side, call `distance`: both sweeps find those rows with
+`_exact_span`, the one test of whether `distance` truncates a side.
 """
 
 from __future__ import annotations
@@ -120,14 +131,14 @@ def space_diameter(p: MetricParams) -> float:
 
 
 @lru_cache(maxsize=32, typed=True)
-def _truncation_depth(r: float, half_tol: float) -> int:
-    """The smallest k >= 1 whose dropped tail r**(k+1)/(1-r), the error the
-    truncated sums report, is at most half_tol.  A logarithm gives k up to
+def check_tolerance(r: float, tol: float) -> int:
+    """The truncation depth of `distance` at weight base r and tolerance tol:
+    the smallest k >= 1 whose dropped tail r**(k+1)/(1-r), the error a
+    truncated side reports, is at most tol/2.  A logarithm gives k up to
     rounding, and one step each way fixes it.  ValueError when k exceeds
-    `_MAX_TRUNCATION_DEPTH` (or half_tol is not a positive float), which
-    the cache never stores."""
-
-    geo = 1 - r
+    `_MAX_TRUNCATION_DEPTH` (or tol/2 is not a positive float), which the
+    cache never stores."""
+    geo, half_tol = 1 - r, tol / 2
     if r ** 2 / geo <= half_tol:
         return 1
     if not half_tol > 0:
@@ -140,16 +151,18 @@ def _truncation_depth(r: float, half_tol: float) -> int:
             k += 1
     if k > _MAX_TRUNCATION_DEPTH:
         raise ValueError(
-            f"truncation depth {k} at r={r!r}, tol={2 * half_tol!r} exceeds "
-            f"{_MAX_TRUNCATION_DEPTH}"
+            f"truncation depth {k} at r={r!r}, tol={tol!r} exceeds {_MAX_TRUNCATION_DEPTH}"
         )
     return k
 
 
-def check_tolerance(r: float, tol: float) -> int:
-    """The truncation depth of `distance` at weight base r and tolerance tol;
-    ValueError when it would exceed `_MAX_TRUNCATION_DEPTH`."""
-    return _truncation_depth(r, tol / 2)
+def agreement_bound(lo, hi: int, p: MetricParams, tol: float) -> float:
+    """The most `distance(s, t, p, tol)` can report as value + error when s
+    and t agree on positions lo..hi (lo <= 0 < hi; lo may be -inf), whatever
+    they are: the weight outside both [lo, hi] and the truncation window
+    [1 - k, k], since a truncated side reports its tail beyond k as error."""
+    k = check_tolerance(p.r, tol)
+    return weight_below(max(lo - 1, -k), p.r) + weight_above(min(hi, k) + 1, p.r)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -215,17 +228,38 @@ def _quotient(right: tuple[int, int, int], left: tuple[int, int, int]) -> float:
     return ((nr * gl << (a - ar)) + (nl * gr << (a - al))) / (gr * gl << a)
 
 
+def _exact_span(s: BiSequence, t: BiSequence, future: bool) -> tuple[int, int] | None:
+    """(explicit, period) when `distance` sums the future (or past) side of s
+    and t exactly, depths 1..explicit then a repeating block; None when it
+    truncates it: a tail with no finite description, or a span past the cap."""
+    ts, tt = (s.right_tail(), t.right_tail()) if future else (s.left_tail(), t.left_tail())
+    if ts is None or tt is None:
+        return None
+    explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
+    period = math.lcm(ts[1], tt[1])
+    return (explicit, period) if explicit + period <= _EXACT_SPAN_CAP else None
+
+
+def _exact_end(pair, future: bool, lo: int, hi: int) -> int:
+    """The first row n in lo..hi from which `distance(*pair(n))` sums the
+    future side exactly (hi + 1 if none), or the last up to which it sums
+    the past exactly (lo - 1 if none): that side's explicit depth moves one
+    way row by row.  Bisection finds it, after a first probe for all rows."""
+    a, b, mid = lo, hi + 1, lo if future else hi
+    while a < b:  # the least row from which (the side is exact) == future
+        if (_exact_span(*pair(mid), future) is not None) == future:
+            b = mid
+        else:
+            a = mid + 1
+        mid = (a + b) // 2
+    return a if future else a - 1
+
+
 def _side(s: BiSequence, t: BiSequence, r: float, tol: float, q: int, future: bool):
     """(value, error) of one side: the future (depth i = j at position j >= 1)
     or the past (i = 1 - j at j <= 0), where position j weighs r**i.  The
     value is a float, or at r = 2**-q the triple (n, a, g) of n / (g << a)."""
-    ts, tt = (s.right_tail(), t.right_tail()) if future else (s.left_tail(), t.left_tail())
-    explicit, period = None, 0  # depths 1..explicit, then a periodic block
-    if ts is not None and tt is not None:
-        explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
-        period = math.lcm(ts[1], tt[1])
-    if explicit is None or explicit + period > _EXACT_SPAN_CAP:
-        explicit, period = _truncation_depth(r, tol / 2), 0
+    explicit, period = _exact_span(s, t, future) or (check_tolerance(r, tol), 0)
     depth = explicit + period
     lo, hi = (1, depth) if future else (1 - depth, 0)
     sw, tw = s.span(lo, hi), t.span(lo, hi)
@@ -275,14 +309,12 @@ def orbit_distances(
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     r, q = p.r, _dyadic(p.r)
-    tail = s.left_tail()
-    b = 0 if tail is None else min(tail[0], 0)
-    # shift(n) moves the start of the past to tail[0] - n, past the span cap
-    # from row _EXACT_SPAN_CAP + b on
-    last = min(steps, _EXACT_SPAN_CAP - 1 + b)
-    if tail is None or tail[1] != 1 or not q or last < 0:
+    tail, last = s.left_tail(), -1  # the sweep's rows are 0..last
+    if tail is not None and tail[1] == 1 and q:
+        last = _exact_end(lambda n: (s.shift(n), s), False, 0, steps)
+    if last < 0:
         return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
-    c = s.symbol_at(tail[0])
+    b, c = min(tail[0], 0), s.symbol_at(tail[0])
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
     # source i at depth n - b - i: digit i of `deep` from the least
@@ -302,6 +334,34 @@ def orbit_distances(
         rows.append(DistanceBound(_quotient(right, left), er))
     rows.extend(distance(s.shift(n), s, p, tol) for n in range(last + 1, steps + 1))
     return rows
+
+
+def pair_values(
+    s: BiSequence, t: BiSequence, horizon: int, p: MetricParams, tol: float = 1e-12
+) -> list[float]:
+    """The values distance(s.shift(n), t.shift(n), p, tol).value for
+    n = 1..horizon, bit for bit, where s and t agree at every position <= 0
+    and beyond horizon + 80 (the sweep is in the module docstring)."""
+    q, need = _dyadic(p.r), horizon + 80
+
+    def pair(n: int) -> tuple[BiSequence, BiSequence]:
+        return s.shift(n), t.shift(n)
+
+    first = last = 0  # the rows first..last are read off two numerals
+    if q:
+        sw, tw = s.span(1, need), t.span(1, need)
+        future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
+        first, last = _exact_end(pair, True, 1, horizon), _exact_end(pair, False, 1, horizon)
+    values = []
+    for n in range(1, horizon + 1):
+        if not first <= n <= last:
+            values.append(distance(*pair(n), p, tol).value)
+            continue
+        a, top = need - n, max(need - n, n)  # digits of the future, of the larger side
+        num = ((future & ((1 << q * a) - 1)) << q * (top - a)) + (
+            (past & ((1 << q * n) - 1)) << q * (top - n))
+        values.append(num / (1 << q * top))
+    return values
 
 
 def cylinder_diameter(c: CylinderSet, p: MetricParams) -> float:

@@ -37,7 +37,9 @@ eventually periodic sequences cycle their words' stored symbols as they
 are.  The universal sequence has one generator, which builds the
 enumeration column by column from any position; ``enumeration_prefix``
 caches the head it builds, and for m <= 255 a span that ends inside the
-first ``_HEAD`` symbols is a slice of that one head.
+first ``_HEAD`` symbols is a slice of that one head.  `EnumerationScan`
+finds words further on through one window that starts as that head and
+only moves forward.
 
 All values are immutable; every operation is a pure function.  The
 immutability comes from :class:`FrozenValue`, the base of every value class
@@ -388,6 +390,34 @@ def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
 
 
 _HEAD = 1 << 16  # symbols of the cached enumeration head that windows slice
+
+
+class EnumerationScan:
+    """Occurrences of words in the first `cap` symbols of one enumeration
+    (m <= 255), read through one window that only moves forward: first the
+    cached head, then, from where a search runs past a window's end, _HEAD
+    symbols plus the len(word) - 1 that overlap the last one."""
+
+    __slots__ = ("m", "seed", "cap", "base", "window")
+
+    def __init__(self, m: int, seed: int, cap: int) -> None:
+        self.m, self.seed, self.cap = m, seed, cap
+        self.base, self.window = 0, enumeration_prefix(m, seed, _HEAD)[:cap]
+
+    def find(self, word: bytes, start: int) -> int:
+        """The least i >= start with `word` at enumeration positions
+        i..i + len(word) - 1, all below the cap; -1 when there is none."""
+        size = len(word)
+        while True:
+            if start >= self.base:
+                i = self.window.find(word, start - self.base)
+                if i != -1:
+                    return self.base + i
+                start = max(start, self.base + len(self.window) - size + 1)
+            if start + size > self.cap:
+                return -1
+            count = min(_HEAD + size - 1, self.cap - start)
+            self.base, self.window = start, _enumeration(self.m, self.seed, start, count)
 
 
 class UniversalSeq(BiSequence):

@@ -40,16 +40,14 @@ from shiftchaos import (
 from shiftchaos.certify import (
     MAX_STEPS,
     MAX_WINDOW,
-    _EnumerationScan,
     _li_yorke_min_bound,
     _scrambled_pair,
-    _scrambled_values,
     check_witness_room,
     random_two_sided_target,
     random_unstable_set,
 )
-from shiftchaos.metric import _EXACT_SPAN_CAP
-from shiftchaos.sequences import _HEAD, enumeration_prefix
+from shiftchaos.metric import _EXACT_SPAN_CAP, pair_values
+from shiftchaos.sequences import _HEAD, EnumerationScan, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
 
@@ -273,19 +271,18 @@ def _occurrences(find, word, cap):
 @pytest.mark.parametrize("m, seed", [(2, 0), (2, 3), (2, 2 ** 63), (3, 0), (3, 11)])
 def test_windowed_scan_finds_what_a_scan_of_the_whole_prefix_finds(monkeypatch, m, seed):
     window, cap = 97, 6000
-    monkeypatch.setattr("shiftchaos.certify._SCAN_WINDOW", window)
-    monkeypatch.setattr("shiftchaos.certify._SCAN_CAP", cap)
+    monkeypatch.setattr("shiftchaos.sequences._HEAD", window)
     ref = _ref_enumeration(m, seed, cap)
     # words planted across the first window's edge and deep in the prefix
     for lo, size in [(window - 2, 5), (window - 1, 2), (window - 6, 13), (2500, 9), (cap - 7, 7)]:
         word = ref[lo : lo + size]
         expected = _occurrences(ref.find, word, cap)
         assert lo in expected
-        scan = _EnumerationScan(m, seed)
+        scan = EnumerationScan(m, seed, cap)
         assert _occurrences(scan.find, word, math.inf) == expected
     # searches that start at the previous hit with longer and longer words,
     # as the Poisson depths do, share one window that only moves forward
-    scan, start = _EnumerationScan(m, seed), 1
+    scan, start = EnumerationScan(m, seed, cap), 1
     for size in range(1, 30, 2):
         word = ref[4000 - size : 4000]
         expected = ref.find(word, start)
@@ -297,10 +294,18 @@ def test_windowed_scan_finds_what_a_scan_of_the_whole_prefix_finds(monkeypatch, 
         start = expected
 
 
+@pytest.mark.parametrize("cap", [2, 50, 2000])
+def test_scan_finds_nothing_past_a_cap_inside_the_first_window(cap):
+    ref = _ref_enumeration(3, 5, cap + 40)
+    for word in (ref[cap - 1 : cap], ref[cap - 2 : cap + 1], ref[cap + 10 : cap + 14]):
+        expected = _occurrences(ref.find, word, cap)
+        assert _occurrences(EnumerationScan(3, 5, cap).find, word, math.inf) == expected
+
+
 def test_poisson_times_do_not_depend_on_the_window(monkeypatch):
     u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
     times = poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"]
-    monkeypatch.setattr("shiftchaos.certify._SCAN_WINDOW", 1000)
+    monkeypatch.setattr("shiftchaos.sequences._HEAD", 1000)
     assert poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"] == times
 
 
@@ -404,7 +409,7 @@ _PASTS = st.one_of(
 def test_scrambled_values_are_the_distance_rows_bit_for_bit(past, r, horizon, rows):
     p = MetricParams(r)
     s, t = _scrambled_pair(past, horizon)
-    values = _scrambled_values(s, t, horizon, p, 1e-12)
+    values = pair_values(s, t, horizon, p, 1e-12)
     assert values == _row_values(s, t, horizon, p)
     if r in (0.3, 1 / 3):  # the float kernel: no correctly rounded oracle
         return
@@ -428,11 +433,10 @@ def test_scrambled_values_are_the_distance_rows_bit_for_bit(past, r, horizon, ro
 def test_scrambled_values_fall_back_where_distance_truncates(monkeypatch, past, horizon, r):
     # with a span cap of 300, rows up to need - 300 truncate the future and
     # rows from about 300 - (past center + left block) on truncate the past
-    for module in ("shiftchaos.metric", "shiftchaos.certify"):
-        monkeypatch.setattr(f"{module}._EXACT_SPAN_CAP", 300)
+    monkeypatch.setattr("shiftchaos.metric._EXACT_SPAN_CAP", 300)
     p = MetricParams(r)
     s, t = _scrambled_pair(past, horizon)
-    assert _scrambled_values(s, t, horizon, p, 1e-12) == _row_values(s, t, horizon, p)
+    assert pair_values(s, t, horizon, p, 1e-12) == _row_values(s, t, horizon, p)
 
 
 @pytest.mark.parametrize("horizon", [500, 1000, 4000])
@@ -444,7 +448,7 @@ def test_scrambled_witness_times_match_the_row_by_row_search(horizon, r, past):
     s, t = _scrambled_pair(past, horizon)
     values = _row_values(s, t, horizon, p)
     times = values.index(min(values)) + 1, values.index(max(values)) + 1
-    swept = _scrambled_values(s, t, horizon, p, 1e-12)
+    swept = pair_values(s, t, horizon, p, 1e-12)
     assert (swept.index(min(swept)) + 1, swept.index(max(swept)) + 1) == times
     if r == 0.5:
         cert = li_yorke_pair(UnstableSetId(A2, past), horizon, p)

@@ -334,6 +334,23 @@ def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, cla
 
 
 @pytest.mark.parametrize(
+    "key, value, claim", [("horizon", 12286, "underflows"), ("r", 0.6, "r <= 1/2")]
+)
+def test_verify_refuses_a_li_yorke_file_certify_would_refuse(
+    fresh_outputs, tmp_path, capsys, key, value, claim
+):
+    # the refusals of `certify` hold under --verify: a malformed certificate,
+    # not a claim that the rebuild refutes
+    path = tmp_path / "li_yorke.json"
+    path.write_text((fresh_outputs / "c" / "li_yorke.json").read_text())
+    _tamper(path, _set(key, value))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "malformed certificate" in out and claim in out
+
+
+@pytest.mark.parametrize(
     "flags, claim",
     [
         # the Poisson fallback witness at a truncation depth <= recurrence_depth
@@ -684,7 +701,9 @@ def test_horseshoe_rejects_non_finite_mu(tmp_path, capsys, mu):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [("--r", "0.999999"), ("--tol", "5e-324")])
+@pytest.mark.parametrize(
+    "flags", [("--r", "0.999999"), ("--tol", "5e-324"), ("--tol", "inf"), ("--tol", "nan")]
+)
 def test_config_rejects_a_tolerance_no_truncation_depth_reaches(tmp_path, capsys, flags):
     out = tmp_path / "orb"
     assert run("orbit", "--out", str(out), "--start", "universal", *flags) == 2

@@ -38,7 +38,7 @@ from shiftchaos.metric import (
     _EXACT_SPAN_CAP,
     _MAX_TRUNCATION_DEPTH,
     _powers,
-    _truncation_depth,
+    check_tolerance,
     orbit_distances,
     separation_holds_everywhere,
     weight,
@@ -271,6 +271,18 @@ def test_huge_shifts_fall_back_to_certified_truncation():
     assert 0.0 <= d.value <= 2.0
 
 
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_a_side_is_exact_up_to_the_span_cap_and_truncated_past_it(r):
+    # explicit depths plus the block of 1 fill the cap exactly, or pass it by one
+    p, ones = MetricParams(r), periodic((1,))
+    for at_cap, past_cap in [
+        (window_padded((2,), _EXACT_SPAN_CAP - 1), window_padded((2,), _EXACT_SPAN_CAP)),
+        (window_padded((2,), 2 - _EXACT_SPAN_CAP), window_padded((2,), 1 - _EXACT_SPAN_CAP)),
+    ]:
+        assert distance(at_cap, ones, p).error == 0.0
+        assert distance(past_cap, ones, p).error > 0.0
+
+
 # ---------------------------------------------------------------------------
 # The summation kernels against per-position loops.  Off the powers of two
 # the loops add the same float terms in the same order as the float kernel;
@@ -313,7 +325,7 @@ def loop_right_sum(s, t, r, tol):
             explicit = [j for j in range(1, start) if sw[j - 1] != tw[j - 1]]
             block = [start + c for c in range(period) if sw[start + c - 1] != tw[start + c - 1]]
             return weigh(explicit, block, period, r), True
-    k = _truncation_depth(r, tol / 2)
+    k = check_tolerance(r, tol)
     sw, tw = s.window(1, k), t.window(1, k)
     return weigh([j for j in range(1, k + 1) if sw[j - 1] != tw[j - 1]], [], 0, r), False
 
@@ -329,7 +341,7 @@ def loop_left_sum(s, t, r, tol):
             explicit = [1 - j for j in range(start + 1, 1) if sw[j - lo] != tw[j - lo]]
             block = [1 - start + c for c in range(period) if sw[start - c - lo] != tw[start - c - lo]]
             return weigh(explicit, block, period, r), True
-    k = _truncation_depth(r, tol / 2)
+    k = check_tolerance(r, tol)
     lo = 1 - k
     sw, tw = s.window(lo, 0), t.window(lo, 0)
     return weigh([1 - j for j in range(lo, 1) if sw[j - lo] != tw[j - lo]], [], 0, r), False
@@ -438,7 +450,7 @@ def agrees_with_the_loop(r, half_tol, k):
 @pytest.mark.parametrize("r", [0.5, 0.3, 1 / 3, 0.9, 0.99])
 @pytest.mark.parametrize("tol", [1e-12, 1e-10, 1e-6])
 def test_truncation_depth_matches_the_loop(r, tol):
-    k = _truncation_depth(r, tol / 2)
+    k = check_tolerance(r, tol)
     assert k == loop_truncation_depth(r, tol / 2)
     assert is_truncation_depth(r, tol / 2, k)
 
@@ -447,7 +459,7 @@ def test_truncation_depth_matches_the_loop(r, tol):
 @given(r=st.floats(0.001, 0.999), exponent=st.floats(-15.0, -1.0))
 def test_truncation_depth_agrees_with_the_loop_over_a_log_range(r, exponent):
     half_tol = 10.0 ** exponent
-    k = _truncation_depth(r, half_tol)
+    k = check_tolerance(r, 2 * half_tol)
     assert is_truncation_depth(r, half_tol, k)
     assert agrees_with_the_loop(r, half_tol, k)
 
@@ -462,14 +474,14 @@ def test_truncation_depth_at_rounding_ties(r, depth, ulps):
     for _ in range(abs(ulps)):
         half_tol = math.nextafter(half_tol, math.inf if ulps > 0 else 0.0)
     assume(half_tol >= sys.float_info.min)
-    k = _truncation_depth(r, half_tol)
+    k = check_tolerance(r, 2 * half_tol)
     assert is_truncation_depth(r, half_tol, k)
     assert agrees_with_the_loop(r, half_tol, k)
 
 
 def test_truncation_depth_is_one_for_loose_tolerances():
-    assert _truncation_depth(0.5, 10.0) == 1
-    assert _truncation_depth(0.5, math.inf) == 1
+    assert check_tolerance(0.5, 20.0) == 1
+    assert check_tolerance(0.5, math.inf) == 1
 
 
 @pytest.mark.parametrize(
@@ -478,15 +490,15 @@ def test_truncation_depth_is_one_for_loose_tolerances():
 def test_truncation_depth_refuses_past_its_cap(r, half_tol):
     for _ in range(2):  # the depth cache keeps no refusal
         with pytest.raises(ValueError):
-            _truncation_depth(r, half_tol)
+            check_tolerance(r, 2 * half_tol)
 
 
 def test_truncation_depth_reaches_its_cap():
     r = 1 - 1e-5
     at_cap = r ** (_MAX_TRUNCATION_DEPTH + 1) / (1 - r)
-    assert _truncation_depth(r, at_cap) == _MAX_TRUNCATION_DEPTH
+    assert check_tolerance(r, 2 * at_cap) == _MAX_TRUNCATION_DEPTH
     with pytest.raises(ValueError):
-        _truncation_depth(r, math.nextafter(at_cap, 0.0))  # one more would fit
+        check_tolerance(r, 2 * math.nextafter(at_cap, 0.0))  # one more would fit
 
 
 # ---------------------------------------------------------------------------

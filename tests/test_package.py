@@ -1,6 +1,7 @@
 """The package surface: the public names, the modules each subcommand loads,
-and the README's library example."""
+the README's library example, and the module boundaries inside the package."""
 
+import ast
 import importlib
 import os
 import re
@@ -141,3 +142,32 @@ def test_readme_library_example_runs(capsys):
     assert match, "README has no library example"
     exec(compile(match.group(1), str(README), "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out.strip().isdigit()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_references(path: Path, modules: set[str]) -> list[str]:
+    """The private names one package module takes from its siblings: every
+    relative ``from .x import _name``, and every ``alias._name`` where
+    ``alias`` is a sibling module bound by ``from . import x [as alias]``."""
+    tree = ast.parse(path.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    found = [f"{path.stem}: from .{node.module} import {alias.name}"
+             for node in imports if node.module for alias in node.names if _private(alias.name)]
+    siblings = {alias.asname or alias.name: alias.name
+                for node in imports if not node.module
+                for alias in node.names if alias.name in modules}
+    found += [f"{path.stem}: {node.value.id}.{node.attr}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in siblings]
+    return found
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # each decision lives behind one module: a sibling reads only public names
+    paths = sorted((SRC / "shiftchaos").glob("*.py"))
+    modules = {path.stem for path in paths}
+    assert [ref for path in paths for ref in _private_references(path, modules)] == []
