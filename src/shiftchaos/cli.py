@@ -406,8 +406,8 @@ def parse_descriptor(text: str, m: int = 2):
 
 
 def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
+    if not 0 <= steps <= MAX_WINDOW:
+        raise ConfigError(f"steps must lie in [0, {MAX_WINDOW}]")
     start = parse_descriptor(descriptor, config.m)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)

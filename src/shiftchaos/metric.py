@@ -18,9 +18,14 @@ is finite (= 2 at r = 1/2).  Under this metric:
   condition) and depth-n future cylinders admit a uniform positive
   separation eps0 = r, witnessed by flipping the first fixed symbol.
 
-Distances are exact (error 0) whenever both sequences have periodic tails
-on each side; otherwise the sum is truncated with a certified two-sided
-error bound below the requested tolerance.
+A side both sequences describe (explicit depths, then a repeating block)
+is exact (error 0) when explicit depth plus period is at most the clip
+depth L(r), 1077 at r = 1/2 and 621 at r = 0.3, and is clipped to depths
+1..L(r) otherwise; a side with no finite description is truncated at
+`check_tolerance(r, tol)`.  A cut side's error is the weight it drops, at
+least 5e-324 and at most tol/2; past L(r) that is below half of 5e-324, so
+a clip drops only float weights 0.0.  The value's rounding (half an ulp at
+r = 2**-q) is not in the error, but distinct sequences never read (0, 0).
 
 Each side is summed in C from the sequences' byte (or tuple) `span`s.  At
 r = 2**-q, 1 <= q <= 5, a side's mismatch digits (1 where the spans
@@ -38,23 +43,26 @@ version (the builtin `sum` compensates float sums from Python 3.12 on).
 
 `orbit_distances` returns the rows d(shift^n s, s), n = 0..steps, of
 `distance` bit for bit.  When s has a constant past (s(j) = c for j <= b,
-b <= 0) and r = 2**-q, q <= 5, the deep positions b - n + 1..b of row n,
-where the shifted sequence reads s(j + n) against c, are the low n digits
-of one numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least
-significant: F & (2**(q*n) - 1).  The shallow positions b + 1..0 and the
-future are read per row.  Other r, other pasts, and rows past the exact
-span cap (where `distance` truncates the past) call `distance` per row.
+-L(r) <= b <= 0: a deeper constant past is taken from -L(r) on) and
+r = 2**-q, q <= 5, the deep positions b - n + 1..b of row n, where the
+shifted sequence reads s(j + n) against c, are the low n digits of one
+numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least significant.
+A row keeps its -b shallow digits, read per row, then the top
+m = min(n, L(r) + b) of those n: (F >> q*(n - m)) & (2**(q*m) - 1).  The
+future is read per row.  Other r and other pasts call `distance` per row.
 
 `pair_values` returns the values of the rows d(shift^n s, shift^n t),
 n = 1..horizon, bit for bit, for a pair that agrees at positions <= 0 and
 beyond need = horizon + 80.  At r = 2**-q, q <= 5, it builds two numerals
 of the pair's mismatch digits at positions 1..need once: D, position 1
-most significant, and R, position 1 least.  Row n's future (depth i at
-position n + i) is D & (2**(q*(need - n)) - 1) over 2**(q*(need - n)), its
-past (depth i at position n + 1 - i) is R & (2**(q*n) - 1) over 2**(q*n),
-and one `int / int` rounds their sum.  Other r, and rows where `distance`
-truncates a side, call `distance`: both sweeps find those rows with
-`_exact_span`, the one test of whether `distance` truncates a side.
+most significant, and R, position 1 least.  A side's cut c is the depth
+`distance` sums it to in the row of its greatest explicit depth (row 1
+for the future, row horizon for the past): no row has a nonzero digit it
+sums past c.  Row n's future (depth i at position n + i) is its top
+a = min(need - n, c) digits, (D >> q*(need - n - a)) & (2**(q*a) - 1), its
+past (depth i at position n + 1 - i) its top b = min(n, c) digits,
+(R >> q*(n - b)) & (2**(q*b) - 1); one `int / int` rounds their sum.
+Other r call `distance` per row.
 """
 
 from __future__ import annotations
@@ -67,11 +75,6 @@ from typing import Callable, NamedTuple
 
 from .cylinders import CylinderSet, all_words, future_cylinder
 from .sequences import Alphabet, BiSequence, FrozenValue
-
-# Exact summation is abandoned beyond this many explicitly compared
-# positions per side (huge shifts of universal members); the certified
-# truncated path takes over.
-_EXACT_SPAN_CAP = 20_000
 
 # Byte spans up to this long are compared symbol by symbol, which costs
 # less there than converting them to integers.
@@ -156,11 +159,20 @@ def check_tolerance(r: float, tol: float) -> int:
     return k
 
 
+@lru_cache(maxsize=32)
+def _clip_depth(r: float) -> int:
+    """L(r): the weight r**(L+1)/(1-r) past it is below half the least
+    subnormal (the `+ 1` covers the rounding of the logarithms)."""
+    depth = math.ceil((1075 * math.log(2) - math.log(1 - r)) / -math.log(r)) + 1
+    return min(_MAX_TRUNCATION_DEPTH, depth)
+
+
 def agreement_bound(lo, hi: int, p: MetricParams, tol: float) -> float:
     """The most `distance(s, t, p, tol)` can report as value + error when s
     and t agree on positions lo..hi (lo <= 0 < hi; lo may be -inf), whatever
     they are: the weight outside both [lo, hi] and the truncation window
-    [1 - k, k], since a truncated side reports its tail beyond k as error."""
+    [1 - k, k], since a side cut at k, or at L(r) >= k, reports its tail
+    beyond as error."""
     k = check_tolerance(p.r, tol)
     return weight_below(max(lo - 1, -k), p.r) + weight_above(min(hi, k) + 1, p.r)
 
@@ -228,47 +240,36 @@ def _quotient(right: tuple[int, int, int], left: tuple[int, int, int]) -> float:
     return ((nr * gl << (a - ar)) + (nl * gr << (a - al))) / (gr * gl << a)
 
 
-def _exact_span(s: BiSequence, t: BiSequence, future: bool) -> tuple[int, int] | None:
-    """(explicit, period) when `distance` sums the future (or past) side of s
-    and t exactly, depths 1..explicit then a repeating block; None when it
-    truncates it: a tail with no finite description, or a span past the cap."""
+def _cut(s: BiSequence, t: BiSequence, r: float, tol: float, future: bool):
+    """(explicit, period, error) of the future (or past) side of s and t as
+    `distance` sums it: depths 1..explicit then a repeating block (exact),
+    or cut after `explicit` depths (period 0) at the clip depth or, with no
+    finite description, at check_tolerance(r, tol) (module docstring)."""
     ts, tt = (s.right_tail(), t.right_tail()) if future else (s.left_tail(), t.left_tail())
     if ts is None or tt is None:
-        return None
-    explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
-    period = math.lcm(ts[1], tt[1])
-    return (explicit, period) if explicit + period <= _EXACT_SPAN_CAP else None
-
-
-def _exact_end(pair, future: bool, lo: int, hi: int) -> int:
-    """The first row n in lo..hi from which `distance(*pair(n))` sums the
-    future side exactly (hi + 1 if none), or the last up to which it sums
-    the past exactly (lo - 1 if none): that side's explicit depth moves one
-    way row by row.  Bisection finds it, after a first probe for all rows."""
-    a, b, mid = lo, hi + 1, lo if future else hi
-    while a < b:  # the least row from which (the side is exact) == future
-        if (_exact_span(*pair(mid), future) is not None) == future:
-            b = mid
-        else:
-            a = mid + 1
-        mid = (a + b) // 2
-    return a if future else a - 1
+        depth = check_tolerance(r, tol)
+    else:
+        explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
+        period, depth = math.lcm(ts[1], tt[1]), _clip_depth(r)
+        if explicit + period <= depth:
+            return explicit, period, 0.0
+        check_tolerance(r, tol)  # refuses a tol whose half the clipped tail passes
+    return depth, 0, r ** (depth + 1) / (1 - r) or math.ulp(0.0)  # a float below it is 0.0
 
 
 def _side(s: BiSequence, t: BiSequence, r: float, tol: float, q: int, future: bool):
-    """(value, error) of one side: the future (depth i = j at position j >= 1)
-    or the past (i = 1 - j at j <= 0), where position j weighs r**i.  The
-    value is a float, or at r = 2**-q the triple (n, a, g) of n / (g << a)."""
-    explicit, period = _exact_span(s, t, future) or (check_tolerance(r, tol), 0)
+    """(value, error, differ) of the future (depth i = j at j >= 1) or past
+    (i = 1 - j at j <= 0), j weighing r**i, and whether s and t differ there:
+    a float value, or at r = 2**-q the triple (n, a, g) of n / (g << a)."""
+    explicit, period, error = _cut(s, t, r, tol, future)
     depth = explicit + period
     lo, hi = (1, depth) if future else (1 - depth, 0)
     sw, tw = s.span(lo, hi), t.span(lo, hi)
-    error = 0.0 if period else r ** (depth + 1) / (1 - r)  # the dropped tail
     if q:
         n = _numeral(sw, tw, q, not future)
         if period:  # the repeating block is worth its numeral / (2**(q*period) - 1)
-            return (n - (n >> q * period), q * explicit, (1 << q * period) - 1), error
-        return (n, q * depth, 1), error
+            return (n - (n >> q * period), q * explicit, (1 << q * period) - 1), error, n != 0
+        return (n, q * depth, 1), error, n != 0
     table = _powers(r, depth)
     terms = table[1 : explicit + 1] if future else table[explicit:0:-1]
     if period:
@@ -276,7 +277,13 @@ def _side(s: BiSequence, t: BiSequence, r: float, tol: float, q: int, future: bo
         terms = chain(terms, block)
         if not future:  # the past's block runs from position -explicit downwards
             sw, tw = sw[period:] + sw[period - 1 :: -1], tw[period:] + tw[period - 1 :: -1]
-    return _mismatch_sum(terms, sw, tw), error
+    return _mismatch_sum(terms, sw, tw), error, sw != tw
+
+
+def _bound(value: float, error: float, differ: bool) -> DistanceBound:
+    """Sides that differ but sum to 0.0 with no error report the least
+    subnormal as error (at r = 2**-q it bounds their rounded sum)."""
+    return DistanceBound(value, math.ulp(0.0) if differ and not (value or error) else error)
 
 
 def distance(
@@ -284,55 +291,51 @@ def distance(
 ) -> DistanceBound:
     """Evaluate the weighted mismatch metric with a certified error bound.
 
-    The error is 0 whenever both sides of both sequences are eventually
-    periodic; universal futures fall back to truncation at depth chosen
-    from `tol`.
+    The error is 0 when both sides are eventually periodic with explicit
+    depth plus period at most the clip depth L(r); longer sides are clipped
+    at L(r), and universal ones truncated at a depth chosen from `tol`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if s == t:
         return DistanceBound(0.0, 0.0)
     q = _dyadic(p.r)
-    vr, er = _side(s, t, p.r, tol, q, True)
-    vl, el = _side(s, t, p.r, tol, q, False)
-    return DistanceBound(_quotient(vr, vl) if q else vr + vl, er + el)
+    vr, er, dr = _side(s, t, p.r, tol, q, True)
+    vl, el, dl = _side(s, t, p.r, tol, q, False)
+    return _bound(_quotient(vr, vl) if q else vr + vl, er + el, dr or dl)
 
 
 def orbit_distances(
     s: BiSequence, p: MetricParams, steps: int, tol: float = 1e-12
 ) -> list[DistanceBound]:
-    """The rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit for bit.
-
-    When the past of s is constant and r = 2**-q with q <= 5, the deep part
-    of each row's left numerator is read off one integer built once (see
-    the module docstring); otherwise each row calls `distance`."""
+    """The rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit for
+    bit (the sweep for a constant past is in the module docstring)."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    r, q = p.r, _dyadic(p.r)
-    tail, last = s.left_tail(), -1  # the sweep's rows are 0..last
-    if tail is not None and tail[1] == 1 and q:
-        last = _exact_end(lambda n: (s.shift(n), s), False, 0, steps)
-    if last < 0:
+    r, q, tail = p.r, _dyadic(p.r), s.left_tail()
+    if not (q and tail is not None and tail[1] == 1):
         return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
-    b, c = min(tail[0], 0), s.symbol_at(tail[0])
+    clip = _clip_depth(r)  # no row reads a digit below -clip
+    b, c = max(min(tail[0], 0), -clip), s.symbol_at(tail[0])
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
     # source i at depth n - b - i: digit i of `deep` from the least
-    sources, run = s.span(b + 1, last), (c,) * (last - b)
+    sources, run = s.span(b + 1, steps), (c,) * (steps - b)
     deep, past = _numeral(sources, bytes(run) if c < 256 else run, q, True), sources[:-b]
     rows = []
-    for n in range(last + 1):
+    for n in range(steps + 1):
         sn = s.shift(n)
         if sn == s:
             rows.append(DistanceBound(0.0, 0.0))
             continue
-        right, er = _side(sn, s, r, tol, q, True)
-        # depths 1..-b are the shallow positions b + 1..0, then n deep ones;
-        # the block below them agrees
+        right, er, differ = _side(sn, s, r, tol, q, True)
+        # depths 1..-b are the shallow positions b + 1..0, then m deep ones,
+        # digits n - 1..n - m of `deep`; the positions below them agree
+        m = min(n, clip + b)
         shallow = _numeral(sources[n : n - b], past, q, True)
-        left = ((shallow << q * n) | (deep & ((1 << q * n) - 1)), q * (n - b), 1)
-        rows.append(DistanceBound(_quotient(right, left), er))
-    rows.extend(distance(s.shift(n), s, p, tol) for n in range(last + 1, steps + 1))
+        left = (shallow << q * m) | ((deep >> q * (n - m)) & ((1 << q * m) - 1))
+        el = _cut(sn, s, r, tol, False)[2] if m == clip + b else 0.0  # fewer digits: exact
+        rows.append(_bound(_quotient(right, (left, q * (m - b), 1)), er + el, differ or left != 0))
     return rows
 
 
@@ -342,24 +345,20 @@ def pair_values(
     """The values distance(s.shift(n), t.shift(n), p, tol).value for
     n = 1..horizon, bit for bit, where s and t agree at every position <= 0
     and beyond horizon + 80 (the sweep is in the module docstring)."""
-    q, need = _dyadic(p.r), horizon + 80
-
-    def pair(n: int) -> tuple[BiSequence, BiSequence]:
-        return s.shift(n), t.shift(n)
-
-    first = last = 0  # the rows first..last are read off two numerals
-    if q:
-        sw, tw = s.span(1, need), t.span(1, need)
-        future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
-        first, last = _exact_end(pair, True, 1, horizon), _exact_end(pair, False, 1, horizon)
+    r, q, need = p.r, _dyadic(p.r), horizon + 80
+    if not q:
+        return [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
+    sw, tw = s.span(1, need), t.span(1, need)
+    future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
+    # each side's cut in the row of its greatest explicit depth
+    fcut = sum(_cut(s.shift(1), t.shift(1), r, tol, True)[:2])
+    pcut = sum(_cut(s.shift(horizon), t.shift(horizon), r, tol, False)[:2])
     values = []
     for n in range(1, horizon + 1):
-        if not first <= n <= last:
-            values.append(distance(*pair(n), p, tol).value)
-            continue
-        a, top = need - n, max(need - n, n)  # digits of the future, of the larger side
-        num = ((future & ((1 << q * a) - 1)) << q * (top - a)) + (
-            (past & ((1 << q * n) - 1)) << q * (top - n))
+        a, b = min(need - n, fcut), min(n, pcut)  # the digits read on each side
+        top = max(a, b)
+        num = (((future >> q * (need - n - a)) & ((1 << q * a) - 1)) << q * (top - a)) + (
+            ((past >> q * (n - b)) & ((1 << q * b) - 1)) << q * (top - b))
         values.append(num / (1 << q * top))
     return values
 

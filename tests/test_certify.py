@@ -46,7 +46,7 @@ from shiftchaos.certify import (
     random_two_sided_target,
     random_unstable_set,
 )
-from shiftchaos.metric import _EXACT_SPAN_CAP, pair_values
+from shiftchaos.metric import _clip_depth, pair_values
 from shiftchaos.sequences import _HEAD, EnumerationScan, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
@@ -378,12 +378,14 @@ def _exact_row(s, t, n, horizon, r):
     return float(total)
 
 
+_CLIP = _clip_depth(0.5)
 _BLOCKS = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
 _WORDS = st.lists(st.integers(1, 3), max_size=6).map(tuple)
-# offsets past the span cap leave the past no tail that `distance` sums exactly
+# offsets around the clip depths (217 to 1077 at the bases drawn) and far past
+# them clip the past of some rows or of all
 _UNIVERSAL = st.builds(
     UniversalSeq, st.just(3), st.integers(0, 5),
-    st.one_of(st.integers(-8, 8), st.integers(_EXACT_SPAN_CAP - 300, 10 ** 12)),
+    st.one_of(st.integers(-8, 8), st.integers(150, 1400), st.integers(1400, 10 ** 12)),
 )
 _PASTS = st.one_of(
     st.builds(periodic, _BLOCKS, st.integers(-4, 4)),
@@ -392,9 +394,10 @@ _PASTS = st.one_of(
     _UNIVERSAL,
     _UNIVERSAL.map(lambda u: flip(u, 3)),
     st.builds(splice, _UNIVERSAL, st.builds(periodic, _BLOCKS)),
-    # a past center this long pushes every row from `extra` on past the cap
+    # a past center this long pushes every row from `extra` on past the clip
+    # depth at r = 1/2, and every row past it at the other bases
     st.integers(-50, 300).map(
-        lambda extra: window_padded((2,) * (_EXACT_SPAN_CAP - extra), 1 - _EXACT_SPAN_CAP + extra)
+        lambda extra: window_padded((2,) * (_CLIP - extra), 1 - _CLIP + extra)
     ),
 )
 
@@ -430,11 +433,12 @@ def test_scrambled_values_are_the_distance_rows_bit_for_bit(past, r, horizon, ro
     ],
     ids=["ones", "block-5", "long-center", "universal"],
 )
-def test_scrambled_values_fall_back_where_distance_truncates(monkeypatch, past, horizon, r):
-    # with a span cap of 300, rows up to need - 300 truncate the future and
-    # rows from about 300 - (past center + left block) on truncate the past
-    monkeypatch.setattr("shiftchaos.metric._EXACT_SPAN_CAP", 300)
+def test_scrambled_values_fall_back_where_distance_truncates(past, horizon, r):
+    # the horizon set as far past the clip depth as it was past 300: rows up
+    # to need - clip clip the future and rows from about clip - (past center
+    # + left block) on clip the past; the sweep reads them all off numerals
     p = MetricParams(r)
+    horizon += _clip_depth(r) - 300
     s, t = _scrambled_pair(past, horizon)
     assert pair_values(s, t, horizon, p, 1e-12) == _row_values(s, t, horizon, p)
 

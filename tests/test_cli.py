@@ -739,6 +739,15 @@ def test_orbit_rejects_negative_steps(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("start", ["universal:1", "point:0.1,0.2"])
+def test_orbit_refuses_steps_past_the_window_cap(tmp_path, capsys, start):
+    out = tmp_path / "orb"
+    steps = str(MAX_WINDOW + 1)
+    assert run("orbit", "--out", str(out), "--start", start, "--steps", steps) == 2
+    assert capsys.readouterr().err == f"error: steps must lie in [0, {MAX_WINDOW}]\n"
+    assert not out.exists()
+
+
 def test_run_config_defaults_are_class_attributes():
     assert RunConfig.r == 0.5 and RunConfig.tol == 1e-12
     assert RunConfig() == RunConfig(2, 0.5) == RunConfig(m=2, tol=1e-12)

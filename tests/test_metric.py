@@ -35,16 +35,21 @@ from shiftchaos import (
     window_padded,
 )
 from shiftchaos.metric import (
-    _EXACT_SPAN_CAP,
     _MAX_TRUNCATION_DEPTH,
+    DistanceBound,
+    _clip_depth,
     _powers,
+    agreement_bound,
     check_tolerance,
     orbit_distances,
+    pair_values,
     separation_holds_everywhere,
     weight,
     weight_above,
     weight_below,
 )
+
+from shiftchaos.certify import _scrambled_pair
 
 from conftest import _ref_enumeration, brute_distance, random_block, random_sequence
 
@@ -271,16 +276,58 @@ def test_huge_shifts_fall_back_to_certified_truncation():
     assert 0.0 <= d.value <= 2.0
 
 
-@pytest.mark.parametrize("r", [0.5, 0.3])
-def test_a_side_is_exact_up_to_the_span_cap_and_truncated_past_it(r):
-    # explicit depths plus the block of 1 fill the cap exactly, or pass it by one
-    p, ones = MetricParams(r), periodic((1,))
-    for at_cap, past_cap in [
-        (window_padded((2,), _EXACT_SPAN_CAP - 1), window_padded((2,), _EXACT_SPAN_CAP)),
-        (window_padded((2,), 2 - _EXACT_SPAN_CAP), window_padded((2,), 1 - _EXACT_SPAN_CAP)),
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.25, 1 / 3])
+def test_a_side_is_exact_up_to_the_clip_depth_and_clipped_past_it(r):
+    # explicit depths of twos plus the block of 1 fill the clip depth exactly,
+    # or pass it by one; the clipped side drops only a weight 0.0
+    p, ones, depth = MetricParams(r), periodic((1,)), _clip_depth(r)
+    for at_clip, past_clip in [
+        (window_padded((2,) * (depth - 1), 1), window_padded((2,) * depth, 1)),
+        (window_padded((2,) * (depth - 1), 2 - depth), window_padded((2,) * depth, 1 - depth)),
     ]:
-        assert distance(at_cap, ones, p).error == 0.0
-        assert distance(past_cap, ones, p).error > 0.0
+        exact, clipped = distance(at_clip, ones, p), distance(past_clip, ones, p)
+        assert exact.error == 0.0 and exact.value > 0.0
+        assert clipped == DistanceBound(exact.value, math.ulp(0.0))
+    # a side with no finite description keeps its cut at check_tolerance
+    k = check_tolerance(r, 1e-12)
+    d = distance(splice(ones, UniversalSeq(2, 3)), ones, p)
+    assert d.error == r ** (k + 1) / (1 - r) and k < depth
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25, 1 / 32, 0.3, 1 / 3, 0.45, 0.9, 0.99])
+def test_the_clip_depth_drops_less_than_half_the_least_subnormal(r):
+    # r**(L+1)/(1-r) < 2**-1075, but not at L - 3: the margin is at most two
+    # depths.  With r = n/d, as integers: n**(L+1) * d * 2**1075 < d**(L+1) * (d - n)
+    n, d = r.as_integer_ratio()
+    depth = _clip_depth(r)
+    assert n ** (depth + 1) * d << 1075 < d ** (depth + 1) * (d - n)
+    assert n ** (depth - 2) * d << 1075 >= d ** (depth - 2) * (d - n)
+
+
+ZERO_RS = (0.5, 0.25, 1 / 32, 0.3, 1 / 3, 0.9)
+
+
+@pytest.mark.parametrize("r", ZERO_RS)
+def test_zero_means_equal_at_every_depth(r):
+    # lone and clustered mismatches with the ones sequence at depths around
+    # the clip depth and far past it, ahead of the dot and behind it
+    p, tol, ones, clip = MetricParams(r), 1e-12, window_padded(()), _clip_depth(r)
+    x, half_tol = Fraction(r), tol / 2
+    for depth in [*range(clip - 3, clip + 4), 1101, 1200, 19_999, 20_001]:
+        for word in [(2,), (2, 2, 2), (2, 1, 2)]:
+            depths = [depth + i for i, c in enumerate(word) if c == 2]
+            exact = x ** depth * sum(x ** (i - depth) for i in depths)
+            for future in (True, False):
+                if future:  # positions depth.., agreeing up to depth - 1
+                    t, lo, hi = window_padded(word, depth), -math.inf, depth - 1
+                else:  # positions 1 - depth downwards, agreeing from 2 - depth on
+                    t, lo, hi = window_padded(word, 2 - depth - len(word)), 2 - depth, 1 << 40
+                d = distance(ones, t, p, tol)
+                assert d != DistanceBound(0.0, 0.0), (depth, word, future)
+                assert distance(t, t, p, tol) == DistanceBound(0.0, 0.0)
+                if depth > clip:  # all past the clip: the error bounds the sum
+                    assert d.value == 0.0 and exact <= Fraction(d.error) <= half_tol
+                assert d.value + d.error <= agreement_bound(lo, hi, p, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +366,13 @@ def loop_right_sum(s, t, r, tol):
     if ts is not None and tt is not None:
         start = max(ts[0], tt[0], 1)
         period = math.lcm(ts[1], tt[1])
-        if start - 1 + period <= _EXACT_SPAN_CAP:
+        if start - 1 + period <= _clip_depth(r):
             hi = start + period - 1
             sw, tw = s.window(1, hi), t.window(1, hi)
             explicit = [j for j in range(1, start) if sw[j - 1] != tw[j - 1]]
             block = [start + c for c in range(period) if sw[start + c - 1] != tw[start + c - 1]]
             return weigh(explicit, block, period, r), True
-    k = check_tolerance(r, tol)
+    k = check_tolerance(r, tol) if ts is None or tt is None else _clip_depth(r)
     sw, tw = s.window(1, k), t.window(1, k)
     return weigh([j for j in range(1, k + 1) if sw[j - 1] != tw[j - 1]], [], 0, r), False
 
@@ -335,13 +382,13 @@ def loop_left_sum(s, t, r, tol):
     if ts is not None and tt is not None:
         start = min(ts[0], tt[0], 0)
         period = math.lcm(ts[1], tt[1])
-        if -start + period <= _EXACT_SPAN_CAP:
+        if -start + period <= _clip_depth(r):
             lo = start - period + 1
             sw, tw = s.window(lo, 0), t.window(lo, 0)
             explicit = [1 - j for j in range(start + 1, 1) if sw[j - lo] != tw[j - lo]]
             block = [1 - start + c for c in range(period) if sw[start - c - lo] != tw[start - c - lo]]
             return weigh(explicit, block, period, r), True
-    k = check_tolerance(r, tol)
+    k = check_tolerance(r, tol) if ts is None or tt is None else _clip_depth(r)
     lo = 1 - k
     sw, tw = s.window(lo, 0), t.window(lo, 0)
     return weigh([1 - j for j in range(lo, 1) if sw[j - lo] != tw[j - lo]], [], 0, r), False
@@ -367,7 +414,7 @@ def kernel_sequences():
     return [
         period3,
         periodic((2, 1, 1, 2, 1, 2, 2), -3),
-        periodic((1,) * 149 + (2,), 4),  # lcm with 151 passes the span cap
+        periodic((1,) * 149 + (2,), 4),  # lcm with 151 passes the clip depth
         periodic((2,) * 150 + (1,), -7),
         padded,
         window_padded((1, 1, 2, 2, 1), 4, 2),
@@ -376,7 +423,7 @@ def kernel_sequences():
         u,
         u.shift(-40),
         u.shift(300),
-        UniversalSeq(2, 0, 30000),  # left span past the cap: truncated past
+        UniversalSeq(2, 0, 30000),  # left span past the clip depth: clipped past
         SplicedSeq(periodic((2, 1)), padded, 0),
         SplicedSeq(period3, u, 0).shift(17),
         SplicedSeq(u.shift(25000), period3, 0),
@@ -589,8 +636,48 @@ def test_orbit_sweep_checks_its_arguments():
     with pytest.raises(ValueError):
         orbit_distances(u, P, 10, tol=0.0)
     assert orbit_distances(u, P, 0) == [distance(u, u, P)]
-    deep = window_padded((2,), -10 ** 9, 1)  # past beyond the span cap
+    deep = window_padded((2,), -10 ** 9, 1)  # past far beyond the clip depth
     assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)
+
+
+def _far_pairs(horizon, depth):
+    """Pairs that agree at positions <= 0 and beyond horizon + 80: a constant
+    future against the scrambled pattern, and universal futures that part
+    inside the horizon, after pasts shorter and longer than `depth`."""
+    need = horizon + 80
+    pasts = [periodic((1,), 0), UniversalSeq(3, 1, 40), UniversalSeq(3, 1, depth + 30)]
+    pairs = [_scrambled_pair(past, horizon) for past in pasts]
+    for past in pasts:
+        u = UniversalSeq(3, 2)
+        word = splice(past, window_padded((2, 3) * (need // 2)))
+        pairs.append((splice(past, u), SplicedSeq(word.shift(need), u.shift(need), -need)))
+    return pairs
+
+
+@pytest.mark.parametrize("r", [0.5, 0.25, 0.125, 2.0 ** -5])
+def test_the_dyadic_sweeps_call_distance_for_no_row(monkeypatch, r):
+    # rows on both sides of the clip depth, computed first by `distance`
+    p, depth = MetricParams(r), _clip_depth(r)
+    horizon = steps = depth + 100
+    starts = [
+        UniversalSeq(2, 7),
+        UniversalSeq(2, 5).shift(-40),  # constant past from 39 on
+        window_padded((2, 2, 1, 2), 3 - depth, 1),
+        window_padded((2,), -10 ** 9, 1),
+        SplicedSeq(periodic((300,)), UniversalSeq(300, 1), 0),
+    ]
+    orbits = [(s, per_row(s, p, steps)) for s in starts]
+    pairs = [(s, t, [distance(s.shift(n), t.shift(n), p).value for n in range(1, horizon + 1)])
+             for s, t in _far_pairs(horizon, depth)]
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("a sweep called distance")
+
+    monkeypatch.setattr("shiftchaos.metric.distance", no_row)
+    for s, rows in orbits:
+        assert orbit_distances(s, p, steps) == rows, s
+    for s, t, values in pairs:
+        assert pair_values(s, t, horizon, p) == values, s
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +730,10 @@ def _ref_side(sd, td, r, tol, tails, future):
     """One side of the distance, position by position in the documented
     order: the explicit positions in increasing j, then the periodic block
     (upwards on the future side, from its start downwards on the past side).
-    `tails` are the sequences' own tail descriptors, which pick the path.
-    A `Fraction` r gives the exact sum, and the error as a float."""
+    `tails` are the sequences' own tail descriptors, which pick the path:
+    exact, clipped at the clip depth, or truncated.  A `Fraction` r gives the
+    exact sum, and the error as a float.  Also whether a summed position
+    differs."""
     weight = (lambda j: r ** j) if future else (lambda j: r ** (1 - j))
     exact = None not in tails
     if exact:
@@ -655,20 +744,20 @@ def _ref_side(sd, td, r, tol, tails, future):
         else:
             start = min(tails[0][0], tails[1][0], 0)
             explicit, block = range(start + 1, 1), range(start, start - period, -1)
-        exact = len(explicit) + period <= _EXACT_SPAN_CAP
+        exact = len(explicit) + period <= _clip_depth(float(r))
     if exact:
         geo = 1 - r ** period
         terms = [(j, weight(j)) for j in explicit] + [(j, weight(j) / geo) for j in block]
         error = 0.0
     else:
-        k = _ref_depth(float(r), tol)
+        k = _ref_depth(float(r), tol) if None in tails else _clip_depth(float(r))
         terms = [(j, weight(j)) for j in (range(1, k + 1) if future else range(1 - k, 1))]
-        error = float(r) ** (k + 1) / (1 - float(r))
-    total = 0 * r
+        error = max(float(r) ** (k + 1) / (1 - float(r)), math.ulp(0.0))
+    total, differ = 0 * r, False
     for j, w in terms:
         if _ref_symbol(sd, j) != _ref_symbol(td, j):
-            total += w
-    return total, error
+            total, differ = total + w, True
+    return total, error, differ
 
 
 def _ref_distance(s, sd, t, td, r, tol):
@@ -677,9 +766,12 @@ def _ref_distance(s, sd, t, td, r, tol):
     if s == t:
         return 0.0, 0.0
     x = Fraction(r) if r in DYADIC_RS else r
-    vr, er = _ref_side(sd, td, x, tol, (s.right_tail(), t.right_tail()), True)
-    vl, el = _ref_side(sd, td, x, tol, (s.left_tail(), t.left_tail()), False)
-    return float(vr + vl), er + el
+    vr, er, dr = _ref_side(sd, td, x, tol, (s.right_tail(), t.right_tail()), True)
+    vl, el, dl = _ref_side(sd, td, x, tol, (s.left_tail(), t.left_tail()), False)
+    value, error = float(vr + vl), er + el
+    if (dr or dl) and not (value or error):  # a nonzero sum that rounds to 0.0
+        error = math.ulp(0.0)
+    return value, error
 
 
 def _assert_reads_like_reference(s, desc, lo, hi):
@@ -691,9 +783,9 @@ def _assert_reads_like_reference(s, desc, lo, hi):
 
 
 # Far draws put centers and universal pasts past depth 1030, where the
-# weights at r = 1/2 are subnormal or round to 0.0, and exact spans beyond
-# 1100 positions; a universal offset past the span cap truncates the past.
-_FAR_OFFSET = _EXACT_SPAN_CAP + 300
+# weights at r = 1/2 are subnormal or round to 0.0, on both sides of the
+# clip depth 1077; a universal offset past it clips the past at every r.
+_FAR_OFFSET = _clip_depth(0.5) + 300
 _FAR_PREFIX = _FAR_OFFSET + 300
 
 
@@ -778,8 +870,8 @@ def test_a_single_deep_mismatch_rounds_correctly(r, position):
     assert d.value == float(exact)
     if d.value == exact:  # the rounding of an inexact value is not in `error`
         assert d.error == 0.0
-    # the same pair beside a truncated side: a universal future, or a past
-    # beyond the span cap
+    # the same pair beside a cut side: a universal future, or a past beyond
+    # the clip depth
     far, fd = UniversalSeq(2, 1, _FAR_OFFSET), ("universal", 2, 1, _FAR_OFFSET, _FAR_PREFIX)
     cases = [
         (splice(ones, far), ("spliced", od, fd, 0), splice(deep, far), ("spliced", dd, fd, 0)),
@@ -810,10 +902,9 @@ def test_a_small_symbol_past_before_a_wide_future_reads_as_a_tuple(r, steps):
 
 @pytest.mark.parametrize("m", [2, 300])
 @pytest.mark.parametrize("r", [0.5, 0.3])
-def test_a_past_beyond_the_span_cap_is_truncated_like_the_reference(m, r):
-    count = _EXACT_SPAN_CAP + 200
-    u = UniversalSeq(m, 2, _EXACT_SPAN_CAP + 50)
-    ud = ("universal", m, 2, _EXACT_SPAN_CAP + 50, count)
+def test_a_past_beyond_the_clip_depth_is_clipped_like_the_reference(m, r):
+    offset = _clip_depth(r) + 50
+    u, ud = UniversalSeq(m, 2, offset), ("universal", m, 2, offset, offset + 150)
     for t, td in [(u.shift(7), ("shifted", ud, 7)), (flip(u, m), ("flipped", ud, m))]:
         value, error = _ref_distance(u, ud, t, td, r, 1e-12)
         d = distance(u, t, MetricParams(r))
