@@ -27,19 +27,24 @@ least 5e-324 and at most tol/2; past L(r) that is below half of 5e-324, so
 a clip drops only float weights 0.0.  The value's rounding (half an ulp at
 r = 2**-q) is not in the error, but distinct sequences never read (0, 0).
 
-Each side is summed in C from the sequences' byte (or tuple) `span`s.  At
-r = 2**-q, 1 <= q <= 5, a side's mismatch digits (1 where the spans
-differ, found by one XOR of two byte spans), read by depth with the past
-reversed, are a base-2**q numeral W that one `int(text, 2**q)` parses:
-the sum over depths 1..k is W / 2**(q*k), and over E explicit depths then
-a periodic block of P it is (W - (W >> q*P)) / (2**(q*E) * (2**(q*P) - 1)).
-One `int / int` over a common denominator, which CPython rounds
-correctly, gives the correctly rounded exact (or truncated) sum.  Every
-other r adds float weights r**j from a cached table one by one from 0.0
-(block weights divided by 1 - r**period): the future in increasing j, the
-past over its explicit positions in increasing j, then over the block from
-its start downwards.  That fixes every rounding step on every Python
-version (the builtin `sum` compensates float sums from Python 3.12 on).
+`distance` reads one window per sequence, positions 1 - pd..fd, where pd
+and fd are the depths `_cuts` gives its past and future sides, and finds
+the mismatches of the whole window in one pass in C: one XOR of two byte
+spans (`map(ne, ...)` over short or tuple spans).  At r = 2**-q,
+1 <= q <= 5, the mismatch digits (1 where the spans differ), past depths
+1..pd then future depths 1..fd, are one base-2**q numeral that one
+`int(text, 2**q)` parses; its low q*fd bits are the future side's numeral
+W and the rest the past side's.  A side over depths 1..k is worth
+W / 2**(q*k), and over E explicit depths then a periodic block of P it is
+(W - (W >> q*P)) / (2**(q*E) * (2**(q*P) - 1)).  One `int / int` over a
+common denominator, which CPython rounds correctly, gives the correctly
+rounded exact (or truncated) sum.  Every other r adds float weights r**j
+from a cached table one by one from 0.0 (block weights divided by
+1 - r**period), each side from its slice of the one mismatch pass: the
+future in increasing j, the past over its explicit positions in
+increasing j, then over the block from its start downwards.  That fixes
+every rounding step on every Python version (the builtin `sum`
+compensates float sums from Python 3.12 on).
 
 `orbit_distances` returns the rows d(shift^n s, s), n = 0..steps, of
 `distance` bit for bit.  When s has a constant past (s(j) = c for j <= b,
@@ -48,8 +53,12 @@ r = 2**-q, q <= 5, the deep positions b - n + 1..b of row n, where the
 shifted sequence reads s(j + n) against c, are the low n digits of one
 numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least significant.
 A row keeps its -b shallow digits, read per row, then the top
-m = min(n, L(r) + b) of those n: (F >> q*(n - m)) & (2**(q*m) - 1).  The
-future is read per row.  Other r and other pasts call `distance` per row.
+m = min(n, L(r) + b) of those n: (F >> q*(n - m)) & (2**(q*m) - 1).
+CPython's `>>` copies the part of F above the shift, so that read costs
+O(steps - n) digits a row.  Every row cuts its future at the depths row 1
+does, fd, and compares s(n + 1)..s(n + fd) with s(1)..s(fd), both read
+from the one span s(b + 1)..s(steps + fd) that also holds the sources.
+Other r and other pasts call `distance` per row.
 
 `pair_values` returns the values of the rows d(shift^n s, shift^n t),
 n = 1..horizon, bit for bit, for a pair that agrees at positions <= 0 and
@@ -191,23 +200,14 @@ def _powers(r: float, top: int) -> list[float]:
     return table
 
 
-def _mismatches(sw, tw):
+def _mismatches(sw, tw) -> bytes:
     """Nonzero at each position where the spans sw and tw differ and zero
-    elsewhere: the bytes of one XOR for two byte spans longer than
-    `_SHORT_SPAN`, else the booleans of `map(ne, ...)`."""
+    elsewhere: one XOR for two byte spans longer than `_SHORT_SPAN`, else
+    the booleans of `map(ne, ...)` as bytes."""
     if len(sw) > _SHORT_SPAN and sw.__class__ is bytes is tw.__class__:
         diff = int.from_bytes(sw, "big") ^ int.from_bytes(tw, "big")
         return diff.to_bytes(len(sw), "big")
-    return map(ne, sw, tw)
-
-
-def _mismatch_sum(terms, sw, tw) -> float:
-    """Add the terms at the positions where the spans sw and tw differ, left
-    to right from 0.0.  (Not `sum`, which compensates float sums on Python
-    3.12+.)"""
-    if sw == tw:
-        return 0.0
-    return reduce(add, compress(terms, _mismatches(sw, tw)), 0.0)
+    return bytes(map(ne, sw, tw))
 
 
 # Maps a mismatch byte to its base-2**q digit: 0 to "0", anything else to "1".
@@ -227,10 +227,19 @@ def _numeral(sw, tw, q: int, reverse: bool) -> int:
     when `reverse`); 0 for equal spans and for empty ones (of either type)."""
     if not sw or sw == tw:
         return 0
-    digits = bytes(_mismatches(sw, tw))
+    digits = _mismatches(sw, tw)
     if reverse:
         digits = digits[::-1]
     return int(digits.translate(_DIGITS), 1 << q)
+
+
+def _fraction(n: int, explicit: int, period: int, q: int) -> tuple[int, int, int]:
+    """The side whose mismatch numeral over depths 1..explicit + period is n
+    (depth 1 most significant) as (n', a, g), worth n' / (g << a): the
+    repeating block is worth its numeral / (2**(q*period) - 1)."""
+    if period:
+        return n - (n >> q * period), q * explicit, (1 << q * period) - 1
+    return n, q * explicit, 1
 
 
 def _quotient(right: tuple[int, int, int], left: tuple[int, int, int]) -> float:
@@ -240,44 +249,42 @@ def _quotient(right: tuple[int, int, int], left: tuple[int, int, int]) -> float:
     return ((nr * gl << (a - ar)) + (nl * gr << (a - al))) / (gr * gl << a)
 
 
-def _cut(s: BiSequence, t: BiSequence, r: float, tol: float, future: bool):
-    """(explicit, period, error) of the future (or past) side of s and t as
-    `distance` sums it: depths 1..explicit then a repeating block (exact),
-    or cut after `explicit` depths (period 0) at the clip depth or, with no
-    finite description, at check_tolerance(r, tol) (module docstring)."""
-    ts, tt = (s.right_tail(), t.right_tail()) if future else (s.left_tail(), t.left_tail())
-    if ts is None or tt is None:
+def _terms(table: list[float], explicit: int, period: int, r: float, past: bool):
+    """The weights of a side's depths in the order the float kernel adds them:
+    the explicit ones by position (decreasing depth on the past), then the
+    block's by increasing depth, each divided by 1 - r**period."""
+    terms = table[explicit:0:-1] if past else table[1 : explicit + 1]
+    if period:
+        block = table[explicit + 1 : explicit + period + 1]
+        return chain(terms, map(truediv, block, repeat(1.0 - r ** period)))
+    return terms
+
+
+def _cut(described: tuple[int, int] | None, r: float, tol: float):
+    """(explicit, period, error) of one side as `distance` sums it, from the
+    (explicit, period) both sequences describe it by, or None: depths
+    1..explicit then a repeating block (exact), or cut after `explicit`
+    depths (period 0) at the clip depth or, with no finite description, at
+    check_tolerance(r, tol) (module docstring)."""
+    if described is None:
         depth = check_tolerance(r, tol)
     else:
-        explicit = max(ts[0], tt[0], 1) - 1 if future else -min(ts[0], tt[0], 0)
-        period, depth = math.lcm(ts[1], tt[1]), _clip_depth(r)
+        (explicit, period), depth = described, _clip_depth(r)
         if explicit + period <= depth:
             return explicit, period, 0.0
         check_tolerance(r, tol)  # refuses a tol whose half the clipped tail passes
     return depth, 0, r ** (depth + 1) / (1 - r) or math.ulp(0.0)  # a float below it is 0.0
 
 
-def _side(s: BiSequence, t: BiSequence, r: float, tol: float, q: int, future: bool):
-    """(value, error, differ) of the future (depth i = j at j >= 1) or past
-    (i = 1 - j at j <= 0), j weighing r**i, and whether s and t differ there:
-    a float value, or at r = 2**-q the triple (n, a, g) of n / (g << a)."""
-    explicit, period, error = _cut(s, t, r, tol, future)
-    depth = explicit + period
-    lo, hi = (1, depth) if future else (1 - depth, 0)
-    sw, tw = s.span(lo, hi), t.span(lo, hi)
-    if q:
-        n = _numeral(sw, tw, q, not future)
-        if period:  # the repeating block is worth its numeral / (2**(q*period) - 1)
-            return (n - (n >> q * period), q * explicit, (1 << q * period) - 1), error, n != 0
-        return (n, q * depth, 1), error, n != 0
-    table = _powers(r, depth)
-    terms = table[1 : explicit + 1] if future else table[explicit:0:-1]
-    if period:
-        block = map(truediv, table[explicit + 1 : depth + 1], repeat(1.0 - r ** period))
-        terms = chain(terms, block)
-        if not future:  # the past's block runs from position -explicit downwards
-            sw, tw = sw[period:] + sw[period - 1 :: -1], tw[period:] + tw[period - 1 :: -1]
-    return _mismatch_sum(terms, sw, tw), error, sw != tw
+def _cuts(s: BiSequence, t: BiSequence, r: float, tol: float):
+    """The `_cut` of the future side of s and t (depth i at position i), then
+    of the past side (depth i at position 1 - i), from their four tails."""
+    rs, rt, ls, lt = s.right_tail(), t.right_tail(), s.left_tail(), t.left_tail()
+    future = None if rs is None or rt is None else (
+        max(rs[0], rt[0], 1) - 1, math.lcm(rs[1], rt[1]))
+    past = None if ls is None or lt is None else (
+        -min(ls[0], lt[0], 0), math.lcm(ls[1], lt[1]))
+    return _cut(future, r, tol), _cut(past, r, tol)
 
 
 def _bound(value: float, error: float, differ: bool) -> DistanceBound:
@@ -299,10 +306,24 @@ def distance(
         raise ValueError("tolerance must be positive")
     if s == t:
         return DistanceBound(0.0, 0.0)
-    q = _dyadic(p.r)
-    vr, er, dr = _side(s, t, p.r, tol, q, True)
-    vl, el, dl = _side(s, t, p.r, tol, q, False)
-    return _bound(_quotient(vr, vl) if q else vr + vl, er + el, dr or dl)
+    r = p.r
+    (fe, fp, er), (pe, pp, el) = _cuts(s, t, r, tol)
+    fd, pd = fe + fp, pe + pp
+    sw, tw = s.span(1 - pd, fd), t.span(1 - pd, fd)  # the past is sw[:pd]
+    if sw == tw:
+        return DistanceBound(0.0, er + el)
+    diff, q = _mismatches(sw, tw), _dyadic(r)
+    if q:  # past depths 1..pd, then future depths 1..fd, most significant first
+        n = int((diff[pd - 1 :: -1] + diff[pd:]).translate(_DIGITS), 1 << q)
+        right = _fraction(n & ((1 << q * fd) - 1), fe, fp, q)
+        value = _quotient(right, _fraction(n >> q * fd, pe, pp, q))
+    else:
+        table, past = _powers(r, max(fd, pd)), diff[:pd]
+        if pp:  # the past's block runs from position -pe downwards
+            past = past[pp:] + past[pp - 1 :: -1]
+        right = reduce(add, compress(_terms(table, fe, fp, r, False), diff[pd:]), 0.0)
+        value = right + reduce(add, compress(_terms(table, pe, pp, r, True), past), 0.0)
+    return _bound(value, er + el, True)
 
 
 def orbit_distances(
@@ -315,27 +336,40 @@ def orbit_distances(
     r, q, tail = p.r, _dyadic(p.r), s.left_tail()
     if not (q and tail is not None and tail[1] == 1):
         return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
+    if steps == 0:  # row 0 compares s with itself
+        return [DistanceBound(0.0, 0.0)]
     clip = _clip_depth(r)  # no row reads a digit below -clip
     b, c = max(min(tail[0], 0), -clip), s.symbol_at(tail[0])
+    # every row n >= 1 cuts its future as row 1 does: a shift moves a right
+    # tail's start down (a periodic one's stays at 1), so the explicit depth
+    # max(start, 1) - 1 is s's own
+    (fe, fp, er), _ = _cuts(s.shift(1), s, r, tol)
+    fd = fe + fp
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
-    # source i at depth n - b - i: digit i of `deep` from the least
-    sources, run = s.span(b + 1, steps), (c,) * (steps - b)
-    deep, past = _numeral(sources, bytes(run) if c < 256 else run, q, True), sources[:-b]
-    rows = []
+    # source i at depth n - b - i: digit i of `deep` from the least.  Its
+    # future depths 1..fd read sources n - b.. against `future`, sources -b..
+    sources, run = s.span(b + 1, steps + fd), (c,) * (steps - b)
+    deep = _numeral(sources[: steps - b], bytes(run) if c < 256 else run, q, True)
+    past, future = sources[:-b], sources[-b : fd - b]
+    rows, el = [], 0.0
     for n in range(steps + 1):
         sn = s.shift(n)
         if sn == s:
             rows.append(DistanceBound(0.0, 0.0))
             continue
-        right, er, differ = _side(sn, s, r, tol, q, True)
+        right = _numeral(sources[n - b : n - b + fd], future, q, False)
         # depths 1..-b are the shallow positions b + 1..0, then m deep ones,
         # digits n - 1..n - m of `deep`; the positions below them agree
         m = min(n, clip + b)
         shallow = _numeral(sources[n : n - b], past, q, True)
         left = (shallow << q * m) | ((deep >> q * (n - m)) & ((1 << q * m) - 1))
-        el = _cut(sn, s, r, tol, False)[2] if m == clip + b else 0.0  # fewer digits: exact
-        rows.append(_bound(_quotient(right, (left, q * (m - b), 1)), er + el, differ or left != 0))
+        # a row that reads fewer digits is exact; a row's explicit past depth
+        # grows with n, so once one row's past is clipped, every later one is
+        if m == clip + b and not el:
+            el = _cuts(sn, s, r, tol)[1][2]
+        value = _quotient(_fraction(right, fe, fp, q), (left, q * (m - b), 1))
+        rows.append(_bound(value, er + el, right != 0 or left != 0))
     return rows
 
 
@@ -351,8 +385,8 @@ def pair_values(
     sw, tw = s.span(1, need), t.span(1, need)
     future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
     # each side's cut in the row of its greatest explicit depth
-    fcut = sum(_cut(s.shift(1), t.shift(1), r, tol, True)[:2])
-    pcut = sum(_cut(s.shift(horizon), t.shift(horizon), r, tol, False)[:2])
+    fcut = sum(_cuts(s.shift(1), t.shift(1), r, tol)[0][:2])
+    pcut = sum(_cuts(s.shift(horizon), t.shift(horizon), r, tol)[1][:2])
     values = []
     for n in range(1, horizon + 1):
         a, b = min(need - n, fcut), min(n, pcut)  # the digits read on each side

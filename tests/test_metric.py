@@ -49,7 +49,9 @@ from shiftchaos.metric import (
     weight_below,
 )
 
+from shiftchaos import sequences
 from shiftchaos.certify import _scrambled_pair
+from shiftchaos.sequences import _HEAD, _join
 
 from conftest import _ref_enumeration, brute_distance, random_block, random_sequence
 
@@ -909,3 +911,116 @@ def test_a_past_beyond_the_clip_depth_is_clipped_like_the_reference(m, r):
         value, error = _ref_distance(u, ud, t, td, r, 1e-12)
         d = distance(u, t, MetricParams(r))
         assert error > 0 and (d.value.hex(), d.error.hex()) == (value.hex(), error.hex())
+
+
+# ---------------------------------------------------------------------------
+# One window per sequence: `distance` reads each sequence once, across the
+# dot, and the orbit sweep reads its start a fixed number of times however
+# many rows it builds.
+# ---------------------------------------------------------------------------
+
+
+_MIXED_AT_THE_DOT = [  # a byte past joined to a tuple future
+    splice(periodic((1, 2)), UniversalSeq(300, 1)),
+    SplicedSeq(window_padded((2, 1, 2), -3), UniversalSeq(300, 2, 40), 0),
+    EventuallyPeriodicSeq((1, 2), (2,), 0, (300, 1)),
+    SplicedSeq(UniversalSeq(2, 1, -7), UniversalSeq(300, 1, _HEAD - 4), 0),
+]
+_DOT_EDGES = _MIXED_AT_THE_DOT + [
+    UniversalSeq(2, 5, _HEAD - 10),  # windows that straddle the cached head
+    UniversalSeq(3, 1, _HEAD + 3),
+    FlippedSeq(UniversalSeq(2, 0, _HEAD), 2),
+    UniversalSeq(2, 3, -5),  # the 1-padding before position 0
+    UniversalSeq(300, 1, -3),
+]
+
+
+def _assert_window_is_its_halves(s, lo, hi):
+    window, halves = s.span(lo, hi), _join(s.span(lo, 0), s.span(1, hi))
+    assert type(window) is type(halves) and window == halves, (s, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 256, 300]), lo=st.integers(-1400, 0),
+       hi=st.integers(1, 1400))
+def test_a_window_across_the_dot_is_its_two_halves(data, m, lo, hi):
+    s, _ = data.draw(described_sequences(m, far=True))
+    _assert_window_is_its_halves(s, lo, hi)
+
+
+@pytest.mark.parametrize("s", _DOT_EDGES)
+def test_a_window_across_the_dot_is_its_two_halves_at_the_edges(s):
+    for lo in (-40, -12, -3, -1, 0):
+        for hi in (1, 2, 4, 11, 15, 40):
+            _assert_window_is_its_halves(s, lo, hi)
+    if s in _MIXED_AT_THE_DOT:
+        assert type(s.span(-3, 0)) is bytes and type(s.span(1, 3)) is tuple
+
+
+@pytest.fixture
+def top_level_reads(monkeypatch):
+    """The sequences whose `span` is called from outside every other span
+    call, in call order (a splice's or flip's own reads are not listed)."""
+    reads, depth = [], [0]
+
+    def wrap(kind):
+        span = kind.span
+
+        def counted(self, lo, hi):
+            if not depth[0]:
+                reads.append(self)
+            depth[0] += 1
+            try:
+                return span(self, lo, hi)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(kind, "span", counted)
+
+    for kind in (EventuallyPeriodicSeq, UniversalSeq, SplicedSeq, FlippedSeq):
+        wrap(kind)
+    return reads
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_distance_reads_each_sequence_once(top_level_reads, r):
+    seqs = kernel_sequences() + [
+        UniversalSeq(300, 1),
+        UniversalSeq(300, 2, -20),
+        window_padded((300, 2, 1), -2),
+        periodic((1, 300), 3),
+        splice(periodic((1, 2)), UniversalSeq(300, 1)),
+        FlippedSeq(UniversalSeq(300, 2, 7), 300),
+    ]
+    p = MetricParams(r)
+    for s in seqs:
+        for t in seqs:
+            if s != t:
+                top_level_reads.clear()
+                distance(s, t, p)
+                assert len(top_level_reads) == 2, (s, t)
+                assert top_level_reads[0] is s and top_level_reads[1] is t
+
+
+def test_the_orbit_sweep_reads_its_start_twice(top_level_reads):
+    # `symbol_at` for the constant past, then one span for every row
+    for s in sweep_starts():
+        if s.left_tail()[1] == 1:
+            top_level_reads.clear()
+            orbit_distances(s, P, 300)
+            assert len(top_level_reads) == 2 and all(x is s for x in top_level_reads), s
+
+
+def test_the_orbit_sweep_builds_the_enumeration_once_past_the_head(monkeypatch):
+    u, steps, calls = UniversalSeq(2, 7), 70_000, []
+    build = sequences._enumeration
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sequences, "_enumeration", counted)
+    rows = orbit_distances(u, P, steps)
+    assert len(calls) <= 2  # the cached head, if no earlier test built it, and the span
+    for n in (_HEAD - 45, _HEAD - 1, _HEAD, _HEAD + 100, steps):
+        assert rows[n] == distance(u.shift(n), u, P), n
