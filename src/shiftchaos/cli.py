@@ -171,8 +171,8 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
     values: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
-        except OSError as exc:
+            text = _read_utf8(path)
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -199,15 +199,28 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# Deterministic writers
+# Deterministic readers and writers: UTF-8 with LF line ends, whatever the
+# locale or platform
 # ---------------------------------------------------------------------------
+
+
+def _read_utf8(path: Path) -> str:
+    """The text of a file, decoded strictly as UTF-8 (RFC 8259): a BOM stays
+    in the text, and bytes of another encoding raise UnicodeDecodeError."""
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: one call reads it all
+        return fh.read().decode("utf-8")
+
+
+def _open_utf8(path: Path):
+    """`path` opened for text written as UTF-8 with LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, kind: str, data: dict) -> None:
     import json
 
     payload = {"schema": SCHEMA_VERSION, "kind": kind, "data": data}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def _float_str(v) -> str:
@@ -302,7 +315,7 @@ def _write_rectangles_csv(path: Path, pasts, futures) -> None:
     is formatted once per factor; rows go out one past at a time."""
     x_cols = [(_digits(p.digits) + ".", _bounds_text(p)) for p in pasts]
     y_cols = [(_digits(f.digits), _bounds_text(f)) for f in futures]
-    with open(path, "w") as fh:
+    with _open_utf8(path) as fh:
         fh.write("word,x_lo,x_hi,y_lo,y_hi\n")
         for past, x_text in x_cols:
             fh.write("".join(f"{past}{future}{x_text}{y_text}\n" for future, y_text in y_cols))
@@ -323,7 +336,7 @@ def _write_svg(path: Path, pasts, futures) -> None:
         h = (float(f.hi) - float(f.lo)) * 1000
         fill = colors[f.digits[0]]
         y_parts.append((f' y="{y:.6f}"', f' height="{h:.6f}" fill="{fill}" fill-opacity="0.8"/>'))
-    with open(path, "w") as fh:
+    with _open_utf8(path) as fh:
         fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
         fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n')
         for x_text, w_text in x_parts:
@@ -429,11 +442,11 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
             rows.append(f"{n},{_float_str(pt.x)},{_float_str(pt.y)},{symbol}")
             if n < steps:
                 pt = horseshoe_map(pt, hp, n)
-        path.write_text("\n".join(rows) + "\n")
+        path.write_bytes(("\n".join(rows) + "\n").encode())
         print(f"wrote {path}")
         return status
     rows = orbit_distances(start, MetricParams(config.r), steps, config.tol)
-    with open(path, "w") as fh:  # line by line: no second copy of the table
+    with _open_utf8(path) as fh:  # line by line: no second copy of the table
         fh.write("n,distance\n")
         for n, d in enumerate(rows):
             fh.write(f"{n},{_float_str(d.value)}\n")
@@ -459,8 +472,8 @@ def _verify_file(path: Path, quiet: bool) -> int:
 
     from .certify import verify_certificate
 
-    try:
-        payload = json.loads(Path(path).read_text())
+    try:  # not json.loads(bytes), which would also take UTF-16, UTF-32 and a BOM
+        payload = json.loads(_read_utf8(path))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         if not quiet:
             print(f"error: cannot load {path}: {exc}", file=sys.stderr)

@@ -58,6 +58,7 @@ CPython's `>>` copies the part of F above the shift, so that read costs
 O(steps - n) digits a row.  Every row cuts its future at the depths row 1
 does, fd, and compares s(n + 1)..s(n + fd) with s(1)..s(fd), both read
 from the one span s(b + 1)..s(steps + fd) that also holds the sources.
+A constant s (s.shift(1) == s) reads nothing: its rows are all zero.
 Other r and other pasts call `distance` per row.
 
 `pair_values` returns the values of the rows d(shift^n s, shift^n t),
@@ -336,14 +337,18 @@ def orbit_distances(
     r, q, tail = p.r, _dyadic(p.r), s.left_tail()
     if not (q and tail is not None and tail[1] == 1):
         return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
-    if steps == 0:  # row 0 compares s with itself
-        return [DistanceBound(0.0, 0.0)]
+    s1 = s.shift(1)
+    # row 0 compares s with itself, and so does every row if s.shift(1) == s;
+    # no row n >= 1 does otherwise: s.shift(n) == s makes s n-periodic, and
+    # an n-periodic s with a constant past is constant
+    if steps == 0 or s1 == s:
+        return [DistanceBound(0.0, 0.0)] * (steps + 1)
     clip = _clip_depth(r)  # no row reads a digit below -clip
     b, c = max(min(tail[0], 0), -clip), s.symbol_at(tail[0])
     # every row n >= 1 cuts its future as row 1 does: a shift moves a right
     # tail's start down (a periodic one's stays at 1), so the explicit depth
     # max(start, 1) - 1 is s's own
-    (fe, fp, er), _ = _cuts(s.shift(1), s, r, tol)
+    (fe, fp, er), _ = _cuts(s1, s, r, tol)
     fd = fe + fp
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
@@ -352,12 +357,8 @@ def orbit_distances(
     sources, run = s.span(b + 1, steps + fd), (c,) * (steps - b)
     deep = _numeral(sources[: steps - b], bytes(run) if c < 256 else run, q, True)
     past, future = sources[:-b], sources[-b : fd - b]
-    rows, el = [], 0.0
-    for n in range(steps + 1):
-        sn = s.shift(n)
-        if sn == s:
-            rows.append(DistanceBound(0.0, 0.0))
-            continue
+    rows, el = [DistanceBound(0.0, 0.0)], 0.0
+    for n in range(1, steps + 1):
         right = _numeral(sources[n - b : n - b + fd], future, q, False)
         # depths 1..-b are the shallow positions b + 1..0, then m deep ones,
         # digits n - 1..n - m of `deep`; the positions below them agree
@@ -367,7 +368,7 @@ def orbit_distances(
         # a row that reads fewer digits is exact; a row's explicit past depth
         # grows with n, so once one row's past is clipped, every later one is
         if m == clip + b and not el:
-            el = _cuts(sn, s, r, tol)[1][2]
+            el = _cuts(s.shift(n), s, r, tol)[1][2]
         value = _quotient(_fraction(right, fe, fp, q), (left, q * (m - b), 1))
         rows.append(_bound(value, er + el, right != 0 or left != 0))
     return rows

@@ -21,7 +21,7 @@ from shiftchaos.schema import (
     MAX_STEPS,
     MAX_WINDOW,
 )
-from shiftchaos.cli import load_config, main, parse_descriptor, verify_file
+from shiftchaos.cli import _write_json, load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError, RunConfig
 from shiftchaos.horseshoe import HorseshoeParams
 
@@ -634,6 +634,62 @@ def test_verify_undecodable_bytes_is_usage_error(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{}")
     assert run("--verify", str(path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "recode, code",
+    [
+        (lambda b: b"\xef\xbb\xbf" + b, 2),  # a UTF-8 BOM
+        (lambda b: b.decode().encode("utf-16"), 2),  # with its BOM
+        (lambda b: b.decode().encode("utf-16-le"), 2),
+        (lambda b: b.decode().encode("utf-32"), 2),
+        (lambda b: b.replace(b"\n", b"\n\xff", 1), 2),  # one byte that is not UTF-8
+        (lambda b: b.replace(b"\n", b"\r\n"), 0),  # JSON whitespace
+    ],
+    ids=["bom", "utf-16", "utf-16-le", "utf-32", "xff", "crlf"],
+)
+def test_verify_reads_certificates_as_utf8_only(fresh_outputs, tmp_path, capsys, recode, code):
+    """RFC 8259: a certificate is UTF-8 without a BOM.  json.loads(bytes)
+    would also take a BOM, UTF-16 and UTF-32."""
+    path = tmp_path / "li_yorke.json"
+    path.write_bytes(recode((fresh_outputs / "c" / "li_yorke.json").read_bytes()))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == code
+    if code:
+        assert capsys.readouterr().err.startswith(f"error: cannot load {path}: ")
+
+
+def test_write_json_writes_sorted_indented_ascii(tmp_path):
+    data = {"b": [1, 2.5, None], "a": "café →", "c": {"z": True, "y": -0.0}}
+    path = tmp_path / "x.json"
+    _write_json(path, "odd", data)
+    payload = {"schema": 1, "kind": "odd", "data": data}
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert path.read_bytes() == text.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("certify",), ("orbit", "--start", "universal", "--steps", "3"), ("horseshoe",)],
+    ids=["certify", "orbit", "horseshoe"],
+)
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys, command):
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "out"
+    cfg.write_bytes(b"m = 2\n\xff\xfe\n")
+    assert run(*command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_is_read_as_utf8_without_a_bom(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfm = 2\n")
+    with pytest.raises(ConfigError, match=re.escape("unknown key '\\ufeffm'")):
+        load_config(cfg, {})
+    cfg.write_bytes(b"m = 3\r\nseed = 4\r\n# caf\xc3\xa9\r\n")  # CRLF lines, a UTF-8 comment
+    config = load_config(cfg, {})
+    assert (config.m, config.seed) == (3, 4)
 
 
 @pytest.mark.parametrize(
