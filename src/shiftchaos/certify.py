@@ -20,10 +20,10 @@ scrambled pairs.  Witness constructions:
 
 Every certificate, and every report of the CLI (diameter condition,
 separation, hyperbolic conditions, conjugacy), is the output of one pure
-payload function of a few inputs and, for certificates, the witnesses a
-search found: a shift count, a window depth k, return times, the proximal
+payload function of a few inputs and, for certificates, the witnesses the
+writer found: a shift count, a window depth k, return times, the proximal
 and distal times of a scrambled pair, or the given pair of a convergence
-check.  The writer calls it after its search; `verify_certificate` calls it
+check.  The writer calls it with its witnesses; `verify_certificate` calls it
 on the inputs and witnesses stored in a file and compares the rebuilt
 payload with the stored one key by key, numbers exactly and sequences as
 sequences.  A claim the payload function refutes (AssertionError) is a
@@ -46,7 +46,6 @@ from .metric import (
     check_separation,
     check_tolerance,
     distance,
-    pair_values,
     separation_holds_everywhere,
     set_distance,
     space_diameter,
@@ -130,7 +129,7 @@ class VerificationResult(FrozenValue):
 # ---------------------------------------------------------------------------
 # Witness constructions
 #
-# Each kind has a constructor, which searches for the witness, and a payload
+# Each kind has a constructor, which finds the witness, and a payload
 # function of the inputs and the witness, which derives every other stored
 # value and raises AssertionError when a claim fails.  The payload keeps its
 # sequences as objects; `_certificate` writes them as sequence payloads.
@@ -391,24 +390,30 @@ def poisson_recurrence_payload(
     }
 
 
-def _li_yorke_min_bound(r: float, horizon: int) -> float:
-    """Proximity bound of the scrambled pair at finite horizon: with
-    [2**(J+1) - 1, 3*2**J - 2] the deepest agreement block inside the
-    horizon, r**(2**(J-1) - 2) (1 when no block fits)."""
-    big_j = 0
-    while 3 * (1 << (big_j + 1)) - 2 <= horizon:
-        big_j += 1
-    return r ** max((1 << (big_j - 1)) - 2, 0) if big_j >= 1 else 1.0
+def _li_yorke_block(r: float, horizon: int) -> tuple[int, int, float]:
+    """(min_time, max_time, min_bound) of the scrambled pair at a horizon of
+    at least 10, from the deepest agreement block [2**(J+1) - 1, 3*2**J - 2]
+    inside the horizon (J >= 2).  min_time, the block's middle row, agrees
+    at depths 1..2**(J-1) on both sides, so its distance is at most
+    2 r**(2**(J-1) + 1) / (1 - r): min_bound = r**(2**(J-1) - 2) times
+    2 r**3 / (1 - r), which is at most 1/2 for r <= 1/2.  max_time, the
+    middle row of disagreement block J - 1 just before it, mismatches at
+    depth 1 on both sides, so its distance is at least 2r."""
+    big_j = ((horizon + 2) // 3).bit_length() - 1
+    min_time = (1 << (big_j + 1)) - 2 + (1 << (big_j - 1))
+    max_time = 3 * (1 << (big_j - 1)) - 2 + (1 << (big_j - 2))
+    return min_time, max_time, r ** ((1 << (big_j - 1)) - 2)
 
 
 def check_horizon(p: MetricParams, horizon) -> int:
     """A Li-Yorke `horizon`: an integer in [10, MAX_WINDOW], at an r whose
     proximity bound r**(2**(J-1) - 2) is proven (r <= 1/2, where
-    2 r**2 / (1 - r) <= 1) and at which that bound is a normal float."""
+    2 r**3 / (1 - r) <= 1/2, `_li_yorke_block`) and at which that bound is
+    a normal float."""
     bounded("horizon", horizon, 10, MAX_WINDOW)
     if p.r > 0.5:
         raise ValueError("certify needs r <= 1/2: its Li-Yorke proximity bound is not proven above")
-    if _li_yorke_min_bound(p.r, horizon) < sys.float_info.min:
+    if _li_yorke_block(p.r, horizon)[2] < sys.float_info.min:
         raise ValueError(f"horizon {horizon} is too long at r = {p.r}: "
                          "the Li-Yorke proximity bound underflows")
     return horizon
@@ -433,15 +438,14 @@ def li_yorke_pair(
 
     Both members share the set's past; one future is constant 1, the other
     agrees on blocks of length 2**j and disagrees on blocks of length 2**j,
-    alternating.  In the middle of the deepest agreement block inside the
-    horizon the orbits come within r**(2**(J-1) - 2); at every disagreement
-    boundary they separate by at least eps0 = r.  The witnesses are the
-    first times of the least and the greatest distance up to the horizon,
-    over the rows of `metric.pair_values`, at a horizon `check_horizon` admits.
+    alternating.  At a horizon `check_horizon` admits, the witnesses are
+    two rows fixed by the deepest agreement block inside it: its middle row,
+    where the orbits come within r**(2**(J-1) - 2), and the middle row of the
+    disagreement block before it, where they are at least eps0 = r apart
+    (`_li_yorke_block`).  Only those two rows are computed.
     """
-    s, t = _scrambled_pair(u_set.past, check_horizon(p, horizon))
-    values = pair_values(s, t, horizon, p, tol)
-    min_time, max_time = values.index(min(values)) + 1, values.index(max(values)) + 1
+    check_horizon(p, horizon)
+    min_time, max_time, _ = _li_yorke_block(p.r, horizon)
     return _certificate("li_yorke", li_yorke_payload(u_set, horizon, p, tol, min_time, max_time))
 
 
@@ -453,7 +457,7 @@ def li_yorke_payload(
     bounded("max_time", max_time, 1, horizon)
     d_min = distance(s.shift(min_time), t.shift(min_time), p, tol)
     d_max = distance(s.shift(max_time), t.shift(max_time), p, tol)
-    min_bound = _li_yorke_min_bound(p.r, horizon)
+    min_bound = _li_yorke_block(p.r, horizon)[2]
     eps0 = weight(1, p.r)
     if not d_min.value + d_min.error < min_bound:
         raise AssertionError("scrambled pair is not min_bound-close at min_time")

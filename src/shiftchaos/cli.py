@@ -104,6 +104,8 @@ class RunConfig(FrozenValue):
                 raise ValueError("need k >= 0 and n >= 1")
             if 2 ** (self.k + 1 + self.n) > RECTANGLE_CAP:
                 raise ValueError("rectangle cap exceeded: k + n too deep")
+            if self.sets < 0 or self.targets < 0:
+                raise ValueError("need sets >= 0 and targets >= 0")
             if not (0 <= self.seed < 1 << 64):
                 raise ValueError("seed must fit in 64 bits")
             for name, lo, hi in (
@@ -350,11 +352,7 @@ def cmd_horseshoe(config: RunConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     hp = HorseshoeParams(config.lam, config.mu)
-    try:
-        pasts, futures = rectangle_lattice(hp, config.k, config.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pasts, futures = rectangle_lattice(hp, config.k, config.n)  # validate checked k and n
     if "csv" in config.formats:
         _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 

@@ -60,19 +60,6 @@ does, fd, and compares s(n + 1)..s(n + fd) with s(1)..s(fd), both read
 from the one span s(b + 1)..s(steps + fd) that also holds the sources.
 A constant s (s.shift(1) == s) reads nothing: its rows are all zero.
 Other r and other pasts call `distance` per row.
-
-`pair_values` returns the values of the rows d(shift^n s, shift^n t),
-n = 1..horizon, bit for bit, for a pair that agrees at positions <= 0 and
-beyond need = horizon + 80.  At r = 2**-q, q <= 5, it builds two numerals
-of the pair's mismatch digits at positions 1..need once: D, position 1
-most significant, and R, position 1 least.  A side's cut c is the depth
-`distance` sums it to in the row of its greatest explicit depth (row 1
-for the future, row horizon for the past): no row has a nonzero digit it
-sums past c.  Row n's future (depth i at position n + i) is its top
-a = min(need - n, c) digits, (D >> q*(need - n - a)) & (2**(q*a) - 1), its
-past (depth i at position n + 1 - i) its top b = min(n, c) digits,
-(R >> q*(n - b)) & (2**(q*b) - 1); one `int / int` rounds their sum.
-Other r call `distance` per row.
 """
 
 from __future__ import annotations
@@ -372,30 +359,6 @@ def orbit_distances(
         value = _quotient(_fraction(right, fe, fp, q), (left, q * (m - b), 1))
         rows.append(_bound(value, er + el, right != 0 or left != 0))
     return rows
-
-
-def pair_values(
-    s: BiSequence, t: BiSequence, horizon: int, p: MetricParams, tol: float = 1e-12
-) -> list[float]:
-    """The values distance(s.shift(n), t.shift(n), p, tol).value for
-    n = 1..horizon, bit for bit, where s and t agree at every position <= 0
-    and beyond horizon + 80 (the sweep is in the module docstring)."""
-    r, q, need = p.r, _dyadic(p.r), horizon + 80
-    if not q:
-        return [distance(s.shift(n), t.shift(n), p, tol).value for n in range(1, horizon + 1)]
-    sw, tw = s.span(1, need), t.span(1, need)
-    future, past = _numeral(sw, tw, q, False), _numeral(sw, tw, q, True)
-    # each side's cut in the row of its greatest explicit depth
-    fcut = sum(_cuts(s.shift(1), t.shift(1), r, tol)[0][:2])
-    pcut = sum(_cuts(s.shift(horizon), t.shift(horizon), r, tol)[1][:2])
-    values = []
-    for n in range(1, horizon + 1):
-        a, b = min(need - n, fcut), min(n, pcut)  # the digits read on each side
-        top = max(a, b)
-        num = (((future >> q * (need - n - a)) & ((1 << q * a) - 1)) << q * (top - a)) + (
-            ((past >> q * (n - b)) & ((1 << q * b) - 1)) << q * (top - b))
-        values.append(num / (1 << q * top))
-    return values
 
 
 def cylinder_diameter(c: CylinderSet, p: MetricParams) -> float:

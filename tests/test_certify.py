@@ -12,13 +12,9 @@ from hypothesis import strategies as st
 
 from shiftchaos import (
     Alphabet,
-    EventuallyPeriodicSeq,
     MetricParams,
-    SplicedSeq,
     UniversalSeq,
     UnstableSetId,
-    distance,
-    flip,
     li_yorke_pair,
     member_with_future,
     periodic,
@@ -27,7 +23,6 @@ from shiftchaos import (
     poisson_recurrence_witness,
     sensitivity_witness,
     sequence_from_payload,
-    splice,
     stable_set_convergence,
     transitivity_witness,
     two_sided_cylinder,
@@ -40,13 +35,15 @@ from shiftchaos import (
 from shiftchaos.certify import (
     MAX_STEPS,
     MAX_WINDOW,
-    _li_yorke_min_bound,
+    _certificate,
+    _li_yorke_block,
     _scrambled_pair,
+    check_horizon,
     check_witness_room,
+    li_yorke_payload,
     random_two_sided_target,
     random_unstable_set,
 )
-from shiftchaos.metric import _clip_depth, pair_values
 from shiftchaos.sequences import _HEAD, EnumerationScan, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
@@ -360,103 +357,131 @@ def test_li_yorke_degenerate_pair_fails_verification():
     assert result.failures == ("stored t does not recompute",)
 
 
-def _row_values(s, t, horizon, p):
-    """The scrambled pair's rows as `li_yorke_pair` once found them: one
-    `distance` call per row."""
-    return [distance(s.shift(n), t.shift(n), p).value for n in range(1, horizon + 1)]
-
-
 def _exact_row(s, t, n, horizon, r):
-    """float of the exact sum of Fraction(r)**depth over the mismatches of
-    row n, read symbol by symbol from a window that covers positions 0 to
-    horizon + 81 of the unshifted pair (they agree outside it)."""
+    """The exact distance of row n as a Fraction: the sum of Fraction(r)**depth
+    over its mismatches, read symbol by symbol from a window that covers
+    positions 0 to horizon + 81 of the unshifted pair (they agree outside it).
+    Fraction(r) = a / 2**e, and the sum is one numerator over 2**(e*top),
+    built by Horner's rule from the deepest depth up."""
     sn, tn = s.shift(n), t.shift(n)
-    total = Fraction(0)
+    counts = {}
     for j in range(-n, horizon + 82 - n):
         if sn.symbol_at(j) != tn.symbol_at(j):
-            total += Fraction(r) ** (j if j >= 1 else 1 - j)
-    return float(total)
+            depth = j if j >= 1 else 1 - j
+            counts[depth] = counts.get(depth, 0) + 1
+    a, b = Fraction(r).as_integer_ratio()
+    e, top, numerator = b.bit_length() - 1, max(counts, default=0), 0
+    for depth in range(top, 0, -1):
+        numerator = a * ((counts.get(depth, 0) << e * (top - depth)) + numerator)
+    return Fraction(numerator, b ** top)
 
 
-_CLIP = _clip_depth(0.5)
-_BLOCKS = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
-_WORDS = st.lists(st.integers(1, 3), max_size=6).map(tuple)
-# offsets around the clip depths (217 to 1077 at the bases drawn) and far past
-# them clip the past of some rows or of all
-_UNIVERSAL = st.builds(
-    UniversalSeq, st.just(3), st.integers(0, 5),
-    st.one_of(st.integers(-8, 8), st.integers(150, 1400), st.integers(1400, 10 ** 12)),
-)
-_PASTS = st.one_of(
-    st.builds(periodic, _BLOCKS, st.integers(-4, 4)),
-    st.builds(window_padded, _WORDS, st.integers(-8, 1), st.integers(1, 3)),
-    st.builds(EventuallyPeriodicSeq, _BLOCKS, _WORDS, st.integers(-8, 2), _BLOCKS),
-    _UNIVERSAL,
-    _UNIVERSAL.map(lambda u: flip(u, 3)),
-    st.builds(splice, _UNIVERSAL, st.builds(periodic, _BLOCKS)),
-    # a past center this long pushes every row from `extra` on past the clip
-    # depth at r = 1/2, and every row past it at the other bases
-    st.integers(-50, 300).map(
-        lambda extra: window_padded((2,) * (_CLIP - extra), 1 - _CLIP + extra)
-    ),
-)
+def test_exact_row_sums_the_weights_of_the_mismatches():
+    s, t = _scrambled_pair(periodic((1, 2, 2), 1), 10)
+    for r in (0.5, 0.3):
+        for n in (1, 5, 10):
+            sn, tn, w = s.shift(n), t.shift(n), Fraction(r)
+            expected = sum(w ** (j if j >= 1 else 1 - j) for j in range(-n, 92 - n)
+                           if sn.symbol_at(j) != tn.symbol_at(j))
+            assert _exact_row(s, t, n, 10, r) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    past=_PASTS,
-    r=st.sampled_from([0.5, 0.25, 0.125, 1 / 32, 0.3, 1 / 3]),
-    horizon=st.one_of(st.integers(10, 300), st.integers(10, 4000)),
-    rows=st.lists(st.integers(1, 4000), max_size=3),
-)
-def test_scrambled_values_are_the_distance_rows_bit_for_bit(past, r, horizon, rows):
-    p = MetricParams(r)
-    s, t = _scrambled_pair(past, horizon)
-    values = pair_values(s, t, horizon, p, 1e-12)
-    assert values == _row_values(s, t, horizon, p)
-    if r in (0.3, 1 / 3):  # the float kernel: no correctly rounded oracle
+def _block(horizon):
+    """J of the deepest agreement block [2**(J+1) - 1, 3*2**J - 2] of the
+    scrambled pair inside the horizon."""
+    j = 0
+    while 3 * 2 ** (j + 1) - 2 <= horizon:
+        j += 1
+    return j
+
+
+def _certifies_and_verifies(past, horizon, r, exact):
+    """li_yorke_pair certifies and re-verifies; with `exact`, its times are
+    the middle rows of agreement block J and disagreement block J - 1, and
+    the exact distances there meet the bounds they claim."""
+    cert = li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
+    assert verify_certificate(as_payload(cert)).ok, (r, horizon)
+    if not exact:
         return
-    for n in {1, horizon, *(min(n, horizon) for n in rows)}:
-        if distance(s.shift(n), t.shift(n), p).error == 0:
-            assert values[n - 1] == _exact_row(s, t, n, horizon, r), n
-
-
-@pytest.mark.parametrize("r", [0.5, 1 / 8])
-@pytest.mark.parametrize("horizon", [250, 400, 700])
-@pytest.mark.parametrize(
-    "past",
-    [
-        periodic((1,), 0),
-        periodic((1, 2, 1, 2, 2), 3),
-        EventuallyPeriodicSeq((2, 1, 1), (2,) * 150, -170, (1,)),
-        UniversalSeq(3, 1, 40),
-    ],
-    ids=["ones", "block-5", "long-center", "universal"],
-)
-def test_scrambled_values_fall_back_where_distance_truncates(past, horizon, r):
-    # the horizon set as far past the clip depth as it was past 300: rows up
-    # to need - clip clip the future and rows from about clip - (past center
-    # + left block) on clip the past; the sweep reads them all off numerals
-    p = MetricParams(r)
-    horizon += _clip_depth(r) - 300
+    d, j, w = cert.data, _block(horizon), Fraction(r)
+    assert (d["min_time"], d["max_time"]) == (
+        2 ** (j + 1) - 2 + 2 ** (j - 1), 3 * 2 ** (j - 1) - 2 + 2 ** (j - 2))
     s, t = _scrambled_pair(past, horizon)
-    assert pair_values(s, t, horizon, p, 1e-12) == _row_values(s, t, horizon, p)
+    near, far = (_exact_row(s, t, d[key], horizon, r) for key in ("min_time", "max_time"))
+    assert near <= 2 * w ** (2 ** (j - 1) + 1) / (1 - w) < Fraction(d["min_bound"])
+    assert far >= 2 * w
+    if r in (0.5, 0.25, 1 / 32):  # correctly rounded where exact
+        assert d["min_error"] or d["min_value"] == float(near)
+        assert d["max_error"] or d["max_value"] == float(far)
 
 
-@pytest.mark.parametrize("horizon", [500, 1000, 4000])
+def _first_refused(p):
+    """The first horizon `check_horizon` refuses at p.r <= 1/2: the bound
+    changes only where an agreement block ends, at 3*2**J - 2."""
+    horizon = 10
+    while True:
+        try:
+            check_horizon(p, horizon)
+        except ValueError as exc:
+            assert "underflows" in str(exc)
+            return horizon
+        horizon = 2 * horizon + 2
+
+
+_LY_PASTS = {
+    "ones": periodic((1,), 0),
+    "block-3": periodic((1, 2, 2), 1),
+    # a center past every clip depth: the past side of every row is clipped
+    "clipped": window_padded((2,) * 1500, -1499, 1),
+}
+
+
 @pytest.mark.parametrize(
-    "r, past", [(0.5, periodic((1,), 0)), (1 / 32, window_padded((2, 1), -1, 2))]
+    "r, first",
+    # 3*2**J - 2 for the least J with r**(2**(J-1) - 2) below 2**-1022
+    [(0.5, 12286), (0.25, 6142), (1 / 32, 1534), (0.3, 6142), (1 / 3, 6142), (0.45, 6142),
+     (0.499, 6142)],
 )
-def test_scrambled_witness_times_match_the_row_by_row_search(horizon, r, past):
+def test_every_admitted_horizon_certifies_and_verifies(r, first):
     p = MetricParams(r)
-    s, t = _scrambled_pair(past, horizon)
-    values = _row_values(s, t, horizon, p)
-    times = values.index(min(values)) + 1, values.index(max(values)) + 1
-    swept = pair_values(s, t, horizon, p, 1e-12)
-    assert (swept.index(min(swept)) + 1, swept.index(max(swept)) + 1) == times
-    if r == 0.5:
-        cert = li_yorke_pair(UnstableSetId(A2, past), horizon, p)
-        assert (cert.data["min_time"], cert.data["max_time"]) == times
+    assert _first_refused(p) == first
+    check_horizon(p, first - 1)
+    ends = [3 * 2 ** j - 2 for j in range(2, first.bit_length())]
+    horizons = [*range(10, min(first, 600)), *range(600, first, 197), first - 1]
+    horizons += [h + dh for h in ends for dh in (-1, 0) if 600 <= h + dh < first]
+    for past in _LY_PASTS.values():
+        for horizon in horizons:
+            # the Fraction oracle where the block changes, and at some other
+            # horizons, up to where its sums grow slow off the powers of two
+            exact = horizon % 37 == 0 or horizon in ends or horizon + 1 in ends
+            _certifies_and_verifies(past, horizon, r, exact and horizon < 1600)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    # the least subnormal, 5e-324, is left out: both clipped sides of the far
+    # row report an error of 5e-324 = r, and its check value - error >= r fails
+    r=st.floats(min_value=1e-323, max_value=0.5),
+    horizon=st.integers(10, 12285),
+    past=st.sampled_from(list(_LY_PASTS.values())),
+)
+def test_li_yorke_pair_certifies_at_any_r_up_to_a_half(r, horizon, past):
+    if horizon >= _first_refused(MetricParams(r)):
+        with pytest.raises(ValueError, match="underflows"):
+            li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
+    else:
+        _certifies_and_verifies(past, horizon, r, True)
+
+
+@pytest.mark.parametrize(
+    "r, horizon, min_time, max_time", [(0.5, 500, 318, 436), (0.3, 6000, 4712, 220)]
+)
+def test_li_yorke_files_with_searched_times_verify(r, horizon, min_time, max_time):
+    # times found by the row-by-row search that `li_yorke_pair` once ran
+    data = li_yorke_payload(ones_past(), horizon, MetricParams(r), 1e-12, min_time, max_time)
+    payload = json.loads(json.dumps(as_payload(_certificate("li_yorke", data))))
+    assert verify_certificate(payload).ok
+    assert (payload["data"]["min_time"], payload["data"]["max_time"]) == (min_time, max_time)
 
 
 # -- convergence along stable / unstable sets --------------------------------
@@ -678,11 +703,13 @@ def test_li_yorke_pair_must_share_the_unstable_past():
 def test_li_yorke_min_bound_helper_matches_the_pair():
     for horizon in (10, 22, 46, 100, 1000):
         cert = li_yorke_pair(ones_past(), horizon, MetricParams(0.3))
-        assert cert.data["min_bound"] == _li_yorke_min_bound(0.3, horizon)
-    # agreement block J = [2**(J+1) - 1, 3*2**J - 2]: J = 4 is [31, 46]
-    assert _li_yorke_min_bound(0.5, 46) == 0.5 ** 6
-    assert _li_yorke_min_bound(0.5, 45) == 0.5 ** 2
-    assert _li_yorke_min_bound(0.5, 9) == 1.0
+        assert (cert.data["min_time"], cert.data["max_time"], cert.data["min_bound"]) == (
+            _li_yorke_block(0.3, horizon))
+    # agreement block J = [2**(J+1) - 1, 3*2**J - 2]: J = 4 is [31, 46], and
+    # disagreement block 3 is [23, 30]
+    assert _li_yorke_block(0.5, 46) == (38, 26, 0.5 ** 6)
+    assert _li_yorke_block(0.5, 45) == (18, 12, 0.5 ** 2)
+    assert _li_yorke_block(0.5, 10) == (8, 5, 1.0)
 
 
 @pytest.mark.parametrize("forward", [True, False])

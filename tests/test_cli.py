@@ -320,6 +320,26 @@ def test_certify_rejects_a_config_its_verifier_would_refuse(tmp_path, capsys, li
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["sets = -2", "targets = -3", "sets = 1\ntargets = -1"])
+def test_certify_rejects_negative_sets_and_targets(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    assert "need sets >= 0 and targets >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_with_zero_sets_writes_the_four_set_free_reports(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sets = 0\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diameter_condition.json", "separation_n1.json", "separation_n2.json",
+        "separation_n3.json"]
+
+
 @pytest.mark.parametrize(
     "flags, claim",
     [(("--r", "0.6"), "r <= 1/2"), (("--r", "0.9"), "r <= 1/2"),

@@ -42,7 +42,6 @@ from shiftchaos.metric import (
     agreement_bound,
     check_tolerance,
     orbit_distances,
-    pair_values,
     separation_holds_everywhere,
     weight,
     weight_above,
@@ -50,7 +49,6 @@ from shiftchaos.metric import (
 )
 
 from shiftchaos import sequences
-from shiftchaos.certify import _scrambled_pair
 from shiftchaos.sequences import _HEAD, _join
 
 from conftest import _ref_enumeration, brute_distance, random_block, random_sequence
@@ -642,25 +640,11 @@ def test_orbit_sweep_checks_its_arguments():
     assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)
 
 
-def _far_pairs(horizon, depth):
-    """Pairs that agree at positions <= 0 and beyond horizon + 80: a constant
-    future against the scrambled pattern, and universal futures that part
-    inside the horizon, after pasts shorter and longer than `depth`."""
-    need = horizon + 80
-    pasts = [periodic((1,), 0), UniversalSeq(3, 1, 40), UniversalSeq(3, 1, depth + 30)]
-    pairs = [_scrambled_pair(past, horizon) for past in pasts]
-    for past in pasts:
-        u = UniversalSeq(3, 2)
-        word = splice(past, window_padded((2, 3) * (need // 2)))
-        pairs.append((splice(past, u), SplicedSeq(word.shift(need), u.shift(need), -need)))
-    return pairs
-
-
 @pytest.mark.parametrize("r", [0.5, 0.25, 0.125, 2.0 ** -5])
 def test_the_dyadic_sweeps_call_distance_for_no_row(monkeypatch, r):
     # rows on both sides of the clip depth, computed first by `distance`
     p, depth = MetricParams(r), _clip_depth(r)
-    horizon = steps = depth + 100
+    steps = depth + 100
     starts = [
         UniversalSeq(2, 7),
         UniversalSeq(2, 5).shift(-40),  # constant past from 39 on
@@ -669,8 +653,6 @@ def test_the_dyadic_sweeps_call_distance_for_no_row(monkeypatch, r):
         SplicedSeq(periodic((300,)), UniversalSeq(300, 1), 0),
     ]
     orbits = [(s, per_row(s, p, steps)) for s in starts]
-    pairs = [(s, t, [distance(s.shift(n), t.shift(n), p).value for n in range(1, horizon + 1)])
-             for s, t in _far_pairs(horizon, depth)]
 
     def no_row(*args, **kwargs):
         raise AssertionError("a sweep called distance")
@@ -678,8 +660,6 @@ def test_the_dyadic_sweeps_call_distance_for_no_row(monkeypatch, r):
     monkeypatch.setattr("shiftchaos.metric.distance", no_row)
     for s, rows in orbits:
         assert orbit_distances(s, p, steps) == rows, s
-    for s, t, values in pairs:
-        assert pair_values(s, t, horizon, p) == values, s
 
 
 # ---------------------------------------------------------------------------
