@@ -47,7 +47,6 @@ from .metric import (
     check_tolerance,
     distance,
     separation_holds_everywhere,
-    set_distance,
     space_diameter,
     weight,
     weight_above,
@@ -176,6 +175,8 @@ def transitivity_payload(
     if not (target.is_whole or target.is_two_sided):
         raise ValueError("transitivity targets are two-sided cylinders (or the whole space)")
     bounded("shift_count", shift_count, 0, math.inf)
+    bounded("target_start", target.start, -math.inf, math.inf)
+    bounded("universal_seed", seed, -math.inf, math.inf)
     if not target.contains(universal_member(u_set, seed).shift(shift_count)):
         raise AssertionError("universal member missed the target window")
     return {
@@ -361,6 +362,7 @@ def poisson_recurrence_payload(
     u_set: UnstableSetId, depths: int, p: MetricParams, seed: int, tol: float, times: list
 ) -> dict:
     check_steps("depths", depths, p, tol)
+    bounded("universal_seed", seed, -math.inf, math.inf)
     if type(times) is not list or len(times) != depths:
         raise ValueError("times must be a list of one return time per depth")
     if any(a >= b for a, b in zip(times, times[1:])):
@@ -409,10 +411,14 @@ def check_horizon(p: MetricParams, horizon) -> int:
     """A Li-Yorke `horizon`: an integer in [10, MAX_WINDOW], at an r whose
     proximity bound r**(2**(J-1) - 2) is proven (r <= 1/2, where
     2 r**3 / (1 - r) <= 1/2, `_li_yorke_block`) and at which that bound is
-    a normal float."""
+    a normal float.  At r = 5e-324 the distal row reads 2r with an error of
+    at least 2r (5e-324 per clipped side), so that r is refused too."""
     bounded("horizon", horizon, 10, MAX_WINDOW)
     if p.r > 0.5:
         raise ValueError("certify needs r <= 1/2: its Li-Yorke proximity bound is not proven above")
+    if p.r < 2 * math.ulp(0.0):
+        raise ValueError(f"certify needs r >= 1e-323: at r = {p.r!r} the error of the Li-Yorke "
+                         "distal row hides its distal claim value - error >= r")
     if _li_yorke_block(p.r, horizon)[2] < sys.float_info.min:
         raise ValueError(f"horizon {horizon} is too long at r = {p.r}: "
                          "the Li-Yorke proximity bound underflows")
@@ -578,17 +584,7 @@ _EXHAUSTIVE_WORDS = 4096
 def diameter_payload(m: int, r: float, max_depth: int) -> dict:
     bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH)
     report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
-    return {
-        "m": m,
-        "r": r,
-        "max_depth": max_depth,
-        "rows": [
-            {"k": row.k, "n": row.n, "diameter": row.diameter, "predicted": row.predicted}
-            for row in report.rows
-        ],
-        "strictly_decreasing": report.strictly_decreasing,
-        "matches_prediction": report.matches_prediction,
-    }
+    return {"m": m, "r": r, "max_depth": max_depth, **report}
 
 
 def separation_payload(m: int, r: float, degree: int) -> dict:
@@ -596,16 +592,8 @@ def separation_payload(m: int, r: float, degree: int) -> dict:
     a, p = Alphabet(m), MetricParams(r)
     result = check_separation(a, p, degree)
     exhaustive = (degree <= 3 and m ** degree <= _EXHAUSTIVE_WORDS
-                  and separation_holds_everywhere(a, p, degree, result.eps0))
-    return {
-        "m": m,
-        "r": r,
-        "degree": degree,
-        "eps0": result.eps0,
-        "witness_words": [list(result.witness[0].fixed), list(result.witness[1].fixed)],
-        "witness_distance": set_distance(result.witness[0], result.witness[1], p),
-        "exhaustive_at_low_degree": exhaustive,
-    }
+                  and separation_holds_everywhere(a, p, degree, result["eps0"]))
+    return {"m": m, "r": r, "degree": degree, **result, "exhaustive_at_low_degree": exhaustive}
 
 
 # ---------------------------------------------------------------------------

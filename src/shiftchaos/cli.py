@@ -444,7 +444,7 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
         print(f"wrote {path}")
         return status
     rows = orbit_distances(start, MetricParams(config.r), steps, config.tol)
-    with _open_utf8(path) as fh:  # line by line: no second copy of the table
+    with _open_utf8(path) as fh:  # each row as the sweep yields it: no table is held
         fh.write("n,distance\n")
         for n, d in enumerate(rows):
             fh.write(f"{n},{_float_str(d.value)}\n")

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .metric import DiameterReport, diameter_table
+from .metric import diameter_table
 from .schema import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
@@ -187,20 +187,10 @@ def point_from_itinerary(
     return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
 
-class ConjugacyReport(FrozenValue):
-    """Defect of map-then-code versus shift-then-code at finite depth."""
-
-    __slots__ = _fields = ("defect", "bound", "passed")
-
-    def __init__(self, defect: float, bound: float, passed: bool) -> None:
-        object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "passed", passed)
-
-
-def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> ConjugacyReport:
+def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> dict:
     """Compare the horseshoe image of the reconstructed point against the
-    reconstruction of the shifted sequence.
+    reconstruction of the shifted sequence: the defect of map-then-code
+    against shift-then-code, as {"defect", "bound", "passed"}.
 
     The defect must stay within hypot((1+lambda)*lambda**depth,
     (1+mu)*mu**-depth).  The comparison is exact (squared defect against
@@ -231,11 +221,11 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> Conjugacy
     # (1 + mu) * mu**-depth = (e + c) * e**(depth - 1) / c**depth
     bound_num, bound_den = _sum_of_squares((b + a) * a ** depth, b ** (depth + 1),
                                            (e + c) * e ** (depth - 1), c ** depth)
-    return ConjugacyReport(
-        _exact_root(defect_num, defect_den),
-        _exact_root(bound_num, bound_den),
-        defect_num * bound_den <= bound_num * defect_den,
-    )
+    return {
+        "defect": _exact_root(defect_num, defect_den),
+        "bound": _exact_root(bound_num, bound_den),
+        "passed": defect_num * bound_den <= bound_num * defect_den,
+    }
 
 
 def _sum_of_squares(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int]:
@@ -399,25 +389,6 @@ def level_rectangles(hp: HorseshoeParams, k: int, n: int) -> list[SymbolicRectan
 # ---------------------------------------------------------------------------
 
 
-class HyperbolicReport(FrozenValue):
-    __slots__ = _fields = ("diameter", "grid_exact", "eps0", "eps0_horizontal", "witness_words",
-                           "brute_min_gap", "passed")
-
-    def __init__(
-        self,
-        diameter: DiameterReport,
-        grid_exact: bool,
-        eps0: float,
-        eps0_horizontal: float,
-        witness_words: tuple[tuple[int, ...], tuple[int, ...]],
-        brute_min_gap: float,
-        passed: bool,
-    ) -> None:
-        for name, value in zip(self._fields, (diameter, grid_exact, eps0, eps0_horizontal,
-                                              witness_words, brute_min_gap, passed)):
-            object.__setattr__(self, name, value)
-
-
 def _width(hp: HorseshoeParams, k: int) -> tuple[int, int]:
     """Width of a level-k past interval, from the ends of the all-ones one."""
     lo, hi, den = _x_ends((1,) * (k + 1), hp)
@@ -445,9 +416,12 @@ def predicted_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
     return _exact_root(*_predicted_sq(hp, k, n))
 
 
-def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> HyperbolicReport:
+def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> dict:
     """Check that rectangle diagonals shrink along the predicted closed form
-    and that first-symbol separation certifies eps0 = 1 - 2/mu."""
+    and that first-symbol separation certifies eps0 = 1 - 2/mu: the report
+    as stored less lambda, mu and max_depth, its rows keyed "diagonal".
+    `passed` also requires the diagonals to match their prediction, which
+    the report does not store."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if 2 ** (2 * max_depth + 1) > RECTANGLE_CAP:
@@ -463,7 +437,9 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
         lambda k, n: _exact_root(*diagonal_sq[k, n]),
         lambda k, n: predicted_diagonal(hp, k, n),
         max_depth,
+        "diagonal",
     )
+    matches = report.pop("matches_prediction")
     grid_exact = True
     for (k, n), (num, den) in diagonal_sq.items():
         want_num, want_den = _predicted_sq(hp, k, n)
@@ -478,16 +454,16 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> Hyperbo
         for q in rects[i + 1 :]
         if r.word[1] != q.word[1]
     )
-    passed = report.passed and grid_exact and gap_sq == Fraction(c - 2 * e, c) ** 2
-    return HyperbolicReport(
-        diameter=report,
-        grid_exact=grid_exact,
-        eps0=(c - 2 * e) / c,  # 1 - 2/mu, correctly rounded
-        eps0_horizontal=(b - 2 * a) / b,
-        witness_words=((1, 2), (2, 1)),
-        brute_min_gap=_exact_root(gap_sq.numerator, gap_sq.denominator),
-        passed=passed,
-    )
+    return {
+        **report,
+        "grid_exact": grid_exact,
+        "eps0": (c - 2 * e) / c,  # 1 - 2/mu, correctly rounded
+        "eps0_horizontal": (b - 2 * a) / b,
+        "witness_words": [[1, 2], [2, 1]],
+        "brute_min_gap": _exact_root(gap_sq.numerator, gap_sq.denominator),
+        "passed": (report["strictly_decreasing"] and matches and grid_exact
+                   and gap_sq == Fraction(c - 2 * e, c) ** 2),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -505,34 +481,18 @@ def stored_params(d: dict) -> HorseshoeParams:
 
 def hyperbolic_payload(hp: HorseshoeParams, max_depth: int) -> dict:
     report = verify_hyperbolic_conditions(hp, bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH))
-    return {
-        "lambda": str(hp.lam),
-        "mu": str(hp.mu),
-        "max_depth": max_depth,
-        "rows": [
-            {"k": r.k, "n": r.n, "diagonal": r.diameter, "predicted": r.predicted}
-            for r in report.diameter.rows
-        ],
-        "strictly_decreasing": report.diameter.strictly_decreasing,
-        "grid_exact": report.grid_exact,
-        "eps0": report.eps0,
-        "eps0_horizontal": report.eps0_horizontal,
-        "witness_words": [list(w) for w in report.witness_words],
-        "brute_min_gap": report.brute_min_gap,
-        "passed": report.passed,
-    }
+    return {"lambda": str(hp.lam), "mu": str(hp.mu), "max_depth": max_depth, **report}
 
 
 def conjugacy_payload(hp: HorseshoeParams, depth: int, seed: int, samples: int) -> dict:
     """Conjugacy defects at `samples` periodic points drawn from `seed`."""
     bounded("depth", depth, 2, MAX_CONJUGACY_DEPTH)
-    rng = random.Random(seed)
+    rng = random.Random(bounded("seed", seed, -math.inf, math.inf))
     rows = []
     for _ in range(bounded("samples", samples, 0, MAX_CONJUGACY_SAMPLES)):
         length = rng.randint(1, 12)
         word = tuple(rng.randint(1, 2) for _ in range(length))
-        rep = conjugacy_check(periodic_point(word), hp, depth)
-        rows.append({"word": list(word), "defect": rep.defect, "bound": rep.bound, "passed": rep.passed})
+        rows.append({"word": list(word), **conjugacy_check(periodic_point(word), hp, depth)})
     return {
         "lambda": str(hp.lam),
         "mu": str(hp.mu),

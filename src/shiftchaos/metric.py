@@ -46,12 +46,13 @@ increasing j, then over the block from its start downwards.  That fixes
 every rounding step on every Python version (the builtin `sum`
 compensates float sums from Python 3.12 on).
 
-`orbit_distances` returns the rows d(shift^n s, s), n = 0..steps, of
-`distance` bit for bit.  When s has a constant past (s(j) = c for j <= b,
--L(r) <= b <= 0: a deeper constant past is taken from -L(r) on) and
-r = 2**-q, q <= 5, the deep positions b - n + 1..b of row n, where the
-shifted sequence reads s(j + n) against c, are the low n digits of one
-numeral F of s(b + 1), s(b + 2), .. against c, s(b + 1) least significant.
+`orbit_distances` yields the rows d(shift^n s, s), n = 0..steps, of
+`distance` bit for bit, one at a time: it holds no table of rows.  When s
+has a constant past (s(j) = c for j <= b, -L(r) <= b <= 0: a deeper
+constant past is taken from -L(r) on) and r = 2**-q, q <= 5, the deep
+positions b - n + 1..b of row n, where the shifted sequence reads
+s(j + n) against c, are the low n digits of one numeral F of s(b + 1),
+s(b + 2), .. against c, s(b + 1) least significant.
 A row keeps its -b shallow digits, read per row, then the top
 m = min(n, L(r) + b) of those n: (F >> q*(n - m)) & (2**(q*m) - 1).
 CPython's `>>` copies the part of F above the shift, so that read costs
@@ -68,7 +69,7 @@ import math
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import add, ne, truediv
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator
 
 from .cylinders import CylinderSet, all_words, future_cylinder
 from .sequences import Alphabet, BiSequence, FrozenValue
@@ -316,20 +317,21 @@ def distance(
 
 def orbit_distances(
     s: BiSequence, p: MetricParams, steps: int, tol: float = 1e-12
-) -> list[DistanceBound]:
-    """The rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit for
-    bit (the sweep for a constant past is in the module docstring)."""
+) -> Iterator[DistanceBound]:
+    """Yield the rows distance(s.shift(n), s, p, tol) for n = 0..steps, bit
+    for bit (the sweep for a constant past is in the module docstring).  A
+    refused tol raises before any row; the sweep reads its sources at once."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     r, q, tail = p.r, _dyadic(p.r), s.left_tail()
     if not (q and tail is not None and tail[1] == 1):
-        return [distance(s.shift(n), s, p, tol) for n in range(steps + 1)]
+        return (distance(s.shift(n), s, p, tol) for n in range(steps + 1))
     s1 = s.shift(1)
     # row 0 compares s with itself, and so does every row if s.shift(1) == s;
     # no row n >= 1 does otherwise: s.shift(n) == s makes s n-periodic, and
     # an n-periodic s with a constant past is constant
     if steps == 0 or s1 == s:
-        return [DistanceBound(0.0, 0.0)] * (steps + 1)
+        return repeat(DistanceBound(0.0, 0.0), steps + 1)
     clip = _clip_depth(r)  # no row reads a digit below -clip
     b, c = max(min(tail[0], 0), -clip), s.symbol_at(tail[0])
     # every row n >= 1 cuts its future as row 1 does: a shift moves a right
@@ -344,21 +346,25 @@ def orbit_distances(
     sources, run = s.span(b + 1, steps + fd), (c,) * (steps - b)
     deep = _numeral(sources[: steps - b], bytes(run) if c < 256 else run, q, True)
     past, future = sources[:-b], sources[-b : fd - b]
-    rows, el = [DistanceBound(0.0, 0.0)], 0.0
-    for n in range(1, steps + 1):
-        right = _numeral(sources[n - b : n - b + fd], future, q, False)
-        # depths 1..-b are the shallow positions b + 1..0, then m deep ones,
-        # digits n - 1..n - m of `deep`; the positions below them agree
-        m = min(n, clip + b)
-        shallow = _numeral(sources[n : n - b], past, q, True)
-        left = (shallow << q * m) | ((deep >> q * (n - m)) & ((1 << q * m) - 1))
-        # a row that reads fewer digits is exact; a row's explicit past depth
-        # grows with n, so once one row's past is clipped, every later one is
-        if m == clip + b and not el:
-            el = _cuts(s.shift(n), s, r, tol)[1][2]
-        value = _quotient(_fraction(right, fe, fp, q), (left, q * (m - b), 1))
-        rows.append(_bound(value, er + el, right != 0 or left != 0))
-    return rows
+
+    def rows():
+        yield DistanceBound(0.0, 0.0)
+        el = 0.0
+        for n in range(1, steps + 1):
+            right = _numeral(sources[n - b : n - b + fd], future, q, False)
+            # depths 1..-b are the shallow positions b + 1..0, then m deep
+            # ones, digits n - 1..n - m of `deep`; the positions below agree
+            m = min(n, clip + b)
+            shallow = _numeral(sources[n : n - b], past, q, True)
+            left = (shallow << q * m) | ((deep >> q * (n - m)) & ((1 << q * m) - 1))
+            # a row reading fewer digits is exact; a row's explicit past depth
+            # grows with n, so once one row's past is clipped, every later one is
+            if m == clip + b and not el:
+                el = _cuts(s.shift(n), s, r, tol)[1][2]
+            value = _quotient(_fraction(right, fe, fp, q), (left, q * (m - b), 1))
+            yield _bound(value, er + el, right != 0 or left != 0)
+
+    return rows()
 
 
 def cylinder_diameter(c: CylinderSet, p: MetricParams) -> float:
@@ -390,54 +396,30 @@ def set_distance(c1: CylinderSet, c2: CylinderSet, p: MetricParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-class DiameterRow(FrozenValue):
-    __slots__ = _fields = ("k", "n", "diameter", "predicted")
-
-    def __init__(self, k: int, n: int, diameter: float, predicted: float) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "predicted", predicted)
-
-
-class DiameterReport(FrozenValue):
-    __slots__ = _fields = ("rows", "strictly_decreasing", "matches_prediction")
-
-    def __init__(
-        self, rows: tuple[DiameterRow, ...], strictly_decreasing: bool, matches_prediction: bool
-    ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "strictly_decreasing", strictly_decreasing)
-        object.__setattr__(self, "matches_prediction", matches_prediction)
-
-    @property
-    def passed(self) -> bool:
-        return self.strictly_decreasing and self.matches_prediction
-
-
 def diameter_table(
     diam_fn: Callable[[int, int], float],
     predict_fn: Callable[[int, int], float],
     max_depth: int,
-) -> DiameterReport:
-    """Tabulate window diameters along k = n = 1..max_depth and check strict
-    decrease plus agreement with the closed-form prediction."""
+    key: str,
+) -> dict:
+    """Tabulate window diameters along k = n = 1..max_depth, each stored
+    under `key`, and check strict decrease plus agreement with the
+    closed-form prediction: {"rows": [{"k", "n", key, "predicted"}, ...],
+    "strictly_decreasing", "matches_prediction"}."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rows = tuple(
-        DiameterRow(d, d, diam_fn(d, d), predict_fn(d, d)) for d in range(1, max_depth + 1)
-    )
-    decreasing = all(a.diameter > b.diameter for a, b in zip(rows, rows[1:]))
-    matches = all(
-        math.isclose(row.diameter, row.predicted, rel_tol=1e-12, abs_tol=0.0)
-        for row in rows
-    )
-    return DiameterReport(rows, decreasing, matches)
+    rows = [{"k": d, "n": d, key: diam_fn(d, d), "predicted": predict_fn(d, d)}
+            for d in range(1, max_depth + 1)]
+    return {
+        "rows": rows,
+        "strictly_decreasing": all(a[key] > b[key] for a, b in zip(rows, rows[1:])),
+        "matches_prediction": all(
+            math.isclose(row[key], row["predicted"], rel_tol=1e-12, abs_tol=0.0) for row in rows
+        ),
+    }
 
 
-def check_diameter_condition(
-    alphabet: Alphabet, p: MetricParams, max_depth: int
-) -> DiameterReport:
+def check_diameter_condition(alphabet: Alphabet, p: MetricParams, max_depth: int) -> dict:
     """Diameters of two-sided windows [-k, n], k = n = 1..max_depth, checked
     against the geometric prediction (r/(1-r)) * (r**n + r**(k+1))."""
 
@@ -448,13 +430,7 @@ def check_diameter_condition(
     def predict(k: int, n: int) -> float:
         return (p.r / (1 - p.r)) * (p.r ** n + p.r ** (k + 1))
 
-    return diameter_table(diam, predict, max_depth)
-
-
-class SeparationResult(NamedTuple):
-    eps0: float
-    witness: tuple[CylinderSet, CylinderSet]
-    degree: int
+    return diameter_table(diam, predict, max_depth, "diameter")
 
 
 def flip_first(word: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -462,8 +438,9 @@ def flip_first(word: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (word[0] % m + 1,) + word[1:]
 
 
-def check_separation(alphabet: Alphabet, p: MetricParams, n: int) -> SeparationResult:
-    """Uniform separation of depth-n future cylinders.
+def check_separation(alphabet: Alphabet, p: MetricParams, n: int) -> dict:
+    """Uniform separation of depth-n future cylinders, as {"eps0",
+    "witness_words", "witness_distance"}.
 
     For every word i_1..i_n, flipping the first symbol yields a cylinder at
     distance exactly w(1) = r, so eps0 = r holds at every degree n (and it
@@ -474,11 +451,10 @@ def check_separation(alphabet: Alphabet, p: MetricParams, n: int) -> SeparationR
     eps0 = weight(1, p.r)
     base = (1,) * n
     partner = flip_first(base, alphabet.m)
-    witness = (future_cylinder(base), future_cylinder(partner))
-    achieved = set_distance(witness[0], witness[1], p)
+    achieved = set_distance(future_cylinder(base), future_cylinder(partner), p)
     if not achieved >= eps0:
         raise AssertionError("separation witness fell below the certified bound")
-    return SeparationResult(eps0, witness, n)
+    return {"eps0": eps0, "witness_words": [[*base], [*partner]], "witness_distance": achieved}
 
 
 def separation_holds_everywhere(

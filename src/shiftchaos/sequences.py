@@ -43,8 +43,9 @@ only moves forward.
 
 All values are immutable; every operation is a pure function.  The
 immutability comes from :class:`FrozenValue`, the base of every value class
-of the package but its two NamedTuples: it refuses assignment and deletion,
-and takes equality, hashing and ``repr`` from one tuple of field names.
+of the package but the NamedTuple `horseshoe.Interval`: it refuses
+assignment and deletion, and takes equality, hashing and ``repr`` from one
+tuple of field names.
 """
 
 from __future__ import annotations

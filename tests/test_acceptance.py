@@ -106,13 +106,13 @@ def test_separation_eps0_exact_with_exhaustive_oracle():
         alphabet = Alphabet(m)
         for n in (1, 2, 3):
             result = check_separation(alphabet, P, n)
-            assert result.eps0 == P.r  # exactly r
+            assert result["eps0"] == P.r  # exactly r
             words = list(all_words(alphabet, n))
             cyls = {w: future_cylinder(w) for w in words}
             for w, c in cyls.items():
                 distances = [set_distance(c, other, P) for other in cyls.values()]
-                assert max(distances) >= result.eps0
-                assert set_distance(c, cyls[flip_first(w, m)], P) == result.eps0
+                assert max(distances) >= result["eps0"]
+                assert set_distance(c, cyls[flip_first(w, m)], P) == result["eps0"]
 
 
 @criterion(3, "similarity identities")
@@ -209,9 +209,9 @@ def test_conjugacy_and_round_trip():
     for _ in range(100):
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
         rep = conjugacy_check(periodic_point(word), HP, 30)
-        assert rep.passed  # defect <= analytic tail bound, exactly
-        assert rep.defect <= rep.bound
-        assert rep.defect <= 1e-8
+        assert rep["passed"]  # defect <= analytic tail bound, exactly
+        assert rep["defect"] <= rep["bound"]
+        assert rep["defect"] <= 1e-8
     for num in range(2 ** 12):
         word = tuple((num >> i) % 2 + 1 for i in range(12))
         seq = periodic_point(word)
@@ -222,7 +222,7 @@ def test_conjugacy_and_round_trip():
 @criterion(9, "horseshoe hyperbolic conditions")
 def test_hyperbolic_conditions_exact_table_and_eps0():
     report = verify_hyperbolic_conditions(HP, 8)
-    assert report.passed and report.grid_exact
+    assert report["passed"] and report["grid_exact"]
     for k in range(1, 9):
         for n in range(1, 9):
             diag = rectangle_diagonal(HP, k, n)
@@ -231,8 +231,8 @@ def test_hyperbolic_conditions_exact_table_and_eps0():
             assert _is_correctly_rounded_root(
                 predicted, Fraction(1, 3) ** (2 * (k + 1)) + Fraction(3) ** (-2 * n)
             )
-    assert report.eps0 == float(1 - Fraction(2, 3))
-    assert abs(report.brute_min_gap - report.eps0) <= 1e-12
+    assert report["eps0"] == float(1 - Fraction(2, 3))
+    assert abs(report["brute_min_gap"] - report["eps0"]) <= 1e-12
 
 
 @criterion(10, "reproducibility")

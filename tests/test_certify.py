@@ -15,6 +15,9 @@ from shiftchaos import (
     MetricParams,
     UniversalSeq,
     UnstableSetId,
+    check_diameter_condition,
+    check_separation,
+    future_cylinder,
     li_yorke_pair,
     member_with_future,
     periodic,
@@ -40,10 +43,13 @@ from shiftchaos.certify import (
     _scrambled_pair,
     check_horizon,
     check_witness_room,
+    diameter_payload,
     li_yorke_payload,
     random_two_sided_target,
     random_unstable_set,
+    separation_payload,
 )
+from shiftchaos.metric import separation_holds_everywhere, set_distance
 from shiftchaos.sequences import _HEAD, EnumerationScan, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
@@ -459,8 +465,7 @@ def test_every_admitted_horizon_certifies_and_verifies(r, first):
 
 @settings(max_examples=20, deadline=None)
 @given(
-    # the least subnormal, 5e-324, is left out: both clipped sides of the far
-    # row report an error of 5e-324 = r, and its check value - error >= r fails
+    # the least subnormal, 5e-324, is refused (see the test below)
     r=st.floats(min_value=1e-323, max_value=0.5),
     horizon=st.integers(10, 12285),
     past=st.sampled_from(list(_LY_PASTS.values())),
@@ -471,6 +476,15 @@ def test_li_yorke_pair_certifies_at_any_r_up_to_a_half(r, horizon, past):
             li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
     else:
         _certifies_and_verifies(past, horizon, r, True)
+
+
+@pytest.mark.parametrize("horizon", [10, 20])
+def test_li_yorke_refuses_the_least_subnormal_r(horizon):
+    # at r = 5e-324 the far row reads 2r, and both its clipped sides report
+    # an error of 5e-324 = r: its check value - error >= r would fail
+    with pytest.raises(ValueError, match="distal claim"):
+        li_yorke_pair(ones_past(), horizon, MetricParams(5e-324))
+    _certifies_and_verifies(periodic((1,), 0), horizon, 1e-323, True)
 
 
 @pytest.mark.parametrize(
@@ -751,3 +765,28 @@ def test_deeply_nested_payload_is_malformed():
     result = verify_certificate(payload)
     assert not result.ok
     assert result.failures[0].startswith("malformed certificate")
+
+
+# -- reports: each stored payload is its inputs plus its check's dict --------
+
+
+@pytest.mark.parametrize("m, r, max_depth", [(2, 0.5, 12), (3, 0.3, 40), (2, 0.5, 1072)])
+def test_diameter_payload_is_its_inputs_and_the_check(m, r, max_depth):
+    report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
+    assert diameter_payload(m, r, max_depth) == {"m": m, "r": r, "max_depth": max_depth, **report}
+    assert report["strictly_decreasing"] and report["matches_prediction"]
+    depths = range(1, max_depth + 1)
+    assert [(row["k"], row["n"]) for row in report["rows"]] == [(d, d) for d in depths]
+
+
+@pytest.mark.parametrize("m, r, degree", [(2, 0.5, 1), (3, 0.25, 2), (2, 0.3, 7)])
+def test_separation_payload_is_its_inputs_and_the_check(m, r, degree):
+    a, p = Alphabet(m), MetricParams(r)
+    result = check_separation(a, p, degree)
+    exhaustive = degree <= 3 and separation_holds_everywhere(a, p, degree, result["eps0"])
+    assert separation_payload(m, r, degree) == {
+        "m": m, "r": r, "degree": degree, **result, "exhaustive_at_low_degree": exhaustive,
+    }
+    words = result["witness_words"]
+    assert words == [[1] * degree, [2] + [1] * (degree - 1)]
+    assert result["witness_distance"] == set_distance(*map(future_cylinder, words), p) == r

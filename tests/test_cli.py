@@ -353,8 +353,42 @@ def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, cla
     assert not out.exists()
 
 
+def _echoing_payload(kind):
+    """A report or certificate of `kind` whose echoed integer inputs are 0
+    (target_start, universal_seed) or 1 (the conjugacy seed)."""
+    from shiftchaos import (Alphabet, CylinderSet, MetricParams, UnstableSetId, periodic,
+                            poisson_recurrence_witness, transitivity_witness)
+    from shiftchaos.horseshoe import conjugacy_payload
+
+    u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
+    if kind == "transitivity":
+        return transitivity_witness(u_set, CylinderSet((2, 1), 0)).data
+    if kind == "poisson_recurrence":
+        return poisson_recurrence_witness(u_set, 3, MetricParams(0.5)).data
+    return conjugacy_payload(HorseshoeParams(), 20, 1, 5)
+
+
 @pytest.mark.parametrize(
-    "key, value, claim", [("horizon", 12286, "underflows"), ("r", 0.6, "r <= 1/2")]
+    "kind, key",
+    [("transitivity", "target_start"), ("transitivity", "universal_seed"),
+     ("poisson_recurrence", "universal_seed"), ("conjugacy", "seed")],
+)
+def test_verify_refuses_a_boolean_in_an_echoed_integer_field(tmp_path, capsys, kind, key):
+    # the payload echoes the stored value, so only a type check in the
+    # payload function tells false from 0 and true from 1
+    path = tmp_path / f"{kind}.json"
+    _write_json(path, kind, _echoing_payload(kind))
+    assert run("--verify", str(path)) == 0
+    _tamper(path, lambda data: data.__setitem__(key, bool(data[key])))
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    out = capsys.readouterr().out
+    assert f"malformed certificate: {key} must be an integer" in out
+
+
+@pytest.mark.parametrize(
+    "key, value, claim",
+    [("horizon", 12286, "underflows"), ("r", 0.6, "r <= 1/2"), ("r", 5e-324, "distal claim")],
 )
 def test_verify_refuses_a_li_yorke_file_certify_would_refuse(
     fresh_outputs, tmp_path, capsys, key, value, claim

@@ -140,17 +140,17 @@ def test_round_trip_words_of_length_up_to_twelve():
 
 def test_conjugacy_fixed_point_defect_zero():
     rep = conjugacy_check(periodic_point((1,)), HP, 10)
-    assert rep.defect == 0.0 and rep.passed
+    assert rep["defect"] == 0.0 and rep["passed"]
 
 
 def test_conjugacy_period_two_depth_twenty():
     rep = conjugacy_check(periodic_point((1, 2)), HP, 20)
-    assert rep.passed
-    assert rep.defect < 1e-8
+    assert rep["passed"]
+    assert rep["defect"] < 1e-8
 
 
 def test_conjugacy_float_params_pass_without_an_allowance():
-    assert conjugacy_check(periodic_point((2, 1, 1)), HPF, 20).passed
+    assert conjugacy_check(periodic_point((2, 1, 1)), HPF, 20)["passed"]
     # float rounding refuted these before floats were summed as the dyadic
     # rationals they are: a defect of 1.0 at mu = 1e6, and at depth 512 a
     # rounding defect against a bound that underflows to 0.0
@@ -159,7 +159,7 @@ def test_conjugacy_float_params_pass_without_an_allowance():
         for _ in range(20):
             word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 12)))
             rep = conjugacy_check(periodic_point(word), hp, depth)
-            assert rep.passed and rep.defect <= rep.bound
+            assert rep["passed"] and rep["defect"] <= rep["bound"]
 
 
 # dyadic extremes under the 64-bit cap: one-bit and full-mantissa terms, the
@@ -184,9 +184,9 @@ def test_float_params_with_a_term_past_64_bits_are_refused(lam, mu):
 def test_float_params_at_the_64_bit_cap_are_accepted(lam, mu):
     hp = HorseshoeParams(lam, mu)
     assert hp.ratios == (*lam.as_integer_ratio(), *mu.as_integer_ratio())
-    assert verify_hyperbolic_conditions(hp, 4).passed
+    assert verify_hyperbolic_conditions(hp, 4)["passed"]
     for word in ((1,), (2,), (1, 2), (2, 2, 1)):
-        assert conjugacy_check(periodic_point(word), hp, 64).passed
+        assert conjugacy_check(periodic_point(word), hp, 64)["passed"]
 
 
 def test_conjugacy_random_periodic_depth_thirty():
@@ -194,8 +194,8 @@ def test_conjugacy_random_periodic_depth_thirty():
     for _ in range(30):
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 10)))
         rep = conjugacy_check(periodic_point(word), HP, 30)
-        assert rep.passed
-        assert rep.defect <= rep.bound <= 1e-8
+        assert rep["passed"]
+        assert rep["defect"] <= rep["bound"] <= 1e-8
 
 
 def test_level_rectangles_smallest_level():
@@ -281,20 +281,20 @@ def test_rectangle_lattice_factor_sizes_at_the_cap():
 
 def test_hyperbolic_conditions_report():
     report = verify_hyperbolic_conditions(HP, 8)
-    assert report.passed
-    assert report.grid_exact
-    assert report.eps0 == float(Fraction(1, 3))
-    assert report.eps0_horizontal == float(Fraction(1, 3))
-    assert math.isclose(report.brute_min_gap, 1 / 3, abs_tol=1e-12)
-    diag = report.diameter.rows[-1]
-    assert _is_correctly_rounded_root(diag.diameter, Fraction(1, 3) ** 18 + Fraction(3) ** -16)
+    assert report["passed"]
+    assert report["grid_exact"]
+    assert report["eps0"] == float(Fraction(1, 3))
+    assert report["eps0_horizontal"] == float(Fraction(1, 3))
+    assert math.isclose(report["brute_min_gap"], 1 / 3, abs_tol=1e-12)
+    diag = report["rows"][-1]
+    assert _is_correctly_rounded_root(diag["diagonal"], Fraction(1, 3) ** 18 + Fraction(3) ** -16)
 
 
 def test_hyperbolic_conditions_float_params():
     report = verify_hyperbolic_conditions(HorseshoeParams(0.3, 2.5), 4)
-    assert report.passed and report.grid_exact and report.diameter.strictly_decreasing
-    assert report.eps0 == report.brute_min_gap == float(1 - 2 / Fraction(2.5))
-    assert report.eps0_horizontal == float(1 - 2 * Fraction(0.3))
+    assert report["passed"] and report["grid_exact"] and report["strictly_decreasing"]
+    assert report["eps0"] == report["brute_min_gap"] == float(1 - 2 / Fraction(2.5))
+    assert report["eps0_horizontal"] == float(1 - 2 * Fraction(0.3))
 
 
 @pytest.mark.parametrize("lam, mu", [(0.3, 3.5), (Fraction(1, 3), Fraction(7, 2)), (0.25, 2.2)])
@@ -302,8 +302,8 @@ def test_brute_min_gap_is_the_correctly_rounded_exact_gap(lam, mu):
     # the gap is 1 - 2/mu exactly; sqrt(float(gap**2)) would give
     # 0.4285714285714286 at mu = 3.5, one ulp above 3/7
     report = verify_hyperbolic_conditions(HorseshoeParams(lam, mu), 2)
-    assert report.passed
-    assert report.brute_min_gap == report.eps0 == float(1 - 2 / Fraction(mu))
+    assert report["passed"]
+    assert report["brute_min_gap"] == report["eps0"] == float(1 - 2 / Fraction(mu))
 
 
 def test_exact_root_is_correctly_rounded():
@@ -429,9 +429,9 @@ def test_exact_conjugacy_check_matches_fraction_arithmetic():
         seq = periodic_point(word)
         defect_sq, bound_sq = _conjugacy_squares(seq, lam, mu, depth)
         rep = conjugacy_check(seq, hp, depth)
-        assert rep.passed == (defect_sq <= bound_sq)
-        assert _is_correctly_rounded_root(rep.defect, defect_sq)
-        assert _is_correctly_rounded_root(rep.bound, bound_sq)
+        assert rep["passed"] == (defect_sq <= bound_sq)
+        assert _is_correctly_rounded_root(rep["defect"], defect_sq)
+        assert _is_correctly_rounded_root(rep["bound"], bound_sq)
 
 
 # the three pinned CLI runs, and the slowest floats the 64-bit cap accepts
@@ -469,6 +469,37 @@ def test_every_stored_root_is_correctly_rounded(lam, mu, max_depth, depth, sampl
         assert _is_correctly_rounded_root(row["bound"], bound_sq)
 
 
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+def test_hyperbolic_payload_is_its_inputs_and_the_check(lam, mu):
+    hp = HorseshoeParams(lam, mu)
+    report = verify_hyperbolic_conditions(hp, 8)
+    assert horseshoe.hyperbolic_payload(hp, 8) == {
+        "lambda": str(hp.lam), "mu": str(hp.mu), "max_depth": 8, **report,
+    }
+    assert "matches_prediction" not in report and report["passed"]
+    assert [row["k"] for row in report["rows"]] == list(range(1, 9))
+
+
+def test_hyperbolic_report_fails_diagonals_off_their_prediction(monkeypatch):
+    # `passed` needs matches_prediction, which the stored report leaves out
+    true_prediction = horseshoe.predicted_diagonal
+    monkeypatch.setattr(horseshoe, "predicted_diagonal",
+                        lambda hp, k, n: 2 * true_prediction(hp, k, n))
+    report = verify_hyperbolic_conditions(HP, 3)
+    assert report["strictly_decreasing"] and report["grid_exact"] and not report["passed"]
+
+
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+def test_conjugacy_payload_is_its_inputs_and_the_check(lam, mu):
+    hp, depth, rng = HorseshoeParams(lam, mu), 20, random.Random(5)
+    words = [[rng.randint(1, 2) for _ in range(rng.randint(1, 12))] for _ in range(25)]
+    rows = [{"word": word, **conjugacy_check(periodic_point(word), hp, depth)} for word in words]
+    assert horseshoe.conjugacy_payload(hp, depth, 5, 25) == {
+        "lambda": str(hp.lam), "mu": str(hp.mu), "depth": depth, "seed": 5, "samples": 25,
+        "rows": rows, "passed": all(row["passed"] for row in rows),
+    }
+
+
 def _nudge_x_lo(monkeypatch, delta):
     """Move the left end of every x-interval the integer kernel builds by delta."""
     true_ends = horseshoe._x_ends
@@ -492,12 +523,12 @@ def test_exact_checks_flag_a_geometry_off_by_a_little(monkeypatch):
     with monkeypatch.context() as m:
         _nudge_x_lo(m, nudge)
         rep = conjugacy_check(periodic_point((1,)), HP, depth)
-    assert not rep.passed and rep.defect == float((1 - HP.lam) * nudge)
-    assert conjugacy_check(periodic_point((1,)), HP, depth).passed
+    assert not rep["passed"] and rep["defect"] == float((1 - HP.lam) * nudge)
+    assert conjugacy_check(periodic_point((1,)), HP, depth)["passed"]
 
-    assert verify_hyperbolic_conditions(HP, 3).grid_exact
+    assert verify_hyperbolic_conditions(HP, 3)["grid_exact"]
     _nudge_x_lo(monkeypatch, Fraction(1, 10 ** 30))  # every width shrinks by 1e-30
-    assert not verify_hyperbolic_conditions(HP, 3).grid_exact
+    assert not verify_hyperbolic_conditions(HP, 3)["grid_exact"]
 
 
 def test_hyperbolic_report_flags_a_separation_off_by_a_little(monkeypatch):
@@ -513,4 +544,6 @@ def test_hyperbolic_report_flags_a_separation_off_by_a_little(monkeypatch):
 
     monkeypatch.setattr(horseshoe, "_y_ends", lifted)
     report = verify_hyperbolic_conditions(HP, 3)
-    assert report.grid_exact and report.diameter.passed and not report.passed
+    assert report["grid_exact"] and report["strictly_decreasing"] and not report["passed"]
+    assert all(math.isclose(row["diagonal"], row["predicted"], rel_tol=1e-12, abs_tol=0.0)
+               for row in report["rows"])

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -176,19 +177,19 @@ def test_cylinder_diameter_one_sided_windows():
 
 def test_diameter_condition_report():
     report = check_diameter_condition(Alphabet(2), P, 10)
-    assert report.passed
-    last = report.rows[-1]
-    assert last.diameter == 2.0 ** -10 + 2.0 ** -11
-    assert report.rows[0].diameter == 0.75
-    values = [row.diameter for row in report.rows]
+    assert report["strictly_decreasing"] and report["matches_prediction"]
+    last = report["rows"][-1]
+    assert last["diameter"] == 2.0 ** -10 + 2.0 ** -11
+    assert report["rows"][0]["diameter"] == 0.75
+    values = [row["diameter"] for row in report["rows"]]
     assert values == sorted(values, reverse=True)
 
 
 def test_diameter_condition_other_base():
     report = check_diameter_condition(Alphabet(2), MetricParams(0.25), 5)
-    assert report.passed
+    assert report["strictly_decreasing"] and report["matches_prediction"]
     expected = 0.25 ** 6 / 0.75 + 0.25 ** 7 / 0.75
-    assert math.isclose(report.rows[-1].diameter, expected, rel_tol=1e-12)
+    assert math.isclose(report["rows"][-1]["diameter"], expected, rel_tol=1e-12)
 
 
 def test_set_distance_identical_cylinders():
@@ -218,38 +219,38 @@ def test_set_distance_disjoint_windows_share_members():
 
 def test_separation_returns_weight_of_first_position():
     result = check_separation(Alphabet(2), P, 1)
-    assert result.eps0 == 0.5
-    assert tuple(result.witness[0].fixed) == (1,)
-    assert tuple(result.witness[1].fixed) == (2,)
-    assert set_distance(result.witness[0], result.witness[1], P) == 0.5
+    assert result["eps0"] == 0.5
+    assert result["witness_words"] == [[1], [2]]
+    assert set_distance(future_cylinder((1,)), future_cylinder((2,)), P) == 0.5
+    assert result["witness_distance"] == 0.5
 
 
 def test_separation_degree_three_exhaustive_oracle():
     a = Alphabet(2)
     result = check_separation(a, P, 3)
-    assert result.eps0 == 0.5
+    assert result["eps0"] == 0.5
     from shiftchaos.cylinders import all_words
     from shiftchaos.metric import flip_first
 
     cyls = {w: future_cylinder(w) for w in all_words(a, 3)}
     for w, c in cyls.items():
         # every word has a partner at distance >= eps0 (exhaustive max)
-        assert max(set_distance(c, other, P) for other in cyls.values()) >= result.eps0
+        assert max(set_distance(c, other, P) for other in cyls.values()) >= result["eps0"]
         # the flip-first family achieves exactly eps0
-        assert set_distance(c, cyls[flip_first(w, 2)], P) == result.eps0
+        assert set_distance(c, cyls[flip_first(w, 2)], P) == result["eps0"]
 
 
 def test_separation_other_alphabet_and_base():
     result = check_separation(Alphabet(3), MetricParams(0.25), 2)
-    assert result.eps0 == 0.25
+    assert result["eps0"] == 0.25
     assert separation_holds_everywhere(Alphabet(3), MetricParams(0.25), 2, 0.25)
 
 
 def test_separation_eps0_consistent_across_degrees():
     for n in (1, 2, 3, 5):
         result = check_separation(Alphabet(2), P, n)
-        assert result.eps0 == 0.5
-        assert result.eps0 <= space_diameter(P)
+        assert result["eps0"] == 0.5
+        assert result["eps0"] <= space_diameter(P)
 
 
 def test_stable_pair_converges_under_forward_shifts():
@@ -588,7 +589,7 @@ def test_orbit_sweep_matches_distance_on_every_start(r):
     p = MetricParams(r)
     for s in sweep_starts():
         for steps in (0, 1, 300):
-            assert orbit_distances(s, p, steps) == per_row(s, p, steps), (s, steps)
+            assert list(orbit_distances(s, p, steps)) == per_row(s, p, steps), (s, steps)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.25])
@@ -597,7 +598,7 @@ def test_orbit_sweep_matches_distance_into_the_subnormal_weights(r, seed):
     # past row 1074 (r = 1/2) or 537 (r = 1/4) the deepest weights are 0.0
     p = MetricParams(r)
     u = UniversalSeq(2, seed)
-    assert orbit_distances(u, p, 1500) == per_row(u, p, 1500)
+    assert list(orbit_distances(u, p, 1500)) == per_row(u, p, 1500)
 
 
 @pytest.mark.parametrize(
@@ -613,7 +614,7 @@ def test_orbit_sweep_matches_distance_into_the_subnormal_weights(r, seed):
 )
 def test_orbit_sweep_matches_distance_on_subnormal_windows(s):
     p = MetricParams(0.5)
-    rows = orbit_distances(s, p, 2140)
+    rows = list(orbit_distances(s, p, 2140))
     assert rows[2100:] == [distance(s.shift(n), s, p) for n in range(2100, 2141)]
 
 
@@ -626,7 +627,7 @@ def test_orbit_sweep_equals_distance_past_row_1075_plus_b(r, b):
     u = UniversalSeq(2, 7, -1 - b)
     assert u.left_tail() == (b, 1)
     first = 1075 + b
-    assert orbit_distances(u, p, first + 40)[first - 40 :] == [
+    assert list(orbit_distances(u, p, first + 40))[first - 40 :] == [
         distance(u.shift(n), u, p) for n in range(first - 40, first + 41)
     ]
 
@@ -635,9 +636,9 @@ def test_orbit_sweep_checks_its_arguments():
     u = UniversalSeq(2, 0)
     with pytest.raises(ValueError):
         orbit_distances(u, P, 10, tol=0.0)
-    assert orbit_distances(u, P, 0) == [distance(u, u, P)]
+    assert list(orbit_distances(u, P, 0)) == [distance(u, u, P)]
     deep = window_padded((2,), -10 ** 9, 1)  # past far beyond the clip depth
-    assert orbit_distances(deep, P, 5) == per_row(deep, P, 5)
+    assert list(orbit_distances(deep, P, 5)) == per_row(deep, P, 5)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.25, 0.125, 2.0 ** -5])
@@ -659,7 +660,7 @@ def test_the_dyadic_sweeps_call_distance_for_no_row(monkeypatch, r):
 
     monkeypatch.setattr("shiftchaos.metric.distance", no_row)
     for s, rows in orbits:
-        assert orbit_distances(s, p, steps) == rows, s
+        assert list(orbit_distances(s, p, steps)) == rows, s
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1008,21 @@ def test_the_orbit_sweep_builds_the_enumeration_once_past_the_head(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(sequences, "_enumeration", counted)
-    rows = orbit_distances(u, P, steps)
+    rows = list(orbit_distances(u, P, steps))
     assert len(calls) <= 2  # the cached head, if no earlier test built it, and the span
     for n in (_HEAD - 45, _HEAD - 1, _HEAD, _HEAD + 100, steps):
         assert rows[n] == distance(u.shift(n), u, P), n
+
+
+def test_the_orbit_sweep_yields_its_rows_in_fixed_memory():
+    # a list of the 2**15 + 1 rows would hold 3.5 MiB
+    u, steps = UniversalSeq(2, 7), 1 << 15
+    sequences.enumeration_prefix(2, 7, _HEAD)  # the head every universal orbit reads
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in orbit_distances(u, P, steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == steps + 1
+    assert peak < 1 << 20
