@@ -27,6 +27,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .metric import MetricParams, check_tolerance, orbit_distances
@@ -38,6 +39,7 @@ from .schema import (
     MAX_WINDOW,
     RECTANGLE_CAP,
     SCHEMA_VERSION,
+    bounded,
     parse_number,
 )
 from .sequences import (
@@ -55,38 +57,44 @@ class ConfigError(ValueError):
     pass
 
 
+# One row per setting, keyed by its config key, in RunConfig's field order:
+# the parser of its text (in a config file or a flag), its default and, for
+# a size, the [lo, hi] cap `RunConfig.validate` holds it to.
+_SETTINGS = {
+    "m": (int, 2),
+    "r": (lambda s: float(Fraction(s)) if "/" in s else float(s), 0.5),
+    "lambda": (parse_number, Fraction(1, 3)),
+    "mu": (parse_number, Fraction(3)),
+    "k": (int, 3),
+    "n": (int, 3),
+    "horizon": (int, 100, 10, MAX_WINDOW),
+    "tol": (float, 1e-12),
+    "out": (Path, Path("out")),
+    "formats": (lambda s: tuple(f.strip() for f in s.split(",") if f.strip()), ("json", "csv")),
+    "seed": (int, 0),
+    "sets": (int, 3),
+    "targets": (int, 3),
+    "recurrence_depth": (int, 10, 1, MAX_STEPS),
+    "metric_depth": (int, 12, 1, MAX_METRIC_DEPTH),
+    "conjugacy_depth": (int, 20, 2, MAX_CONJUGACY_DEPTH),
+    "conjugacy_samples": (int, 25, 0, MAX_CONJUGACY_SAMPLES),
+}
+
+
 class RunConfig(FrozenValue):
-    """One run's settings.  The defaults are class attributes, so
-    `RunConfig.r` reads the default weight base."""
+    """One run's settings: a field per `_SETTINGS` row (`lambda` is `lam`),
+    given by position or keyword.  The defaults are class attributes, so
+    `RunConfig.r` reads the default weight base, and so does the `r` of a
+    config that does not set it."""
 
-    _fields = ("m", "r", "lam", "mu", "k", "n", "horizon", "tol", "out", "formats", "seed",
-               "sets", "targets", "recurrence_depth", "metric_depth", "conjugacy_depth",
-               "conjugacy_samples")
-    m: int = 2
-    r: float = 0.5
-    lam: object = Fraction(1, 3)
-    mu: object = Fraction(3)
-    k: int = 3
-    n: int = 3
-    horizon: int = 100
-    tol: float = 1e-12
-    out: Path = Path("out")
-    formats: tuple[str, ...] = ("json", "csv")
-    seed: int = 0
-    sets: int = 3
-    targets: int = 3
-    recurrence_depth: int = 10
-    metric_depth: int = 12
-    conjugacy_depth: int = 20
-    conjugacy_samples: int = 25
+    _fields = tuple("lam" if key == "lambda" else key for key in _SETTINGS)
 
-    def __init__(self, m=m, r=r, lam=lam, mu=mu, k=k, n=n, horizon=horizon, tol=tol, out=out,
-                 formats=formats, seed=seed, sets=sets, targets=targets,
-                 recurrence_depth=recurrence_depth, metric_depth=metric_depth,
-                 conjugacy_depth=conjugacy_depth, conjugacy_samples=conjugacy_samples) -> None:
-        for name, value in zip(self._fields, (m, r, lam, mu, k, n, horizon, tol, out, formats,
-                                              seed, sets, targets, recurrence_depth, metric_depth,
-                                              conjugacy_depth, conjugacy_samples)):
+    def __init__(self, *args, **kwargs) -> None:
+        if len(args) > len(self._fields):
+            raise TypeError(f"RunConfig takes at most {len(self._fields)} settings")
+        for name, value in chain(zip(self._fields, args), kwargs.items()):
+            if name not in self._fields or name in vars(self):
+                raise TypeError(f"RunConfig got an unknown or repeated setting {name!r}")
             object.__setattr__(self, name, value)
 
     def validate(self, command: str | None = None) -> None:
@@ -108,15 +116,9 @@ class RunConfig(FrozenValue):
                 raise ValueError("need sets >= 0 and targets >= 0")
             if not (0 <= self.seed < 1 << 64):
                 raise ValueError("seed must fit in 64 bits")
-            for name, lo, hi in (
-                ("horizon", 10, MAX_WINDOW),
-                ("recurrence_depth", 1, MAX_STEPS),
-                ("metric_depth", 1, MAX_METRIC_DEPTH),
-                ("conjugacy_depth", 2, MAX_CONJUGACY_DEPTH),
-                ("conjugacy_samples", 0, MAX_CONJUGACY_SAMPLES),
-            ):
-                if not lo <= getattr(self, name) <= hi:
-                    raise ValueError(f"{name} must lie in [{lo}, {hi}]")
+            for key, (_, _, *cap) in _SETTINGS.items():
+                if cap:
+                    bounded(key, getattr(self, key), *cap)
             bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
             if bad:
                 raise ValueError(f"unknown output formats: {bad}")
@@ -136,32 +138,14 @@ class RunConfig(FrozenValue):
             raise ConfigError(str(exc)) from exc
 
 
-_CONFIG_KEYS = {
-    "m": int,
-    "r": lambda s: float(Fraction(s)) if "/" in s else float(s),
-    "lambda": parse_number,
-    "mu": parse_number,
-    "k": int,
-    "n": int,
-    "horizon": int,
-    "tol": float,
-    "out": Path,
-    "formats": lambda s: tuple(f.strip() for f in s.split(",") if f.strip()),
-    "seed": int,
-    "sets": int,
-    "targets": int,
-    "recurrence_depth": int,
-    "metric_depth": int,
-    "conjugacy_depth": int,
-    "conjugacy_samples": int,
-}
-
-_KEY_TO_FIELD = {"lambda": "lam"}
+for _name, _row in zip(RunConfig._fields, _SETTINGS.values()):
+    setattr(RunConfig, _name, _row[1])
+del _name, _row
 
 
 def _parse_value(key: str, text: str, where: str):
     try:
-        return _CONFIG_KEYS[key](text)
+        return _SETTINGS[key][0](text)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
@@ -170,7 +154,7 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
     """The run configuration: `path` (a config file), then `overrides` (a
     config key to a value; text is parsed as in the file, None is unset),
     validated for `command`."""
-    values: dict = {}
+    values = {key: row[1] for key, row in _SETTINGS.items()}  # in field order
     if path is not None:
         try:
             text = _read_utf8(path)
@@ -184,18 +168,15 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[_KEY_TO_FIELD.get(key, key)] = _parse_value(key, val, f"{path}:{lineno}")
+            values[key] = _parse_value(key, val, f"{path}:{lineno}")
     for key, val in overrides.items():
         if isinstance(val, str):
             val = _parse_value(key, val, "command line")
         if val is not None:
-            values[_KEY_TO_FIELD.get(key, key)] = val
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+            values[key] = val
+    config = RunConfig(*values.values())
     config.validate(command)
     return config
 
@@ -427,20 +408,20 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
         from .horseshoe import EscapeError, HorseshoeParams, branch_of, horseshoe_map
 
         hp = HorseshoeParams(config.lam, config.mu)
-        rows = ["n,x,y,symbol"]
         pt = start
         status = 0
-        for n in range(steps + 1):
-            try:
-                symbol = branch_of(pt, hp, n)
-            except EscapeError:
-                rows.append(f"{n},{_float_str(pt.x)},{_float_str(pt.y)},escape")
-                status = 1
-                break
-            rows.append(f"{n},{_float_str(pt.x)},{_float_str(pt.y)},{symbol}")
-            if n < steps:
-                pt = horseshoe_map(pt, hp, n)
-        path.write_bytes(("\n".join(rows) + "\n").encode())
+        with _open_utf8(path) as fh:  # each row as it is made: no table is held
+            fh.write("n,x,y,symbol\n")
+            for n in range(steps + 1):
+                try:
+                    symbol = branch_of(pt, hp, n)
+                except EscapeError:
+                    symbol, status = "escape", 1
+                fh.write(f"{n},{_float_str(pt.x)},{_float_str(pt.y)},{symbol}\n")
+                if status:
+                    break
+                if n < steps:
+                    pt = horseshoe_map(pt, hp, n)
         print(f"wrote {path}")
         return status
     rows = orbit_distances(start, MetricParams(config.r), steps, config.tol)
@@ -493,10 +474,6 @@ def _verify_file(path: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Flags that set a config key, as text for the key's config-file parser.
-_FLAG_KEYS = ("out", "formats", "seed", "m", "r", "lambda", "mu", "k", "n", "horizon", "tol")
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None)
     sub.add_argument("--out")
@@ -529,8 +506,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = load_config(args.config, {key: getattr(args, key) for key in _FLAG_KEYS},
-                             args.command)
+        # each flag that sets a config key passes its text to the key's parser
+        flags = {key: val for key, val in vars(args).items() if key in _SETTINGS}
+        config = load_config(args.config, flags, args.command)
         if args.command == "certify":
             return cmd_certify(config)
         if args.command == "horseshoe":

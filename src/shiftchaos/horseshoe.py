@@ -44,6 +44,13 @@ diagonals and gaps are compared exactly, as integer cross products.
 Reported floats, square roots included (diagonals, conjugacy defects and
 bounds), are the correctly rounded values of the exact ones.
 
+`horseshoe_map` and `horseshoe_inverse`, which the CLI's planar orbits
+run, are the exception: they move a `PlanePoint` in its own arithmetic.
+A float point rounds at every step and mu = 3 triples the error, so
+(0, 0.1) escapes at step 33, not at 38 as the float's exact value would,
+and (0, 1/10) never escapes.  An exact x's denominator grows 3-fold a
+step at lambda = 1/3, so n exact steps take time quadratic in n.
+
 The payloads of the CLI's two horseshoe reports, the hyperbolic-condition
 and the conjugacy report, are built here (`hyperbolic_payload`,
 `conjugacy_payload`), by the writer and by `certify.verify_certificate`

@@ -51,12 +51,12 @@ compensates float sums from Python 3.12 on).
 has a constant past (s(j) = c for j <= b, -L(r) <= b <= 0: a deeper
 constant past is taken from -L(r) on) and r = 2**-q, q <= 5, the deep
 positions b - n + 1..b of row n, where the shifted sequence reads
-s(j + n) against c, are the low n digits of one numeral F of s(b + 1),
-s(b + 2), .. against c, s(b + 1) least significant.
-A row keeps its -b shallow digits, read per row, then the top
-m = min(n, L(r) + b) of those n: (F >> q*(n - m)) & (2**(q*m) - 1).
-CPython's `>>` copies the part of F above the shift, so that read costs
-O(steps - n) digits a row.  Every row cuts its future at the depths row 1
+s(j + n) against c, are s(b + n), .., s(b + 1) against c.  A row keeps
+its -b shallow digits, read per row, then the first m = min(n, L(r) + b)
+of those deep ones, from a sliding numeral of at most L(r) + b digits:
+row n adds [s(b + n) != c] as its most significant digit and, once
+n > L(r) + b, shifts out its least, so each row costs O(L(r)) digits
+whatever the steps.  Every row cuts its future at the depths row 1
 does, fd, and compares s(n + 1)..s(n + fd) with s(1)..s(fd), both read
 from the one span s(b + 1)..s(steps + fd) that also holds the sources.
 A constant s (s.shift(1) == s) reads nothing: its rows are all zero.
@@ -299,6 +299,8 @@ def distance(
     (fe, fp, er), (pe, pp, el) = _cuts(s, t, r, tol)
     fd, pd = fe + fp, pe + pp
     sw, tw = s.span(1 - pd, fd), t.span(1 - pd, fd)  # the past is sw[:pd]
+    if sw.__class__ is not tw.__class__:  # a tuple span may hold the bytes of the other
+        sw, tw = tuple(sw), tuple(tw)
     if sw == tw:
         return DistanceBound(0.0, er + el)
     diff, q = _mismatches(sw, tw), _dyadic(r)
@@ -341,22 +343,24 @@ def orbit_distances(
     fd = fe + fp
     # sources[i] = s(b + 1 + i); row n compares s(n + j) with s(j), and its
     # deep positions j = b - n + 1..b read sources 0..n - 1 against c, the
-    # source i at depth n - b - i: digit i of `deep` from the least.  Its
-    # future depths 1..fd read sources n - b.. against `future`, sources -b..
-    sources, run = s.span(b + 1, steps + fd), (c,) * (steps - b)
-    deep = _numeral(sources[: steps - b], bytes(run) if c < 256 else run, q, True)
+    # source i at depth n - b - i.  Its future depths 1..fd read sources
+    # n - b.. against `future`, sources -b..
+    sources = s.span(b + 1, steps + fd)
     past, future = sources[:-b], sources[-b : fd - b]
 
     def rows():
         yield DistanceBound(0.0, 0.0)
-        el = 0.0
+        el, deep = 0.0, 0
         for n in range(1, steps + 1):
             right = _numeral(sources[n - b : n - b + fd], future, q, False)
-            # depths 1..-b are the shallow positions b + 1..0, then m deep
-            # ones, digits n - 1..n - m of `deep`; the positions below agree
+            # depths 1..-b are the shallow positions b + 1..0, then m deep ones:
+            # `deep` holds sources n - 1..n - m, the first most significant
             m = min(n, clip + b)
+            deep |= (sources[n - 1] != c) << q * min(n - 1, m)
+            if n > m:  # source n - m - 1 falls below the clip
+                deep >>= q
             shallow = _numeral(sources[n : n - b], past, q, True)
-            left = (shallow << q * m) | ((deep >> q * (n - m)) & ((1 << q * m) - 1))
+            left = (shallow << q * m) | deep
             # a row reading fewer digits is exact; a row's explicit past depth
             # grows with n, so once one row's past is clipped, every later one is
             if m == clip + b and not el:

@@ -6,6 +6,7 @@ import math
 import re
 from fractions import Fraction
 import time
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -749,6 +750,11 @@ def test_config_is_read_as_utf8_without_a_bom(tmp_path):
 @pytest.mark.parametrize(
     "line",
     [
+        "horizon = 9",
+        f"horizon = {MAX_WINDOW + 1}",
+        "recurrence_depth = 0",
+        f"recurrence_depth = {MAX_STEPS + 1}",
+        "metric_depth = 0",
         f"metric_depth = {MAX_METRIC_DEPTH + 1}",
         f"conjugacy_depth = {MAX_CONJUGACY_DEPTH + 1}",
         f"conjugacy_samples = {MAX_CONJUGACY_SAMPLES + 1}",
@@ -1059,6 +1065,9 @@ ORBIT_PINS = {
         "cc0d48e784b68749e58d55e060a25d7f2b9d516ca87f7df9e602e0cb2d9700e9",
     ("universal:1", "--m", "300", "--steps", "200"):
         "7e0187f5d6bf4e5b71e83ae0b1adaf32d3321c94b097d9eaf586fad8ea42e6e3",
+    # rows past the clip depth L(1/2) = 1077, where the sweep's deep numeral slides
+    ("universal:7", "--steps", "4000"):
+        "09ab89fe91f504235c967a1cdbfa15f3bcf87d3dacc8c1ee2361b5c49e6eba32",
 }
 
 
@@ -1080,7 +1089,9 @@ def test_certify_files_match_their_pinned_bytes(tmp_path, lines):
     assert _digests(out) == _pinned(CERTIFY_PINS[lines])
 
 
-@pytest.mark.parametrize("flags", list(ORBIT_PINS), ids=lambda flags: flags[0])
+@pytest.mark.parametrize(  # an id names its steps when they pass the clip depth
+    "flags", list(ORBIT_PINS),
+    ids=lambda flags: flags[0] if int(flags[-1]) <= 1077 else f"{flags[0]}-{flags[-1]}")
 def test_orbit_files_match_their_pinned_bytes(tmp_path, flags):
     out = tmp_path / "o"
     assert run("orbit", "--out", str(out), "--start", *flags) == 0
@@ -1176,6 +1187,22 @@ def test_orbit_horseshoe_fixed_point(tmp_path):
     rows = (out / "orbit.csv").read_text().splitlines()
     assert len(rows) == 12
     assert all(row == f"{n},0.0,0.0,1" for n, row in enumerate(rows[1:]))
+
+
+@pytest.mark.parametrize("steps", [1 << 14, 1 << 16])
+def test_planar_orbit_writes_its_rows_in_fixed_memory(tmp_path, steps):
+    # a list of the 2**16 + 2 lines would hold 6.5 MiB
+    argv = ["orbit", "--out", str(tmp_path / "orb"), "--start", "point:0,0", "--steps", str(steps)]
+    assert main(argv) == 0  # warm: the horseshoe layer is loaded
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+    with open(tmp_path / "orb" / "orbit.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == steps + 2
 
 
 def test_orbit_escape_marks_row_and_fails(tmp_path):

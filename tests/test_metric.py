@@ -808,6 +808,15 @@ def described_sequences(draw, m, depth=0, far=False):
     return base.shift(steps), (kind, base_desc, steps)
 
 
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_equal_sequences_read_zero_when_one_span_is_a_tuple(r):
+    # over 256 symbols a universal past reads its padding as a tuple of ones,
+    # which equals the bytes of the constant sequence it is spliced to
+    ones = periodic_point((1,))
+    spliced = SplicedSeq(UniversalSeq(256), ones)
+    assert distance(ones, spliced, MetricParams(r)) == DistanceBound(0.0, 0.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), m=st.sampled_from([2, 3, 256, 300]), r=st.sampled_from([0.5, 0.3]),
        tol=st.sampled_from([1e-12, 1e-4]))
