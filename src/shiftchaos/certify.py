@@ -56,7 +56,6 @@ from .schema import MAX_METRIC_DEPTH, MAX_STEPS, MAX_WINDOW, SCHEMA_VERSION, bou
 from .sequences import (
     Alphabet,
     BiSequence,
-    EnumerationScan,
     EventuallyPeriodicSeq,
     FrozenValue,
     UniversalSeq,
@@ -69,8 +68,6 @@ from .sequences import (
     window_padded,
 )
 
-_SCAN_CAP = 1 << 21  # enumeration symbols the Poisson scan searches
-MAX_SCAN_ALPHABET = 255  # the Poisson scan reads the enumeration as bytes
 _AGREEMENT_DEPTH = 64  # finite-depth check for shared-past / shared-future claims
 
 
@@ -201,7 +198,7 @@ def check_witness_room(
     room for every witness a suite with these Poisson `depths`, periodic
     `deltas` and sensitivity `epsilons` finds, whatever its sequences.
 
-    The Poisson fallback at depth j agrees on [-j, j + 1] and must stay below
+    The Poisson return at depth j agrees on [-j, j + 1] and must stay below
     the depth-j threshold, which holds while the truncation depth is above
     j; a periodic witness agrees on [-k, k] and a sensitivity partner on
     every position <= k; the sensitivity divergence differs at every
@@ -322,40 +319,31 @@ def poisson_recurrence_witness(
     """Return times of the universal member to shrinking windows around
     itself: numerical recurrence evidence, never a proof.
 
-    For each depth j the orbit must re-enter the window [-j, j] around the
-    starting point: the enumeration future revisits the word u(-j)..u(j) at
-    some position q >= 1, giving the return time n = q + j.  Occurrences are
-    scanned in the first `_SCAN_CAP` enumeration symbols first (earliest hit
-    wins), through one `sequences.EnumerationScan` whose window each depth's
-    search, starting at the previous hit, moves only forward; beyond the cap
-    the exact entry position of the extended word u(-j)..u(j+1) is used,
-    whose agreement margin makes the threshold check unconditional.
+    At depth j the time is q + j, where q is the enumeration entry of the
+    extended word u(-j)..u(j+1), so the orbit agrees with u on [-j, j + 1]:
+    a margin `check_witness_room` proves below the depth-j threshold.  The
+    times strictly increase, as the entries' sections come in length order.
     """
     check_steps("depths", depths, p, tol)
-    u = universal_member(u_set, seed)
-    m = u_set.alphabet.m
-    scan = EnumerationScan(m, seed, _SCAN_CAP)
-    times: list[int] = []
-    prev_q = 0
-    for j in range(1, depths + 1):
-        word = bytes(u.span(-j, j))
-        threshold = _window_threshold(j, p)
-        search_from = max(prev_q, 1)
-        q = scan.find(word, search_from)
-        while q != -1:
-            d = distance(u.shift(q + j), u, p, tol)
-            if d.value + d.error < threshold:
-                break
-            q = scan.find(word, q + 1)
-        if q == -1:
-            q = enumeration_position(m, seed, u.window(-j, j + 1))
-            if q < search_from:
-                raise AssertionError("return-time search lost monotonicity")
-        times.append(q + j)
-        prev_q = q
+    u, m = universal_member(u_set, seed), u_set.alphabet.m
+    times = [enumeration_position(m, seed, u.span(-j, j + 1)) + j for j in range(1, depths + 1)]
     return _certificate(
         "poisson_recurrence", poisson_recurrence_payload(u_set, depths, p, seed, tol, times)
     )
+
+
+def check_return_digits(m: int, depths: int) -> None:
+    """ValueError unless every return time up to `depths` over m symbols
+    prints within Python's int-to-str digit limit: the time at depth j lies
+    below the start of the enumeration section of length 2j + 3."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    start, power, cap = 0, 1, 10 ** limit if limit else math.inf
+    for length in range(1, 2 * depths + 3):  # sums the start of section 2 * depths + 3
+        power *= m
+        start += length * power
+        if start > cap:
+            raise ValueError(f"recurrence_depth {depths} at m={m} gives return times past "
+                             f"Python's limit of {limit} digits for an integer as text")
 
 
 def poisson_recurrence_payload(

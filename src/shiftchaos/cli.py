@@ -126,11 +126,9 @@ class RunConfig(FrozenValue):
                 return
             from . import certify as cert
 
-            if self.m > cert.MAX_SCAN_ALPHABET:
-                raise ValueError(f"certify needs m <= {cert.MAX_SCAN_ALPHABET}: its Poisson scan "
-                                 "stores symbols as bytes")
             # its files stay within their caps, and every witness passes its check
             cert.check_steps("recurrence_depth", self.recurrence_depth, p, self.tol)
+            cert.check_return_digits(self.m, self.recurrence_depth)
             cert.check_n_max(_CONVERGENCE_STEPS, p, self.tol)
             cert.check_horizon(p, self.horizon)
             cert.check_witness_room(p, self.tol, self.recurrence_depth, _DELTAS, _EPSILONS)
@@ -199,6 +197,15 @@ def _open_utf8(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _make_out(out: Path) -> Path:
+    """The output directory `out`, made if missing; ConfigError if it cannot be."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+    return out
+
+
 def _write_json(path: Path, kind: str, data: dict) -> None:
     import json
 
@@ -223,8 +230,7 @@ _EPSILONS = (0.25, 1e-2)  # of the sensitivity certificates
 def cmd_certify(config: RunConfig) -> int:
     from . import certify as cert
 
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(config.out)
     a = Alphabet(config.m)
     p = MetricParams(config.r)
     rng = random.Random(config.seed)
@@ -330,8 +336,7 @@ def _write_svg(path: Path, pasts, futures) -> None:
 def cmd_horseshoe(config: RunConfig) -> int:
     from .horseshoe import HorseshoeParams, conjugacy_payload, hyperbolic_payload, rectangle_lattice
 
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(config.out)
     hp = HorseshoeParams(config.lam, config.mu)
     pasts, futures = rectangle_lattice(hp, config.k, config.n)  # validate checked k and n
     if "csv" in config.formats:
@@ -401,8 +406,7 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
     if not 0 <= steps <= MAX_WINDOW:
         raise ConfigError(f"steps must lie in [0, {MAX_WINDOW}]")
     start = parse_descriptor(descriptor, config.m)
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(config.out)
     path = out / "orbit.csv"
     if not isinstance(start, BiSequence):  # a plane point
         from .horseshoe import EscapeError, HorseshoeParams, branch_of, horseshoe_map

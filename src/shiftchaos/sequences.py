@@ -37,9 +37,7 @@ eventually periodic sequences cycle their words' stored symbols as they
 are.  The universal sequence has one generator, which builds the
 enumeration column by column from any position; ``enumeration_prefix``
 caches the head it builds, and for m <= 255 a span that ends inside the
-first ``_HEAD`` symbols is a slice of that one head.  `EnumerationScan`
-finds words further on through one window that starts as that head and
-only moves forward.
+first ``_HEAD`` symbols is a slice of that one head.
 
 All values are immutable; every operation is a pure function.  The
 immutability comes from :class:`FrozenValue`, the base of every value class
@@ -52,8 +50,8 @@ from __future__ import annotations
 
 import math
 import operator
-from array import array
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain
 
 
 class FrozenValue:
@@ -348,7 +346,7 @@ def enumeration_position(m: int, seed: int, word) -> int:
 
 def _enumeration(m: int, seed: int, lo: int, count: int):
     """Enumeration symbols at positions lo..lo+count-1 (0 <= lo): bytes with
-    values 1..m for m <= 255, array('L') above.
+    values 1..m for m <= 255, a tuple of ints above.
 
     Column k of the length-L section cycles through runs of run = m**(L-1-k)
     copies of each symbol from offset rot % (m * run), where rot is the
@@ -356,8 +354,7 @@ def _enumeration(m: int, seed: int, lo: int, count: int):
     is built for the entries needed (a period at most, then repeated) and
     written by one extended-slice assignment: work memory is 2 * count
     symbols.  The first entry's symbols before lo are built, then dropped."""
-    # bytearray writes extended slices several times faster than array
-    unit = bytearray if m <= 255 else partial(array, "L")
+    unit = bytearray if m <= 255 else list  # a list holds symbols of any size
     length, start = _section_locate(m, lo)
     index, skip = divmod(lo - start, length)
     sections, end, stop = [], 0, skip + count
@@ -378,8 +375,7 @@ def _enumeration(m: int, seed: int, lo: int, count: int):
         del section[stop - end :], section[:skip], col  # col: not kept alive through the join
         sections.append(section)
         end, length, index, skip = end + length * entries, length + 1, 0, 0
-    out = b"".join(sections)
-    return out if m <= 255 else array("L", out)
+    return b"".join(sections) if m <= 255 else tuple(chain.from_iterable(sections))
 
 
 @lru_cache(maxsize=8)
@@ -391,34 +387,6 @@ def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
 
 
 _HEAD = 1 << 16  # symbols of the cached enumeration head that windows slice
-
-
-class EnumerationScan:
-    """Occurrences of words in the first `cap` symbols of one enumeration
-    (m <= 255), read through one window that only moves forward: first the
-    cached head, then, from where a search runs past a window's end, _HEAD
-    symbols plus the len(word) - 1 that overlap the last one."""
-
-    __slots__ = ("m", "seed", "cap", "base", "window")
-
-    def __init__(self, m: int, seed: int, cap: int) -> None:
-        self.m, self.seed, self.cap = m, seed, cap
-        self.base, self.window = 0, enumeration_prefix(m, seed, _HEAD)[:cap]
-
-    def find(self, word: bytes, start: int) -> int:
-        """The least i >= start with `word` at enumeration positions
-        i..i + len(word) - 1, all below the cap; -1 when there is none."""
-        size = len(word)
-        while True:
-            if start >= self.base:
-                i = self.window.find(word, start - self.base)
-                if i != -1:
-                    return self.base + i
-                start = max(start, self.base + len(self.window) - size + 1)
-            if start + size > self.cap:
-                return -1
-            count = min(_HEAD + size - 1, self.cap - start)
-            self.base, self.window = start, _enumeration(self.m, self.seed, start, count)
 
 
 class UniversalSeq(BiSequence):
@@ -447,7 +415,7 @@ class UniversalSeq(BiSequence):
         ones = max(0, min(b, 0) - a)  # the padded negative side
         a, b = max(a, 0), max(b, 0)
         if self.m > 255:
-            return (1,) * ones + tuple(_enumeration(self.m, self.seed, a, b - a))
+            return (1,) * ones + _enumeration(self.m, self.seed, a, b - a)
         if b <= _HEAD:
             return b"\1" * ones + enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
         return b"\1" * ones + _enumeration(self.m, self.seed, a, b - a)

@@ -1,7 +1,6 @@
 """Witness construction and self-verification of the chaos certificates."""
 
 import json
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -45,12 +44,13 @@ from shiftchaos.certify import (
     check_witness_room,
     diameter_payload,
     li_yorke_payload,
+    poisson_recurrence_payload,
     random_two_sided_target,
     random_unstable_set,
     separation_payload,
 )
 from shiftchaos.metric import separation_holds_everywhere, set_distance
-from shiftchaos.sequences import _HEAD, EnumerationScan, enumeration_prefix
+from shiftchaos.sequences import _HEAD, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
 
@@ -200,20 +200,30 @@ def test_sensitivity_partner_agrees_then_differs():
 # -- recurrence -------------------------------------------------------------
 
 
+def _entry_index(m, seed, word):
+    """Where the entry of `word` starts in the word-by-word enumeration:
+    entries of one length lie that many symbols apart, after the shorter ones."""
+    size = len(word)
+    first = sum(length * m ** length for length in range(1, size))
+    ref = _ref_enumeration(m, seed, size * m ** size, first)
+    return first + next(i for i in range(0, len(ref), size) if ref[i : i + size] == word)
+
+
 def test_poisson_first_return_matches_brute_scan():
-    u_set = ones_past()
-    cert = poisson_recurrence_witness(u_set, 3, P)
-    u = universal_member(u_set)
-    # oracle: earliest future occurrence of the window around the dot
-    window = u.window(-1, 1)
-    symbols = u.window(1, 200)
-    first = None
-    for q in range(1, 150):
-        if tuple(symbols[q - 1 : q + 2]) == window:
-            first = q
-            break
-    assert cert.data["times"][0] == first + 1
-    assert verify_certificate(as_payload(cert)).ok
+    # the time at depth j minus j is the entry of the extended window
+    # u(-j)..u(j+1), whose symbols the shifted orbit then repeats
+    for m, past, seed, depths in [
+        (2, periodic((1,), 0), 0, 4),
+        (2, window_padded((2, 1), -1, 2), 3, 4),
+        (3, periodic((3, 1), 0), 11, 2),
+    ]:
+        u_set = UnstableSetId(Alphabet(m), past)
+        cert = poisson_recurrence_witness(u_set, depths, P, seed=seed)
+        u = universal_member(u_set, seed)
+        for j, n in enumerate(cert.data["times"], 1):
+            assert n - j == _entry_index(m, seed, bytes(u.window(-j, j + 1)))
+            assert u.shift(n).window(-j, j + 1) == u.window(-j, j + 1)
+        assert verify_certificate(as_payload(cert)).ok
 
 
 def test_poisson_times_increase_thresholds_decrease():
@@ -240,8 +250,31 @@ def test_poisson_rejects_bad_depth():
         poisson_recurrence_witness(ones_past(), 0, P)
 
 
-# Return times as a scan of the word-by-word prefix found them, inside the
-# 2**21-symbol scan prefix and past it.
+# Return times as the closed form gives them, from the entries of the
+# extended windows u(-j)..u(j+1).
+@pytest.mark.parametrize(
+    "m, past, seed, times",
+    [
+        (2, window_padded((2, 1), -1, 2), 3, [
+            47, 548, 2693, 14408, 76847, 247884, 1913145, 4953392, 26122079, 173577694,
+            411667205, 3225403460, 10532663915, 36688090568,
+        ]),
+        (3, periodic((3, 1), 0), 11, [
+            135, 2729, 49359, 293343, 5652911, 91754061, 526698383, 5531299769, 36043553059,
+            530101476183,
+        ]),
+    ],
+)
+def test_poisson_return_times_are_frozen(m, past, seed, times):
+    u_set = UnstableSetId(Alphabet(m), past)
+    cert = poisson_recurrence_witness(u_set, len(times), P, seed=seed)
+    assert cert.data["times"] == times
+    assert verify_certificate(as_payload(cert)).ok
+
+
+# Return times as an earlier writer found them, scanning the first 2**21
+# enumeration symbols for the window u(-j)..u(j): any strictly increasing
+# times that beat their thresholds verify.
 @pytest.mark.parametrize(
     "m, past, seed, times",
     [
@@ -255,54 +288,10 @@ def test_poisson_rejects_bad_depth():
         ]),
     ],
 )
-def test_poisson_return_times_are_frozen(m, past, seed, times):
+def test_files_with_scanned_return_times_still_verify(m, past, seed, times):
     u_set = UnstableSetId(Alphabet(m), past)
-    cert = poisson_recurrence_witness(u_set, len(times), P, seed=seed)
-    assert cert.data["times"] == times
-    assert verify_certificate(as_payload(cert)).ok
-
-
-def _occurrences(find, word, cap):
-    """Every i >= 1 with `word` at i..i + len(word) - 1 < cap, by chained finds."""
-    found, i = [], find(word, 1)
-    while i != -1 and i + len(word) <= cap:
-        found.append(i)
-        i = find(word, i + 1)
-    return found
-
-
-@pytest.mark.parametrize("m, seed", [(2, 0), (2, 3), (2, 2 ** 63), (3, 0), (3, 11)])
-def test_windowed_scan_finds_what_a_scan_of_the_whole_prefix_finds(monkeypatch, m, seed):
-    window, cap = 97, 6000
-    monkeypatch.setattr("shiftchaos.sequences._HEAD", window)
-    ref = _ref_enumeration(m, seed, cap)
-    # words planted across the first window's edge and deep in the prefix
-    for lo, size in [(window - 2, 5), (window - 1, 2), (window - 6, 13), (2500, 9), (cap - 7, 7)]:
-        word = ref[lo : lo + size]
-        expected = _occurrences(ref.find, word, cap)
-        assert lo in expected
-        scan = EnumerationScan(m, seed, cap)
-        assert _occurrences(scan.find, word, math.inf) == expected
-    # searches that start at the previous hit with longer and longer words,
-    # as the Poisson depths do, share one window that only moves forward
-    scan, start = EnumerationScan(m, seed, cap), 1
-    for size in range(1, 30, 2):
-        word = ref[4000 - size : 4000]
-        expected = ref.find(word, start)
-        if expected + size > cap:
-            expected = -1
-        assert scan.find(word, start) == expected
-        if expected == -1:
-            break
-        start = expected
-
-
-@pytest.mark.parametrize("cap", [2, 50, 2000])
-def test_scan_finds_nothing_past_a_cap_inside_the_first_window(cap):
-    ref = _ref_enumeration(3, 5, cap + 40)
-    for word in (ref[cap - 1 : cap], ref[cap - 2 : cap + 1], ref[cap + 10 : cap + 14]):
-        expected = _occurrences(ref.find, word, cap)
-        assert _occurrences(EnumerationScan(3, 5, cap).find, word, math.inf) == expected
+    payload = poisson_recurrence_payload(u_set, len(times), P, seed, 1e-12, times)
+    assert verify_certificate(as_payload(_certificate("poisson_recurrence", payload))).ok
 
 
 def test_poisson_times_do_not_depend_on_the_window(monkeypatch):
@@ -322,7 +311,7 @@ def test_poisson_scan_memory_does_not_grow_with_the_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a prefix of the whole 2**21-symbol cap peaks at 4 MiB while it is built
+    # closed-form times build no enumeration beyond the windows distances read
     assert peak < 512 * 1024
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 import time
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftchaos.certify import VerificationResult, verify_certificate
+from shiftchaos.certify import VerificationResult, check_return_digits, verify_certificate
 from shiftchaos.schema import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
@@ -441,14 +442,47 @@ def test_certify_accepts_an_error_its_witnesses_absorb(tmp_path, flags):
     assert run("certify", "--out", str(tmp_path / "c"), *flags) == 0
 
 
-def test_certify_alphabet_cap_is_255(tmp_path, capsys):
-    assert run("certify", "--m", "256", "--out", str(tmp_path / "c256")) == 2
-    assert "m <= 255" in capsys.readouterr().err
-    assert not (tmp_path / "c256").exists()
-    assert run("certify", "--m", "255", "--out", str(tmp_path / "c255")) == 0
-    # orbits and horseshoes have no byte scan
-    assert run("orbit", "--m", "256", "--start", "universal", "--steps", "3",
-               "--out", str(tmp_path / "o")) == 0
+def test_certify_takes_alphabets_past_255(tmp_path):
+    for m in ("255", "256", "300"):
+        out = tmp_path / m
+        assert run("certify", "--m", m, "--out", str(out)) == 0
+        assert all(verify_file(path, quiet=True) == 0 for path in out.iterdir())
+
+
+def test_orbit_takes_symbols_past_64_bits(tmp_path):
+    out = tmp_path / "o"
+    assert run("orbit", "--start", "universal:99999999999", "--m", str(2 ** 70),
+               "--out", str(out)) == 0
+    assert len((out / "orbit.csv").read_text().splitlines()) == 52
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("certify",), ("horseshoe",), ("orbit", "--start", "universal", "--steps", "3")],
+    ids=["certify", "horseshoe", "orbit"],
+)
+def test_an_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    for out in (blocker, blocker / "sub"):
+        assert run(*command, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make output directory ") and err.count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python prints integers of any length")
+def test_certify_refuses_return_times_past_the_int_digit_limit(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 255\nrecurrence_depth = 900\ntol = 1e-290\nsets = 1\ntargets = 0\n")
+    out = tmp_path / "c"
+    start = time.perf_counter()
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 2
+    assert time.perf_counter() - start < 2
+    assert f"limit of {sys.get_int_max_str_digits()} digits" in capsys.readouterr().err
+    assert not out.exists()
+    check_return_digits(2, MAX_STEPS)  # two symbols stay admitted at every depth
 
 
 @pytest.mark.parametrize(
@@ -1047,7 +1081,8 @@ def test_horseshoe_files_match_their_pinned_bytes(tmp_path, flags):
 # sha256 of every file written by these runs.  A certify run writes dozens of
 # files, so its digests live in `sha256sum` format under tests/data/pins.  All
 # of these runs are at r = 1/2 or 1/4, and were pinned again when distances
-# there became correctly rounded integer quotients.
+# there became correctly rounded integer quotients.  Each poisson_recurrence.json
+# (and the r = 0.3 one) was pinned again when return times became closed-form.
 PINS = Path(__file__).parent / "data" / "pins"
 CERTIFY_PINS = {
     (): "certify_seed5.sha256",
@@ -1226,18 +1261,15 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     )
 
     orb_out = tmp_path / "orb"
-    assert run("orbit", "--out", str(orb_out), "--start", "universal", "--steps", "100") == 0
+    assert run("orbit", "--out", str(orb_out), "--start", "universal", "--steps", "2000") == 0
     rows = (orb_out / "orbit.csv").read_text().splitlines()[1:]
     distances = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     # the `universal` orbit start has an all-1 past: certify the same set
     u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 4, MetricParams(0.5))
-    checked = 0
-    for n, thr in zip(cert.data["times"], cert.data["thresholds"]):
-        if n <= 100:
-            assert distances[n] < thr
-            checked += 1
-    assert checked >= 2  # the early dips land inside the orbit horizon
+    assert cert.data["times"] == [43, 284, 1605, 8368]
+    for n, thr in zip(cert.data["times"][:3], cert.data["thresholds"]):
+        assert distances[n] < thr  # the first three dips land inside the orbit horizon
 
 
 def orbit_oracle(m, seed, steps, r=0.5, depth=60):

@@ -624,6 +624,13 @@ def test_universal_windows_above_255_symbols_match_the_reference(m, seed):
         assert u.shift(lo).symbol_at(0) == _ref_enumeration(m, seed, 1, lo)[0]
 
 
+def test_universal_spans_past_64_bit_symbols_match_the_reference():
+    m, seed = 2 ** 70, 99999999999
+    u = UniversalSeq(m, seed)
+    assert u.span(0, 60) == _ref_enumeration(m, seed, 61)
+    assert u.span(m - 3, m + 8) == _ref_enumeration(m, seed, 12, m - 3)  # into the pairs
+
+
 def test_head_is_not_part_of_identity():
     u = UniversalSeq(3, 2 ** 63, 4)
     u.window(0, 3000)  # reads the cached head
