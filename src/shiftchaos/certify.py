@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from itertools import islice
 
 from .cylinders import CylinderSet, two_sided_cylinder
 from .metric import (
@@ -60,6 +61,7 @@ from .sequences import (
     FrozenValue,
     UniversalSeq,
     enumeration_position,
+    enumeration_sections,
     flip,
     periodic,
     sequence_from_payload,
@@ -337,10 +339,8 @@ def check_return_digits(m: int, depths: int) -> None:
     prints within Python's int-to-str digit limit: the time at depth j lies
     below the start of the enumeration section of length 2j + 3."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    start, power, cap = 0, 1, 10 ** limit if limit else math.inf
-    for length in range(1, 2 * depths + 3):  # sums the start of section 2 * depths + 3
-        power *= m
-        start += length * power
+    cap = 10 ** limit if limit else math.inf
+    for _, start, _ in islice(enumeration_sections(m), 2 * depths + 3):
         if start > cap:
             raise ValueError(f"recurrence_depth {depths} at m={m} gives return times past "
                              f"Python's limit of {limit} digits for an integer as text")
@@ -522,7 +522,7 @@ def convergence_payload(
         if not d.value <= bound + d.error:
             raise AssertionError(f"{name}-set distance exceeded its tail bound")
         rows.append({"n": n, "value": d.value, "error": d.error, "bound": bound})
-    if not d.value < p.r ** (n_max - 1):
+    if not d.value + d.error < p.r ** (n_max - 1):
         raise AssertionError(f"{name}-set distance failed its terminal bound")
     return {
         "r": p.r,

@@ -37,9 +37,9 @@ from .schema import (
     MAX_METRIC_DEPTH,
     MAX_STEPS,
     MAX_WINDOW,
-    RECTANGLE_CAP,
     SCHEMA_VERSION,
     bounded,
+    check_grid,
     parse_number,
 )
 from .sequences import (
@@ -108,10 +108,7 @@ class RunConfig(FrozenValue):
             if not 0 < self.tol < math.inf:
                 raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
             check_tolerance(self.r, self.tol)
-            if self.k < 0 or self.n < 1:
-                raise ValueError("need k >= 0 and n >= 1")
-            if 2 ** (self.k + 1 + self.n) > RECTANGLE_CAP:
-                raise ValueError("rectangle cap exceeded: k + n too deep")
+            check_grid(self.k, self.n)
             if self.sets < 0 or self.targets < 0:
                 raise ValueError("need sets >= 0 and targets >= 0")
             if not (0 <= self.seed < 1 << 64):

@@ -70,8 +70,8 @@ from .schema import (
     MAX_CONJUGACY_DEPTH,
     MAX_CONJUGACY_SAMPLES,
     MAX_METRIC_DEPTH,
-    RECTANGLE_CAP,
     bounded,
+    check_grid,
     parse_number,
 )
 from .sequences import BiSequence, FiniteWord, FrozenValue, as_word, periodic_point
@@ -284,9 +284,6 @@ class SymbolicRectangle(FrozenValue):
     def height(self):
         return self.y_hi - self.y_lo
 
-    def diagonal_sq(self):
-        return self.width() ** 2 + self.height() ** 2
-
     def gap_sq_to(self, other: "SymbolicRectangle"):
         """Squared Euclidean distance between the two closed boxes."""
         dx = max(self.x_lo - other.x_hi, other.x_lo - self.x_hi, 0)
@@ -371,10 +368,7 @@ def rectangle_lattice(
     rectangles are the product of the 2**(k+1) `pasts` and the 2**n
     `futures`, past outermost.
     """
-    if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
-    if 2 ** (k + 1 + n) > RECTANGLE_CAP:
-        raise ValueError(f"rectangle cap exceeded: 2**{k + 1 + n} > 2**20")
+    check_grid(k, n)
     pasts = [Interval(p, *_x_interval(p, hp)) for p in product((1, 2), repeat=k + 1)]
     futures = [Interval(f, *_y_interval(f, hp)) for f in product((1, 2), repeat=n)]
     return pasts, futures
@@ -431,8 +425,7 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> dict:
     the report does not store."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    if 2 ** (2 * max_depth + 1) > RECTANGLE_CAP:
-        raise ValueError("max_depth exceeds the rectangle cap")
+    check_grid(max_depth, max_depth)
     # every cell's diagonal from the 2 * max_depth factor sides, built once
     depths = range(1, max_depth + 1)
     widths = {k: _width(hp, k) for k in depths}

@@ -74,10 +74,6 @@ from typing import Callable, Iterator
 from .cylinders import CylinderSet, all_words, future_cylinder
 from .sequences import Alphabet, BiSequence, FrozenValue
 
-# Byte spans up to this long are compared symbol by symbol, which costs
-# less there than converting them to integers.
-_SHORT_SPAN = 8
-
 # The truncated sums never compare more positions than this per side: a
 # weight base so close to 1 that the tolerance needs more is refused.
 _MAX_TRUNCATION_DEPTH = 1 << 20
@@ -191,9 +187,10 @@ def _powers(r: float, top: int) -> list[float]:
 
 def _mismatches(sw, tw) -> bytes:
     """Nonzero at each position where the spans sw and tw differ and zero
-    elsewhere: one XOR for two byte spans longer than `_SHORT_SPAN`, else
-    the booleans of `map(ne, ...)` as bytes."""
-    if len(sw) > _SHORT_SPAN and sw.__class__ is bytes is tw.__class__:
+    elsewhere: one XOR for two byte spans of any length (no slower than
+    comparing symbol by symbol even at one symbol), else the booleans of
+    `map(ne, ...)` as bytes."""
+    if sw.__class__ is bytes is tw.__class__:
         diff = int.from_bytes(sw, "big") ^ int.from_bytes(tw, "big")
         return diff.to_bytes(len(sw), "big")
     return bytes(map(ne, sw, tw))

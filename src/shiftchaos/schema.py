@@ -33,6 +33,15 @@ def bounded(name: str, value, lo: int, hi: int) -> int:
     return value
 
 
+def check_grid(k: int, n: int) -> None:
+    """ValueError unless k >= 0, n >= 1 and the 2**(k + 1 + n) rectangles
+    of the level-(k, n) grid fit `RECTANGLE_CAP`, by exponent: no power."""
+    if k < 0 or n < 1:
+        raise ValueError("need k >= 0 and n >= 1")
+    if k + 1 + n > RECTANGLE_CAP.bit_length() - 1:
+        raise ValueError(f"rectangle cap exceeded: 2**{k + 1 + n} > {RECTANGLE_CAP}")
+
+
 def parse_number(text: str):
     """Accept ints, floats, and exact fractions like 1/3."""
     text = text.strip()

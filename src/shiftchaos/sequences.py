@@ -35,9 +35,10 @@ Each kind reads its symbols through one primitive, ``span(lo, hi)``:
 A :class:`FiniteWord` stores its symbols once, in that same form, so
 eventually periodic sequences cycle their words' stored symbols as they
 are.  The universal sequence has one generator, which builds the
-enumeration column by column from any position; ``enumeration_prefix``
-caches the head it builds, and for m <= 255 a span that ends inside the
-first ``_HEAD`` symbols is a slice of that one head.
+enumeration column by column from any position, walking its sections
+with ``enumeration_sections``; ``enumeration_prefix`` caches the head it
+builds, and a span that ends inside the first ``_HEAD`` symbols is a slice
+of that one head, for every alphabet.
 
 All values are immutable; every operation is a pure function.  The
 immutability comes from :class:`FrozenValue`, the base of every value class
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 
 
 class FrozenValue:
@@ -311,37 +312,34 @@ class EventuallyPeriodicSeq(BiSequence):
 # ---------------------------------------------------------------------------
 
 
-def _rotation(m: int, seed: int, length: int) -> int:
+def _rotation(seed: int, length: int, words: int) -> int:
     if seed == 0:
         return 0
-    return ((seed ^ (length * 0x9E3779B9)) * 2654435761) % (m ** length)
+    return ((seed ^ (length * 0x9E3779B9)) * 2654435761) % words
 
 
-def _section_locate(m: int, pos: int) -> tuple[int, int]:
-    """Return (length, section_start) of the enumeration section holding pos."""
-    length, start = 1, 0
+def enumeration_sections(m: int):
+    """Yield (length, start, words) per section in order: its m**length
+    entries begin at position `start`.  The one place that lays them out."""
+    length, start, words = 1, 0, m
     while True:
-        size = length * m ** length
-        if pos < start + size:
-            return length, start
-        start += size
-        length += 1
+        yield length, start, words
+        start += length * words
+        length, words = length + 1, words * m
 
 
 def enumeration_position(m: int, seed: int, word) -> int:
     """Position of the first symbol of `word`'s own entry in the enumeration."""
     w = as_word(word)
-    length = len(w)
-    if length == 0:
+    if not w:
         raise ValueError("cannot locate the empty word")
-    start = sum(l * m ** l for l in range(1, length))
     num = 0
     for s in w:
         if s > m:
             raise ValueError(f"symbol {s} outside alphabet of size {m}")
         num = num * m + (s - 1)
-    index = (num - _rotation(m, seed, length)) % (m ** length)
-    return start + length * index
+    length, start, words = next(islice(enumeration_sections(m), len(w) - 1, None))
+    return start + length * ((num - _rotation(seed, length, words)) % words)
 
 
 def _enumeration(m: int, seed: int, lo: int, count: int):
@@ -350,39 +348,44 @@ def _enumeration(m: int, seed: int, lo: int, count: int):
 
     Column k of the length-L section cycles through runs of run = m**(L-1-k)
     copies of each symbol from offset rot % (m * run), where rot is the
-    seed's rotation plus the index of the first entry built.  Each column
-    is built for the entries needed (a period at most, then repeated) and
-    written by one extended-slice assignment: work memory is 2 * count
-    symbols.  The first entry's symbols before lo are built, then dropped."""
+    seed's rotation plus the index of the first entry built; one divmod
+    per column splits that offset and carries its remainder to the next.
+    Each column is built for the entries needed (a period at most, then
+    repeated) and written by one extended-slice assignment: work memory is
+    2 * count symbols.  The first entry's symbols before lo are built, then
+    dropped."""
     unit = bytearray if m <= 255 else list  # a list holds symbols of any size
-    length, start = _section_locate(m, lo)
-    index, skip = divmod(lo - start, length)
-    sections, end, stop = [], 0, skip + count
-    while end < stop:
-        entries = min(m ** length - index, -(-(stop - end) // length))
-        section = unit((0,)) * (length * entries)
-        rot = _rotation(m, seed, length) + index
+    chunks, stop = [], lo + count
+    for length, start, words in enumeration_sections(m):
+        end = start + length * words
+        if end <= lo:
+            continue
+        if max(start, lo) >= stop:
+            break
+        index, skip = divmod(max(lo - start, 0), length)
+        first = start + length * index  # of the first entry built
+        entries = -(-(min(stop, end) - first) // length)
+        chunk = unit((0,)) * (length * entries)
+        rem, run = (_rotation(seed, length, words) + index) % words, words
         for k in range(length):
-            run = m ** (length - 1 - k)
-            need, (sym, cut) = min(m * run, entries), divmod(rot % (m * run), run)
-            col = unit(())
+            run //= m
+            sym, rem = divmod(rem, run)
+            col, need, cut = unit(), min(m * run, entries), rem
             while len(col) < need:
                 col += unit((sym % m + 1,)) * min(run - cut, need - len(col))
                 sym, cut = sym + 1, 0
             col *= entries // need
             col += col[: entries % need]
-            section[k::length] = col
-        del section[stop - end :], section[:skip], col  # col: not kept alive through the join
-        sections.append(section)
-        end, length, index, skip = end + length * entries, length + 1, 0, 0
-    return b"".join(sections) if m <= 255 else tuple(chain.from_iterable(sections))
+            chunk[k::length] = col
+        del chunk[stop - first :], chunk[:skip], col  # col: not kept alive through the join
+        chunks.append(chunk)
+    return b"".join(chunks) if m <= 255 else tuple(chain.from_iterable(chunks))
 
 
 @lru_cache(maxsize=8)
-def enumeration_prefix(m: int, seed: int, count: int) -> bytes:
-    """First `count` symbols of the enumeration, as bytes with values 1..m."""
-    if m > 255:
-        raise ValueError(f"enumeration_prefix stores symbols as bytes: m={m} exceeds 255")
+def enumeration_prefix(m: int, seed: int, count: int) -> bytes | tuple[int, ...]:
+    """First `count` symbols of the enumeration: bytes with values 1..m for
+    m <= 255, a tuple of ints above."""
     return _enumeration(m, seed, 0, count)
 
 
@@ -394,9 +397,9 @@ class UniversalSeq(BiSequence):
     on the negative side.  `offset` tracks shifting; `seed` rotates each
     length class of the enumeration (0 keeps plain length-lex order).
 
-    For m <= 255 a span that ends inside the first ``_HEAD`` enumeration
-    symbols is a slice of ``enumeration_prefix(m, seed, _HEAD)``, one cached
-    head for every copy of the sequence; every other span is built alone.
+    A span that ends inside the first ``_HEAD`` enumeration symbols is a
+    slice of ``enumeration_prefix(m, seed, _HEAD)``, one cached head for
+    every copy of the sequence; every other span is built alone.
     The value is the three fields: shifting carries no state."""
 
     __slots__ = _fields = ("m", "seed", "offset")
@@ -414,11 +417,11 @@ class UniversalSeq(BiSequence):
         a, b = lo + self.offset, hi + self.offset + 1  # enumeration positions a..b-1
         ones = max(0, min(b, 0) - a)  # the padded negative side
         a, b = max(a, 0), max(b, 0)
-        if self.m > 255:
-            return (1,) * ones + _enumeration(self.m, self.seed, a, b - a)
         if b <= _HEAD:
-            return b"\1" * ones + enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
-        return b"\1" * ones + _enumeration(self.m, self.seed, a, b - a)
+            syms = enumeration_prefix(self.m, self.seed, _HEAD)[a:b]
+        else:
+            syms = _enumeration(self.m, self.seed, a, b - a)
+        return _join(b"\1" * ones, syms) if ones else syms
 
     def left_tail(self) -> tuple[int, int]:
         return (-1 - self.offset, 1)

@@ -70,7 +70,7 @@ def _ref_enumeration(m, seed, count, lo=0):
         if seed == 0 and index == 0:
             words = product(range(1, m + 1), repeat=length)
         else:
-            rot = _rotation(m, seed, length)
+            rot = _rotation(seed, length, size)
             words = (_digits((i + rot) % size, m, length) for i in range(index, size))
         for w in words:
             out.extend(w)

@@ -2,8 +2,10 @@
 
 import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from shiftchaos import (
     poisson_recurrence_witness,
     sensitivity_witness,
     sequence_from_payload,
+    splice,
     stable_set_convergence,
     transitivity_witness,
     two_sided_cylinder,
@@ -41,6 +44,7 @@ from shiftchaos.certify import (
     _li_yorke_block,
     _scrambled_pair,
     check_horizon,
+    check_return_digits,
     check_witness_room,
     diameter_payload,
     li_yorke_payload,
@@ -542,6 +546,16 @@ def test_convergence_certifies_while_its_terminal_bound_is_a_normal_float():
     assert verify_certificate(as_payload(cert)).ok
 
 
+def test_convergence_terminal_claim_counts_the_error():
+    # at tol 1e-3 the last row reads value 9.5e-7 with error 4.9e-4, and
+    # r**19 = 1.9e-6 bounds the value alone
+    u = UniversalSeq(2)
+    s, t = splice(periodic((1,)), u), splice(periodic((2,)), u)
+    with pytest.raises(AssertionError, match="stable-set distance failed its terminal bound"):
+        stable_set_convergence(s, t, 20, P, tol=1e-3)
+    assert verify_certificate(as_payload(stable_set_convergence(s, t, 20, P))).ok
+
+
 @pytest.mark.parametrize(
     "tol, depths, deltas, epsilons, claim",
     [
@@ -779,3 +793,18 @@ def test_separation_payload_is_its_inputs_and_the_check(m, r, degree):
     words = result["witness_words"]
     assert words == [[1] * degree, [2] + [1] * (degree - 1)]
     assert result["witness_distance"] == set_distance(*map(future_cylinder, words), p) == r
+
+
+def test_return_digits_admit_exactly_the_depths_within_the_limit(monkeypatch):
+    # the time at depth j lies below the start of section 2j + 3, summed
+    # here term by term
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    for depth in range(1, MAX_STEPS + 1):
+        check_return_digits(2, depth)
+    for m in (255, 2 ** 70):
+        starts = [0, *accumulate(l * m ** l for l in range(1, 2003))]  # of sections 1..2003
+        last = max(j for j in range(1, 1000) if starts[2 * j + 2] <= 10 ** 4300)
+        assert last == {255: 891, 2 ** 70: 100}[m]
+        check_return_digits(m, last)
+        with pytest.raises(ValueError, match="digits for an integer"):
+            check_return_digits(m, last + 1)

@@ -485,6 +485,36 @@ def test_certify_refuses_return_times_past_the_int_digit_limit(tmp_path, capsys)
     check_return_digits(2, MAX_STEPS)  # two symbols stay admitted at every depth
 
 
+@pytest.mark.parametrize("command", ["horseshoe", "certify"])
+def test_a_huge_k_is_refused_before_its_grid_size_is_built(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        status = run(command, "--k", "1000000000000", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2 and not out.exists()
+    assert peak < 1 << 20
+    assert "rectangle cap exceeded" in capsys.readouterr().err
+
+
+def test_verify_refutes_a_terminal_bound_the_error_overturns(tmp_path, capsys):
+    from shiftchaos import MetricParams, UniversalSeq, periodic, splice, stable_set_convergence
+
+    u = UniversalSeq(2)
+    cert = stable_set_convergence(
+        splice(periodic((1,)), u), splice(periodic((2,)), u), 20, MetricParams(0.5)
+    )
+    path = tmp_path / "stable_convergence.json"
+    _write_json(path, cert.kind, cert.data)
+    assert run("--verify", str(path)) == 0
+    _tamper(path, _set("tolerance", 1e-3))  # the last row's error grows to 4.9e-4
+    capsys.readouterr()
+    assert run("--verify", str(path)) == 1
+    assert "  - stable-set distance failed its terminal bound" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "name, key, edit, claim",
     [

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product, repeat
@@ -32,7 +33,7 @@ from shiftchaos.horseshoe import (
     rectangle_for_word,
     rectangle_lattice,
 )
-from shiftchaos.schema import MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES
+from shiftchaos.schema import MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES, check_grid
 from shiftchaos.sequences import EventuallyPeriodicSeq
 
 from conftest import _is_correctly_rounded_root
@@ -277,6 +278,21 @@ def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
 def test_rectangle_lattice_factor_sizes_at_the_cap():
     pasts, futures = rectangle_lattice(HP, 9, 10)
     assert (len(pasts), len(futures)) == (2 ** 10, 2 ** 10)
+
+
+def test_one_grid_rule_bounds_a_huge_depth_before_any_power():
+    check_grid(9, 10)  # 2**20 rectangles: the cap itself
+    tracemalloc.start()
+    try:
+        for refused in (lambda: check_grid(10, 10), lambda: rectangle_lattice(HP, 10 ** 12, 1),
+                        lambda: verify_hyperbolic_conditions(HP, 10),
+                        lambda: verify_hyperbolic_conditions(HP, 10 ** 12)):
+            with pytest.raises(ValueError, match="rectangle cap exceeded"):
+                refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hyperbolic_conditions_report():

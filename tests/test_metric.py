@@ -2,6 +2,7 @@
 
 import functools
 import math
+import operator
 import random
 import sys
 import tracemalloc
@@ -39,6 +40,7 @@ from shiftchaos.metric import (
     _MAX_TRUNCATION_DEPTH,
     DistanceBound,
     _clip_depth,
+    _mismatches,
     _powers,
     agreement_bound,
     check_tolerance,
@@ -1035,3 +1037,14 @@ def test_the_orbit_sweep_yields_its_rows_in_fixed_memory():
         tracemalloc.stop()
     assert count == steps + 1
     assert peak < 1 << 20
+
+
+def test_mismatches_mark_exactly_the_differing_symbols():
+    rng = random.Random(40)
+    for length in range(41):
+        for _ in range(10):
+            sw, tw = (bytes(rng.randint(1, 3) for _ in range(length)) for _ in range(2))
+            for a, b in ((sw, tw), (tuple(sw), tuple(tw))):
+                got = _mismatches(a, b)
+                assert len(got) == length
+                assert list(map(bool, got)) == list(map(bool, bytes(map(operator.ne, a, b))))

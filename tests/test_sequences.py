@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from shiftchaos.sequences import (
     _enumeration,
     enumeration_position,
     enumeration_prefix,
+    enumeration_sections,
 )
 
 from conftest import _ref_enumeration, random_sequence, scan_for_block
@@ -501,6 +503,26 @@ def test_universal_window_at_large_offsets(m, seed):
     assert u.window(boundary - length, boundary + length) == last + first
 
 
+@pytest.mark.parametrize("m", [2, 3, 255, 256, 300])
+@pytest.mark.parametrize("seed", [0, 2 ** 63])
+def test_span_at_the_closed_form_position_reads_the_word(m, seed):
+    u = UniversalSeq(m, seed)
+    rng = random.Random(m * 31 + seed % 7)
+    lengths = [1, 2, 3, 2000] + [rng.randint(1, 2000) for _ in range(8)]
+    for length in lengths:
+        word = tuple(rng.randint(1, m) for _ in range(length))
+        pos = enumeration_position(m, seed, word)
+        assert tuple(u.span(pos, pos + length - 1)) == word
+        before, after = rng.randint(0, 2 * length), rng.randint(0, 2 * length)
+        got = tuple(u.span(pos - before, pos + length - 1 + after))
+        assert len(got) == before + length + after and got[before : before + length] == word
+        # the last entry of this section and the first of the next, read in one span
+        boundary = section_start(m, length + 1)
+        both = u.span(boundary - length, boundary + length)
+        assert enumeration_position(m, seed, both[:length]) == boundary - length
+        assert enumeration_position(m, seed, both[length:]) == boundary
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from((2, 3, 4)),
@@ -555,7 +577,7 @@ def test_windows_built_alone_match_the_word_by_word_reference(m, seed):
         boundary = section_start(m, length)
         for lo in (boundary - 1, boundary, boundary + 1):
             windows += [(lo, 1), (lo, rng.randint(2, 300))]
-        windows.append((boundary - 40, 40))  # ends at the boundary
+        windows.append((max(boundary - 40, 0), min(boundary, 40)))  # ends at the boundary
         length += 1
     for lo, count in windows:
         assert _enumeration(m, seed, lo, count) == _ref_enumeration(m, seed, count, lo), lo
@@ -574,10 +596,16 @@ def test_enumeration_prefix_work_memory_is_about_two_copies(m, seed):
     assert peak <= 2.25 * count + 64 * 1024
 
 
-def test_enumeration_prefix_names_its_alphabet_cap():
+def test_enumeration_prefix_serves_every_alphabet():
     assert enumeration_prefix(255, 0, 300)[254:256] == bytes((255, 1))
-    with pytest.raises(ValueError, match="exceeds 255"):
-        enumeration_prefix(256, 0, 10)
+    head = enumeration_prefix(256, 0, 10)
+    assert head.__class__ is tuple and head == _ref_enumeration(256, 0, 10)
+
+
+@pytest.mark.parametrize("m", [2, 3, 255, 2 ** 70])
+def test_section_walk_matches_the_brute_sum(m):
+    walk = list(islice(enumeration_sections(m), 50))
+    assert walk == [(length, section_start(m, length), m ** length) for length in range(1, 51)]
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +647,7 @@ def test_universal_windows_above_255_symbols_match_the_reference(m, seed):
     starts = [rng.randrange(10 ** 6, 10 ** 9) for _ in range(5)]
     for boundary in (section_start(m, 2), section_start(m, 3)):
         starts += [boundary - 7, boundary - 1, boundary, boundary + 1]
+    starts += [_HEAD - 13, _HEAD - 12, _HEAD - 7, _HEAD, _HEAD + 1]  # both sides of the head
     for lo in starts:
         assert u.window(lo, lo + 12) == _ref_enumeration(m, seed, 13, lo), lo
         assert u.shift(lo).symbol_at(0) == _ref_enumeration(m, seed, 1, lo)[0]
