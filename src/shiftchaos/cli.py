@@ -293,18 +293,31 @@ def _digits(digits) -> str:
 
 
 def _bounds_text(interval) -> str:
-    return f",{_float_str(interval.lo)},{_float_str(interval.hi)}"
+    return f",{interval.lo / interval.den!r},{interval.hi / interval.den!r}"
+
+
+def _write_product(path: Path, head: str, outer, inner, tail: str) -> None:
+    """head, the row o0 i0 o1 i1 of each (o0, o1) in outer and (i0, i1) in
+    inner, outer outermost, then tail.  Per outer pair, slice assignment fills
+    a template of the inner texts and one join writes the block."""
+    row = [""] * (4 * len(inner))
+    row[1::4] = [i0 for i0, _ in inner]
+    row[3::4] = [i1 for _, i1 in inner]
+    with _open_utf8(path) as fh:
+        fh.write(head)
+        for o0, o1 in outer:
+            row[0::4] = [o0] * len(inner)
+            row[2::4] = [o1] * len(inner)
+            fh.write("".join(row))
+        fh.write(tail)
 
 
 def _write_rectangles_csv(path: Path, pasts, futures) -> None:
     """One row per rectangle, past outermost.  Each word half and bound pair
     is formatted once per factor; rows go out one past at a time."""
-    x_cols = [(_digits(p.digits) + ".", _bounds_text(p)) for p in pasts]
-    y_cols = [(_digits(f.digits), _bounds_text(f)) for f in futures]
-    with _open_utf8(path) as fh:
-        fh.write("word,x_lo,x_hi,y_lo,y_hi\n")
-        for past, x_text in x_cols:
-            fh.write("".join(f"{past}{future}{x_text}{y_text}\n" for future, y_text in y_cols))
+    _write_product(path, "word,x_lo,x_hi,y_lo,y_hi\n",
+                   [(_digits(p.digits) + ".", _bounds_text(p)) for p in pasts],
+                   [(_digits(f.digits), _bounds_text(f) + "\n") for f in futures], "")
 
 
 def _write_svg(path: Path, pasts, futures) -> None:
@@ -313,21 +326,17 @@ def _write_svg(path: Path, pasts, futures) -> None:
     colors = {1: "#3465a4", 2: "#cc0000"}
     x_parts = []
     for p in pasts:
-        x = float(p.lo) * 1000
-        w = (float(p.hi) - float(p.lo)) * 1000
-        x_parts.append((f'<rect x="{x:.6f}"', f' width="{w:.6f}"'))
+        lo, hi = p.lo / p.den, p.hi / p.den
+        x_parts.append((f'<rect x="{lo * 1000:.6f}"', f' width="{(hi - lo) * 1000:.6f}"'))
     y_parts = []
     for f in futures:
-        y = (1 - float(f.hi)) * 1000
-        h = (float(f.hi) - float(f.lo)) * 1000
+        lo, hi = f.lo / f.den, f.hi / f.den
         fill = colors[f.digits[0]]
-        y_parts.append((f' y="{y:.6f}"', f' height="{h:.6f}" fill="{fill}" fill-opacity="0.8"/>'))
-    with _open_utf8(path) as fh:
-        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n')
-        for x_text, w_text in x_parts:
-            fh.write("".join(f"{x_text}{y_text}{w_text}{h_text}\n" for y_text, h_text in y_parts))
-        fh.write("</svg>\n")
+        y_parts.append((f' y="{(1 - hi) * 1000:.6f}"',
+                        f' height="{(hi - lo) * 1000:.6f}" fill="{fill}" fill-opacity="0.8"/>\n'))
+    head = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n')
+    _write_product(path, head, x_parts, y_parts, "</svg>\n")
 
 
 def cmd_horseshoe(config: RunConfig) -> int:

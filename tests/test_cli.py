@@ -1058,14 +1058,22 @@ def _expected_rectangle_files(hp, k, n):
 
 @pytest.mark.parametrize(
     "params,hp",
-    [((), HorseshoeParams()), (("--lam", "0.3", "--mu", "3.5"), HorseshoeParams(0.3, 3.5))],
-    ids=["exact", "float"],
+    [((), HorseshoeParams()),
+     (("--lam", "21840/65521", "--mu", "65521/21841"),
+      HorseshoeParams(Fraction(21840, 65521), Fraction(65521, 21841))),
+     (("--lam", "0.3", "--mu", "3.5"), HorseshoeParams(0.3, 3.5)),
+     (("--lam", repr((2 ** 52 + 1) / 2 ** 63), "--mu", repr(2.0 ** 64 - 2.0 ** 11)),
+      HorseshoeParams((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11))],
+    ids=["exact", "16-bit", "float", "64-bit-float"],
 )
-def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp):
+@pytest.mark.parametrize("k,n", [(0, 1), (0, 6), (5, 1), (3, 4)])
+def test_horseshoe_files_match_per_rectangle_rebuild(tmp_path, params, hp, k, n):
+    # one past or one future digit, a single past interval, and the first
+    # release's shape, at each parameter kind the pinned runs and caps use
     out = tmp_path / "hs"
-    argv = ["horseshoe", "--out", str(out), "--k", "3", "--n", "4", "--format", "json,csv,svg"]
+    argv = ["horseshoe", "--out", str(out), "--k", str(k), "--n", str(n), "--format", "json,csv,svg"]
     assert run(*argv, *params) == 0
-    csv_text, svg_text = _expected_rectangle_files(hp, 3, 4)
+    csv_text, svg_text = _expected_rectangle_files(hp, k, n)
     assert (out / "rectangles.csv").read_bytes() == csv_text.encode()
     assert (out / "horseshoe.svg").read_bytes() == svg_text.encode()
 

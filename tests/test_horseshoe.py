@@ -41,6 +41,14 @@ from conftest import _is_correctly_rounded_root
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
 
+# the three pinned CLI runs, and the slowest floats the 64-bit cap accepts
+ROOT_PARAMS = [
+    (Fraction(1, 3), 3),
+    (Fraction(21840, 65521), Fraction(65521, 21841)),
+    (0.3, 3.5),
+    ((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11),
+]
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -266,6 +274,21 @@ def test_level_rectangles_agree_with_rectangle_for_word(hp, k, n):
             assert _same(getattr(rect, field), getattr(want, field)), (word, field)
 
 
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+def test_lattice_floats_are_the_exact_ends_correctly_rounded(lam, mu):
+    # the writers take each end as one int / int division of the factor's
+    # integers: it must equal the exact value's rounding bit for bit, at every
+    # past level 0..8 and future level 1..9 (every grid of at most 2**10)
+    hp = HorseshoeParams(lam, mu)
+    for k in range(9):
+        for factor in rectangle_lattice(hp, k, 9 - k):
+            for interval in factor:
+                assert interval.lo < interval.hi and interval.den > 0
+                for end in (interval.lo, interval.hi):
+                    want = float(Fraction(end, interval.den))
+                    assert (end / interval.den).hex() == want.hex(), (k, interval)
+
+
 @pytest.mark.parametrize("k,n", [(-1, 2), (0, 0), (15, 15), (10, 10)])
 def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
     with pytest.raises(ValueError) as lattice_err:
@@ -448,15 +471,6 @@ def test_exact_conjugacy_check_matches_fraction_arithmetic():
         assert rep["passed"] == (defect_sq <= bound_sq)
         assert _is_correctly_rounded_root(rep["defect"], defect_sq)
         assert _is_correctly_rounded_root(rep["bound"], bound_sq)
-
-
-# the three pinned CLI runs, and the slowest floats the 64-bit cap accepts
-ROOT_PARAMS = [
-    (Fraction(1, 3), 3),
-    (Fraction(21840, 65521), Fraction(65521, 21841)),
-    (0.3, 3.5),
-    ((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11),
-]
 
 
 @pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
