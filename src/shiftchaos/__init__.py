@@ -64,13 +64,12 @@ _EXPORTS = {
         "EscapeError",
         "HorseshoeParams",
         "PlanePoint",
-        "SymbolicRectangle",
         "conjugacy_check",
         "horseshoe_inverse",
         "horseshoe_map",
         "itinerary",
-        "level_rectangles",
         "point_from_itinerary",
+        "rectangle_lattice",
         "verify_hyperbolic_conditions",
     ),
 }

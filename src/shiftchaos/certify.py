@@ -223,9 +223,9 @@ def check_witness_room(
 
 
 def _density_depth(delta: float, p: MetricParams) -> int:
-    """The least k whose off-window weight outside [-k, k] is below delta."""
+    """The least k whose weight outside [-k, k] is below delta, at most MAX_WINDOW + 1."""
     k = 0
-    while _window_threshold(k, p) >= delta:
+    while k <= MAX_WINDOW and _window_threshold(k, p) >= delta:
         k += 1
     return k
 
@@ -274,9 +274,9 @@ def sensitivity_witness(
 
 
 def _sensitivity_depth(eps: float, p: MetricParams) -> int:
-    """The least k whose weight beyond position k is below eps."""
+    """The least k whose weight beyond position k is below eps, at most MAX_WINDOW + 1."""
     k = 0
-    while weight_above(k + 1, p.r) >= eps:
+    while k <= MAX_WINDOW and weight_above(k + 1, p.r) >= eps:
         k += 1
     return k
 

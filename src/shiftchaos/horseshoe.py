@@ -28,11 +28,14 @@ diameter condition) and keep Euclidean gaps of at least 1 - 2/mu between
 rectangles whose first future symbol differs (the separation condition).
 A rectangle's x-interval depends only on its past digits and its
 y-interval only on its future digits, so the level-(k, n) grid of
-2**(k+1+n) rectangles is the product of 2**(k+1) past x-intervals and 2**n
-future y-intervals (`rectangle_lattice`), whose ends are integers over one
-denominator.  The CLI writes the rows of one past at a time into a template
-of future texts, with no Python code per row: the 2**20 cap's 204 MB take
-about 0.35 s of CPU time at 17.2 MB peak RSS (2-vCPU VM, Python 3.11.7).
+2**(k+1+n) rectangles is held as the product of 2**(k+1) past x-intervals
+and 2**n future y-intervals (`rectangle_lattice`), whose ends are integers
+over one denominator per factor.  This lattice is the one model of the
+rectangles: the hyperbolic report's gaps and the CLI's exports alike are
+read from its factors.  The CLI writes the rows of one past at a time
+into a template of future texts, with no Python code per row: the 2**20
+cap's 204 MB take about 0.35 s of CPU time at 17.2 MB peak RSS (2-vCPU VM,
+Python 3.11.7).
 
 There is one arithmetic for every parameter type.  A float lambda or mu is
 the dyadic rational it holds, so int, `fractions.Fraction` and float
@@ -76,7 +79,7 @@ from .schema import (
     check_grid,
     parse_number,
 )
-from .sequences import BiSequence, FiniteWord, FrozenValue, as_word, periodic_point
+from .sequences import BiSequence, FiniteWord, FrozenValue, periodic_point
 
 
 class EscapeError(ValueError):
@@ -184,15 +187,17 @@ def point_from_itinerary(
 ) -> tuple[PlanePoint, float]:
     """Reconstruct the coded point from `depth` symbols per side.
 
-    Returns the truncated point, as exact `Fraction`s, and the Euclidean
-    bound on its distance to the true coded point (tails lambda**depth and
-    mu**-depth per axis).
+    Returns the truncated point, as exact `Fraction`s, and a bound on its
+    Euclidean distance to the true coded point: the float just above the
+    diagonal of the level-(depth - 1, depth) rectangle both points lie in
+    (tails lambda**depth and mu**-depth per axis), which the all-2 point
+    attains.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     x, _, x_den = _x_ends(s.span(1 - depth, 0), hp)
     y, _, y_den = _y_ends(s.span(1, depth), hp)
-    err = math.hypot(float(hp.lam) ** depth, float(hp.mu) ** (-depth))
+    err = math.nextafter(rectangle_diagonal(hp, depth - 1, depth), math.inf)
     return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
 
@@ -270,36 +275,6 @@ def _exact_root(num: int, den: int) -> float:
 # Level rectangles: the planar realization of two-sided cylinders
 # ---------------------------------------------------------------------------
 
-class SymbolicRectangle(FrozenValue):
-    """All points whose itinerary carries `word` on window [start, end]."""
-
-    __slots__ = _fields = ("word", "start", "x_lo", "x_hi", "y_lo", "y_hi")
-
-    def __init__(self, word: FiniteWord, start: int, x_lo, x_hi, y_lo, y_hi) -> None:
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "x_lo", x_lo)
-        object.__setattr__(self, "x_hi", x_hi)
-        object.__setattr__(self, "y_lo", y_lo)
-        object.__setattr__(self, "y_hi", y_hi)
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.word) - 1
-
-    def width(self):
-        return self.x_hi - self.x_lo
-
-    def height(self):
-        return self.y_hi - self.y_lo
-
-    def gap_sq_to(self, other: "SymbolicRectangle"):
-        """Squared Euclidean distance between the two closed boxes."""
-        dx = max(self.x_lo - other.x_hi, other.x_lo - self.x_hi, 0)
-        dy = max(self.y_lo - other.y_hi, other.y_lo - self.y_hi, 0)
-        return dx * dx + dy * dy
-
-
 class Interval(NamedTuple):
     """One factor of a level rectangle: the digits of one side of the dot
     and the interval [lo / den, hi / den] they cut out on that side's axis,
@@ -347,29 +322,6 @@ def _y_ends(future, hp: HorseshoeParams) -> tuple[int, int, int]:
     return lo, lo + epow, e * c ** len(future)
 
 
-def _x_interval(past, hp: HorseshoeParams) -> tuple[Fraction, Fraction]:
-    """x-interval of the past digits at positions -k..0 (in word order)."""
-    lo, hi, den = _x_ends(past, hp)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
-def _y_interval(future, hp: HorseshoeParams) -> tuple[Fraction, Fraction]:
-    """y-interval of the future digits at positions 1..n."""
-    lo, hi, den = _y_ends(future, hp)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
-def rectangle_for_word(word, start: int, hp: HorseshoeParams) -> SymbolicRectangle:
-    """Rectangle of the window [start, end]; needs start <= 0 < end."""
-    w = as_word(word)
-    end = start + len(w) - 1
-    if not (start <= 0 < end):
-        raise ValueError("rectangle windows must straddle the dot")
-    x_lo, x_hi = _x_interval(w[: 1 - start], hp)
-    y_lo, y_hi = _y_interval(w[1 - start :], hp)
-    return SymbolicRectangle(w, start, x_lo, x_hi, y_lo, y_hi)
-
-
 def rectangle_lattice(
     hp: HorseshoeParams, k: int, n: int
 ) -> tuple[list[Interval], list[Interval]]:
@@ -384,18 +336,6 @@ def rectangle_lattice(
     pasts = [Interval(p, *_x_ends(p, hp)) for p in product((1, 2), repeat=k + 1)]
     futures = [Interval(f, *_y_ends(f, hp)) for f in product((1, 2), repeat=n)]
     return pasts, futures
-
-
-def level_rectangles(hp: HorseshoeParams, k: int, n: int) -> list[SymbolicRectangle]:
-    """All 2**(k+1+n) rectangles of window [-k, n], in word order."""
-    pasts, futures = rectangle_lattice(hp, k, n)
-    xs = [(p.digits, Fraction(p.lo, p.den), Fraction(p.hi, p.den)) for p in pasts]
-    ys = [(f.digits, Fraction(f.lo, f.den), Fraction(f.hi, f.den)) for f in futures]
-    return [
-        SymbolicRectangle(FiniteWord(p + f), -k, x_lo, x_hi, y_lo, y_hi)
-        for p, x_lo, x_hi in xs
-        for f, y_lo, y_hi in ys
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +354,11 @@ def _height(hp: HorseshoeParams, n: int) -> tuple[int, int]:
     """Height of a level-n future interval, from the ends of the all-ones one."""
     lo, hi, den = _y_ends((1,) * n, hp)
     return hi - lo, den
+
+
+def _gap(u: Interval, v: Interval) -> int:
+    """Gap between two intervals of one factor, over their common den."""
+    return max(u.lo - v.hi, v.lo - u.hi, 0)
 
 
 def rectangle_diagonal(hp: HorseshoeParams, k: int, n: int) -> float:
@@ -459,14 +404,15 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> dict:
         want_num, want_den = _predicted_sq(hp, k, n)
         grid_exact = grid_exact and num * want_den == want_num * den
     a, b, c, e = hp.ratios
-    # brute force at depth 1: minimum gap between the 4 window-[0,1]
-    # rectangles whose future symbols differ
-    rects = level_rectangles(hp, 0, 1)
-    gap_sq = min(
-        r.gap_sq_to(q)
-        for i, r in enumerate(rects)
-        for q in rects[i + 1 :]
-        if r.word[1] != q.word[1]
+    # brute force at depth 1: minimum squared gap between the window-[0,1]
+    # rectangles p x f and q x g whose future symbols differ, over the
+    # common denominator of each factor
+    pasts, futures = rectangle_lattice(hp, 0, 1)
+    gap_num, gap_den = min(
+        _sum_of_squares(_gap(p, q), p.den, _gap(f, g), f.den)
+        for p, q in product(pasts, repeat=2)
+        for f, g in product(futures, repeat=2)
+        if f.digits[0] != g.digits[0]
     )
     return {
         **report,
@@ -474,9 +420,9 @@ def verify_hyperbolic_conditions(hp: HorseshoeParams, max_depth: int) -> dict:
         "eps0": (c - 2 * e) / c,  # 1 - 2/mu, correctly rounded
         "eps0_horizontal": (b - 2 * a) / b,
         "witness_words": [[1, 2], [2, 1]],
-        "brute_min_gap": _exact_root(gap_sq.numerator, gap_sq.denominator),
+        "brute_min_gap": _exact_root(gap_num, gap_den),
         "passed": (report["strictly_decreasing"] and matches and grid_exact
-                   and gap_sq == Fraction(c - 2 * e, c) ** 2),
+                   and gap_num * c * c == (c - 2 * e) ** 2 * gap_den),
     }
 
 

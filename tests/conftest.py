@@ -45,6 +45,16 @@ def _is_correctly_rounded_root(x: float, q: Fraction) -> bool:
     return ((Fraction(lo) + Fraction(x)) / 2) ** 2 <= q <= ((Fraction(x) + Fraction(hi)) / 2) ** 2
 
 
+def _pull_back(digits, shift, scale):
+    """Image of [0, 1] under the composition of the branch maps
+    t -> scale * t + (digit - 1) * shift, innermost digit last: a horseshoe
+    rectangle's side, from the branches alone rather than digit sums."""
+    lo, hi = Fraction(0), Fraction(1)
+    for d in reversed(digits):
+        lo, hi = scale * lo + (d - 1) * shift, scale * hi + (d - 1) * shift
+    return lo, hi
+
+
 def scan_for_block(symbols, block):
     """First index where `block` occurs in the symbol list, or None."""
     n = len(block)

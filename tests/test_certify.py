@@ -188,6 +188,17 @@ def test_sensitivity_periodic_point_small_eps():
     assert verify_certificate(as_payload(cert)).ok
 
 
+@pytest.mark.parametrize("witness", [
+    lambda s, p: periodic_density_witness(s, 0.1, p),
+    lambda s, p: sensitivity_witness(s, 0.1, A2, p),
+], ids=["density", "sensitivity"])
+def test_witness_depth_stops_just_past_the_window_cap(witness):
+    # near r = 1 the least k is about 2e12: the depth search stops at the
+    # first k past MAX_WINDOW, which the payload refuses by name
+    with pytest.raises(ValueError, match=rf"^k must .*, got {MAX_WINDOW + 1}$"):
+        witness(periodic_point((1, 2)), MetricParams(1 - 1e-12))
+
+
 def test_sensitivity_partner_agrees_then_differs():
     s = periodic_point((2, 1, 1))
     cert = sensitivity_witness(s, 0.1, A2, P)

@@ -27,7 +27,7 @@ from shiftchaos.cli import _write_json, load_config, main, parse_descriptor, ver
 from shiftchaos.cli import ConfigError, RunConfig
 from shiftchaos.horseshoe import HorseshoeParams
 
-from conftest import _ref_enumeration
+from conftest import _pull_back, _ref_enumeration
 
 
 def run(*argv):
@@ -1012,15 +1012,6 @@ def test_horseshoe_format_selects_the_files(tmp_path, formats, expected):
 
 def test_horseshoe_cap_exceeded(tmp_path):
     assert run("horseshoe", "--out", str(tmp_path / "x"), "--k", "15", "--n", "15") == 2
-
-
-def _pull_back(digits, shift, scale):
-    """Image of [0, 1] under the composition of the branch maps
-    t -> scale * t + (digit - 1) * shift, innermost digit last."""
-    lo, hi = Fraction(0), Fraction(1)
-    for d in reversed(digits):
-        lo, hi = scale * lo + (d - 1) * shift, scale * hi + (d - 1) * shift
-    return lo, hi
 
 
 def _expected_rectangle_files(hp, k, n):

@@ -20,23 +20,17 @@ from shiftchaos import (
     horseshoe_inverse,
     horseshoe_map,
     itinerary,
-    level_rectangles,
     periodic_point,
     point_from_itinerary,
+    rectangle_lattice,
     verify_hyperbolic_conditions,
 )
 from shiftchaos import horseshoe
-from shiftchaos.horseshoe import (
-    _x_interval,
-    _y_interval,
-    branch_of,
-    rectangle_for_word,
-    rectangle_lattice,
-)
+from shiftchaos.horseshoe import _x_ends, _y_ends, branch_of
 from shiftchaos.schema import MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES, check_grid
 from shiftchaos.sequences import EventuallyPeriodicSeq
 
-from conftest import _is_correctly_rounded_root
+from conftest import _is_correctly_rounded_root, _pull_back
 
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
@@ -117,6 +111,18 @@ def test_point_from_constant_itineraries():
     assert pt == PlanePoint(0, 0)
     pt, err = point_from_itinerary(periodic_point((2,)), HP, 20)
     assert abs(float(pt.x) - 1) <= err and abs(float(pt.y) - 1) <= err
+
+
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+def test_point_error_bounds_the_all_two_point_exactly(lam, mu):
+    # the all-2 point codes (1, 1), and its truncation sits at the far corner
+    # of the depth's rectangle: the distance is the diagonal itself, so a
+    # bound rounded down, or underflowed to 0, fails here
+    hp = HorseshoeParams(lam, mu)
+    for depth in (1, 2, 5, 45, 300, 700):
+        pt, err = point_from_itinerary(periodic_point((2,)), hp, depth)
+        assert err > 0
+        assert (1 - pt.x) ** 2 + (1 - pt.y) ** 2 <= Fraction(err) ** 2, depth
 
 
 def test_point_from_period_two_matches_series_and_iteration_oracle():
@@ -207,71 +213,75 @@ def test_conjugacy_random_periodic_depth_thirty():
         assert rep["defect"] <= rep["bound"] <= 1e-8
 
 
+def _fractions(lo, hi, den):
+    """An interval's integer ends (`_x_ends`, `_y_ends`) as exact values."""
+    return Fraction(lo, den), Fraction(hi, den)
+
+
 def test_level_rectangles_smallest_level():
-    rects = level_rectangles(HP, 0, 1)
-    assert len(rects) == 4
+    pasts, futures = rectangle_lattice(HP, 0, 1)
+    assert len(pasts) * len(futures) == 4
     third = Fraction(1, 3)
-    for rect in rects:
-        assert rect.width() == third and rect.height() == third
-    # corner-membership oracle: x-interval sits in the vertical strip of the
-    # position-0 symbol, y-interval in the horizontal strip of position 1
-    for rect in rects:
-        past, future = rect.word[0], rect.word[1]
-        if past == 1:
-            assert rect.x_hi <= HP.lam
-        else:
-            assert rect.x_lo >= 1 - HP.lam
-        if future == 1:
-            assert rect.y_hi <= Fraction(1, 3)
-        else:
-            assert rect.y_lo >= Fraction(2, 3)
+    # corner-membership oracle: the x-interval sits in the vertical strip of
+    # the position-0 symbol, the y-interval in the horizontal strip of position 1
+    for past in pasts:
+        x_lo, x_hi = _fractions(*past[1:])
+        assert x_hi - x_lo == third
+        assert x_hi <= HP.lam if past.digits == (1,) else x_lo >= 1 - HP.lam
+    for future in futures:
+        y_lo, y_hi = _fractions(*future[1:])
+        assert y_hi - y_lo == third
+        assert y_hi <= third if future.digits == (1,) else y_lo >= 2 * third
 
 
 def test_rectangle_width_scales_by_lambda_per_past_level():
-    w1 = rectangle_for_word((1, 1, 2), -1, HP).width()
-    w0 = rectangle_for_word((1, 2), 0, HP).width()
-    assert w1 / w0 == HP.lam
+    lo1, hi1 = _fractions(*_x_ends((1, 1), HP))
+    lo0, hi0 = _fractions(*_x_ends((1,), HP))
+    assert (hi1 - lo1) / (hi0 - lo0) == HP.lam
 
 
 def test_rectangle_heights():
-    rects = level_rectangles(HP, 0, 3)
-    assert all(r.height() == Fraction(1, 27) for r in rects)
+    _, futures = rectangle_lattice(HP, 0, 3)
+    assert all(Fraction(f.hi - f.lo, f.den) == Fraction(1, 27) for f in futures)
 
 
 def test_rectangles_pairwise_disjoint_with_positive_gaps():
+    def gap(u, v):
+        return max(u[0] - v[1], v[0] - u[1], 0)
+
     for k, n in ((0, 1), (1, 1), (1, 2), (2, 2)):
-        rects = level_rectangles(HP, k, n)
-        for i, a in enumerate(rects):
-            for b in rects[i + 1 :]:
-                assert a.gap_sq_to(b) > 0
+        pasts, futures = rectangle_lattice(HP, k, n)
+        rects = [(_fractions(*p[1:]), _fractions(*f[1:])) for p in pasts for f in futures]
+        for i, (ax, ay) in enumerate(rects):
+            for bx, by in rects[i + 1 :]:
+                assert gap(ax, bx) ** 2 + gap(ay, by) ** 2 > 0
 
 
 def test_level_rectangles_cap():
-    with pytest.raises(ValueError):
-        level_rectangles(HP, 15, 15)
+    # the lattice refuses each grid the one grid rule refuses, with its message
+    for k, n in ((-1, 2), (0, 0), (15, 15), (10, 10)):
+        with pytest.raises(ValueError) as grid_err:
+            check_grid(k, n)
+        with pytest.raises(ValueError) as lattice_err:
+            rectangle_lattice(HP, k, n)
+        assert str(lattice_err.value) == str(grid_err.value)
 
 
-def _same(a, b) -> bool:
-    """Equal values of one type; floats must agree bit for bit."""
-    if type(a) is not type(b):
-        return False
-    return a.hex() == b.hex() if isinstance(a, float) else a == b
-
-
-@pytest.mark.parametrize(
-    "hp", [HP, HPF, HorseshoeParams(0.3, 3.5)], ids=["exact", "float", "0.3-3.5"]
-)
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
 @pytest.mark.parametrize("k,n", [(0, 1), (2, 3), (4, 4)])
-def test_level_rectangles_agree_with_rectangle_for_word(hp, k, n):
-    rects = level_rectangles(hp, k, n)
-    words = list(product((1, 2), repeat=k + 1 + n))
-    assert len(rects) == len(words)
-    for word, rect in zip(words, rects):
-        want = rectangle_for_word(word, -k, hp)
-        assert tuple(rect.word) == word == tuple(want.word)
-        assert rect.start == want.start == -k
-        for field in ("x_lo", "x_hi", "y_lo", "y_hi"):
-            assert _same(getattr(rect, field), getattr(want, field)), (word, field)
+def test_lattice_factors_match_the_pull_back_oracle(k, n, lam, mu):
+    # each side is the image of [0, 1] under the branches its digits name,
+    # a float parameter as the rational it holds: x under
+    # x -> lam x + (a - 1)(1 - lam) for a_0, a_-1, .., a_-k, y under the
+    # inverse branches y -> (y + (a - 1)(mu - 1)) / mu for a_1..a_n
+    pasts, futures = rectangle_lattice(HorseshoeParams(lam, mu), k, n)
+    lam, mu = Fraction(lam), Fraction(mu)
+    assert [p.digits for p in pasts] == list(product((1, 2), repeat=k + 1))
+    assert [f.digits for f in futures] == list(product((1, 2), repeat=n))
+    for past in pasts:
+        assert _fractions(*past[1:]) == _pull_back(past.digits[::-1], 1 - lam, lam), past
+    for future in futures:
+        assert _fractions(*future[1:]) == _pull_back(future.digits, (mu - 1) / mu, 1 / mu), future
 
 
 @pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
@@ -287,15 +297,6 @@ def test_lattice_floats_are_the_exact_ends_correctly_rounded(lam, mu):
                 for end in (interval.lo, interval.hi):
                     want = float(Fraction(end, interval.den))
                     assert (end / interval.den).hex() == want.hex(), (k, interval)
-
-
-@pytest.mark.parametrize("k,n", [(-1, 2), (0, 0), (15, 15), (10, 10)])
-def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
-    with pytest.raises(ValueError) as lattice_err:
-        rectangle_lattice(HP, k, n)
-    with pytest.raises(ValueError) as level_err:
-        level_rectangles(HP, k, n)
-    assert str(lattice_err.value) == str(level_err.value)
 
 
 def test_rectangle_lattice_factor_sizes_at_the_cap():
@@ -443,11 +444,12 @@ def test_exact_intervals_and_points_match_the_digit_sums():
         lam, mu = Fraction(hp.lam), Fraction(hp.mu)  # exact, floats too
         past = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
         future = tuple(rng.randint(1, 2) for _ in range(rng.randint(0, 64)))
-        x_lo, x_hi = _x_interval(past, hp)
-        y_lo, y_hi = _y_interval(future, hp)
+        x_ends, y_ends = _x_ends(past, hp), _y_ends(future, hp)
+        assert all(type(v) is int for v in x_ends + y_ends)
+        x_lo, x_hi = _fractions(*x_ends)
+        y_lo, y_hi = _fractions(*y_ends)
         assert x_lo == _x_sum(past, lam) and x_hi == x_lo + lam ** len(past)
         assert y_lo == _y_sum(future, mu) and y_hi == y_lo + mu ** -len(future)
-        assert all(type(v) is Fraction for v in (x_lo, x_hi, y_lo, y_hi))
 
         seq = EventuallyPeriodicSeq((rng.randint(1, 2),), past + future, 1 - len(past),
                                     tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 5))))
