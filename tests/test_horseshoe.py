@@ -258,13 +258,18 @@ def test_rectangles_pairwise_disjoint_with_positive_gaps():
 
 
 def test_level_rectangles_cap():
+    with pytest.raises(ValueError, match="rectangle cap exceeded"):
+        rectangle_lattice(HP, 15, 15)
+
+
+@pytest.mark.parametrize("k,n", [(-1, 2), (0, 0), (15, 15), (10, 10)])
+def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
     # the lattice refuses each grid the one grid rule refuses, with its message
-    for k, n in ((-1, 2), (0, 0), (15, 15), (10, 10)):
-        with pytest.raises(ValueError) as grid_err:
-            check_grid(k, n)
-        with pytest.raises(ValueError) as lattice_err:
-            rectangle_lattice(HP, k, n)
-        assert str(lattice_err.value) == str(grid_err.value)
+    with pytest.raises(ValueError) as grid_err:
+        check_grid(k, n)
+    with pytest.raises(ValueError) as lattice_err:
+        rectangle_lattice(HP, k, n)
+    assert str(lattice_err.value) == str(grid_err.value)
 
 
 @pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
