@@ -415,25 +415,15 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
     out = _make_out(config.out)
     path = out / "orbit.csv"
     if not isinstance(start, BiSequence):  # a plane point
-        from .horseshoe import EscapeError, HorseshoeParams, branch_of, horseshoe_map
+        from .horseshoe import HorseshoeParams, orbit_rows
 
-        hp = HorseshoeParams(config.lam, config.mu)
-        pt = start
-        status = 0
+        rows = orbit_rows(start, HorseshoeParams(config.lam, config.mu), steps)
         with _open_utf8(path) as fh:  # each row as it is made: no table is held
             fh.write("n,x,y,symbol\n")
-            for n in range(steps + 1):
-                try:
-                    symbol = branch_of(pt, hp, n)
-                except EscapeError:
-                    symbol, status = "escape", 1
-                fh.write(f"{n},{_float_str(pt.x)},{_float_str(pt.y)},{symbol}\n")
-                if status:
-                    break
-                if n < steps:
-                    pt = horseshoe_map(pt, hp, n)
+            for n, (x, y, branch) in enumerate(rows):
+                fh.write(f"{n},{x!r},{y!r},{branch or 'escape'}\n")
         print(f"wrote {path}")
-        return status
+        return 0 if branch else 1
     rows = orbit_distances(start, MetricParams(config.r), steps, config.tol)
     with _open_utf8(path) as fh:  # each row as the sweep yields it: no table is held
         fh.write("n,distance\n")

@@ -32,29 +32,28 @@ y-interval only on its future digits, so the level-(k, n) grid of
 and 2**n future y-intervals (`rectangle_lattice`), whose ends are integers
 over one denominator per factor.  This lattice is the one model of the
 rectangles: the hyperbolic report's gaps and the CLI's exports alike are
-read from its factors.  The CLI writes the rows of one past at a time
-into a template of future texts, with no Python code per row: the 2**20
-cap's 204 MB take about 0.35 s of CPU time at 17.2 MB peak RSS (2-vCPU VM,
-Python 3.11.7).
+read from its factors.
 
-There is one arithmetic for every parameter type.  A float lambda or mu is
-the dyadic rational it holds, so int, `fractions.Fraction` and float
-parameters alike enter as the integer ratios lambda = a/b and mu = c/e
-(`as_integer_ratio`), and every interval, itinerary point and conjugacy
-defect below is the exact value of those inputs (the default lambda = 1/3,
-mu = 3).  The digit sums run over integers: one Horner pass keeps a sum
-over the common denominator b**len (mu**-j likewise over a power of c),
-and at most one `Fraction` is normalised per sum.  Squared defects,
-diagonals and gaps are compared exactly, as integer cross products.
-Reported floats, square roots included (diagonals, conjugacy defects and
-bounds), are the correctly rounded values of the exact ones.
+There is one arithmetic for every parameter type and every point.  A float
+lambda, mu or point coordinate is the dyadic rational it holds, so int,
+`fractions.Fraction` and float inputs alike enter as integer ratios, among
+them lambda = a/b and mu = c/e (`as_integer_ratio`), and every interval,
+itinerary point, orbit row and conjugacy defect below is the exact value
+of those inputs (the default lambda = 1/3, mu = 3).  The digit sums run
+over integers: one Horner pass keeps a sum over the common denominator
+b**len (mu**-j likewise over a power of c), and at most one `Fraction` is
+normalised per sum.  Squared defects, diagonals and gaps are compared
+exactly, as integer cross products.  Reported floats, square roots
+included (diagonals, conjugacy defects and bounds), are the correctly
+rounded values of the exact ones.
 
-`horseshoe_map` and `horseshoe_inverse`, which the CLI's planar orbits
-run, are the exception: they move a `PlanePoint` in its own arithmetic.
-A float point rounds at every step and mu = 3 triples the error, so
-(0, 0.1) escapes at step 33, not at 38 as the float's exact value would,
-and (0, 1/10) never escapes.  An exact x's denominator grows 3-fold a
-step at lambda = 1/3, so n exact steps take time quadratic in n.
+The CLI writes the rectangles one past at a time into a template of future
+texts, with no Python code per row.  A planar orbit (`orbit_rows`) moves y
+as an integer pair, whose denominator grows at most e-fold a row, and x as
+an integer interval that lambda contracts, with one byte of branch history
+a row for the rare exact rebuild.  On a 2-vCPU VM (Python 3.11.7) the
+2**20 rectangle cap's 204 MB take about 0.35 s of CPU time at 17.2 MB
+peak RSS, and the 2**20-step orbit cap about 3 s, exact start or float.
 
 The payloads of the CLI's two horseshoe reports, the hyperbolic-condition
 and the conjugacy report, are built here (`hyperbolic_payload`,
@@ -97,6 +96,8 @@ class EscapeError(ValueError):
 MAX_EXACT_BITS = 16
 MAX_FLOAT_BITS = 64
 
+_X_BITS = 1140  # x's scale in `orbit_rows`: 66 bits below the least subnormal, 2**-1074
+
 
 class HorseshoeParams(FrozenValue):
     """Contraction lambda in (0, 1/2) and finite expansion mu > 2.
@@ -127,40 +128,77 @@ class HorseshoeParams(FrozenValue):
 
 
 class PlanePoint(FrozenValue):
+    """A point of the unit square, exact: a float coordinate is the dyadic it holds."""
+
     __slots__ = _fields = ("x", "y")
 
     def __init__(self, x, y) -> None:
         if not (0 <= x <= 1 and 0 <= y <= 1):
             raise ValueError(f"point ({x}, {y}) outside the unit square")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", Fraction(x))
+        object.__setattr__(self, "y", Fraction(y))
+
+
+def _strip(num: int, den: int, part: int, whole: int, step=0, axis="horizontal") -> int:
+    """The strip, 1 or 2, holding the coordinate num / den, for strips of
+    width part / whole at either end of [0, 1]; EscapeError in the gap."""
+    if num * whole <= part * den:
+        return 1
+    if num * whole >= (whole - part) * den:
+        return 2
+    raise EscapeError(step, axis)
 
 
 def branch_of(q: PlanePoint, hp: HorseshoeParams, step: int = 0) -> int:
     """Which horizontal strip holds q: 1, 2, or an escape."""
     _, _, c, e = hp.ratios
-    gap_lo = Fraction(e, c)  # 1 / mu; compares exactly against floats too
-    if q.y <= gap_lo:
-        return 1
-    if q.y >= 1 - gap_lo:
-        return 2
-    raise EscapeError(step, "horizontal")
+    return _strip(*q.y.as_integer_ratio(), e, c, step)  # the strips of height 1 / mu
 
 
 def horseshoe_map(q: PlanePoint, hp: HorseshoeParams, step: int = 0) -> PlanePoint:
-    branch = branch_of(q, hp, step)
-    if branch == 1:
-        return PlanePoint(hp.lam * q.x, hp.mu * q.y)
-    return PlanePoint(hp.lam * q.x + 1 - hp.lam, hp.mu * q.y - (hp.mu - 1))
+    a, b, c, e = hp.ratios
+    t = branch_of(q, hp, step) - 1
+    return PlanePoint((a * q.x + t * (b - a)) / b, (c * q.y - t * (c - e)) / e)
 
 
 def horseshoe_inverse(q: PlanePoint, hp: HorseshoeParams, step: int = 0) -> PlanePoint:
     """Inverse branches, selected by the vertical strip holding q."""
-    if q.x <= hp.lam:
-        return PlanePoint(q.x / hp.lam, q.y / hp.mu)
-    if q.x >= 1 - hp.lam:
-        return PlanePoint((q.x - (1 - hp.lam)) / hp.lam, (q.y + hp.mu - 1) / hp.mu)
-    raise EscapeError(step, "vertical")
+    a, b, c, e = hp.ratios
+    t = _strip(*q.x.as_integer_ratio(), a, b, step, "vertical") - 1  # width lambda
+    return PlanePoint((b * q.x - t * (b - a)) / a, (e * q.y + t * (c - e)) / c)
+
+
+def orbit_rows(q: PlanePoint, hp: HorseshoeParams, steps: int):
+    """The rows (x, y, branch) of q's forward orbit, n = 0..steps: the exact
+    iterate's correctly rounded floats and its strip; a gap row, branch None,
+    ends them.  y moves exactly, as an integer pair, and x as an integer lo
+    with lo <= x * 2**_X_BITS < lo + 2 (rounding lo down keeps that, as
+    lambda < 1/2).  A row whose two ends round apart rebuilds x exactly from
+    q.x and the branch digits so far (`_x_ends`), kept one byte a row."""
+    a, b, c, e = hp.ratios
+    (x0, x0_den), (y, y_den) = q.x.as_integer_ratio(), q.y.as_integer_ratio()
+    one = 1 << _X_BITS
+    lo = (x0 << _X_BITS) // x0_den
+    lift = (b - a) << _X_BITS  # (1 - lambda) * b on x's scale
+    history = bytearray()
+    for _ in range(steps + 1):
+        x = lo / one
+        if (lo + 2) / one != x:
+            past_lo, past_hi, den = _x_ends(history, hp)  # x = past_lo / den + lam**n x0
+            x = (past_lo * x0_den + (past_hi - past_lo) * x0) / (den * x0_den)
+        try:
+            branch = _strip(y, y_den, e, c)
+        except EscapeError:
+            yield x, y / y_den, None
+            return
+        yield x, y / y_den, branch
+        history.append(branch)
+        t = branch - 1
+        lo = (a * lo + t * lift) // b
+        y = c * y - t * (c - e) * y_den
+        if e != 1:  # y's denominator grows e-fold: reduce it
+            g = math.gcd(y, y_den * e)
+            y, y_den = y // g, y_den * e // g
 
 
 def itinerary(q: PlanePoint, hp: HorseshoeParams, back: int, fwd: int) -> FiniteWord:
@@ -168,14 +206,10 @@ def itinerary(q: PlanePoint, hp: HorseshoeParams, back: int, fwd: int) -> Finite
     j records the strip containing the (j-1)-th image of q."""
     if back < 0 or fwd < 0 or back + fwd == 0:
         raise ValueError("need back >= 0, fwd >= 0, and at least one symbol")
-    forward = []
-    pt = q
-    for step in range(fwd):
-        forward.append(branch_of(pt, hp, step))
-        if step + 1 < fwd:
-            pt = horseshoe_map(pt, hp, step)
-    backward = []
-    pt = q
+    forward = [branch for _, _, branch in orbit_rows(q, hp, fwd - 1)]
+    if None in forward:
+        raise EscapeError(len(forward) - 1, "horizontal")
+    backward, pt = [], q
     for step in range(1, back + 1):
         pt = horseshoe_inverse(pt, hp, -step)
         backward.append(branch_of(pt, hp, -step))
@@ -230,13 +264,7 @@ def _conjugacy_rows(seqs, hp: HorseshoeParams, depth: int):
         y, _, yd = _y_ends(w[depth : 2 * depth], hp)
         x_next = _x_ends(w[1 : depth + 1], hp)[0]  # the shifted sequence's point
         y_next = _y_ends(w[depth + 1 :], hp)[0]
-        # branch_of: y <= 1/mu = e/c is strip 1, y >= 1 - e/c strip 2
-        if y * c <= e * yd:
-            t = 0
-        elif y * c >= (c - e) * yd:
-            t = 1
-        else:
-            raise EscapeError(0, "horizontal")
+        t = _strip(y, yd, e, c) - 1
         # image (lam x + t (1 - lam), mu y - t (mu - 1)) minus the next point,
         # over the denominators b xd and e yd
         dx = a * x + t * (b - a) * xd - b * x_next

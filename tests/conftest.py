@@ -55,6 +55,33 @@ def _pull_back(digits, shift, scale):
     return lo, hi
 
 
+# the three pinned horseshoe runs' parameters, and the slowest floats the
+# 64-bit cap accepts
+ROOT_PARAMS = [
+    (Fraction(1, 3), 3),
+    (Fraction(21840, 65521), Fraction(65521, 21841)),
+    (0.3, 3.5),
+    ((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11),
+]
+ROOT_IDS = ["exact", "16-bit", "float", "64-bit-float"]
+
+
+def planar_orbit_csv(x, y, lam, mu, steps):
+    """The text of `orbit.csv` for a planar start (x, y): the map's two
+    branch formulas iterated in `Fraction`s on the exact lambda and mu, each
+    row's floats rounded from the exact iterate.  Time quadratic in steps."""
+    lam, mu = Fraction(lam), Fraction(mu)
+    x, y = Fraction(x), Fraction(y)
+    lines = ["n,x,y,symbol\n"]
+    for n in range(steps + 1):
+        t = 0 if y <= 1 / mu else 1 if y >= 1 - 1 / mu else None
+        lines.append(f"{n},{float(x)!r},{float(y)!r},{'escape' if t is None else t + 1}\n")
+        if t is None:
+            break
+        x, y = lam * x + t * (1 - lam), mu * y - t * (mu - 1)
+    return "".join(lines)
+
+
 def scan_for_block(symbols, block):
     """First index where `block` occurs in the symbol list, or None."""
     n = len(block)

@@ -27,7 +27,7 @@ from shiftchaos.cli import _write_json, load_config, main, parse_descriptor, ver
 from shiftchaos.cli import ConfigError, RunConfig
 from shiftchaos.horseshoe import HorseshoeParams
 
-from conftest import _pull_back, _ref_enumeration
+from conftest import ROOT_IDS, ROOT_PARAMS, _pull_back, _ref_enumeration, planar_orbit_csv
 
 
 def run(*argv):
@@ -1255,18 +1255,61 @@ def test_orbit_horseshoe_fixed_point(tmp_path):
 
 @pytest.mark.parametrize("steps", [1 << 14, 1 << 16])
 def test_planar_orbit_writes_its_rows_in_fixed_memory(tmp_path, steps):
-    # a list of the 2**16 + 2 lines would hold 6.5 MiB
-    argv = ["orbit", "--out", str(tmp_path / "orb"), "--start", "point:0,0", "--steps", str(steps)]
-    assert main(argv) == 0  # warm: the horseshoe layer is loaded
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 19
-    with open(tmp_path / "orb" / "orbit.csv", "rb") as fh:
-        assert sum(1 for _ in fh) == steps + 2
+    # a list of the 2**16 + 2 lines would hold 6.5 MiB; the exact start's
+    # rows keep one byte of branch history each
+    for start in ("point:0,0", "point:1/2,1/4"):
+        argv = ["orbit", "--out", str(tmp_path / "orb"), "--start", start, "--steps", str(steps)]
+        assert main(argv) == 0  # warm: the horseshoe layer is loaded
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19, start
+        with open(tmp_path / "orb" / "orbit.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == steps + 2
+
+
+# all-1, all-2, period 2 (at lambda = 1/3, mu = 3), escaping, and mixed
+PLANAR_STARTS = ["1/2,0", "1,1", "1/2,1/4", "0,1/6", "1/7,3/4"]
+
+
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
+@pytest.mark.parametrize("start", PLANAR_STARTS)
+def test_exact_planar_orbits_match_the_fraction_oracle(tmp_path, start, lam, mu):
+    out = tmp_path / "orb"
+    status = run("orbit", "--out", str(out), "--start", f"point:{start}", "--steps", "3000",
+                 "--lam", str(lam), "--mu", str(mu))
+    want = planar_orbit_csv(*map(Fraction, start.split(",")), lam, mu, 3000)
+    assert (out / "orbit.csv").read_text() == want
+    assert status == (1 if want.endswith(",escape\n") else 0)
+
+
+def test_long_exact_planar_orbit_matches_the_fraction_oracle(tmp_path):
+    # x's denominator reaches 3**20000 here, about 31,700 bits
+    out = tmp_path / "orb"
+    assert run("orbit", "--out", str(out), "--start", "point:1/2,1/4", "--steps", "20000") == 0
+    want = planar_orbit_csv(Fraction(1, 2), Fraction(1, 4), Fraction(1, 3), 3, 20000)
+    assert (out / "orbit.csv").read_text() == want
+
+
+def test_float_start_escapes_where_its_exact_value_does(tmp_path):
+    # the float 0.1 lies just above 1/10: its 38th iterate is in the gap,
+    # while 1/10 itself never escapes; float steps, each rounded, reach the
+    # gap at row 33
+    out = tmp_path / "orb"
+    assert run("orbit", "--out", str(out), "--start", "point:0,0.1", "--steps", "100") == 1
+    rows = (out / "orbit.csv").read_text().splitlines()
+    assert len(rows) == 40 and rows[-1].startswith("38,") and rows[-1].endswith(",escape")
+    assert (out / "orbit.csv").read_text() == planar_orbit_csv(0, 0.1, Fraction(1, 3), 3, 100)
+
+
+def test_negative_zero_start_is_the_origin(tmp_path):
+    out = tmp_path / "orb"
+    assert run("orbit", "--out", str(out), "--start", "point:-0.0,0", "--steps", "5") == 0
+    rows = (out / "orbit.csv").read_text().splitlines()
+    assert rows[1:] == [f"{n},0.0,0.0,1" for n in range(6)]
 
 
 def test_orbit_escape_marks_row_and_fails(tmp_path):

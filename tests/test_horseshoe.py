@@ -30,18 +30,10 @@ from shiftchaos.horseshoe import _x_ends, _y_ends, branch_of
 from shiftchaos.schema import MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES, check_grid
 from shiftchaos.sequences import EventuallyPeriodicSeq
 
-from conftest import _is_correctly_rounded_root, _pull_back
+from conftest import ROOT_IDS, ROOT_PARAMS, _is_correctly_rounded_root, _pull_back, planar_orbit_csv
 
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 HPF = HorseshoeParams(1 / 3, 3.0)  # float twin
-
-# the three pinned CLI runs, and the slowest floats the 64-bit cap accepts
-ROOT_PARAMS = [
-    (Fraction(1, 3), 3),
-    (Fraction(21840, 65521), Fraction(65521, 21841)),
-    (0.3, 3.5),
-    ((2 ** 52 + 1) / 2 ** 63, 2.0 ** 64 - 2.0 ** 11),
-]
 
 
 def test_params_validation():
@@ -90,7 +82,7 @@ def test_inverse_composes_to_identity_on_random_strip_points():
         except EscapeError:
             continue
         count += 1
-        assert abs(back.x - x) < 1e-12 and abs(back.y - y) < 1e-12
+        assert back == q and (back.x, back.y) == (x, y)  # exact on the dyadic values
 
 
 def test_itinerary_of_fixed_points():
@@ -113,7 +105,7 @@ def test_point_from_constant_itineraries():
     assert abs(float(pt.x) - 1) <= err and abs(float(pt.y) - 1) <= err
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 def test_point_error_bounds_the_all_two_point_exactly(lam, mu):
     # the all-2 point codes (1, 1), and its truncation sits at the far corner
     # of the depth's rectangle: the distance is the diagonal itself, so a
@@ -272,7 +264,7 @@ def test_rectangle_lattice_rejects_what_level_rectangles_rejects(k, n):
     assert str(lattice_err.value) == str(grid_err.value)
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 @pytest.mark.parametrize("k,n", [(0, 1), (2, 3), (4, 4)])
 def test_lattice_factors_match_the_pull_back_oracle(k, n, lam, mu):
     # each side is the image of [0, 1] under the branches its digits name,
@@ -289,7 +281,7 @@ def test_lattice_factors_match_the_pull_back_oracle(k, n, lam, mu):
         assert _fractions(*future[1:]) == _pull_back(future.digits, (mu - 1) / mu, 1 / mu), future
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 def test_lattice_floats_are_the_exact_ends_correctly_rounded(lam, mu):
     # the writers take each end as one int / int division of the factor's
     # integers: it must equal the exact value's rounding bit for bit, at every
@@ -371,6 +363,23 @@ def test_escape_points_never_get_symbols():
             branch_of(q, HP)
         with pytest.raises(EscapeError):
             horseshoe_inverse(PlanePoint(y, rng.random()), HP)
+
+
+@pytest.mark.parametrize("bits", [0, 53])
+def test_orbit_rows_rebuild_x_exactly_where_its_interval_ends_round_apart(monkeypatch, bits):
+    # over 2**-bits the ends of x's interval round to different floats in
+    # most rows, and each such row rebuilds x from its branch digits
+    rebuilds = []
+    monkeypatch.setattr(horseshoe, "_X_BITS", bits)
+    monkeypatch.setattr(horseshoe, "_x_ends", lambda past, hp: rebuilds.append(1) or _x_ends(past, hp))
+    for lam, mu, x, y in [(Fraction(1, 3), 3, Fraction(1, 7), Fraction(3, 4)),
+                          (0.3, 3, 0.1, Fraction(1, 4)),
+                          (Fraction(2, 5), Fraction(7, 2), Fraction(1, 7), Fraction(2, 9)),
+                          (0.3, 3.5, 0.1, 0.0)]:
+        rows = horseshoe.orbit_rows(PlanePoint(x, y), HorseshoeParams(lam, mu), 300)
+        text = "".join(f"{n},{u!r},{v!r},{b or 'escape'}\n" for n, (u, v, b) in enumerate(rows))
+        assert "n,x,y,symbol\n" + text == planar_orbit_csv(x, y, lam, mu, 300)
+    assert len(rebuilds) > 100
 
 
 def test_mixed_signature_itinerary_against_spliced_window():
@@ -480,7 +489,7 @@ def test_exact_conjugacy_check_matches_fraction_arithmetic():
         assert _is_correctly_rounded_root(rep["bound"], bound_sq)
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 @pytest.mark.parametrize(
     "max_depth, depth, samples",
     [(8, 20, 25), (9, MAX_CONJUGACY_DEPTH, MAX_CONJUGACY_SAMPLES)],
@@ -506,7 +515,7 @@ def test_every_stored_root_is_correctly_rounded(lam, mu, max_depth, depth, sampl
         assert _is_correctly_rounded_root(row["bound"], bound_sq)
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 def test_hyperbolic_payload_is_its_inputs_and_the_check(lam, mu):
     hp = HorseshoeParams(lam, mu)
     report = verify_hyperbolic_conditions(hp, 8)
@@ -526,7 +535,7 @@ def test_hyperbolic_report_fails_diagonals_off_their_prediction(monkeypatch):
     assert report["strictly_decreasing"] and report["grid_exact"] and not report["passed"]
 
 
-@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=["exact", "16-bit", "float", "64-bit-float"])
+@pytest.mark.parametrize("lam, mu", ROOT_PARAMS, ids=ROOT_IDS)
 def test_conjugacy_payload_is_its_inputs_and_the_check(lam, mu):
     hp, depth, rng = HorseshoeParams(lam, mu), 20, random.Random(5)
     words = [[rng.randint(1, 2) for _ in range(rng.randint(1, 12))] for _ in range(25)]
