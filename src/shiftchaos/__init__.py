@@ -47,7 +47,6 @@ _EXPORTS = {
         "space_diameter",
     ),
     "certify": (
-        "Certificate",
         "UnstableSetId",
         "li_yorke_pair",
         "member_with_future",

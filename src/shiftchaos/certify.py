@@ -53,7 +53,7 @@ from .metric import (
     weight_above,
     weight_below,
 )
-from .schema import MAX_METRIC_DEPTH, MAX_STEPS, MAX_WINDOW, SCHEMA_VERSION, bounded
+from .schema import MAX_METRIC_DEPTH, MAX_STEPS, MAX_WINDOW, bounded, certificate, shape_error
 from .sequences import (
     Alphabet,
     BiSequence,
@@ -100,20 +100,11 @@ def universal_member(u_set: UnstableSetId, seed: int = 0) -> BiSequence:
     return member_with_future(u_set, UniversalSeq(u_set.alphabet.m, seed))
 
 
-class Certificate(FrozenValue):
-    """A self-contained, re-verifiable record of one chaos check."""
-
-    __slots__ = _fields = ("kind", "data")
-
-    def __init__(self, kind: str, data: dict) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "data", data)
-
-
 class VerificationResult(FrozenValue):
     """`shaped` is False when the payload is no certificate at all: not an
-    object, a `schema` other than the integer `SCHEMA_VERSION`, a `kind`
-    that is neither a string nor missing, or no `data` object."""
+    object, a `schema` other than the integer schema version, a `kind`
+    that is neither a string nor missing, or no `data` object
+    (`schema.shape_error`)."""
 
     __slots__ = _fields = ("kind", "ok", "failures", "shaped")
 
@@ -151,8 +142,8 @@ def check_steps(name: str, steps, p: MetricParams, tol: float) -> int:
     return steps
 
 
-def _certificate(kind: str, payload: dict) -> Certificate:
-    return Certificate(kind, {
+def _certificate(kind: str, payload: dict) -> dict:
+    return certificate(kind, {
         key: sequence_to_payload(v) if isinstance(v, BiSequence) else v
         for key, v in payload.items()
     })
@@ -160,7 +151,7 @@ def _certificate(kind: str, payload: dict) -> Certificate:
 
 def transitivity_witness(
     u_set: UnstableSetId, target: CylinderSet, seed: int = 0
-) -> Certificate:
+) -> dict:
     """Shift count carrying the universal member of the set into `target`."""
     shift_count = 0
     if not target.is_whole:  # window start -k lands on the word's entry
@@ -232,7 +223,7 @@ def _density_depth(delta: float, p: MetricParams) -> int:
 
 def periodic_density_witness(
     s: BiSequence, delta: float, p: MetricParams, tol: float = 1e-12
-) -> Certificate:
+) -> dict:
     """A periodic point within `delta` of s: repeat the window s(-k)..s(k)
     with k chosen so the off-window weight drops below delta."""
     if delta <= 0:
@@ -264,7 +255,7 @@ def periodic_density_payload(
 
 def sensitivity_witness(
     s: BiSequence, eps: float, alphabet: Alphabet, p: MetricParams, tol: float = 1e-12
-) -> Certificate:
+) -> dict:
     """A point within eps of s (agreeing through position k) whose orbit is
     eps0-far after k shifts, with every symbol beyond k flipped."""
     if eps <= 0:
@@ -317,7 +308,7 @@ def poisson_recurrence_witness(
     p: MetricParams,
     seed: int = 0,
     tol: float = 1e-12,
-) -> Certificate:
+) -> dict:
     """Return times of the universal member to shrinking windows around
     itself: numerical recurrence evidence, never a proof.
 
@@ -427,7 +418,7 @@ def _scrambled_pair(past: BiSequence, horizon: int) -> tuple[BiSequence, BiSeque
 
 def li_yorke_pair(
     u_set: UnstableSetId, horizon: int, p: MetricParams, tol: float = 1e-12
-) -> Certificate:
+) -> dict:
     """A scrambled pair in the unstable set, certified at finite horizon.
 
     Both members share the set's past; one future is constant 1, the other
@@ -478,7 +469,7 @@ def li_yorke_payload(
 
 def stable_set_convergence(
     s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float = 1e-12
-) -> Certificate:
+) -> dict:
     """Orbits of two points sharing a future converge under forward shifts:
     after n shifts every mismatch has weight at most r**(n+1)/(1-r)."""
     return _certificate("stable_convergence", convergence_payload(s, t, n_max, p, tol, True))
@@ -486,7 +477,7 @@ def stable_set_convergence(
 
 def unstable_set_convergence(
     s: BiSequence, t: BiSequence, n_max: int, p: MetricParams, tol: float = 1e-12
-) -> Certificate:
+) -> dict:
     """Mirror of stable_set_convergence under backward shifts for two points
     sharing a past."""
     return _certificate("unstable_convergence", convergence_payload(s, t, n_max, p, tol, False))
@@ -700,24 +691,10 @@ _VERIFIERS = {
 }
 
 
-def _shape_error(payload) -> str | None:
-    """Why a decoded payload cannot be a certificate, if it cannot."""
-    if not isinstance(payload, dict):
-        return f"expected a JSON object, got {type(payload).__name__}"
-    schema = payload.get("schema")
-    if type(schema) is not int or schema != SCHEMA_VERSION:  # not true, 1.0 or "1"
-        return f"schema {schema!r} is not {SCHEMA_VERSION}"
-    if not isinstance(payload.get("kind"), (str, type(None))):
-        return f"unknown certificate kind {payload['kind']!r}: not a string"
-    if not isinstance(payload.get("data"), dict):
-        return "'data' is missing or not a JSON object"
-    return None
-
-
 def verify_certificate(payload: dict) -> VerificationResult:
     """Recompute every claim of a certificate or report from its stored
     witnesses and inputs, after checking its shape and `schema`."""
-    shape = _shape_error(payload)
+    shape = shape_error(payload)
     kind = payload.get("kind") if isinstance(payload, dict) else None
     if shape:
         return VerificationResult(str(kind), False, (shape,), shaped=False)

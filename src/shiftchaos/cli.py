@@ -8,8 +8,8 @@ horseshoe  export hyperbolic and conjugacy reports (JSON), and as --format
            of the unit square
 orbit      tabulate a symbolic or planar orbit as CSV
 
-A top-level ``--verify FILE`` mode re-verifies any emitted certificate or
-report with `certify.verify_certificate`.
+A top-level ``--verify FILE...`` mode re-verifies emitted certificates and
+reports with `certify.verify_certificate`.
 
 Configuration is a flat ``key = value`` text file (``--config``); explicit
 flags win over file values.  Identical config plus seed reproduces output
@@ -37,8 +37,8 @@ from .schema import (
     MAX_METRIC_DEPTH,
     MAX_STEPS,
     MAX_WINDOW,
-    SCHEMA_VERSION,
     bounded,
+    certificate,
     check_grid,
     parse_number,
 )
@@ -203,15 +203,10 @@ def _make_out(out: Path) -> Path:
     return out
 
 
-def _write_json(path: Path, kind: str, data: dict) -> None:
+def _write_json(path: Path, payload: dict) -> None:
     import json
 
-    payload = {"schema": SCHEMA_VERSION, "kind": kind, "data": data}
     path.write_bytes((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
-
-
-def _float_str(v) -> str:
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +226,46 @@ def cmd_certify(config: RunConfig) -> int:
     a = Alphabet(config.m)
     p = MetricParams(config.r)
     rng = random.Random(config.seed)
-    files: list[tuple[str, str, dict]] = []  # (filename, kind, data)
+    files: list[tuple[str, dict]] = []  # (filename, certificate)
 
-    files.append(("diameter_condition.json", "diameter_condition",
-                  cert.diameter_payload(config.m, config.r, config.metric_depth)))
+    files.append(("diameter_condition.json", certificate(
+        "diameter_condition", cert.diameter_payload(config.m, config.r, config.metric_depth))))
     for degree in (1, 2, 3):
-        files.append((f"separation_n{degree}.json", "separation",
-                      cert.separation_payload(config.m, config.r, degree)))
+        files.append((f"separation_n{degree}.json", certificate(
+            "separation", cert.separation_payload(config.m, config.r, degree))))
 
     for i in range(config.sets):
         u_set = cert.random_unstable_set(rng, a)
         member = cert.universal_member(u_set)
         for t in range(config.targets):
             target = cert.random_two_sided_target(rng, a, 2, 3)
-            c = cert.transitivity_witness(u_set, target)
-            files.append((f"transitivity_s{i}_t{t}.json", c.kind, c.data))
+            files.append((f"transitivity_s{i}_t{t}.json",
+                          cert.transitivity_witness(u_set, target)))
         for d_i, delta in enumerate(_DELTAS):
-            c = cert.periodic_density_witness(member, delta, p, config.tol)
-            files.append((f"periodic_density_s{i}_d{d_i}.json", c.kind, c.data))
+            files.append((f"periodic_density_s{i}_d{d_i}.json",
+                          cert.periodic_density_witness(member, delta, p, config.tol)))
         for e_i, eps in enumerate(_EPSILONS):
-            c = cert.sensitivity_witness(member, eps, a, p, config.tol)
-            files.append((f"sensitivity_s{i}_e{e_i}.json", c.kind, c.data))
+            files.append((f"sensitivity_s{i}_e{e_i}.json",
+                          cert.sensitivity_witness(member, eps, a, p, config.tol)))
         if i == 0:
-            c = cert.poisson_recurrence_witness(u_set, config.recurrence_depth, p, tol=config.tol)
-            files.append(("poisson_recurrence.json", c.kind, c.data))
-            c = cert.li_yorke_pair(u_set, config.horizon, p, config.tol)
-            files.append(("li_yorke.json", c.kind, c.data))
+            files.append(("poisson_recurrence.json", cert.poisson_recurrence_witness(
+                u_set, config.recurrence_depth, p, tol=config.tol)))
+            files.append(("li_yorke.json", cert.li_yorke_pair(u_set, config.horizon, p, config.tol)))
             shared_future = window_padded((2, 1, 2))
             s_conv = cert.member_with_future(u_set, shared_future)
             t_conv = splice(periodic((2,)), shared_future)
-            c = cert.stable_set_convergence(s_conv, t_conv, _CONVERGENCE_STEPS, p, config.tol)
-            files.append(("stable_convergence.json", c.kind, c.data))
+            files.append(("stable_convergence.json", cert.stable_set_convergence(
+                s_conv, t_conv, _CONVERGENCE_STEPS, p, config.tol)))
             u1 = cert.member_with_future(u_set, window_padded((1, 2)))
             u2 = cert.member_with_future(u_set, window_padded((2, 1)))
-            c = cert.unstable_set_convergence(u1, u2, _CONVERGENCE_STEPS, p, config.tol)
-            files.append(("unstable_convergence.json", c.kind, c.data))
+            files.append(("unstable_convergence.json", cert.unstable_set_convergence(
+                u1, u2, _CONVERGENCE_STEPS, p, config.tol)))
 
     status = 0
     failed_name = None
     print(f"{'check':40s} {'status':8s}")
-    for name, kind, data in files:
-        _write_json(out / name, kind, data)
+    for name, payload in files:
+        _write_json(out / name, payload)
         result = verify_file(out / name, quiet=True)
         ok = result == 0
         print(f"{name:40s} {'ok' if ok else 'FAIL':8s}")
@@ -349,11 +343,11 @@ def cmd_horseshoe(config: RunConfig) -> int:
         _write_rectangles_csv(out / "rectangles.csv", pasts, futures)
 
     hyperbolic = hyperbolic_payload(hp, max(1, min(config.k + config.n, 8)))
-    _write_json(out / "hyperbolic_report.json", "hyperbolic_conditions", hyperbolic)
+    _write_json(out / "hyperbolic_report.json", certificate("hyperbolic_conditions", hyperbolic))
     conjugacy = conjugacy_payload(
         hp, config.conjugacy_depth, config.seed, config.conjugacy_samples
     )
-    _write_json(out / "conjugacy_report.json", "conjugacy", conjugacy)
+    _write_json(out / "conjugacy_report.json", certificate("conjugacy", conjugacy))
 
     if "svg" in config.formats:
         _write_svg(out / "horseshoe.svg", pasts, futures)
@@ -428,7 +422,7 @@ def cmd_orbit(config: RunConfig, descriptor: str, steps: int) -> int:
     with _open_utf8(path) as fh:  # each row as the sweep yields it: no table is held
         fh.write("n,distance\n")
         for n, d in enumerate(rows):
-            fh.write(f"{n},{_float_str(d.value)}\n")
+            fh.write(f"{n},{d.value!r}\n")
     print(f"wrote {path}")
     return 0
 
@@ -488,8 +482,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="shiftchaos",
         description="Certify shift-space chaos and export horseshoe geometry.",
     )
-    parser.add_argument("--verify", type=Path, default=None, metavar="FILE",
-                        help="re-verify an emitted certificate or report file")
+    parser.add_argument("--verify", type=Path, nargs="+", default=None, metavar="FILE",
+                        help="re-verify emitted certificate or report files; "
+                             "the exit code is the worst: 2 over 1 over 0")
     subparsers = parser.add_subparsers(dest="command")
     for name in ("certify", "horseshoe"):
         _add_common(subparsers.add_parser(name))
@@ -500,8 +495,8 @@ def main(argv: list[str] | None = None) -> int:
     orbit.add_argument("--steps", type=int, default=50)
 
     args = parser.parse_args(argv)
-    if args.verify is not None:
-        return verify_file(args.verify)
+    if args.verify is not None:  # every file, whatever the ones before it gave
+        return max(map(verify_file, args.verify))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """What a certificate or report file may hold, shared by every layer.
 
-The schema version of the files the CLI writes and verifies, the size caps
-on the inputs and witnesses they store, and the number syntax of stored and
+The shape of the files the CLI writes and verifies, with its one writer
+(`certificate`) and its one reader (`shape_error`), the size caps on the
+inputs and witnesses they store, and the number syntax of stored and
 configured horseshoe parameters.  A payload function refuses a size past its
 cap with ValueError, so verifying any file ends with a verdict in bounded
 time.  The CLI validates its configuration against the same caps.  The
@@ -24,6 +25,26 @@ MAX_METRIC_DEPTH = 2048
 MAX_CONJUGACY_DEPTH = 512
 MAX_CONJUGACY_SAMPLES = 50
 RECTANGLE_CAP = 1 << 20  # rectangles of one horseshoe level grid
+
+
+def certificate(kind: str, data: dict) -> dict:
+    """The file object of a certificate or report: what a builder returns,
+    the CLI writes as JSON, and `verify_certificate` reads."""
+    return {"schema": SCHEMA_VERSION, "kind": kind, "data": data}
+
+
+def shape_error(payload) -> str | None:
+    """Why a decoded payload cannot be a certificate, if it cannot."""
+    if not isinstance(payload, dict):
+        return f"expected a JSON object, got {type(payload).__name__}"
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:  # not true, 1.0 or "1"
+        return f"schema {schema!r} is not {SCHEMA_VERSION}"
+    if not isinstance(payload.get("kind"), (str, type(None))):
+        return f"unknown certificate kind {payload['kind']!r}: not a string"
+    if not isinstance(payload.get("data"), dict):
+        return "'data' is missing or not a JSON object"
+    return None
 
 
 def bounded(name: str, value, lo: int, hi: int) -> int:

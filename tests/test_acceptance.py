@@ -140,13 +140,11 @@ def test_devaney_suite_on_seeded_unstable_sets(tmp_path):
             certs.append(periodic_density_witness(member, delta, P))
         for eps in (0.25, 1e-2):
             cert = sensitivity_witness(member, eps, A2, P)
-            assert cert.data["far_value"] - cert.data["far_error"] >= 0.5
+            assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
             certs.append(cert)
         for cert in certs:
             path = out / f"cert_{count}.json"
-            path.write_text(
-                json.dumps({"schema": 1, "kind": cert.kind, "data": cert.data})
-            )
+            path.write_text(json.dumps(cert))
             assert verify_file(path, quiet=True) == 0
             count += 1
     assert count == 20 * 15
@@ -156,27 +154,27 @@ def test_devaney_suite_on_seeded_unstable_sets(tmp_path):
 def test_poisson_recurrence_ten_depths():
     u_set = UnstableSetId(A2, periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 10, P)
-    times = cert.data["times"]
-    thresholds = cert.data["thresholds"]
+    times = cert["data"]["times"]
+    thresholds = cert["data"]["thresholds"]
     assert len(times) == 10
     assert all(a < b for a, b in zip(times, times[1:]))
     assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
     for j, thr in enumerate(thresholds, 1):
         assert thr == 2.0 ** -j + 2.0 ** -(j + 1)
     for value, err, thr in zip(
-        cert.data["distance_values"], cert.data["distance_errors"], thresholds
+        cert["data"]["distance_values"], cert["data"]["distance_errors"], thresholds
     ):
         assert value + err < thr
-    assert verify_certificate({"schema": 1, "kind": cert.kind, "data": cert.data}).ok
+    assert verify_certificate(cert).ok
 
 
 @criterion(6, "li-yorke scrambled pair")
 def test_li_yorke_dyadic_pair_at_horizon_1000():
     u_set = UnstableSetId(A2, periodic((1,), 0))
     cert = li_yorke_pair(u_set, 1000, P)
-    assert cert.data["min_value"] < 2.0 ** -8
-    assert cert.data["max_value"] >= 0.5
-    assert verify_certificate({"schema": 1, "kind": cert.kind, "data": cert.data}).ok
+    assert cert["data"]["min_value"] < 2.0 ** -8
+    assert cert["data"]["max_value"] >= 0.5
+    assert verify_certificate(cert).ok
 
 
 @criterion(7, "stable/unstable convergence")
@@ -184,23 +182,23 @@ def test_convergence_closed_forms():
     s = window_padded((1,), 0, 1)
     t = window_padded((2,), 0, 1)
     cert = stable_set_convergence(s, t, 20, P)
-    for row in cert.data["rows"]:
+    for row in cert["data"]["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)  # closed form, error 0
         assert row["error"] == 0.0
-    assert cert.data["rows"][11]["value"] < 1e-3
+    assert cert["data"]["rows"][11]["value"] < 1e-3
     # mirrored pair differing only at position 1
     s2 = window_padded((1,), 1, 1)
     t2 = window_padded((2,), 1, 1)
     cert2 = unstable_set_convergence(s2, t2, 20, P)
-    for row in cert2.data["rows"]:
+    for row in cert2["data"]["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)
         assert row["error"] == 0.0
-    assert cert2.data["rows"][11]["value"] < 1e-3
+    assert cert2["data"]["rows"][11]["value"] < 1e-3
     # worst case: pasts differing everywhere still drop below 1e-3 by n = 11
     all_ones = periodic_point((1,))
     two_past = SplicedSeq(periodic_point((2,)), all_ones, 0)
     worst = stable_set_convergence(all_ones, two_past, 20, P)
-    assert worst.data["rows"][11]["value"] < 1e-3
+    assert worst["data"]["rows"][11]["value"] < 1e-3
 
 
 @criterion(8, "horseshoe conjugacy and round trip")

@@ -66,10 +66,6 @@ def ones_past():
     return UnstableSetId(A2, periodic((1,), 0))
 
 
-def as_payload(cert):
-    return {"schema": 1, "kind": cert.kind, "data": cert.data}
-
-
 def test_unstable_set_rejects_universal_past():
     from shiftchaos import UniversalSeq
 
@@ -83,27 +79,54 @@ def test_members_share_the_past():
     assert member.window(-6, 0) == u_set.past.window(-6, 0)
 
 
+# -- the file form of a certificate -----------------------------------------
+
+BUILDERS = {
+    "transitivity_witness": lambda: transitivity_witness(
+        ones_past(), two_sided_cylinder((2, 1, 2), -1)),
+    "periodic_density_witness": lambda: periodic_density_witness(
+        universal_member(ones_past()), 1e-2, P),
+    "sensitivity_witness": lambda: sensitivity_witness(
+        universal_member(ones_past()), 0.25, A2, P),
+    "poisson_recurrence_witness": lambda: poisson_recurrence_witness(ones_past(), 4, P),
+    "li_yorke_pair": lambda: li_yorke_pair(ones_past(), 100, P),
+    "stable_set_convergence": lambda: stable_set_convergence(
+        window_padded((1,), 0, 1), window_padded((2,), 0, 1), 20, P),
+    "unstable_set_convergence": lambda: unstable_set_convergence(
+        member_with_future(ones_past(), window_padded((1, 2), 1, 1)),
+        member_with_future(ones_past(), window_padded((2, 1), 1, 1)), 20, P),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builder_returns_the_file_object(builder):
+    cert = BUILDERS[builder]()
+    assert sorted(cert) == ["data", "kind", "schema"]
+    assert json.loads(json.dumps(cert)) == cert
+    assert verify_certificate(cert).ok
+
+
 # -- transitivity -----------------------------------------------------------
 
 
 def test_transitivity_whole_space_needs_no_shift():
     cert = transitivity_witness(ones_past(), whole_space())
-    assert cert.data["shift_count"] == 0
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["shift_count"] == 0
+    assert verify_certificate(cert).ok
 
 
 def test_transitivity_concrete_target_scan_oracle():
     u_set = ones_past()
     target = two_sided_cylinder((1, 2, 1), -1)
     cert = transitivity_witness(u_set, target)
-    p = cert.data["shift_count"]
+    p = cert["data"]["shift_count"]
     member = universal_member(u_set)
     assert member.shift(p).window(-1, 1) == (1, 2, 1)
     # oracle: scanning the materialized future also finds the word at p - 1
     prefix = list(_ref_enumeration(2, 0, 64))
     occurrence = scan_for_block(prefix, (1, 2, 1))
     assert occurrence is not None and member.window(p - 1, p + 1) == (1, 2, 1)
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 def test_transitivity_all_sixteen_targets():
@@ -112,9 +135,9 @@ def test_transitivity_all_sixteen_targets():
         word = tuple((num >> i) % 2 + 1 for i in range(4))
         target = two_sided_cylinder(word, -1)  # window [-1, 2]
         cert = transitivity_witness(u_set, target)
-        p = cert.data["shift_count"]
+        p = cert["data"]["shift_count"]
         assert universal_member(u_set).shift(p).window(-1, 2) == word
-        assert verify_certificate(as_payload(cert)).ok
+        assert verify_certificate(cert).ok
 
 
 def test_transitivity_rejects_future_cylinder_targets():
@@ -130,34 +153,34 @@ def test_transitivity_rejects_future_cylinder_targets():
 def test_density_witness_of_periodic_point_is_the_point():
     s = periodic_point((1,))
     cert = periodic_density_witness(s, 0.5, P)
-    assert cert.data["distance_value"] == 0.0
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["distance_value"] == 0.0
+    assert verify_certificate(cert).ok
 
 
 def test_density_depth_for_small_delta():
     member = universal_member(ones_past())
     cert = periodic_density_witness(member, 1e-3, P)
-    assert cert.data["k"] == 11  # 2**-11 + 2**-12 < 1e-3, and 10 is too shallow
-    assert cert.data["distance_value"] + cert.data["distance_error"] < 1e-3
-    witness = sequence_from_payload(cert.data["witness"])
+    assert cert["data"]["k"] == 11  # 2**-11 + 2**-12 < 1e-3, and 10 is too shallow
+    assert cert["data"]["distance_value"] + cert["data"]["distance_error"] < 1e-3
+    witness = sequence_from_payload(cert["data"]["witness"])
     assert witness.period == 23
     assert brute_distance(member, witness, 0.5) < 1e-3
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 def test_density_universal_member_delta_tenth():
     member = universal_member(ones_past())
     cert = periodic_density_witness(member, 0.1, P)
-    assert cert.data["k"] == 4
-    assert cert.data["distance_value"] < 0.1
-    assert not cert.data["degenerate"]
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["k"] == 4
+    assert cert["data"]["distance_value"] < 0.1
+    assert not cert["data"]["degenerate"]
+    assert verify_certificate(cert).ok
 
 
 def test_density_degenerate_flag_for_huge_delta():
     cert = periodic_density_witness(periodic_point((1, 2)), 3.0, P)
-    assert cert.data["degenerate"]
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["degenerate"]
+    assert verify_certificate(cert).ok
 
 
 # -- sensitivity ------------------------------------------------------------
@@ -166,26 +189,26 @@ def test_density_degenerate_flag_for_huge_delta():
 def test_sensitivity_quarter_eps():
     member = universal_member(ones_past())
     cert = sensitivity_witness(member, 0.25, A2, P)
-    assert cert.data["k"] == 3  # 2**-3 < 1/4, 2**-2 is not
-    assert cert.data["close_value"] + cert.data["close_error"] < 0.25
-    assert cert.data["far_value"] - cert.data["far_error"] >= 0.5
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["k"] == 3  # 2**-3 < 1/4, 2**-2 is not
+    assert cert["data"]["close_value"] + cert["data"]["close_error"] < 0.25
+    assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
+    assert verify_certificate(cert).ok
 
 
 def test_sensitivity_degenerate_for_eps_above_diameter():
     cert = sensitivity_witness(periodic_point((1, 2)), 2.5, A2, P)
-    assert cert.data["k"] == 0
-    assert cert.data["degenerate"]
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["k"] == 0
+    assert cert["data"]["degenerate"]
+    assert verify_certificate(cert).ok
 
 
 def test_sensitivity_periodic_point_small_eps():
     cert = sensitivity_witness(periodic_point((1, 2)), 1e-2, A2, P)
-    assert cert.data["k"] == 7  # smallest k with 2**-k < 1e-2
-    d = cert.data
+    assert cert["data"]["k"] == 7  # smallest k with 2**-k < 1e-2
+    d = cert["data"]
     assert d["close_value"] == 0.5 ** 7  # exact: flipped tail weight
     assert d["far_value"] == 1.0
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 @pytest.mark.parametrize("witness", [
@@ -204,8 +227,8 @@ def test_sensitivity_partner_agrees_then_differs():
     cert = sensitivity_witness(s, 0.1, A2, P)
     from shiftchaos import sequence_from_payload
 
-    partner = sequence_from_payload(cert.data["partner"])
-    k = cert.data["k"]
+    partner = sequence_from_payload(cert["data"]["partner"])
+    k = cert["data"]["k"]
     assert partner.window(-10, k) == s.window(-10, k)
     assert all(
         partner.symbol_at(j) != s.symbol_at(j) for j in range(k + 1, k + 20)
@@ -235,29 +258,29 @@ def test_poisson_first_return_matches_brute_scan():
         u_set = UnstableSetId(Alphabet(m), past)
         cert = poisson_recurrence_witness(u_set, depths, P, seed=seed)
         u = universal_member(u_set, seed)
-        for j, n in enumerate(cert.data["times"], 1):
+        for j, n in enumerate(cert["data"]["times"], 1):
             assert n - j == _entry_index(m, seed, bytes(u.window(-j, j + 1)))
             assert u.shift(n).window(-j, j + 1) == u.window(-j, j + 1)
-        assert verify_certificate(as_payload(cert)).ok
+        assert verify_certificate(cert).ok
 
 
 def test_poisson_times_increase_thresholds_decrease():
     cert = poisson_recurrence_witness(ones_past(), 10, P)
-    times = cert.data["times"]
-    thresholds = cert.data["thresholds"]
+    times = cert["data"]["times"]
+    thresholds = cert["data"]["thresholds"]
     assert all(a < b for a, b in zip(times, times[1:]))
     assert all(a > b for a, b in zip(thresholds, thresholds[1:]))
     for value, err, thr in zip(
-        cert.data["distance_values"], cert.data["distance_errors"], thresholds
+        cert["data"]["distance_values"], cert["data"]["distance_errors"], thresholds
     ):
         assert value + err < thr
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 def test_poisson_with_periodic_past():
     u_set = UnstableSetId(A2, periodic((1, 2), 0))
     cert = poisson_recurrence_witness(u_set, 6, P)
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 def test_poisson_rejects_bad_depth():
@@ -283,8 +306,8 @@ def test_poisson_rejects_bad_depth():
 def test_poisson_return_times_are_frozen(m, past, seed, times):
     u_set = UnstableSetId(Alphabet(m), past)
     cert = poisson_recurrence_witness(u_set, len(times), P, seed=seed)
-    assert cert.data["times"] == times
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["times"] == times
+    assert verify_certificate(cert).ok
 
 
 # Return times as an earlier writer found them, scanning the first 2**21
@@ -306,14 +329,14 @@ def test_poisson_return_times_are_frozen(m, past, seed, times):
 def test_files_with_scanned_return_times_still_verify(m, past, seed, times):
     u_set = UnstableSetId(Alphabet(m), past)
     payload = poisson_recurrence_payload(u_set, len(times), P, seed, 1e-12, times)
-    assert verify_certificate(as_payload(_certificate("poisson_recurrence", payload))).ok
+    assert verify_certificate(_certificate("poisson_recurrence", payload)).ok
 
 
 def test_poisson_times_do_not_depend_on_the_window(monkeypatch):
     u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
-    times = poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"]
+    times = poisson_recurrence_witness(u_set, 10, P, seed=3)["data"]["times"]
     monkeypatch.setattr("shiftchaos.sequences._HEAD", 1000)
-    assert poisson_recurrence_witness(u_set, 10, P, seed=3).data["times"] == times
+    assert poisson_recurrence_witness(u_set, 10, P, seed=3)["data"]["times"] == times
 
 
 def test_poisson_scan_memory_does_not_grow_with_the_cap():
@@ -341,16 +364,16 @@ def test_poisson_refuses_steps_past_the_symbol_budget():
 
 def test_li_yorke_horizon_hundred():
     cert = li_yorke_pair(ones_past(), 100, P)
-    assert cert.data["min_value"] < 2.0 ** -5
-    assert cert.data["max_value"] >= 0.5
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["min_value"] < 2.0 ** -5
+    assert cert["data"]["max_value"] >= 0.5
+    assert verify_certificate(cert).ok
 
 
 def test_li_yorke_horizon_thousand():
     cert = li_yorke_pair(ones_past(), 1000, P)
-    assert cert.data["min_value"] < 2.0 ** -8
-    assert cert.data["max_value"] >= 0.5
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["min_value"] < 2.0 ** -8
+    assert cert["data"]["max_value"] >= 0.5
+    assert verify_certificate(cert).ok
 
 
 def test_li_yorke_rejects_short_horizon():
@@ -360,7 +383,7 @@ def test_li_yorke_rejects_short_horizon():
 
 def test_li_yorke_degenerate_pair_fails_verification():
     cert = li_yorke_pair(ones_past(), 100, P)
-    tampered = {"schema": 1, "kind": cert.kind, "data": dict(cert.data)}
+    tampered = {**cert, "data": dict(cert["data"])}
     tampered["data"]["t"] = tampered["data"]["s"]
     result = verify_certificate(tampered)
     assert not result.ok
@@ -410,10 +433,10 @@ def _certifies_and_verifies(past, horizon, r, exact):
     the middle rows of agreement block J and disagreement block J - 1, and
     the exact distances there meet the bounds they claim."""
     cert = li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
-    assert verify_certificate(as_payload(cert)).ok, (r, horizon)
+    assert verify_certificate(cert).ok, (r, horizon)
     if not exact:
         return
-    d, j, w = cert.data, _block(horizon), Fraction(r)
+    d, j, w = cert["data"], _block(horizon), Fraction(r)
     assert (d["min_time"], d["max_time"]) == (
         2 ** (j + 1) - 2 + 2 ** (j - 1), 3 * 2 ** (j - 1) - 2 + 2 ** (j - 2))
     s, t = _scrambled_pair(past, horizon)
@@ -497,7 +520,7 @@ def test_li_yorke_refuses_the_least_subnormal_r(horizon):
 def test_li_yorke_files_with_searched_times_verify(r, horizon, min_time, max_time):
     # times found by the row-by-row search that `li_yorke_pair` once ran
     data = li_yorke_payload(ones_past(), horizon, MetricParams(r), 1e-12, min_time, max_time)
-    payload = json.loads(json.dumps(as_payload(_certificate("li_yorke", data))))
+    payload = json.loads(json.dumps(_certificate("li_yorke", data)))
     assert verify_certificate(payload).ok
     assert (payload["data"]["min_time"], payload["data"]["max_time"]) == (min_time, max_time)
 
@@ -508,19 +531,19 @@ def test_li_yorke_files_with_searched_times_verify(r, horizon, min_time, max_tim
 def test_stable_convergence_equal_points():
     s = periodic_point((1, 2))
     cert = stable_set_convergence(s, s, 10, P)
-    assert all(row["value"] == 0.0 for row in cert.data["rows"])
-    assert verify_certificate(as_payload(cert)).ok
+    assert all(row["value"] == 0.0 for row in cert["data"]["rows"])
+    assert verify_certificate(cert).ok
 
 
 def test_stable_convergence_single_mismatch_closed_form():
     s = window_padded((1,), 0, 1)
     t = window_padded((2,), 0, 1)
     cert = stable_set_convergence(s, t, 20, P)
-    for row in cert.data["rows"]:
+    for row in cert["data"]["rows"]:
         assert row["value"] == 0.5 ** (row["n"] + 1)
         assert row["error"] == 0.0
-    assert cert.data["rows"][-1]["value"] < 1e-5
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["rows"][-1]["value"] < 1e-5
+    assert verify_certificate(cert).ok
 
 
 def test_stable_convergence_rejects_disjoint_futures():
@@ -533,10 +556,10 @@ def test_unstable_convergence_mirrors():
     s = member_with_future(u_set, window_padded((1, 2), 1, 1))
     t = member_with_future(u_set, window_padded((2, 1), 1, 1))
     cert = unstable_set_convergence(s, t, 20, P)
-    rows = cert.data["rows"]
+    rows = cert["data"]["rows"]
     assert rows[-1]["value"] < 1e-5
     assert all(r1["value"] >= r2["value"] for r1, r2 in zip(rows, rows[1:]))
-    assert verify_certificate(as_payload(cert)).ok
+    assert verify_certificate(cert).ok
 
 
 def test_unstable_convergence_rejects_disjoint_pasts():
@@ -553,8 +576,8 @@ def _periodic_past_pair():
 def test_convergence_certifies_while_its_terminal_bound_is_a_normal_float():
     s, t = _periodic_past_pair()
     cert = unstable_set_convergence(s, t, 1023, P)  # r**1022 is the least normal float
-    assert cert.data["n_max"] == 1023
-    assert verify_certificate(as_payload(cert)).ok
+    assert cert["data"]["n_max"] == 1023
+    assert verify_certificate(cert).ok
 
 
 def test_convergence_terminal_claim_counts_the_error():
@@ -564,7 +587,7 @@ def test_convergence_terminal_claim_counts_the_error():
     s, t = splice(periodic((1,)), u), splice(periodic((2,)), u)
     with pytest.raises(AssertionError, match="stable-set distance failed its terminal bound"):
         stable_set_convergence(s, t, 20, P, tol=1e-3)
-    assert verify_certificate(as_payload(stable_set_convergence(s, t, 20, P))).ok
+    assert verify_certificate(stable_set_convergence(s, t, 20, P)).ok
 
 
 @pytest.mark.parametrize(
@@ -600,15 +623,14 @@ def test_convergence_refuses_a_subnormal_terminal_bound(n_max):
 
 def test_tampered_distance_fails_verification():
     cert = periodic_density_witness(universal_member(ones_past()), 0.1, P)
-    tampered = {"schema": 1, "kind": cert.kind, "data": dict(cert.data)}
+    tampered = {**cert, "data": dict(cert["data"])}
     tampered["data"]["distance_value"] = 0.0
     assert not verify_certificate(tampered).ok
 
 
 @pytest.mark.parametrize("schema", [None, "1", True, 99, 1.0], ids=["missing", "string", "true", "99", "float"])
 def test_verify_certificate_requires_schema_one(schema):
-    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
-    payload = as_payload(cert)
+    payload = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
     assert verify_certificate(payload).ok
     if schema is None:
         del payload["schema"]
@@ -633,7 +655,7 @@ def test_non_string_kind_fails_verification(kind):
 @pytest.mark.parametrize("m", [0, 1, -2, 2.0, "2", None])
 def test_flipped_payload_with_bad_alphabet_is_malformed(m):
     cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
-    payload = json.loads(json.dumps(as_payload(cert)))
+    payload = json.loads(json.dumps(cert))
     flipped = payload["data"]["partner"]["future"]
     assert flipped["kind"] == "flipped"
     flipped["m"] = m
@@ -654,21 +676,21 @@ def test_devaney_triple_on_random_unstable_sets(m):
         for _ in range(10):
             target = random_two_sided_target(rng, alphabet, 2, 3)
             cert = transitivity_witness(u_set, target)
-            assert verify_certificate(as_payload(cert)).ok
+            assert verify_certificate(cert).ok
         for delta in (0.1, 1e-2, 1e-3):
             cert = periodic_density_witness(member, delta, P)
-            assert verify_certificate(as_payload(cert)).ok
+            assert verify_certificate(cert).ok
         for eps in (0.25, 1e-2):
             cert = sensitivity_witness(member, eps, alphabet, P)
-            assert cert.data["far_value"] - cert.data["far_error"] >= 0.5
-            assert verify_certificate(as_payload(cert)).ok
+            assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
+            assert verify_certificate(cert).ok
 
 
 # -- derived constants are recomputed, never read from the file -------------
 
 
 def _li_yorke_payload():
-    return json.loads(json.dumps(as_payload(li_yorke_pair(ones_past(), 100, P))))
+    return json.loads(json.dumps(li_yorke_pair(ones_past(), 100, P)))
 
 
 def _convergence_payload(forward):
@@ -681,7 +703,7 @@ def _convergence_payload(forward):
         s = member_with_future(u_set, window_padded((1, 2), 1, 1))
         t = member_with_future(u_set, window_padded((2, 1), 1, 1))
         cert = unstable_set_convergence(s, t, 20, P)
-    return json.loads(json.dumps(as_payload(cert)))
+    return json.loads(json.dumps(cert))
 
 
 def _failures_after(payload, mutate):
@@ -694,7 +716,7 @@ def _failures_after(payload, mutate):
 
 def test_sensitivity_stored_eps0_is_recomputed():
     cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
-    payload = json.loads(json.dumps(as_payload(cert)))
+    payload = json.loads(json.dumps(cert))
     failures = _failures_after(payload, lambda d: d.update(eps0=0.0))
     assert any("eps0" in f for f in failures)
 
@@ -731,7 +753,7 @@ def test_li_yorke_pair_must_share_the_unstable_past():
 def test_li_yorke_min_bound_helper_matches_the_pair():
     for horizon in (10, 22, 46, 100, 1000):
         cert = li_yorke_pair(ones_past(), horizon, MetricParams(0.3))
-        assert (cert.data["min_time"], cert.data["max_time"], cert.data["min_bound"]) == (
+        assert (cert["data"]["min_time"], cert["data"]["max_time"], cert["data"]["min_bound"]) == (
             _li_yorke_block(0.3, horizon))
     # agreement block J = [2**(J+1) - 1, 3*2**J - 2]: J = 4 is [31, 46], and
     # disagreement block 3 is [23, 30]
@@ -769,7 +791,7 @@ def test_convergence_rows_must_cover_every_step(forward, mutate, expected):
 
 def test_deeply_nested_payload_is_malformed():
     cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
-    payload = json.loads(json.dumps(as_payload(cert)))
+    payload = json.loads(json.dumps(cert))
     seq = payload["data"]["sequence"]
     for _ in range(5000):
         seq = {"kind": "flipped", "base": seq, "m": 2}

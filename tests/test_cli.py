@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 import time
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from shiftchaos.schema import (
     MAX_METRIC_DEPTH,
     MAX_STEPS,
     MAX_WINDOW,
+    certificate,
 )
 from shiftchaos.cli import _write_json, load_config, main, parse_descriptor, verify_file
 from shiftchaos.cli import ConfigError, RunConfig
@@ -137,6 +138,30 @@ def fresh_outputs(tmp_path_factory):
     assert run("certify", "--out", str(out / "c"), "--seed", "3") == 0
     assert run("horseshoe", "--out", str(out / "h"), "--k", "2", "--n", "2", "--seed", "3") == 0
     return out
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_verify_of_many_files_reports_each_and_exits_with_the_worst(
+    fresh_outputs, tmp_path, capsys, order
+):
+    ok = fresh_outputs / "c" / "li_yorke.json"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(ok.read_text())
+    _tamper(tampered, _set("max_value", 12.0))
+    paths = [str(p) for p in (ok, tampered, tmp_path / "missing.json")]
+    paths = [paths[i] for i in order]
+    capsys.readouterr()
+    singles = []
+    for path in paths:
+        singles.append((run("--verify", path), capsys.readouterr()))
+    assert sorted(code for code, _ in singles) == [0, 1, 2]
+    assert run("--verify", *paths) == 2
+    joined = capsys.readouterr()
+    assert joined.out == "".join(c.out for _, c in singles)
+    assert joined.err == "".join(c.err for _, c in singles)
+    readable = [path for path in paths if not path.endswith("missing.json")]
+    assert run("--verify", *readable) == 1
+    assert run("--verify", str(ok), str(ok)) == 0
 
 
 @pytest.mark.parametrize(
@@ -355,7 +380,7 @@ def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, cla
     assert not out.exists()
 
 
-def _echoing_payload(kind):
+def _echoing_certificate(kind):
     """A report or certificate of `kind` whose echoed integer inputs are 0
     (target_start, universal_seed) or 1 (the conjugacy seed)."""
     from shiftchaos import (Alphabet, CylinderSet, MetricParams, UnstableSetId, periodic,
@@ -364,10 +389,10 @@ def _echoing_payload(kind):
 
     u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
     if kind == "transitivity":
-        return transitivity_witness(u_set, CylinderSet((2, 1), 0)).data
+        return transitivity_witness(u_set, CylinderSet((2, 1), 0))
     if kind == "poisson_recurrence":
-        return poisson_recurrence_witness(u_set, 3, MetricParams(0.5)).data
-    return conjugacy_payload(HorseshoeParams(), 20, 1, 5)
+        return poisson_recurrence_witness(u_set, 3, MetricParams(0.5))
+    return certificate("conjugacy", conjugacy_payload(HorseshoeParams(), 20, 1, 5))
 
 
 @pytest.mark.parametrize(
@@ -379,7 +404,7 @@ def test_verify_refuses_a_boolean_in_an_echoed_integer_field(tmp_path, capsys, k
     # the payload echoes the stored value, so only a type check in the
     # payload function tells false from 0 and true from 1
     path = tmp_path / f"{kind}.json"
-    _write_json(path, kind, _echoing_payload(kind))
+    _write_json(path, _echoing_certificate(kind))
     assert run("--verify", str(path)) == 0
     _tamper(path, lambda data: data.__setitem__(key, bool(data[key])))
     capsys.readouterr()
@@ -507,7 +532,7 @@ def test_verify_refutes_a_terminal_bound_the_error_overturns(tmp_path, capsys):
         splice(periodic((1,)), u), splice(periodic((2,)), u), 20, MetricParams(0.5)
     )
     path = tmp_path / "stable_convergence.json"
-    _write_json(path, cert.kind, cert.data)
+    _write_json(path, cert)
     assert run("--verify", str(path)) == 0
     _tamper(path, _set("tolerance", 1e-3))  # the last row's error grows to 4.9e-4
     capsys.readouterr()
@@ -781,9 +806,8 @@ def test_verify_reads_certificates_as_utf8_only(fresh_outputs, tmp_path, capsys,
 def test_write_json_writes_sorted_indented_ascii(tmp_path):
     data = {"b": [1, 2.5, None], "a": "café →", "c": {"z": True, "y": -0.0}}
     path = tmp_path / "x.json"
-    _write_json(path, "odd", data)
-    payload = {"schema": 1, "kind": "odd", "data": data}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_json(path, certificate("odd", data))
+    text = json.dumps({"schema": 1, "kind": "odd", "data": data}, sort_keys=True, indent=2) + "\n"
     assert path.read_bytes() == text.encode("ascii")
 
 
@@ -1339,8 +1363,8 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     # the `universal` orbit start has an all-1 past: certify the same set
     u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 4, MetricParams(0.5))
-    assert cert.data["times"] == [43, 284, 1605, 8368]
-    for n, thr in zip(cert.data["times"][:3], cert.data["thresholds"]):
+    assert cert["data"]["times"] == [43, 284, 1605, 8368]
+    for n, thr in zip(cert["data"]["times"][:3], cert["data"]["thresholds"]):
         assert distances[n] < thr  # the first three dips land inside the orbit horizon
 
 
