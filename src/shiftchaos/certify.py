@@ -142,6 +142,13 @@ def check_steps(name: str, steps, p: MetricParams, tol: float) -> int:
     return steps
 
 
+def _positive(name: str, value) -> float:
+    """A delta, eps or tolerance: a finite positive float."""
+    if type(value) is not float or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive float, got {value!r}")
+    return value
+
+
 def _certificate(kind: str, payload: dict) -> dict:
     return certificate(kind, {
         key: sequence_to_payload(v) if isinstance(v, BiSequence) else v
@@ -226,9 +233,7 @@ def periodic_density_witness(
 ) -> dict:
     """A periodic point within `delta` of s: repeat the window s(-k)..s(k)
     with k chosen so the off-window weight drops below delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    k = _density_depth(delta, p)
+    k = _density_depth(_positive("delta", delta), p)
     return _certificate("periodic_density", periodic_density_payload(s, delta, p, tol, k))
 
 
@@ -237,8 +242,8 @@ def periodic_density_payload(
 ) -> dict:
     bounded("k", k, 0, MAX_WINDOW)
     witness = periodic(s.span(-k, k), -k)
-    d = distance(s, witness, p, tol)
-    if not d.value + d.error < delta:
+    d = distance(s, witness, p, _positive("tolerance", tol))
+    if not d.value + d.error < _positive("delta", delta):
         raise AssertionError("periodic witness missed its delta bound")
     return {
         "r": p.r,
@@ -258,9 +263,7 @@ def sensitivity_witness(
 ) -> dict:
     """A point within eps of s (agreeing through position k) whose orbit is
     eps0-far after k shifts, with every symbol beyond k flipped."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    k = _sensitivity_depth(eps, p)
+    k = _sensitivity_depth(_positive("eps", eps), p)
     return _certificate("sensitivity", sensitivity_payload(s, eps, alphabet, p, tol, k))
 
 
@@ -279,9 +282,9 @@ def sensitivity_payload(
     tail = s.shift(k)
     partner = splice(tail, flip(tail, alphabet.m), -k)
     eps0 = weight(1, p.r)
-    d_close = distance(s, partner, p, tol)
+    d_close = distance(s, partner, p, _positive("tolerance", tol))
     d_far = distance(tail, partner.shift(k), p, tol)
-    if not d_close.value + d_close.error < eps:
+    if not d_close.value + d_close.error < _positive("eps", eps):
         raise AssertionError("sensitivity partner not eps-close")
     if not d_far.value - d_far.error >= eps0:
         raise AssertionError("sensitivity divergence below the separation constant")
@@ -317,7 +320,7 @@ def poisson_recurrence_witness(
     a margin `check_witness_room` proves below the depth-j threshold.  The
     times strictly increase, as the entries' sections come in length order.
     """
-    check_steps("depths", depths, p, tol)
+    check_steps("depths", depths, p, _positive("tolerance", tol))
     u, m = universal_member(u_set, seed), u_set.alphabet.m
     times = [enumeration_position(m, seed, u.span(-j, j + 1)) + j for j in range(1, depths + 1)]
     return _certificate(
@@ -340,7 +343,7 @@ def check_return_digits(m: int, depths: int) -> None:
 def poisson_recurrence_payload(
     u_set: UnstableSetId, depths: int, p: MetricParams, seed: int, tol: float, times: list
 ) -> dict:
-    check_steps("depths", depths, p, tol)
+    check_steps("depths", depths, p, _positive("tolerance", tol))
     bounded("universal_seed", seed, -math.inf, math.inf)
     if type(times) is not list or len(times) != depths:
         raise ValueError("times must be a list of one return time per depth")
@@ -440,7 +443,7 @@ def li_yorke_payload(
     s, t = _scrambled_pair(u_set.past, check_horizon(p, horizon))
     bounded("min_time", min_time, 1, horizon)
     bounded("max_time", max_time, 1, horizon)
-    d_min = distance(s.shift(min_time), t.shift(min_time), p, tol)
+    d_min = distance(s.shift(min_time), t.shift(min_time), p, _positive("tolerance", tol))
     d_max = distance(s.shift(max_time), t.shift(max_time), p, tol)
     min_bound = _li_yorke_block(p.r, horizon)[2]
     eps0 = weight(1, p.r)
@@ -499,7 +502,7 @@ def convergence_payload(
 ) -> dict:
     """Distances of the two orbits after 0..n_max forward (stable) or
     backward (unstable) shifts, each within its tail bound."""
-    check_n_max(n_max, p, tol)
+    check_n_max(n_max, p, _positive("tolerance", tol))
     if forward:
         name, sign, lo, hi, side = "stable", 1, 1, n_max + _AGREEMENT_DEPTH, "stable set"
     else:
@@ -576,6 +579,60 @@ def separation_payload(m: int, r: float, degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The suite: every file of a certify run
+# ---------------------------------------------------------------------------
+
+_CONVERGENCE_STEPS = 20  # n_max of the two convergence certificates
+_DELTAS = (0.1, 1e-2, 1e-3)  # of the periodic-density certificates
+_EPSILONS = (0.25, 1e-2)  # of the sensitivity certificates
+
+
+def suite(m: int, r: float, tol: float, seed: int, sets: int, targets: int,
+          recurrence_depth: int, horizon: int, metric_depth: int) -> list[tuple[str, dict]]:
+    """The (file name, certificate) pairs of a certify run, in write order.
+    ValueError, before any is built, unless its files stay within their
+    caps and every witness passes its check."""
+    p = MetricParams(r)
+    check_steps("recurrence_depth", recurrence_depth, p, tol)
+    check_return_digits(m, recurrence_depth)
+    check_n_max(_CONVERGENCE_STEPS, p, tol)
+    check_horizon(p, horizon)
+    check_witness_room(p, tol, recurrence_depth, _DELTAS, _EPSILONS)
+    a = Alphabet(m)
+    rng = random.Random(seed)
+    files = [("diameter_condition.json", certificate(
+        "diameter_condition", diameter_payload(m, r, metric_depth)))]
+    files += [(f"separation_n{degree}.json", certificate(
+        "separation", separation_payload(m, r, degree))) for degree in (1, 2, 3)]
+    for i in range(sets):
+        u_set = random_unstable_set(rng, a)
+        member = universal_member(u_set)
+        for t in range(targets):
+            target = random_two_sided_target(rng, a, 2, 3)
+            files.append((f"transitivity_s{i}_t{t}.json", transitivity_witness(u_set, target)))
+        for d_i, delta in enumerate(_DELTAS):
+            files.append((f"periodic_density_s{i}_d{d_i}.json",
+                          periodic_density_witness(member, delta, p, tol)))
+        for e_i, eps in enumerate(_EPSILONS):
+            files.append((f"sensitivity_s{i}_e{e_i}.json",
+                          sensitivity_witness(member, eps, a, p, tol)))
+        if i == 0:
+            files.append(("poisson_recurrence.json", poisson_recurrence_witness(
+                u_set, recurrence_depth, p, tol=tol)))
+            files.append(("li_yorke.json", li_yorke_pair(u_set, horizon, p, tol)))
+            shared_future = window_padded((2, 1, 2))
+            s_conv = member_with_future(u_set, shared_future)
+            t_conv = splice(periodic((2,)), shared_future)
+            files.append(("stable_convergence.json", stable_set_convergence(
+                s_conv, t_conv, _CONVERGENCE_STEPS, p, tol)))
+            u1 = member_with_future(u_set, window_padded((1, 2)))
+            u2 = member_with_future(u_set, window_padded((2, 1)))
+            files.append(("unstable_convergence.json", unstable_set_convergence(
+                u1, u2, _CONVERGENCE_STEPS, p, tol)))
+    return files
+
+
+# ---------------------------------------------------------------------------
 # Verification: rebuild each payload from its stored inputs and witnesses
 # ---------------------------------------------------------------------------
 
@@ -627,21 +684,13 @@ def _seq(d: dict, key: str) -> BiSequence:
     return d[key]
 
 
-def _positive(d: dict, key: str) -> float:
-    """A stored delta, eps or tolerance: a finite positive float."""
-    if type(d[key]) is not float or not 0 < d[key] < math.inf:
-        raise ValueError(f"{key} must be a finite positive float, got {d[key]!r}")
-    return d[key]
-
-
 def _unstable_set(d: dict) -> UnstableSetId:
     return UnstableSetId(Alphabet(d["m"]), _seq(d, "unstable_past"))
 
 
 def _rebuilt_convergence(forward: bool):
     return _rebuilt(lambda d: convergence_payload(
-        _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), _positive(d, "tolerance"),
-        forward,
+        _seq(d, "s"), _seq(d, "t"), d["n_max"], MetricParams(d["r"]), d["tolerance"], forward,
     ))
 
 
@@ -664,19 +713,18 @@ _VERIFIERS = {
         d["universal_seed"], d["shift_count"],
     )),
     "periodic_density": _rebuilt(lambda d: periodic_density_payload(
-        _seq(d, "sequence"), _positive(d, "delta"), MetricParams(d["r"]),
-        _positive(d, "tolerance"), d["k"],
+        _seq(d, "sequence"), d["delta"], MetricParams(d["r"]), d["tolerance"], d["k"],
     )),
     "sensitivity": _rebuilt(lambda d: sensitivity_payload(
-        _seq(d, "sequence"), _positive(d, "eps"), Alphabet(d["m"]), MetricParams(d["r"]),
-        _positive(d, "tolerance"), d["k"],
+        _seq(d, "sequence"), d["eps"], Alphabet(d["m"]), MetricParams(d["r"]),
+        d["tolerance"], d["k"],
     )),
     "poisson_recurrence": _rebuilt(lambda d: poisson_recurrence_payload(
         _unstable_set(d), d["depths"], MetricParams(d["r"]), d["universal_seed"],
-        _positive(d, "tolerance"), d["times"],
+        d["tolerance"], d["times"],
     )),
     "li_yorke": _rebuilt(lambda d: li_yorke_payload(
-        _unstable_set(d), d["horizon"], MetricParams(d["r"]), _positive(d, "tolerance"),
+        _unstable_set(d), d["horizon"], MetricParams(d["r"]), d["tolerance"],
         d["min_time"], d["max_time"],
     )),
     "stable_convergence": _rebuilt_convergence(True),

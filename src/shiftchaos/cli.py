@@ -2,7 +2,9 @@
 
 Subcommands
 -----------
-certify    run the chaos certification suite, one JSON certificate per check
+certify    write and re-verify the chaos certification suite that
+           `certify.suite` builds, one JSON certificate per check; the
+           suite makes its refusals before any directory is made
 horseshoe  export hyperbolic and conjugacy reports (JSON), and as --format
            selects, level rectangles (CSV, default) and an SVG rendering
            of the unit square
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -48,7 +49,6 @@ from .sequences import (
     FrozenValue,
     UniversalSeq,
     periodic,
-    splice,
     window_padded,
 )
 
@@ -97,10 +97,10 @@ class RunConfig(FrozenValue):
                 raise TypeError(f"RunConfig got an unknown or repeated setting {name!r}")
             object.__setattr__(self, name, value)
 
-    def validate(self, command: str | None = None) -> None:
+    def validate(self) -> None:
         try:
             Alphabet(self.m)
-            p = MetricParams(self.r)
+            MetricParams(self.r)
             if (self.lam, self.mu) != (RunConfig.lam, RunConfig.mu):  # the defaults are valid
                 from .horseshoe import HorseshoeParams
 
@@ -119,16 +119,6 @@ class RunConfig(FrozenValue):
             bad = [f for f in self.formats if f not in ("json", "csv", "svg")]
             if bad:
                 raise ValueError(f"unknown output formats: {bad}")
-            if command != "certify":
-                return
-            from . import certify as cert
-
-            # its files stay within their caps, and every witness passes its check
-            cert.check_steps("recurrence_depth", self.recurrence_depth, p, self.tol)
-            cert.check_return_digits(self.m, self.recurrence_depth)
-            cert.check_n_max(_CONVERGENCE_STEPS, p, self.tol)
-            cert.check_horizon(p, self.horizon)
-            cert.check_witness_room(p, self.tol, self.recurrence_depth, _DELTAS, _EPSILONS)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -145,10 +135,10 @@ def _parse_value(key: str, text: str, where: str):
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
-def load_config(path: Path | None, overrides: dict, command: str | None = None) -> RunConfig:
+def load_config(path: Path | None, overrides: dict) -> RunConfig:
     """The run configuration: `path` (a config file), then `overrides` (a
     config key to a value; text is parsed as in the file, None is unset),
-    validated for `command`."""
+    validated."""
     values = {key: row[1] for key, row in _SETTINGS.items()}  # in field order
     if path is not None:
         try:
@@ -172,7 +162,7 @@ def load_config(path: Path | None, overrides: dict, command: str | None = None) 
         if val is not None:
             values[key] = val
     config = RunConfig(*values.values())
-    config.validate(command)
+    config.validate()
     return config
 
 
@@ -214,67 +204,26 @@ def _write_json(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-_CONVERGENCE_STEPS = 20  # n_max of the two convergence certificates
-_DELTAS = (0.1, 1e-2, 1e-3)  # of the periodic-density certificates
-_EPSILONS = (0.25, 1e-2)  # of the sensitivity certificates
-
-
 def cmd_certify(config: RunConfig) -> int:
-    from . import certify as cert
+    from .certify import suite
 
+    try:  # every refusal comes before any file is built or any directory made
+        files = suite(config.m, config.r, config.tol, config.seed, config.sets, config.targets,
+                      config.recurrence_depth, config.horizon, config.metric_depth)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _make_out(config.out)
-    a = Alphabet(config.m)
-    p = MetricParams(config.r)
-    rng = random.Random(config.seed)
-    files: list[tuple[str, dict]] = []  # (filename, certificate)
-
-    files.append(("diameter_condition.json", certificate(
-        "diameter_condition", cert.diameter_payload(config.m, config.r, config.metric_depth))))
-    for degree in (1, 2, 3):
-        files.append((f"separation_n{degree}.json", certificate(
-            "separation", cert.separation_payload(config.m, config.r, degree))))
-
-    for i in range(config.sets):
-        u_set = cert.random_unstable_set(rng, a)
-        member = cert.universal_member(u_set)
-        for t in range(config.targets):
-            target = cert.random_two_sided_target(rng, a, 2, 3)
-            files.append((f"transitivity_s{i}_t{t}.json",
-                          cert.transitivity_witness(u_set, target)))
-        for d_i, delta in enumerate(_DELTAS):
-            files.append((f"periodic_density_s{i}_d{d_i}.json",
-                          cert.periodic_density_witness(member, delta, p, config.tol)))
-        for e_i, eps in enumerate(_EPSILONS):
-            files.append((f"sensitivity_s{i}_e{e_i}.json",
-                          cert.sensitivity_witness(member, eps, a, p, config.tol)))
-        if i == 0:
-            files.append(("poisson_recurrence.json", cert.poisson_recurrence_witness(
-                u_set, config.recurrence_depth, p, tol=config.tol)))
-            files.append(("li_yorke.json", cert.li_yorke_pair(u_set, config.horizon, p, config.tol)))
-            shared_future = window_padded((2, 1, 2))
-            s_conv = cert.member_with_future(u_set, shared_future)
-            t_conv = splice(periodic((2,)), shared_future)
-            files.append(("stable_convergence.json", cert.stable_set_convergence(
-                s_conv, t_conv, _CONVERGENCE_STEPS, p, config.tol)))
-            u1 = cert.member_with_future(u_set, window_padded((1, 2)))
-            u2 = cert.member_with_future(u_set, window_padded((2, 1)))
-            files.append(("unstable_convergence.json", cert.unstable_set_convergence(
-                u1, u2, _CONVERGENCE_STEPS, p, config.tol)))
-
-    status = 0
-    failed_name = None
+    failed = []
     print(f"{'check':40s} {'status':8s}")
-    for name, payload in files:
-        _write_json(out / name, payload)
-        result = verify_file(out / name, quiet=True)
-        ok = result == 0
+    for name, cert in files:
+        _write_json(out / name, cert)
+        ok = verify_file(out / name, quiet=True) == 0
         print(f"{name:40s} {'ok' if ok else 'FAIL':8s}")
-        if not ok and status == 0:
-            status = 1
-            failed_name = name
-    if failed_name:
-        print(f"certificate failed verification: {failed_name}", file=sys.stderr)
-    return status
+        if not ok:
+            failed.append(name)
+    if failed:
+        print(f"certificate failed verification: {failed[0]}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # each flag that sets a config key passes its text to the key's parser
         flags = {key: val for key, val in vars(args).items() if key in _SETTINGS}
-        config = load_config(args.config, flags, args.command)
+        config = load_config(args.config, flags)
         if args.command == "certify":
             return cmd_certify(config)
         if args.command == "horseshoe":

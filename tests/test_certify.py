@@ -1,6 +1,7 @@
 """Witness construction and self-verification of the chaos certificates."""
 
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -104,6 +105,40 @@ def test_builder_returns_the_file_object(builder):
     assert sorted(cert) == ["data", "kind", "schema"]
     assert json.loads(json.dumps(cert)) == cert
     assert verify_certificate(cert).ok
+
+
+# Each builder given a bad delta, eps or tolerance, by (builder, key).
+BAD_INPUTS = {
+    ("periodic_density_witness", "delta"): lambda v: periodic_density_witness(
+        window_padded((1, 2, 1)), v, P),
+    ("periodic_density_witness", "tolerance"): lambda v: periodic_density_witness(
+        window_padded((1, 2, 1)), 1e-2, P, v),
+    ("sensitivity_witness", "eps"): lambda v: sensitivity_witness(
+        window_padded((1, 2, 1)), v, A2, P),
+    ("sensitivity_witness", "tolerance"): lambda v: sensitivity_witness(
+        window_padded((1, 2, 1)), 0.25, A2, P, v),
+    ("poisson_recurrence_witness", "tolerance"): lambda v: poisson_recurrence_witness(
+        ones_past(), 4, P, tol=v),
+    ("li_yorke_pair", "tolerance"): lambda v: li_yorke_pair(ones_past(), 100, P, v),
+    ("stable_set_convergence", "tolerance"): lambda v: stable_set_convergence(
+        window_padded((1,), 0, 1), window_padded((2,), 0, 1), 20, P, v),
+    ("unstable_set_convergence", "tolerance"): lambda v: unstable_set_convergence(
+        member_with_future(ones_past(), window_padded((1, 2), 1, 1)),
+        member_with_future(ones_past(), window_padded((2, 1), 1, 1)), 20, P, v),
+}
+
+
+@pytest.mark.parametrize("value", [1, -0.5, math.nan], ids=["int", "negative", "nan"])
+@pytest.mark.parametrize("builder, key", sorted(BAD_INPUTS))
+def test_builder_refuses_what_its_verifier_refuses(builder, key, value):
+    # a builder returns no certificate that its own verifier calls malformed
+    message = f"{key} must be a finite positive float, got {value!r}"
+    with pytest.raises(ValueError) as refused:
+        BAD_INPUTS[builder, key](value)
+    assert str(refused.value) == message
+    cert = BUILDERS[builder]()
+    cert["data"][key] = value
+    assert verify_certificate(cert).failures == (f"malformed certificate: {message}",)
 
 
 # -- transitivity -----------------------------------------------------------

@@ -367,6 +367,43 @@ def test_certify_with_zero_sets_writes_the_four_set_free_reports(tmp_path):
         "separation_n3.json"]
 
 
+@pytest.mark.parametrize("sets", [RunConfig.sets, 0])
+def test_certify_writes_the_suite_of_certify(tmp_path, capsys, sets):
+    from shiftchaos.certify import suite
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"sets = {sets}\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+    files = suite(RunConfig.m, RunConfig.r, RunConfig.tol, RunConfig.seed, sets,
+                  RunConfig.targets, RunConfig.recurrence_depth, RunConfig.horizon,
+                  RunConfig.metric_depth)
+    assert [name for name, _ in files] == [name for name, _ in rows]
+    assert sorted(p.name for p in out.iterdir()) == sorted(name for name, _ in files)
+    for name, cert in files:
+        assert json.loads((out / name).read_text()) == cert
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--r", "0.6"), "certify needs r <= 1/2: its Li-Yorke proximity bound is not proven above"),
+     (("--horizon", "12286"),
+      "horizon 12286 is too long at r = 0.5: the Li-Yorke proximity bound underflows"),
+     (("--tol", "2e-3"),
+      "recurrence_depth 10 needs a truncation depth above it; at r=0.5, tol=0.002 it is 10")],
+)
+def test_certify_refuses_before_building_with_zero_sets(tmp_path, capsys, flags, message):
+    # with sets = 0 no witness builder runs: only the checks made before any
+    # file is built can refuse these runs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sets = 0\n")
+    out = tmp_path / "c"
+    assert run("certify", "--config", str(cfg), "--out", str(out), *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, claim",
     [(("--r", "0.6"), "r <= 1/2"), (("--r", "0.9"), "r <= 1/2"),
