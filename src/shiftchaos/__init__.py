@@ -9,7 +9,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "sequences": (
-        "Alphabet",
         "BiSequence",
         "EventuallyPeriodicSeq",
         "FiniteWord",
@@ -19,7 +18,6 @@ _EXPORTS = {
         "as_word",
         "flip",
         "locate_block",
-        "make_universal_sequence",
         "periodic",
         "periodic_point",
         "sequence_from_payload",

@@ -55,11 +55,11 @@ from .metric import (
 )
 from .schema import MAX_METRIC_DEPTH, MAX_STEPS, MAX_WINDOW, bounded, certificate, shape_error
 from .sequences import (
-    Alphabet,
     BiSequence,
     EventuallyPeriodicSeq,
     FrozenValue,
     UniversalSeq,
+    check_alphabet,
     enumeration_position,
     enumeration_sections,
     flip,
@@ -77,16 +77,16 @@ class UnstableSetId(FrozenValue):
     """The unstable set of a point: all sequences sharing its entire past.
 
     The past carrier must be an eventually periodic sequence over the
-    alphabet; only its symbols at positions <= 0 matter.
+    alphabet {1..m}; only its symbols at positions <= 0 matter.
     """
 
-    __slots__ = _fields = ("alphabet", "past")
+    __slots__ = _fields = ("m", "past")
 
-    def __init__(self, alphabet: Alphabet, past: BiSequence) -> None:
+    def __init__(self, m: int, past: BiSequence) -> None:
         if not isinstance(past, EventuallyPeriodicSeq):
             raise TypeError("unstable-set past must be eventually periodic")
-        past.validate(alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
+        past.validate(m)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "past", past)
 
 
@@ -97,7 +97,7 @@ def member_with_future(u_set: UnstableSetId, future: BiSequence) -> BiSequence:
 def universal_member(u_set: UnstableSetId, seed: int = 0) -> BiSequence:
     """The member of the unstable set whose future is the universal
     enumeration; its orbit is dense."""
-    return member_with_future(u_set, UniversalSeq(u_set.alphabet.m, seed))
+    return member_with_future(u_set, UniversalSeq(u_set.m, seed))
 
 
 class VerificationResult(FrozenValue):
@@ -162,7 +162,7 @@ def transitivity_witness(
     """Shift count carrying the universal member of the set into `target`."""
     shift_count = 0
     if not target.is_whole:  # window start -k lands on the word's entry
-        shift_count = enumeration_position(u_set.alphabet.m, seed, target.fixed) - target.start
+        shift_count = enumeration_position(u_set.m, seed, target.fixed) - target.start
     return _certificate("transitivity", transitivity_payload(u_set, target, seed, shift_count))
 
 
@@ -177,7 +177,7 @@ def transitivity_payload(
     if not target.contains(universal_member(u_set, seed).shift(shift_count)):
         raise AssertionError("universal member missed the target window")
     return {
-        "m": u_set.alphabet.m,
+        "m": u_set.m,
         "unstable_past": u_set.past,
         "universal_seed": seed,
         "target_word": list(target.fixed),
@@ -259,12 +259,12 @@ def periodic_density_payload(
 
 
 def sensitivity_witness(
-    s: BiSequence, eps: float, alphabet: Alphabet, p: MetricParams, tol: float = 1e-12
+    s: BiSequence, eps: float, m: int, p: MetricParams, tol: float = 1e-12
 ) -> dict:
     """A point within eps of s (agreeing through position k) whose orbit is
     eps0-far after k shifts, with every symbol beyond k flipped."""
     k = _sensitivity_depth(_positive("eps", eps), p)
-    return _certificate("sensitivity", sensitivity_payload(s, eps, alphabet, p, tol, k))
+    return _certificate("sensitivity", sensitivity_payload(s, eps, m, p, tol, k))
 
 
 def _sensitivity_depth(eps: float, p: MetricParams) -> int:
@@ -276,11 +276,11 @@ def _sensitivity_depth(eps: float, p: MetricParams) -> int:
 
 
 def sensitivity_payload(
-    s: BiSequence, eps: float, alphabet: Alphabet, p: MetricParams, tol: float, k: int
+    s: BiSequence, eps: float, m: int, p: MetricParams, tol: float, k: int
 ) -> dict:
     bounded("k", k, 0, MAX_WINDOW)
     tail = s.shift(k)
-    partner = splice(tail, flip(tail, alphabet.m), -k)
+    partner = splice(tail, flip(tail, m), -k)
     eps0 = weight(1, p.r)
     d_close = distance(s, partner, p, _positive("tolerance", tol))
     d_far = distance(tail, partner.shift(k), p, tol)
@@ -289,7 +289,7 @@ def sensitivity_payload(
     if not d_far.value - d_far.error >= eps0:
         raise AssertionError("sensitivity divergence below the separation constant")
     return {
-        "m": alphabet.m,
+        "m": m,
         "r": p.r,
         "sequence": s,
         "eps": eps,
@@ -321,7 +321,7 @@ def poisson_recurrence_witness(
     times strictly increase, as the entries' sections come in length order.
     """
     check_steps("depths", depths, p, _positive("tolerance", tol))
-    u, m = universal_member(u_set, seed), u_set.alphabet.m
+    u, m = universal_member(u_set, seed), u_set.m
     times = [enumeration_position(m, seed, u.span(-j, j + 1)) + j for j in range(1, depths + 1)]
     return _certificate(
         "poisson_recurrence", poisson_recurrence_payload(u_set, depths, p, seed, tol, times)
@@ -361,7 +361,7 @@ def poisson_recurrence_payload(
         values.append(d.value)
         errors.append(d.error)
     return {
-        "m": u_set.alphabet.m,
+        "m": u_set.m,
         "r": p.r,
         "unstable_past": u_set.past,
         "universal_seed": seed,
@@ -452,7 +452,7 @@ def li_yorke_payload(
     if not d_max.value - d_max.error >= eps0:
         raise AssertionError("scrambled pair is not eps0-far at max_time")
     return {
-        "m": u_set.alphabet.m,
+        "m": u_set.m,
         "r": p.r,
         "unstable_past": u_set.past,
         "s": s,
@@ -533,24 +533,22 @@ def convergence_payload(
 # ---------------------------------------------------------------------------
 
 
-def random_unstable_set(rng: random.Random, alphabet: Alphabet) -> UnstableSetId:
+def random_unstable_set(rng: random.Random, m: int) -> UnstableSetId:
     if rng.random() < 0.5:
-        block = tuple(rng.randint(1, alphabet.m) for _ in range(rng.randint(1, 4)))
+        block = tuple(rng.randint(1, m) for _ in range(rng.randint(1, 4)))
         past = periodic(block, rng.randint(-2, 2))
     else:
         length = rng.randint(0, 4)
-        word = tuple(rng.randint(1, alphabet.m) for _ in range(length))
+        word = tuple(rng.randint(1, m) for _ in range(length))
         start = -length + 1 - rng.randint(0, 2) if length else 0
-        past = window_padded(word, start, rng.randint(1, alphabet.m))
-    return UnstableSetId(alphabet, past)
+        past = window_padded(word, start, rng.randint(1, m))
+    return UnstableSetId(m, past)
 
 
-def random_two_sided_target(
-    rng: random.Random, alphabet: Alphabet, max_k: int, max_n: int
-) -> CylinderSet:
+def random_two_sided_target(rng: random.Random, m: int, max_k: int, max_n: int) -> CylinderSet:
     k = rng.randint(0, max_k)
     n = rng.randint(1, max_n)
-    word = tuple(rng.randint(1, alphabet.m) for _ in range(k + 1 + n))
+    word = tuple(rng.randint(1, m) for _ in range(k + 1 + n))
     return two_sided_cylinder(word, -k)
 
 
@@ -565,16 +563,17 @@ _EXHAUSTIVE_WORDS = 4096
 
 def diameter_payload(m: int, r: float, max_depth: int) -> dict:
     bounded("max_depth", max_depth, 1, MAX_METRIC_DEPTH)
-    report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
+    check_alphabet(m)  # the table does not read m, but a stored m must size an alphabet
+    report = check_diameter_condition(MetricParams(r), max_depth)
     return {"m": m, "r": r, "max_depth": max_depth, **report}
 
 
 def separation_payload(m: int, r: float, degree: int) -> dict:
     bounded("degree", degree, 1, MAX_METRIC_DEPTH)
-    a, p = Alphabet(m), MetricParams(r)
-    result = check_separation(a, p, degree)
+    p = MetricParams(r)
+    result = check_separation(m, p, degree)
     exhaustive = (degree <= 3 and m ** degree <= _EXHAUSTIVE_WORDS
-                  and separation_holds_everywhere(a, p, degree, result["eps0"]))
+                  and separation_holds_everywhere(m, p, degree, result["eps0"]))
     return {"m": m, "r": r, "degree": degree, **result, "exhaustive_at_low_degree": exhaustive}
 
 
@@ -598,24 +597,23 @@ def suite(m: int, r: float, tol: float, seed: int, sets: int, targets: int,
     check_n_max(_CONVERGENCE_STEPS, p, tol)
     check_horizon(p, horizon)
     check_witness_room(p, tol, recurrence_depth, _DELTAS, _EPSILONS)
-    a = Alphabet(m)
     rng = random.Random(seed)
     files = [("diameter_condition.json", certificate(
         "diameter_condition", diameter_payload(m, r, metric_depth)))]
     files += [(f"separation_n{degree}.json", certificate(
         "separation", separation_payload(m, r, degree))) for degree in (1, 2, 3)]
     for i in range(sets):
-        u_set = random_unstable_set(rng, a)
+        u_set = random_unstable_set(rng, m)
         member = universal_member(u_set)
         for t in range(targets):
-            target = random_two_sided_target(rng, a, 2, 3)
+            target = random_two_sided_target(rng, m, 2, 3)
             files.append((f"transitivity_s{i}_t{t}.json", transitivity_witness(u_set, target)))
         for d_i, delta in enumerate(_DELTAS):
             files.append((f"periodic_density_s{i}_d{d_i}.json",
                           periodic_density_witness(member, delta, p, tol)))
         for e_i, eps in enumerate(_EPSILONS):
             files.append((f"sensitivity_s{i}_e{e_i}.json",
-                          sensitivity_witness(member, eps, a, p, tol)))
+                          sensitivity_witness(member, eps, m, p, tol)))
         if i == 0:
             files.append(("poisson_recurrence.json", poisson_recurrence_witness(
                 u_set, recurrence_depth, p, tol=tol)))
@@ -685,7 +683,7 @@ def _seq(d: dict, key: str) -> BiSequence:
 
 
 def _unstable_set(d: dict) -> UnstableSetId:
-    return UnstableSetId(Alphabet(d["m"]), _seq(d, "unstable_past"))
+    return UnstableSetId(d["m"], _seq(d, "unstable_past"))
 
 
 def _rebuilt_convergence(forward: bool):
@@ -716,8 +714,7 @@ _VERIFIERS = {
         _seq(d, "sequence"), d["delta"], MetricParams(d["r"]), d["tolerance"], d["k"],
     )),
     "sensitivity": _rebuilt(lambda d: sensitivity_payload(
-        _seq(d, "sequence"), d["eps"], Alphabet(d["m"]), MetricParams(d["r"]),
-        d["tolerance"], d["k"],
+        _seq(d, "sequence"), d["eps"], d["m"], MetricParams(d["r"]), d["tolerance"], d["k"],
     )),
     "poisson_recurrence": _rebuilt(lambda d: poisson_recurrence_payload(
         _unstable_set(d), d["depths"], MetricParams(d["r"]), d["universal_seed"],

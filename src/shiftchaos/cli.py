@@ -44,10 +44,10 @@ from .schema import (
     parse_number,
 )
 from .sequences import (
-    Alphabet,
     BiSequence,
     FrozenValue,
     UniversalSeq,
+    check_alphabet,
     periodic,
     window_padded,
 )
@@ -99,7 +99,7 @@ class RunConfig(FrozenValue):
 
     def validate(self) -> None:
         try:
-            Alphabet(self.m)
+            check_alphabet(self.m)
             MetricParams(self.r)
             if (self.lam, self.mu) != (RunConfig.lam, RunConfig.mu):  # the defaults are valid
                 from .horseshoe import HorseshoeParams
@@ -319,16 +319,16 @@ def parse_descriptor(text: str, m: int = 2):
     periodic:1,2[@phase]   window:1,2,2@-1[:pad]   universal[:seed]
     point:0.25,0.5
 
-    Sequences live over the alphabet {1..m}: symbols and pads above m are
-    rejected, and a universal start enumerates words over m symbols.
+    Sequences live over the alphabet {1..m}: a sequence start refuses an
+    `m` below 2 and symbols and pads above m, and a universal start
+    enumerates words over m symbols.  A plane point does not read `m`.
     """
     kind, _, rest = text.partition(":")
     try:
-        alphabet = Alphabet(m)
         if kind == "periodic":
             block, _, phase = rest.partition("@")
             seq = periodic(tuple(int(s) for s in block.split(",")), int(phase) if phase else 0)
-            seq.validate(alphabet)
+            seq.validate(m)
             return seq
         if kind == "window":
             body, _, pad_text = rest.partition(":")
@@ -336,7 +336,7 @@ def parse_descriptor(text: str, m: int = 2):
             syms = tuple(int(s) for s in syms_text.split(",")) if syms_text else ()
             pad = int(pad_text) if pad_text else 1
             seq = window_padded(syms, int(start) if start else 1, pad)
-            seq.validate(alphabet)
+            seq.validate(m)
             return seq
         if kind == "universal":
             seed = int(rest) if rest else 0

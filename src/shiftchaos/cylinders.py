@@ -21,11 +21,11 @@ from __future__ import annotations
 from itertools import product
 
 from .sequences import (
-    Alphabet,
     BiSequence,
     FiniteWord,
     FrozenValue,
     as_word,
+    check_alphabet,
     window_padded,
 )
 
@@ -102,19 +102,22 @@ def two_sided_cylinder(word, start: int) -> CylinderSet:
     return CylinderSet(w, start)
 
 
-def all_words(alphabet: Alphabet, length: int):
-    """All words of exactly `length` symbols, in lexicographic order."""
-    return product(alphabet.symbols(), repeat=length)
+def all_words(m: int, length: int):
+    """All words of exactly `length` symbols over {1..m}, in lexicographic
+    order; refuses an `m` that is not an alphabet size."""
+    return product(range(1, check_alphabet(m) + 1), repeat=length)
 
 
-def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) -> bool:
+def similarity_identity_check(c: CylinderSet, m: int, depth: int) -> bool:
     """Finite-depth check that shifting a depth-n cylinder by +/- n frees it.
 
-    For a future cylinder of length n: every word w of length <= depth - n
-    must be realized at positions 1..len(w) by the n-step shift of some
-    member of the cylinder.  Past cylinders are checked under the inverse
-    shift symmetrically.  The whole space is trivially fixed (n = 0).
+    For a future cylinder of length n: every word w over {1..m} of length
+    <= depth - n must be realized at positions 1..len(w) by the n-step
+    shift of some member of the cylinder.  Past cylinders are checked under
+    the inverse shift symmetrically.  The whole space is trivially fixed
+    (n = 0).
     """
+    check_alphabet(m)
     if c.is_whole:
         return True
     n = len(c.fixed)
@@ -122,7 +125,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
         raise ValueError(f"depth {depth} below cylinder length {n}")
     if c.is_future:
         for wlen in range(1, depth - n + 1):
-            for w in all_words(alphabet, wlen):
+            for w in all_words(m, wlen):
                 member = window_padded((*c.fixed, *w))
                 if not c.contains(member):
                     return False
@@ -131,7 +134,7 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
         return True
     if c.is_past:
         for wlen in range(1, depth - n + 1):
-            for w in all_words(alphabet, wlen):
+            for w in all_words(m, wlen):
                 member = window_padded((*w, *c.fixed), 1 - n - wlen)
                 if not c.contains(member):
                     return False
@@ -141,16 +144,17 @@ def similarity_identity_check(c: CylinderSet, alphabet: Alphabet, depth: int) ->
     raise ValueError("similarity identities apply to future or past cylinders only")
 
 
-def nesting_check(alphabet: Alphabet, depth: int) -> bool:
-    """Verify the inclusion chains: extending a cylinder word entails the
-    shorter cylinder, on both the future and the past side."""
+def nesting_check(m: int, depth: int) -> bool:
+    """Verify the inclusion chains over {1..m}: extending a cylinder word
+    entails the shorter cylinder, on both the future and the past side."""
+    check_alphabet(m)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     for length in range(1, depth):
-        for w in all_words(alphabet, length):
+        for w in all_words(m, length):
             fut = future_cylinder(w)
             past = past_cylinder(w)
-            for x in alphabet.symbols():
+            for x in range(1, m + 1):
                 if not future_cylinder(w + (x,)).entails(fut):
                     return False
                 if not past_cylinder((x,) + w).entails(past):

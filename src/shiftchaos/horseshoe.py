@@ -225,12 +225,14 @@ def point_from_itinerary(
     Euclidean distance to the true coded point: the float just above the
     diagonal of the level-(depth - 1, depth) rectangle both points lie in
     (tails lambda**depth and mu**-depth per axis), which the all-2 point
-    attains.
+    attains.  Refuses a window with symbols other than 1 and 2.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    x, _, x_den = _x_ends(s.span(1 - depth, 0), hp)
-    y, _, y_den = _y_ends(s.span(1, depth), hp)
+    w = s.span(1 - depth, depth)
+    FiniteWord(w).validate(2)
+    x, _, x_den = _x_ends(w[:depth], hp)
+    y, _, y_den = _y_ends(w[depth:], hp)
     err = math.nextafter(rectangle_diagonal(hp, depth - 1, depth), math.inf)
     return PlanePoint(Fraction(x, x_den), Fraction(y, y_den)), err
 
@@ -243,10 +245,11 @@ def conjugacy_check(s: BiSequence, hp: HorseshoeParams, depth: int) -> dict:
     The defect must stay within hypot((1+lambda)*lambda**depth,
     (1+mu)*mu**-depth).  The comparison is exact (squared defect against
     squared bound), on the integer numerators of the two points over their
-    common denominators.
+    common denominators.  Refuses a window with symbols other than 1 and 2.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    FiniteWord(s.span(1 - depth, depth + 1)).validate(2)
     return next(_conjugacy_rows([s], hp, depth))
 
 

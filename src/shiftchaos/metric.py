@@ -72,7 +72,7 @@ from operator import add, ne, truediv
 from typing import Callable, Iterator
 
 from .cylinders import CylinderSet, all_words, future_cylinder
-from .sequences import Alphabet, BiSequence, FrozenValue
+from .sequences import BiSequence, FrozenValue, check_alphabet
 
 # The truncated sums never compare more positions than this per side: a
 # weight base so close to 1 that the tolerance needs more is refused.
@@ -420,7 +420,7 @@ def diameter_table(
     }
 
 
-def check_diameter_condition(alphabet: Alphabet, p: MetricParams, max_depth: int) -> dict:
+def check_diameter_condition(p: MetricParams, max_depth: int) -> dict:
     """Diameters of two-sided windows [-k, n], k = n = 1..max_depth, checked
     against the geometric prediction (r/(1-r)) * (r**n + r**(k+1))."""
 
@@ -439,31 +439,30 @@ def flip_first(word: tuple[int, ...], m: int) -> tuple[int, ...]:
     return (word[0] % m + 1,) + word[1:]
 
 
-def check_separation(alphabet: Alphabet, p: MetricParams, n: int) -> dict:
-    """Uniform separation of depth-n future cylinders, as {"eps0",
+def check_separation(m: int, p: MetricParams, n: int) -> dict:
+    """Uniform separation of depth-n future cylinders over {1..m}, as {"eps0",
     "witness_words", "witness_distance"}.
 
     For every word i_1..i_n, flipping the first symbol yields a cylinder at
     distance exactly w(1) = r, so eps0 = r holds at every degree n (and it
     is the best n-independent constant: at n = 1 no pair does better).
     """
+    check_alphabet(m)
     if n < 1:
         raise ValueError("separation degree must be >= 1")
     eps0 = weight(1, p.r)
     base = (1,) * n
-    partner = flip_first(base, alphabet.m)
+    partner = flip_first(base, m)
     achieved = set_distance(future_cylinder(base), future_cylinder(partner), p)
     if not achieved >= eps0:
         raise AssertionError("separation witness fell below the certified bound")
     return {"eps0": eps0, "witness_words": [[*base], [*partner]], "witness_distance": achieved}
 
 
-def separation_holds_everywhere(
-    alphabet: Alphabet, p: MetricParams, n: int, eps0: float
-) -> bool:
+def separation_holds_everywhere(m: int, p: MetricParams, n: int, eps0: float) -> bool:
     """Oracle: for every depth-n word some word achieves distance >= eps0,
     by exhaustive enumeration of all pairs."""
-    words = list(all_words(alphabet, n))
+    words = list(all_words(m, n))
     cyls = [future_cylinder(w) for w in words]
     for c1 in cyls:
         if not any(set_distance(c1, c2, p) >= eps0 for c2 in cyls):

@@ -97,22 +97,11 @@ class FrozenValue:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-def _check_m(m: int) -> None:
+def check_alphabet(m: int) -> int:
+    """Return `m` if it sizes an alphabet {1, ..., m}: an int m >= 2."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"alphabet needs at least two symbols, got m={m}")
-
-
-class Alphabet(FrozenValue):
-    """Symbol set {1, ..., m}."""
-
-    __slots__ = _fields = ("m",)
-
-    def __init__(self, m: int) -> None:
-        _check_m(m)
-        object.__setattr__(self, "m", m)
-
-    def symbols(self) -> range:
-        return range(1, self.m + 1)
+    return m
 
 
 class FiniteWord(FrozenValue):
@@ -144,10 +133,10 @@ class FiniteWord(FrozenValue):
     def __getitem__(self, i):
         return self.symbols[i]
 
-    def validate(self, alphabet: Alphabet) -> None:
-        if max(self.symbols, default=1) > alphabet.m:
-            bad = [s for s in self.symbols if s > alphabet.m]
-            raise ValueError(f"symbols {bad} exceed alphabet bound m={alphabet.m}")
+    def validate(self, m: int) -> None:
+        if max(self.symbols, default=1) > check_alphabet(m):
+            bad = [s for s in self.symbols if s > m]
+            raise ValueError(f"symbols {bad} exceed alphabet bound m={m}")
 
 
 def as_word(w) -> FiniteWord:
@@ -270,9 +259,9 @@ class EventuallyPeriodicSeq(BiSequence):
             return None
         return len(self.right_block.symbols)
 
-    def validate(self, alphabet: Alphabet) -> None:
+    def validate(self, m: int) -> None:
         for w in (self.left_block, self.center, self.right_block):
-            w.validate(alphabet)
+            w.validate(m)
 
     def shift(self, steps: int) -> "EventuallyPeriodicSeq":
         # the stored words are canonical already: only a periodic block rotates
@@ -405,8 +394,7 @@ class UniversalSeq(BiSequence):
     __slots__ = _fields = ("m", "seed", "offset")
 
     def __init__(self, m: int, seed: int = 0, offset: int = 0) -> None:
-        _check_m(m)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", check_alphabet(m))
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "offset", offset)
 
@@ -473,9 +461,8 @@ class FlippedSeq(BiSequence):
     __slots__ = _fields = ("base", "m")
 
     def __init__(self, base: BiSequence, m: int) -> None:
-        _check_m(m)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", check_alphabet(m))
 
     def shift(self, steps: int) -> "FlippedSeq":
         return FlippedSeq(self.base.shift(steps), self.m)
@@ -546,16 +533,10 @@ def flip(base: BiSequence, m: int) -> BiSequence:
     is eventually periodic."""
     if not isinstance(base, EventuallyPeriodicSeq):
         return FlippedSeq(base, m)
-    _check_m(m)  # the check FlippedSeq makes
+    check_alphabet(m)  # the check FlippedSeq makes
     words = (base.left_block, base.center, base.right_block)
     left, center, right = (tuple(s % m + 1 for s in w) for w in words)
     return EventuallyPeriodicSeq(left, center, base.center_start, right)
-
-
-def make_universal_sequence(alphabet: Alphabet, seed: int = 0) -> UniversalSeq:
-    """A sequence whose nonnegative side contains every finite word over the
-    alphabet as a contiguous block, with computable occurrence positions."""
-    return UniversalSeq(alphabet.m, seed)
 
 
 def locate_block(u: UniversalSeq, word) -> int:

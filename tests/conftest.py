@@ -13,7 +13,6 @@ from itertools import product
 import pytest
 
 from shiftchaos import (
-    Alphabet,
     EventuallyPeriodicSeq,
     FiniteWord,
     UniversalSeq,

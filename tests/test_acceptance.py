@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from shiftchaos import (
-    Alphabet,
     HorseshoeParams,
     MetricParams,
     SplicedSeq,
@@ -50,7 +49,6 @@ from shiftchaos.metric import flip_first
 
 from conftest import _is_correctly_rounded_root
 
-A2 = Alphabet(2)
 P = MetricParams(0.5)
 HP = HorseshoeParams()  # exact lambda = 1/3, mu = 3
 
@@ -103,11 +101,10 @@ def test_diameter_condition_closed_form_and_sampled_sup():
 @criterion(2, "separation condition")
 def test_separation_eps0_exact_with_exhaustive_oracle():
     for m in (2, 3):
-        alphabet = Alphabet(m)
         for n in (1, 2, 3):
-            result = check_separation(alphabet, P, n)
+            result = check_separation(m, P, n)
             assert result["eps0"] == P.r  # exactly r
-            words = list(all_words(alphabet, n))
+            words = list(all_words(m, n))
             cyls = {w: future_cylinder(w) for w in words}
             for w, c in cyls.items():
                 distances = [set_distance(c, other, P) for other in cyls.values()]
@@ -118,9 +115,9 @@ def test_separation_eps0_exact_with_exhaustive_oracle():
 @criterion(3, "similarity identities")
 def test_similarity_identities_both_directions():
     for length in (1, 2, 3):
-        for w in all_words(A2, length):
-            assert similarity_identity_check(future_cylinder(w), A2, 6)
-            assert similarity_identity_check(past_cylinder(w), A2, 6)
+        for w in all_words(2, length):
+            assert similarity_identity_check(future_cylinder(w), 2, 6)
+            assert similarity_identity_check(past_cylinder(w), 2, 6)
 
 
 @criterion(4, "devaney suite")
@@ -130,16 +127,16 @@ def test_devaney_suite_on_seeded_unstable_sets(tmp_path):
     out.mkdir()
     count = 0
     for i in range(20):
-        u_set = random_unstable_set(rng, A2)
+        u_set = random_unstable_set(rng, 2)
         member = universal_member(u_set)
         certs = []
         for _ in range(10):
-            target = random_two_sided_target(rng, A2, 2, 3)
+            target = random_two_sided_target(rng, 2, 2, 3)
             certs.append(transitivity_witness(u_set, target))
         for delta in (0.1, 1e-2, 1e-3):
             certs.append(periodic_density_witness(member, delta, P))
         for eps in (0.25, 1e-2):
-            cert = sensitivity_witness(member, eps, A2, P)
+            cert = sensitivity_witness(member, eps, 2, P)
             assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
             certs.append(cert)
         for cert in certs:
@@ -152,7 +149,7 @@ def test_devaney_suite_on_seeded_unstable_sets(tmp_path):
 
 @criterion(5, "poisson recurrence")
 def test_poisson_recurrence_ten_depths():
-    u_set = UnstableSetId(A2, periodic((1,), 0))
+    u_set = UnstableSetId(2, periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 10, P)
     times = cert["data"]["times"]
     thresholds = cert["data"]["thresholds"]
@@ -170,7 +167,7 @@ def test_poisson_recurrence_ten_depths():
 
 @criterion(6, "li-yorke scrambled pair")
 def test_li_yorke_dyadic_pair_at_horizon_1000():
-    u_set = UnstableSetId(A2, periodic((1,), 0))
+    u_set = UnstableSetId(2, periodic((1,), 0))
     cert = li_yorke_pair(u_set, 1000, P)
     assert cert["data"]["min_value"] < 2.0 ** -8
     assert cert["data"]["max_value"] >= 0.5

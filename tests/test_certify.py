@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftchaos import (
-    Alphabet,
     MetricParams,
     UniversalSeq,
     UnstableSetId,
@@ -59,23 +58,22 @@ from shiftchaos.sequences import _HEAD, enumeration_prefix
 
 from conftest import _ref_enumeration, brute_distance, scan_for_block
 
-A2 = Alphabet(2)
 P = MetricParams(0.5)
 
 
 def ones_past():
-    return UnstableSetId(A2, periodic((1,), 0))
+    return UnstableSetId(2, periodic((1,), 0))
 
 
 def test_unstable_set_rejects_universal_past():
     from shiftchaos import UniversalSeq
 
     with pytest.raises(TypeError):
-        UnstableSetId(A2, UniversalSeq(2))
+        UnstableSetId(2, UniversalSeq(2))
 
 
 def test_members_share_the_past():
-    u_set = UnstableSetId(A2, periodic((1, 2), 0))
+    u_set = UnstableSetId(2, periodic((1, 2), 0))
     member = universal_member(u_set)
     assert member.window(-6, 0) == u_set.past.window(-6, 0)
 
@@ -88,7 +86,7 @@ BUILDERS = {
     "periodic_density_witness": lambda: periodic_density_witness(
         universal_member(ones_past()), 1e-2, P),
     "sensitivity_witness": lambda: sensitivity_witness(
-        universal_member(ones_past()), 0.25, A2, P),
+        universal_member(ones_past()), 0.25, 2, P),
     "poisson_recurrence_witness": lambda: poisson_recurrence_witness(ones_past(), 4, P),
     "li_yorke_pair": lambda: li_yorke_pair(ones_past(), 100, P),
     "stable_set_convergence": lambda: stable_set_convergence(
@@ -114,9 +112,9 @@ BAD_INPUTS = {
     ("periodic_density_witness", "tolerance"): lambda v: periodic_density_witness(
         window_padded((1, 2, 1)), 1e-2, P, v),
     ("sensitivity_witness", "eps"): lambda v: sensitivity_witness(
-        window_padded((1, 2, 1)), v, A2, P),
+        window_padded((1, 2, 1)), v, 2, P),
     ("sensitivity_witness", "tolerance"): lambda v: sensitivity_witness(
-        window_padded((1, 2, 1)), 0.25, A2, P, v),
+        window_padded((1, 2, 1)), 0.25, 2, P, v),
     ("poisson_recurrence_witness", "tolerance"): lambda v: poisson_recurrence_witness(
         ones_past(), 4, P, tol=v),
     ("li_yorke_pair", "tolerance"): lambda v: li_yorke_pair(ones_past(), 100, P, v),
@@ -165,7 +163,7 @@ def test_transitivity_concrete_target_scan_oracle():
 
 
 def test_transitivity_all_sixteen_targets():
-    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 1))
+    u_set = UnstableSetId(2, window_padded((2, 1), -1, 1))
     for num in range(16):
         word = tuple((num >> i) % 2 + 1 for i in range(4))
         target = two_sided_cylinder(word, -1)  # window [-1, 2]
@@ -223,7 +221,7 @@ def test_density_degenerate_flag_for_huge_delta():
 
 def test_sensitivity_quarter_eps():
     member = universal_member(ones_past())
-    cert = sensitivity_witness(member, 0.25, A2, P)
+    cert = sensitivity_witness(member, 0.25, 2, P)
     assert cert["data"]["k"] == 3  # 2**-3 < 1/4, 2**-2 is not
     assert cert["data"]["close_value"] + cert["data"]["close_error"] < 0.25
     assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
@@ -231,14 +229,14 @@ def test_sensitivity_quarter_eps():
 
 
 def test_sensitivity_degenerate_for_eps_above_diameter():
-    cert = sensitivity_witness(periodic_point((1, 2)), 2.5, A2, P)
+    cert = sensitivity_witness(periodic_point((1, 2)), 2.5, 2, P)
     assert cert["data"]["k"] == 0
     assert cert["data"]["degenerate"]
     assert verify_certificate(cert).ok
 
 
 def test_sensitivity_periodic_point_small_eps():
-    cert = sensitivity_witness(periodic_point((1, 2)), 1e-2, A2, P)
+    cert = sensitivity_witness(periodic_point((1, 2)), 1e-2, 2, P)
     assert cert["data"]["k"] == 7  # smallest k with 2**-k < 1e-2
     d = cert["data"]
     assert d["close_value"] == 0.5 ** 7  # exact: flipped tail weight
@@ -248,7 +246,7 @@ def test_sensitivity_periodic_point_small_eps():
 
 @pytest.mark.parametrize("witness", [
     lambda s, p: periodic_density_witness(s, 0.1, p),
-    lambda s, p: sensitivity_witness(s, 0.1, A2, p),
+    lambda s, p: sensitivity_witness(s, 0.1, 2, p),
 ], ids=["density", "sensitivity"])
 def test_witness_depth_stops_just_past_the_window_cap(witness):
     # near r = 1 the least k is about 2e12: the depth search stops at the
@@ -259,7 +257,7 @@ def test_witness_depth_stops_just_past_the_window_cap(witness):
 
 def test_sensitivity_partner_agrees_then_differs():
     s = periodic_point((2, 1, 1))
-    cert = sensitivity_witness(s, 0.1, A2, P)
+    cert = sensitivity_witness(s, 0.1, 2, P)
     from shiftchaos import sequence_from_payload
 
     partner = sequence_from_payload(cert["data"]["partner"])
@@ -290,7 +288,7 @@ def test_poisson_first_return_matches_brute_scan():
         (2, window_padded((2, 1), -1, 2), 3, 4),
         (3, periodic((3, 1), 0), 11, 2),
     ]:
-        u_set = UnstableSetId(Alphabet(m), past)
+        u_set = UnstableSetId(m, past)
         cert = poisson_recurrence_witness(u_set, depths, P, seed=seed)
         u = universal_member(u_set, seed)
         for j, n in enumerate(cert["data"]["times"], 1):
@@ -313,7 +311,7 @@ def test_poisson_times_increase_thresholds_decrease():
 
 
 def test_poisson_with_periodic_past():
-    u_set = UnstableSetId(A2, periodic((1, 2), 0))
+    u_set = UnstableSetId(2, periodic((1, 2), 0))
     cert = poisson_recurrence_witness(u_set, 6, P)
     assert verify_certificate(cert).ok
 
@@ -339,7 +337,7 @@ def test_poisson_rejects_bad_depth():
     ],
 )
 def test_poisson_return_times_are_frozen(m, past, seed, times):
-    u_set = UnstableSetId(Alphabet(m), past)
+    u_set = UnstableSetId(m, past)
     cert = poisson_recurrence_witness(u_set, len(times), P, seed=seed)
     assert cert["data"]["times"] == times
     assert verify_certificate(cert).ok
@@ -362,20 +360,20 @@ def test_poisson_return_times_are_frozen(m, past, seed, times):
     ],
 )
 def test_files_with_scanned_return_times_still_verify(m, past, seed, times):
-    u_set = UnstableSetId(Alphabet(m), past)
+    u_set = UnstableSetId(m, past)
     payload = poisson_recurrence_payload(u_set, len(times), P, seed, 1e-12, times)
     assert verify_certificate(_certificate("poisson_recurrence", payload)).ok
 
 
 def test_poisson_times_do_not_depend_on_the_window(monkeypatch):
-    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
+    u_set = UnstableSetId(2, window_padded((2, 1), -1, 2))
     times = poisson_recurrence_witness(u_set, 10, P, seed=3)["data"]["times"]
     monkeypatch.setattr("shiftchaos.sequences._HEAD", 1000)
     assert poisson_recurrence_witness(u_set, 10, P, seed=3)["data"]["times"] == times
 
 
 def test_poisson_scan_memory_does_not_grow_with_the_cap():
-    u_set = UnstableSetId(A2, window_padded((2, 1), -1, 2))
+    u_set = UnstableSetId(2, window_padded((2, 1), -1, 2))
     enumeration_prefix.cache_clear()
     enumeration_prefix(2, 3, _HEAD)  # the head every universal member reads
     tracemalloc.start()
@@ -467,7 +465,7 @@ def _certifies_and_verifies(past, horizon, r, exact):
     """li_yorke_pair certifies and re-verifies; with `exact`, its times are
     the middle rows of agreement block J and disagreement block J - 1, and
     the exact distances there meet the bounds they claim."""
-    cert = li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
+    cert = li_yorke_pair(UnstableSetId(2, past), horizon, MetricParams(r))
     assert verify_certificate(cert).ok, (r, horizon)
     if not exact:
         return
@@ -535,7 +533,7 @@ def test_every_admitted_horizon_certifies_and_verifies(r, first):
 def test_li_yorke_pair_certifies_at_any_r_up_to_a_half(r, horizon, past):
     if horizon >= _first_refused(MetricParams(r)):
         with pytest.raises(ValueError, match="underflows"):
-            li_yorke_pair(UnstableSetId(A2, past), horizon, MetricParams(r))
+            li_yorke_pair(UnstableSetId(2, past), horizon, MetricParams(r))
     else:
         _certifies_and_verifies(past, horizon, r, True)
 
@@ -603,7 +601,7 @@ def test_unstable_convergence_rejects_disjoint_pasts():
 
 
 def _periodic_past_pair():
-    u_set = UnstableSetId(A2, periodic((1, 2)))
+    u_set = UnstableSetId(2, periodic((1, 2)))
     return (member_with_future(u_set, window_padded((1, 2))),
             member_with_future(u_set, window_padded((2, 1))))
 
@@ -665,7 +663,7 @@ def test_tampered_distance_fails_verification():
 
 @pytest.mark.parametrize("schema", [None, "1", True, 99, 1.0], ids=["missing", "string", "true", "99", "float"])
 def test_verify_certificate_requires_schema_one(schema):
-    payload = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    payload = sensitivity_witness(universal_member(ones_past()), 0.25, 2, P)
     assert verify_certificate(payload).ok
     if schema is None:
         del payload["schema"]
@@ -689,7 +687,7 @@ def test_non_string_kind_fails_verification(kind):
 
 @pytest.mark.parametrize("m", [0, 1, -2, 2.0, "2", None])
 def test_flipped_payload_with_bad_alphabet_is_malformed(m):
-    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, 2, P)
     payload = json.loads(json.dumps(cert))
     flipped = payload["data"]["partner"]["future"]
     assert flipped["kind"] == "flipped"
@@ -703,20 +701,19 @@ def test_flipped_payload_with_bad_alphabet_is_malformed(m):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_devaney_triple_on_random_unstable_sets(m):
-    alphabet = Alphabet(m)
     rng = random.Random(99 + m)
     for _ in range(20):
-        u_set = random_unstable_set(rng, alphabet)
+        u_set = random_unstable_set(rng, m)
         member = universal_member(u_set)
         for _ in range(10):
-            target = random_two_sided_target(rng, alphabet, 2, 3)
+            target = random_two_sided_target(rng, m, 2, 3)
             cert = transitivity_witness(u_set, target)
             assert verify_certificate(cert).ok
         for delta in (0.1, 1e-2, 1e-3):
             cert = periodic_density_witness(member, delta, P)
             assert verify_certificate(cert).ok
         for eps in (0.25, 1e-2):
-            cert = sensitivity_witness(member, eps, alphabet, P)
+            cert = sensitivity_witness(member, eps, m, P)
             assert cert["data"]["far_value"] - cert["data"]["far_error"] >= 0.5
             assert verify_certificate(cert).ok
 
@@ -750,7 +747,7 @@ def _failures_after(payload, mutate):
 
 
 def test_sensitivity_stored_eps0_is_recomputed():
-    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, 2, P)
     payload = json.loads(json.dumps(cert))
     failures = _failures_after(payload, lambda d: d.update(eps0=0.0))
     assert any("eps0" in f for f in failures)
@@ -825,7 +822,7 @@ def test_convergence_rows_must_cover_every_step(forward, mutate, expected):
 
 
 def test_deeply_nested_payload_is_malformed():
-    cert = sensitivity_witness(universal_member(ones_past()), 0.25, A2, P)
+    cert = sensitivity_witness(universal_member(ones_past()), 0.25, 2, P)
     payload = json.loads(json.dumps(cert))
     seq = payload["data"]["sequence"]
     for _ in range(5000):
@@ -843,7 +840,7 @@ def test_deeply_nested_payload_is_malformed():
 
 @pytest.mark.parametrize("m, r, max_depth", [(2, 0.5, 12), (3, 0.3, 40), (2, 0.5, 1072)])
 def test_diameter_payload_is_its_inputs_and_the_check(m, r, max_depth):
-    report = check_diameter_condition(Alphabet(m), MetricParams(r), max_depth)
+    report = check_diameter_condition(MetricParams(r), max_depth)
     assert diameter_payload(m, r, max_depth) == {"m": m, "r": r, "max_depth": max_depth, **report}
     assert report["strictly_decreasing"] and report["matches_prediction"]
     depths = range(1, max_depth + 1)
@@ -852,15 +849,40 @@ def test_diameter_payload_is_its_inputs_and_the_check(m, r, max_depth):
 
 @pytest.mark.parametrize("m, r, degree", [(2, 0.5, 1), (3, 0.25, 2), (2, 0.3, 7)])
 def test_separation_payload_is_its_inputs_and_the_check(m, r, degree):
-    a, p = Alphabet(m), MetricParams(r)
-    result = check_separation(a, p, degree)
-    exhaustive = degree <= 3 and separation_holds_everywhere(a, p, degree, result["eps0"])
+    p = MetricParams(r)
+    result = check_separation(m, p, degree)
+    exhaustive = degree <= 3 and separation_holds_everywhere(m, p, degree, result["eps0"])
     assert separation_payload(m, r, degree) == {
         "m": m, "r": r, "degree": degree, **result, "exhaustive_at_low_degree": exhaustive,
     }
     words = result["witness_words"]
     assert words == [[1] * degree, [2] + [1] * (degree - 1)]
     assert result["witness_distance"] == set_distance(*map(future_cylinder, words), p) == r
+
+
+# Every kind that stores the alphabet size m, as a valid file.
+STORES_M = {
+    "transitivity": BUILDERS["transitivity_witness"],
+    "sensitivity": BUILDERS["sensitivity_witness"],
+    "poisson_recurrence": BUILDERS["poisson_recurrence_witness"],
+    "li_yorke": BUILDERS["li_yorke_pair"],
+    "diameter_condition": lambda: _certificate("diameter_condition", diameter_payload(2, 0.5, 12)),
+    "separation": lambda: _certificate("separation", separation_payload(2, 0.5, 2)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 0, 2.0, True, "3"], ids=["1", "0", "2.0", "true", "3"])
+@pytest.mark.parametrize("kind", sorted(STORES_M))
+def test_stored_m_that_sizes_no_alphabet_is_malformed(kind, m):
+    # the diameter table never reads m: only the alphabet check refuses it
+    cert = json.loads(json.dumps(STORES_M[kind]()))
+    assert cert["kind"] == kind and verify_certificate(cert).ok
+    cert["data"]["m"] = m
+    result = verify_certificate(cert)
+    assert not result.ok
+    assert result.failures == (
+        f"malformed certificate: alphabet needs at least two symbols, got m={m}",
+    )
 
 
 def test_return_digits_admit_exactly_the_depths_within_the_limit(monkeypatch):

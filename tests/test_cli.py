@@ -417,14 +417,30 @@ def test_certify_refuses_an_unproven_li_yorke_bound(tmp_path, capsys, flags, cla
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, m",
+    [(("certify", "--m", "1"), "", 1), (("horseshoe", "--m", "1"), "", 1),
+     (("orbit", "--start", "universal", "--m", "1"), "", 1),
+     (("orbit", "--start", "point:0,0", "--m", "0"), "", 0), (("certify",), "m = 0\n", 0)],
+    ids=["certify", "horseshoe", "orbit-universal", "orbit-point", "config"],
+)
+def test_every_subcommand_refuses_an_m_below_two(tmp_path, capsys, argv, config, m):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    assert run(*argv, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: alphabet needs at least two symbols, got m={m}\n"
+    assert not out.exists()
+
+
 def _echoing_certificate(kind):
     """A report or certificate of `kind` whose echoed integer inputs are 0
     (target_start, universal_seed) or 1 (the conjugacy seed)."""
-    from shiftchaos import (Alphabet, CylinderSet, MetricParams, UnstableSetId, periodic,
+    from shiftchaos import (CylinderSet, MetricParams, UnstableSetId, periodic,
                             poisson_recurrence_witness, transitivity_witness)
     from shiftchaos.horseshoe import conjugacy_payload
 
-    u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
+    u_set = UnstableSetId(2, periodic((1,), 0))
     if kind == "transitivity":
         return transitivity_witness(u_set, CylinderSet((2, 1), 0))
     if kind == "poisson_recurrence":
@@ -1386,7 +1402,6 @@ def test_orbit_bad_descriptor(tmp_path):
 
 def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     from shiftchaos import (
-        Alphabet,
         MetricParams,
         UnstableSetId,
         periodic,
@@ -1398,7 +1413,7 @@ def test_orbit_universal_dips_match_recurrence_certificate(tmp_path):
     rows = (orb_out / "orbit.csv").read_text().splitlines()[1:]
     distances = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     # the `universal` orbit start has an all-1 past: certify the same set
-    u_set = UnstableSetId(Alphabet(2), periodic((1,), 0))
+    u_set = UnstableSetId(2, periodic((1,), 0))
     cert = poisson_recurrence_witness(u_set, 4, MetricParams(0.5))
     assert cert["data"]["times"] == [43, 284, 1605, 8368]
     for n, thr in zip(cert["data"]["times"][:3], cert["data"]["thresholds"]):

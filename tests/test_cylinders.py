@@ -3,7 +3,6 @@
 import pytest
 
 from shiftchaos import (
-    Alphabet,
     FiniteWord,
     future_cylinder,
     nesting_check,
@@ -53,40 +52,39 @@ def test_entailment_negative_control_mismatched_prefix():
 
 
 def test_nesting_chains():
-    assert nesting_check(Alphabet(2), 4)
-    assert nesting_check(Alphabet(3), 3)
+    assert nesting_check(2, 4)
+    assert nesting_check(3, 3)
 
 
 def test_similarity_future_cylinder():
-    assert similarity_identity_check(future_cylinder((1,)), Alphabet(2), 3)
+    assert similarity_identity_check(future_cylinder((1,)), 2, 3)
 
 
 def test_similarity_whole_space_is_trivial():
-    assert similarity_identity_check(whole_space(), Alphabet(2), 0)
+    assert similarity_identity_check(whole_space(), 2, 0)
 
 
 def test_similarity_past_cylinder():
-    assert similarity_identity_check(past_cylinder((2,)), Alphabet(2), 3)
+    assert similarity_identity_check(past_cylinder((2,)), 2, 3)
 
 
 def test_similarity_rejects_two_sided_windows():
     with pytest.raises(ValueError):
-        similarity_identity_check(two_sided_cylinder((1, 1), 0), Alphabet(2), 4)
+        similarity_identity_check(two_sided_cylinder((1, 1), 0), 2, 4)
 
 
 def test_similarity_rejects_shallow_depth():
     with pytest.raises(ValueError):
-        similarity_identity_check(future_cylinder((1, 2)), Alphabet(2), 1)
+        similarity_identity_check(future_cylinder((1, 2)), 2, 1)
 
 
 def test_similarity_all_short_cylinders_both_directions():
-    a = Alphabet(2)
     from shiftchaos.cylinders import all_words
 
     for length in (1, 2, 3):
-        for w in all_words(a, length):
-            assert similarity_identity_check(future_cylinder(w), a, 6)
-            assert similarity_identity_check(past_cylinder(w), a, 6)
+        for w in all_words(2, length):
+            assert similarity_identity_check(future_cylinder(w), 2, 6)
+            assert similarity_identity_check(past_cylinder(w), 2, 6)
 
 
 def test_general_windows_are_representable():
@@ -118,5 +116,5 @@ def test_entailment_on_both_sides_of_255():
     assert not wide.entails(CylinderSet((1, 3), 2))
     assert not future_cylinder((1, 2)).entails(future_cylinder((1, 300)))
     assert not CylinderSet((1, 2), 2).entails(wide)
-    assert similarity_identity_check(future_cylinder((300,)), Alphabet(2), 3)
-    assert similarity_identity_check(past_cylinder((300, 1)), Alphabet(2), 4)
+    assert similarity_identity_check(future_cylinder((300,)), 2, 3)
+    assert similarity_identity_check(past_cylinder((300, 1)), 2, 4)

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ from shiftchaos import (
     point_from_itinerary,
     rectangle_lattice,
     verify_hyperbolic_conditions,
+    window_padded,
 )
 from shiftchaos import horseshoe
 from shiftchaos.horseshoe import _x_ends, _y_ends, branch_of
@@ -154,6 +156,22 @@ def test_conjugacy_period_two_depth_twenty():
     rep = conjugacy_check(periodic_point((1, 2)), HP, 20)
     assert rep["passed"]
     assert rep["defect"] < 1e-8
+
+
+def test_coding_refuses_symbols_the_two_branches_do_not_code():
+    # the two branches code the symbols 1 and 2 only: coding a 3 in the
+    # window read gives a point the map does not code, and a false defect
+    message = "symbols [3] exceed alphabet bound m=2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        point_from_itinerary(window_padded((3,), -4), HP, 6)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        conjugacy_check(window_padded((3,), 6), HP, 5)
+    with pytest.raises(ValueError, match=r"exceed alphabet bound m=2"):
+        conjugacy_check(periodic_point((3,)), HP, 5)
+    # a symbol outside the window read is not looked at
+    pt, _ = point_from_itinerary(window_padded((3,), -6), HP, 6)
+    assert pt == point_from_itinerary(periodic_point((1,)), HP, 6)[0]
+    assert conjugacy_check(window_padded((3,), 7), HP, 5)["passed"]
 
 
 def test_conjugacy_float_params_pass_without_an_allowance():

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftchaos import (
-    Alphabet,
     EventuallyPeriodicSeq,
     FiniteWord,
     FlippedSeq,
@@ -178,7 +177,7 @@ def test_cylinder_diameter_one_sided_windows():
 
 
 def test_diameter_condition_report():
-    report = check_diameter_condition(Alphabet(2), P, 10)
+    report = check_diameter_condition(P, 10)
     assert report["strictly_decreasing"] and report["matches_prediction"]
     last = report["rows"][-1]
     assert last["diameter"] == 2.0 ** -10 + 2.0 ** -11
@@ -188,7 +187,7 @@ def test_diameter_condition_report():
 
 
 def test_diameter_condition_other_base():
-    report = check_diameter_condition(Alphabet(2), MetricParams(0.25), 5)
+    report = check_diameter_condition(MetricParams(0.25), 5)
     assert report["strictly_decreasing"] and report["matches_prediction"]
     expected = 0.25 ** 6 / 0.75 + 0.25 ** 7 / 0.75
     assert math.isclose(report["rows"][-1]["diameter"], expected, rel_tol=1e-12)
@@ -220,7 +219,7 @@ def test_set_distance_disjoint_windows_share_members():
 
 
 def test_separation_returns_weight_of_first_position():
-    result = check_separation(Alphabet(2), P, 1)
+    result = check_separation(2, P, 1)
     assert result["eps0"] == 0.5
     assert result["witness_words"] == [[1], [2]]
     assert set_distance(future_cylinder((1,)), future_cylinder((2,)), P) == 0.5
@@ -228,13 +227,12 @@ def test_separation_returns_weight_of_first_position():
 
 
 def test_separation_degree_three_exhaustive_oracle():
-    a = Alphabet(2)
-    result = check_separation(a, P, 3)
+    result = check_separation(2, P, 3)
     assert result["eps0"] == 0.5
     from shiftchaos.cylinders import all_words
     from shiftchaos.metric import flip_first
 
-    cyls = {w: future_cylinder(w) for w in all_words(a, 3)}
+    cyls = {w: future_cylinder(w) for w in all_words(2, 3)}
     for w, c in cyls.items():
         # every word has a partner at distance >= eps0 (exhaustive max)
         assert max(set_distance(c, other, P) for other in cyls.values()) >= result["eps0"]
@@ -243,14 +241,14 @@ def test_separation_degree_three_exhaustive_oracle():
 
 
 def test_separation_other_alphabet_and_base():
-    result = check_separation(Alphabet(3), MetricParams(0.25), 2)
+    result = check_separation(3, MetricParams(0.25), 2)
     assert result["eps0"] == 0.25
-    assert separation_holds_everywhere(Alphabet(3), MetricParams(0.25), 2, 0.25)
+    assert separation_holds_everywhere(3, MetricParams(0.25), 2, 0.25)
 
 
 def test_separation_eps0_consistent_across_degrees():
     for n in (1, 2, 3, 5):
-        result = check_separation(Alphabet(2), P, n)
+        result = check_separation(2, P, n)
         assert result["eps0"] == 0.5
         assert result["eps0"] <= space_diameter(P)
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftchaos import (
-    Alphabet,
     CylinderSet,
     DistanceBound,
     EventuallyPeriodicSeq,
@@ -21,17 +20,24 @@ from shiftchaos import (
     MetricParams,
     SplicedSeq,
     UniversalSeq,
+    UnstableSetId,
+    check_separation,
     distance,
     flip,
+    future_cylinder,
     locate_block,
-    make_universal_sequence,
+    nesting_check,
     periodic,
     periodic_point,
+    sensitivity_witness,
     sequence_from_payload,
     sequence_to_payload,
+    similarity_identity_check,
     splice,
+    whole_space,
     window_padded,
 )
+from shiftchaos.metric import separation_holds_everywhere
 from shiftchaos.sequences import (
     _FLAT_SPLICE_CAP,
     _HEAD,
@@ -45,16 +51,20 @@ from shiftchaos.sequences import (
 from conftest import _ref_enumeration, random_sequence, scan_for_block
 
 
-def test_alphabet_rejects_small_m():
-    with pytest.raises(ValueError):
-        Alphabet(1)
-
-
 @pytest.mark.parametrize("m", [1, 0, 2.0, "3"])
 def test_every_alphabet_check_refuses_with_one_message(m):
     message = f"alphabet needs at least two symbols, got m={m}"
-    for build in (Alphabet, UniversalSeq, lambda m: FlippedSeq(UniversalSeq(2), m),
-                  lambda m: flip(periodic((1, 2)), m), lambda m: flip(UniversalSeq(2), m)):
+    P = MetricParams(0.5)
+    for build in (UniversalSeq, lambda m: FlippedSeq(UniversalSeq(2), m),
+                  lambda m: flip(periodic((1, 2)), m), lambda m: flip(UniversalSeq(2), m),
+                  lambda m: UnstableSetId(m, periodic((1,))),
+                  lambda m: sensitivity_witness(periodic_point((1, 2)), 0.25, m, P),
+                  lambda m: check_separation(m, P, 1),
+                  lambda m: separation_holds_everywhere(m, P, 1, 0.5),
+                  lambda m: nesting_check(m, 2), lambda m: nesting_check(m, 1),
+                  lambda m: similarity_identity_check(future_cylinder((1,)), m, 2),
+                  lambda m: similarity_identity_check(whole_space(), m, 0),
+                  lambda m: window_padded((1,)).validate(m)):
         with pytest.raises(ValueError) as err:
             build(m)
         assert str(err.value) == message
@@ -165,14 +175,14 @@ def test_eventually_periodic_symbol_at():
 
 
 def test_universal_first_positions_contain_both_two_blocks():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     symbols = [u.symbol_at(j) for j in range(16)]
     assert scan_for_block(symbols, (1, 2)) is not None
     assert scan_for_block(symbols, (2, 1)) is not None
 
 
 def test_universal_enumeration_prefix_is_length_lex():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     assert [u.symbol_at(j) for j in range(10)] == [1, 2, 1, 1, 1, 2, 2, 1, 2, 2]
     # every 2-block occurs within the first 10 symbols
     symbols = [u.symbol_at(j) for j in range(10)]
@@ -181,7 +191,7 @@ def test_universal_enumeration_prefix_is_length_lex():
 
 
 def test_universal_all_length3_words_occur_in_short_prefix():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     # words of length <= 3 span positions 0..33
     symbols = [u.symbol_at(j) for j in range(34)]
     for a in (1, 2):
@@ -197,12 +207,12 @@ def test_universal_m3_block_position_matches_scan():
     assert tuple(prefix[99:102]) == (3, 3, 3)
     # the scan finds an occurrence no later than the entry itself
     assert scan_for_block(prefix, (3, 3, 3)) <= 99
-    u = make_universal_sequence(Alphabet(3))
+    u = UniversalSeq(3)
     assert u.window(99, 101) == (3, 3, 3)
 
 
 def test_universal_negative_side_is_padded():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     assert all(u.symbol_at(j) == 1 for j in range(-20, 0))
 
 
@@ -268,7 +278,7 @@ def test_shift_bijectivity_at_finite_depth(seed, n):
 
 
 def test_locate_block_first_words_match_scan():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     prefix = list(_ref_enumeration(2, 0, 64))
     for word in ((1,), (2,)):
         p = locate_block(u, word)
@@ -278,14 +288,14 @@ def test_locate_block_first_words_match_scan():
 
 
 def test_locate_block_is_positionally_correct():
-    u = make_universal_sequence(Alphabet(3))
+    u = UniversalSeq(3)
     for word in ((1, 3, 2), (3, 3, 3, 3), (2,) * 6):
         p = locate_block(u, word)
         assert u.shift(p).window(1, len(word)) == word
 
 
 def test_locate_block_distinct_words_distinct_positions():
-    u = make_universal_sequence(Alphabet(2))
+    u = UniversalSeq(2)
     p1 = locate_block(u, (1, 2, 1))
     p2 = locate_block(u, (2, 1, 2))
     assert p1 != p2
@@ -300,7 +310,7 @@ def test_locate_block_rejects_non_universal():
 
 def test_universal_density_all_short_words_locatable():
     for m in (2, 3):
-        u = make_universal_sequence(Alphabet(m))
+        u = UniversalSeq(m)
         for length in range(1, 9):
             for num in range(m ** length):
                 digits = []
@@ -825,7 +835,6 @@ def test_shift_keeps_the_center_length(rng):
 # ---------------------------------------------------------------------------
 
 VALUES = [
-    Alphabet(3),
     FiniteWord((1, 2)),
     EventuallyPeriodicSeq((1, 2), (2, 1, 1), -1, (2,)),
     UniversalSeq(2, 0, 5),
